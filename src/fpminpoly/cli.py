@@ -25,6 +25,7 @@ import tempfile
 from typing import Sequence
 
 from .circuit import STRATEGIES, cost, eliminate_common_subexpressions, lower, run
+# first_mismatch is unused here; perfbench/tracer.py rebinds cli.first_mismatch by name.
 from .formulas import (CATALOG, FormulaParamError, build_formula, first_mismatch,
                        resolve_params, verify_formula)
 from .oracle import TruthTable, interpolate, tabulate
@@ -114,51 +115,21 @@ def cmd_gen(args) -> int:
 
 def cmd_verify(args) -> int:
     cap = _table_size_cap(args)
-    reports: list[dict] = []
-    if args.file:
-        if not args.func:
-            raise FormulaParamError("--file needs --func to know the reference function")
-        entry, p, n, r = resolve_params(args.func, args.p, args.n, args.r)
-        with open(args.file) as handle:
-            poly = Polynomial.from_json(handle.read(), max_table_size=cap)
-        table = tabulate(entry.spec_of(p, n, r), max_table_size=cap)
-        reference = interpolate(table, max_table_size=cap)
-        if poly.ring != reference.ring:
-            raise FormulaParamError(
-                f"polynomial in {args.file} lives in {poly.ring}, "
-                f"but {args.func} needs {reference.ring}")
-        poly_values = poly.values()
-        mismatch = first_mismatch(poly_values, table.values, workers=args.jobs)
-        report = {
-            "formula": args.func, "p": p, "n": n, "r": r,
-            "points_checked": len(table.values),
-            "coefficient_match": poly == reference,
-            "function_match": mismatch is None,
-        }
-        if mismatch is not None:
-            from .oracle import point_at
-            report["mismatch_point"] = list(point_at(p, reference.ring.n, mismatch))
-            report["expected"] = table.values[mismatch]
-            report["got"] = poly_values[mismatch]
-        report["status"] = ("pass" if report["coefficient_match"]
-                            and report["function_match"] else "mismatch")
-        reports.append(report)
-    elif args.all:
-        from concurrent.futures import ThreadPoolExecutor
-
-        tasks = [(name, p, n, r)
-                 for name, entry in CATALOG.items()
-                 for (p, n, r) in entry.verify_grid]
-        with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-            futures = [pool.submit(verify_formula, name, p, n, r,
-                                   max_table_size=cap)
-                       for name, p, n, r in tasks]
-            reports.extend(f.result() for f in futures)
+    if args.all and not args.file:
+        reports = [verify_formula(name, p, n, r, max_table_size=cap)
+                   for name, entry in CATALOG.items()
+                   for (p, n, r) in entry.verify_grid]
     else:
-        if not args.func:
+        candidate = None
+        if args.file:
+            if not args.func:
+                raise FormulaParamError("--file needs --func to know the reference function")
+            with open(args.file) as handle:
+                candidate = Polynomial.from_json(handle.read(), max_table_size=cap)
+        elif not args.func:
             raise FormulaParamError("verify needs --func, --file or --all")
-        reports.append(verify_formula(args.func, args.p, args.n, args.r,
-                                      max_table_size=cap, workers=args.jobs))
+        reports = [verify_formula(args.func, args.p, args.n, args.r,
+                                  max_table_size=cap, candidate=candidate)]
 
     ok = all(rep["status"] == "pass" for rep in reports)
     if args.format == "json":
@@ -287,8 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--file", help="polynomial JSON file to check against --func")
     verify.add_argument("--all", action="store_true",
                         help="verify every catalog entry over its default grid")
-    verify.add_argument("--jobs", type=int, default=min(4, os.cpu_count() or 1),
-                        help="worker threads for domain partitioning")
     verify.set_defaults(handler=cmd_verify)
 
     ev = subs.add_parser("eval", help="evaluate a polynomial at a point")

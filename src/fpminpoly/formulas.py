@@ -14,10 +14,9 @@ reproduced by machine from their factored shape.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .oracle import FunctionSpec, interpolate, point_at, tabulate
 from .polyring import (DEFAULT_MAX_TABLE_SIZE, Polynomial, PolyRing,
@@ -69,6 +68,26 @@ def _lowpass_list(ring: PolyRing, i: int,
     for t in range(ring.p):
         lows.append(lows[-1] + deltas[t])
     return lows
+
+
+def _level_indicator(deltas: Sequence[Sequence[Polynomial]],
+                     lows: Sequence[Sequence[Polynomial]], t: int,
+                     equal: Sequence[int], strict: Sequence[int]) -> Polynomial:
+    """Indicator that inputs in ``equal`` sit at value t, inputs in ``strict``
+    stay below t and the rest stay at or below t.
+
+    The delta factors are multiplied first, then the lowpass factors in
+    ascending index order.  The product is the same in any order, but a
+    dense product costs in proportion to the nonzero terms of its operands,
+    so the order sets the build time.
+    """
+    term = deltas[equal[0]][t]
+    for i in equal[1:]:
+        term = term * deltas[i][t]
+    for j in range(len(lows)):
+        if j not in equal:
+            term = term * lows[j][t if j in strict else t + 1]
+    return term
 
 
 # -- max and min ---------------------------------------------------------------
@@ -175,12 +194,7 @@ def argmax_digit_general(p: int, n: int, r: int, *,
             continue
         inner = ring.zero()
         for t in range(p):
-            term = deltas[i][t]
-            for j in range(i):
-                term = term * lows[j][t]
-            for k in range(i + 1, n):
-                term = term * lows[k][t + 1]
-            inner = inner + term
+            inner = inner + _level_indicator(deltas, lows, t, (i,), range(i))
         acc = acc + inner.scale(coeff)
     return acc
 
@@ -261,10 +275,7 @@ def argmax_p3_n3(*, max_table_size: int | None = DEFAULT_MAX_TABLE_SIZE) -> Poly
     return (2 * inner) * (x0 + 1)
 
 
-def argmax_block_recurrence(p: int, n: int, r: int,
-                            argmax0_builder: Optional[Callable[[int, int], Polynomial]] = None,
-                            max_builder: Optional[Callable[[int, int], Polynomial]] = None,
-                            *,
+def argmax_block_recurrence(p: int, n: int, r: int, *,
                             max_table_size: int | None = DEFAULT_MAX_TABLE_SIZE) -> Polynomial:
     """Digit r of argmax as digit 0 of the argmax over blockwise maxima.
 
@@ -275,11 +286,6 @@ def argmax_block_recurrence(p: int, n: int, r: int,
     """
     if r < 0:
         raise FormulaParamError("digit index must be nonnegative")
-    if argmax0_builder is None:
-        argmax0_builder = lambda pp, m: argmax_digit_general(
-            pp, m, 0, max_table_size=max_table_size)
-    if max_builder is None:
-        max_builder = lambda pp, m: max_general(pp, m, max_table_size=max_table_size)
     ring = PolyRing(p, n, max_table_size=max_table_size)
     width = p**r
     nblocks = -(-n // width)
@@ -290,17 +296,14 @@ def argmax_block_recurrence(p: int, n: int, r: int,
         if hi - lo == 1:
             block_maxima.append(ring.variable(lo))
         else:
-            block_max = max_builder(p, hi - lo)
+            block_max = max_general(p, hi - lo, max_table_size=max_table_size)
             block_maxima.append(
                 block_max.compose([ring.variable(j) for j in range(lo, hi)]))
-    head = argmax0_builder(p, nblocks)
+    head = argmax_digit_general(p, nblocks, 0, max_table_size=max_table_size)
     return head.compose(block_maxima)
 
 
-def argmax_extend_recursive(p: int, r: int, prefix_poly: Polynomial, n: int,
-                            argmax0_2var: Polynomial | None = None,
-                            max_prefix: Polynomial | None = None,
-                            *,
+def argmax_extend_recursive(p: int, r: int, prefix_poly: Polynomial, n: int, *,
                             max_table_size: int | None = DEFAULT_MAX_TABLE_SIZE) -> Polynomial:
     """Extend digit r of argmax from n inputs to n + 1.
 
@@ -311,12 +314,8 @@ def argmax_extend_recursive(p: int, r: int, prefix_poly: Polynomial, n: int,
         raise RingMismatchError(
             f"prefix polynomial must live in PolyRing(p={p}, n={n}), "
             f"got {prefix_poly.ring}")
-    if argmax0_2var is None:
-        argmax0_2var = argmax0_n2(p, max_table_size=max_table_size)
-    if max_prefix is None:
-        max_prefix = max_general(p, n, max_table_size=max_table_size)
-    if max_prefix.ring != prefix_poly.ring:
-        raise RingMismatchError("running-maximum polynomial must match the prefix ring")
+    argmax0_2var = argmax0_n2(p, max_table_size=max_table_size)
+    max_prefix = max_general(p, n, max_table_size=max_table_size)
     big = PolyRing(p, n + 1, max_table_size=max_table_size)
     beats = argmax0_2var.compose([big.embed(max_prefix), big.variable(n)])
     new_digit = big.field.digit(n, r)
@@ -331,6 +330,15 @@ def _falling(ring: PolyRing, i: int) -> list[Polynomial]:
     x = ring.variable(i)
     for j in range(ring.p - 1):
         out.append(out[-1] * (x - j))
+    return out
+
+
+def _rising(ring: PolyRing, i: int) -> list[Polynomial]:
+    """R[m] = (x_i + 1) (x_i + 2) ... (x_i + m), for m = 0..p-1."""
+    out = [ring.one()]
+    x = ring.variable(i)
+    for j in range(1, ring.p):
+        out.append(out[-1] * (x + j))
     return out
 
 
@@ -363,10 +371,7 @@ def argmax0_n2(p: int, *,
     factorials in x0 and falling factorials in x1.
     """
     ring = PolyRing(p, 2, max_table_size=max_table_size)
-    rising = [ring.one()]
-    x0 = ring.variable(0)
-    for j in range(1, p):
-        rising.append(rising[-1] * (x0 + j))
+    rising = _rising(ring, 0)
     f1 = _falling(ring, 1)
     acc = ring.zero()
     for d in range(1, p):
@@ -386,9 +391,7 @@ def max_n2(p: int, *,
         raise FormulaParamError("two-input max over F_2 is max_p2(2); this form needs p >= 3")
     ring = PolyRing(p, 2, max_table_size=max_table_size)
     x0, x1 = ring.variable(0), ring.variable(1)
-    rising = [ring.one()]
-    for j in range(1, p):
-        rising.append(rising[-1] * (x0 + j))
+    rising = _rising(ring, 0)
     f1 = _falling(ring, 1)
     middle = ring.zero()
     for d in range(2, p - 1):
@@ -416,12 +419,7 @@ def ismax_general(p: int, n: int, *,
     for t in range(p):
         inner = ring.zero()
         for i in range(n):
-            term = d_x[i][t]
-            for j in range(i):
-                term = term * l_x[j][t]
-            for k in range(i + 1, n):
-                term = term * l_x[k][t + 1]
-            inner = inner + term
+            inner = inner + _level_indicator(d_x, l_x, t, (i,), range(i))
         acc = acc + d_y[t] * inner
     return acc
 
@@ -435,11 +433,7 @@ def nummax0_general(p: int, n: int, *,
     acc = ring.zero()
     for i in range(n):
         for t in range(p):
-            term = deltas[i][t]
-            for j in range(n):
-                if j != i:
-                    term = term * lows[j][t + 1]
-            acc = acc + term
+            acc = acc + _level_indicator(deltas, lows, t, (i,), ())
     return acc
 
 
@@ -463,15 +457,8 @@ def nummax_digit_subsets(p: int, n: int, r: int, *,
             continue
         inner = ring.zero()
         for subset in combinations(range(n), k):
-            chosen = set(subset)
             for t in range(p):
-                term = ring.one()
-                for i in subset:
-                    term = term * deltas[i][t]
-                for j in range(n):
-                    if j not in chosen:
-                        term = term * lows[j][t]
-                inner = inner + term
+                inner = inner + _level_indicator(deltas, lows, t, subset, range(n))
         acc = acc + inner.scale(coeff)
     return acc
 
@@ -769,53 +756,39 @@ def build_formula(name: str, p: int | None = None, n: int | None = None,
     return entry.build(p, n, r, max_table_size)
 
 
-def first_mismatch(a: Sequence[int], b: Sequence[int], workers: int = 1) -> int | None:
-    """Index of the first disagreement between two value tables, else None.
-
-    With workers > 1 the domain is split into chunks compared concurrently;
-    taking the minimum found index keeps the result order-independent.
-    """
+def first_mismatch(a: Sequence[int], b: Sequence[int]) -> int | None:
+    """Index of the first disagreement between two value tables, else None."""
     if len(a) != len(b):
         raise ValueError("cannot compare value tables of different sizes")
-    size = len(a)
-    if workers <= 1 or size < 4096:
-        for i in range(size):
-            if a[i] != b[i]:
-                return i
-        return None
-
-    def scan(lo: int, hi: int) -> int | None:
-        for i in range(lo, hi):
-            if a[i] != b[i]:
-                return i
-        return None
-
-    chunk = -(-size // workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(scan, lo, min(lo + chunk, size))
-                   for lo in range(0, size, chunk)]
-        hits = [f.result() for f in futures]
-    hits = [h for h in hits if h is not None]
-    return min(hits) if hits else None
+    for i in range(len(a)):
+        if a[i] != b[i]:
+            return i
+    return None
 
 
 def verify_formula(name: str, p: int | None = None, n: int | None = None,
                    r: int | None = None, *,
                    max_table_size: int | None = DEFAULT_MAX_TABLE_SIZE,
-                   workers: int = 1) -> dict:
+                   candidate: Polynomial | None = None) -> dict:
     """Check one closed form against interpolation of its semantics.
 
     Returns a report dict with coefficient_match (exact table identity,
     which by uniqueness is the minimality claim itself) and function_match
-    (pointwise agreement of the closed form with the semantics).
+    (pointwise agreement of the closed form with the semantics).  A given
+    ``candidate`` polynomial is checked in place of the catalog's closed
+    form; it must live in the ring the formula's semantics need.
     """
     entry, p, n, r = resolve_params(name, p, n, r)
-    poly = entry.build(p, n, r, max_table_size)
+    poly = entry.build(p, n, r, max_table_size) if candidate is None else candidate
     spec = entry.spec_of(p, n, r)
     table = tabulate(spec, max_table_size=max_table_size)
     reference = interpolate(table, max_table_size=max_table_size)
+    if poly.ring != reference.ring:
+        raise FormulaParamError(
+            f"candidate polynomial lives in {poly.ring}, "
+            f"but {name} needs {reference.ring}")
     closed_values = poly.values()
-    mismatch = first_mismatch(closed_values, table.values, workers=workers)
+    mismatch = first_mismatch(closed_values, table.values)
     report = {
         "formula": name,
         "p": p,

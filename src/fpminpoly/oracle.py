@@ -45,7 +45,7 @@ def argmax_sem(xs: Sequence[int]) -> int:
     """Least index attaining the maximum (ties break to the first)."""
     if not xs:
         raise ValueError("argmax of an empty input is undefined")
-    return xs.index(max(xs)) if isinstance(xs, (list, tuple)) else list(xs).index(max(xs))
+    return list(xs).index(max(xs))
 
 
 def argmin_sem(xs: Sequence[int]) -> int:

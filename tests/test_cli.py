@@ -105,6 +105,22 @@ class TestVerify:
         assert code == EXIT_MISMATCH
         out = capsys.readouterr().out
         assert "MISMATCH" in out and "first mismatch at" in out
+        code = run_cli("verify", "--func", "argmax0", "--p", "3", "--n", "2",
+                       "--file", str(bad), "--format", "json")
+        assert code == EXIT_MISMATCH
+        report = json.loads(capsys.readouterr().out)
+        # the bumped x0*x1 coefficient first shows at (1, 1), a tie whose argmax is 0
+        assert report["mismatch_point"] == [1, 1]
+        assert (report["expected"], report["got"]) == (0, 1)
+        assert report["coefficient_match"] is False
+
+    def test_file_from_wrong_ring_is_a_usage_error(self, tmp_path, capsys):
+        poly = tmp_path / "max33.json"
+        run_cli("gen", "--func", "max", "--p", "3", "--n", "3", "--out", str(poly))
+        assert run_cli("verify", "--func", "max", "--p", "3", "--n", "2",
+                       "--file", str(poly)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "PolyRing(p=3, n=3)" in err and "PolyRing(p=3, n=2)" in err
 
     def test_intact_file_passes(self, tmp_path):
         good = tmp_path / "good.json"
