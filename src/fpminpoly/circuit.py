@@ -29,6 +29,9 @@ STRATEGIES = ("naive_monomial", "nested_horner")
 
 _BINARY = ("add", "sub", "mul")
 
+#: Tuple length of each gate kind, op name included.
+_GATE_LEN = {"input": 2, "const": 2, "add": 3, "sub": 3, "mul": 3, "scale": 3}
+
 
 def _gate_args(gate: tuple) -> tuple[int, ...]:
     op = gate[0]
@@ -53,18 +56,17 @@ class Circuit:
         if self.n_inputs < 0:
             raise ValueError("input count must be nonnegative")
         for idx, gate in enumerate(self.gates):
-            op = gate[0]
+            op = gate[0] if gate else None
+            if op not in _GATE_LEN:
+                raise ValueError(f"gate {idx}: unknown op {op!r}")
+            if len(gate) != _GATE_LEN[op]:
+                raise ValueError(f"gate {idx}: {op} gate needs {_GATE_LEN[op] - 1} "
+                                 f"fields after the op, got {gate!r}")
             if op == "input":
                 if not 0 <= gate[1] < self.n_inputs:
                     raise ValueError(f"gate {idx}: input index {gate[1]} out of range")
-            elif op == "const":
+            elif op in ("const", "scale"):
                 field.check(gate[1])
-            elif op in _BINARY:
-                pass
-            elif op == "scale":
-                field.check(gate[1])
-            else:
-                raise ValueError(f"gate {idx}: unknown op {op!r}")
             for ref in _gate_args(gate):
                 if not 0 <= ref < idx:
                     raise ValueError(

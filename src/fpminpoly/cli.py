@@ -70,6 +70,8 @@ def _emit(args, text: str) -> None:
 def _table_size_cap(args) -> int | None:
     if getattr(args, "max_table_size", None) is not None:
         cap = args.max_table_size
+        if cap < 0:
+            raise FormulaParamError(f"--max-table-size must be nonnegative, got {cap}")
         if cap > DEFAULT_MAX_TABLE_SIZE:
             # Rough figure: CPython small-int table entries run ~32 bytes.
             mb = cap * 32 / 2**20
@@ -79,10 +81,14 @@ def _table_size_cap(args) -> int | None:
     env = os.environ.get(ENV_MAX_TABLE_SIZE)
     if env:
         try:
-            return int(env)
+            cap = int(env)
         except ValueError:
+            cap = None
+        if cap is None or cap < 0:
             raise FormulaParamError(
-                f"environment variable {ENV_MAX_TABLE_SIZE} must be an int, got {env!r}")
+                f"environment variable {ENV_MAX_TABLE_SIZE} must be a nonnegative int, "
+                f"got {env!r}")
+        return cap
     return DEFAULT_MAX_TABLE_SIZE
 
 
@@ -167,9 +173,9 @@ def cmd_eval(args) -> int:
             circ = eliminate_common_subexpressions(circ)
         via_circuit = run(circ, point)
         if via_circuit != value:
-            raise AssertionError(
-                f"circuit evaluation disagrees with the polynomial: "
-                f"{via_circuit} vs {value}")
+            print(f"fpminpoly: mismatch: circuit evaluation disagrees with the "
+                  f"polynomial: {via_circuit} vs {value}", file=sys.stderr)
+            return EXIT_MISMATCH
     print(value)
     return EXIT_OK
 

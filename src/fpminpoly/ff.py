@@ -113,9 +113,15 @@ class PrimeField:
         return (self.p - 1 - a) % self.p
 
     def digit(self, k: int, r: int) -> int:
-        """The r-th digit of k's base-p expansion (0 once p**r exceeds k)."""
+        """The r-th digit of k's base-p expansion (0 once p**r exceeds k).
+
+        Shifts k down one digit at a time, so p**r is never formed.
+        """
         if k < 0:
             raise ValueError("digits are defined for nonnegative integers")
         if r < 0:
             raise ValueError("digit position must be nonnegative")
-        return (k // self.p**r) % self.p
+        while r and k:
+            k //= self.p
+            r -= 1
+        return k % self.p

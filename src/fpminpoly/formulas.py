@@ -15,6 +15,7 @@ reproduced by machine from their factored shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -53,21 +54,22 @@ def lowpass(p: int, t: int, *,
     return acc
 
 
+@lru_cache(maxsize=None)
+def _piece_rows(p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """Coefficient rows of delta(p, t) for t < p and lowpass(p, t) for t <= p."""
+    deltas = tuple(delta(p, t, max_table_size=None).coeffs for t in range(p))
+    lows = tuple(lowpass(p, t, max_table_size=None).coeffs for t in range(p + 1))
+    return deltas, lows
+
+
 def _delta_list(ring: PolyRing, i: int) -> list[Polynomial]:
     """delta_t(x_i) for t = 0..p-1, inside an n-variable ring."""
-    x = ring.variable(i)
-    return [1 - (x - t) ** (ring.p - 1) for t in range(ring.p)]
+    return [ring.univariate(i, row) for row in _piece_rows(ring.p)[0]]
 
 
-def _lowpass_list(ring: PolyRing, i: int,
-                  deltas: Sequence[Polynomial] | None = None) -> list[Polynomial]:
-    """L_t(x_i) for t = 0..p (prefix sums of the deltas)."""
-    if deltas is None:
-        deltas = _delta_list(ring, i)
-    lows = [ring.zero()]
-    for t in range(ring.p):
-        lows.append(lows[-1] + deltas[t])
-    return lows
+def _lowpass_list(ring: PolyRing, i: int) -> list[Polynomial]:
+    """L_t(x_i) for t = 0..p, the prefix sums of the deltas."""
+    return [ring.univariate(i, row) for row in _piece_rows(ring.p)[1]]
 
 
 def _level_indicator(deltas: Sequence[Sequence[Polynomial]],
@@ -186,7 +188,7 @@ def argmax_digit_general(p: int, n: int, r: int, *,
         raise FormulaParamError("digit index must be nonnegative")
     ring = PolyRing(p, n, max_table_size=max_table_size)
     deltas = [_delta_list(ring, i) for i in range(n)]
-    lows = [_lowpass_list(ring, i, deltas[i]) for i in range(n)]
+    lows = [_lowpass_list(ring, i) for i in range(n)]
     acc = ring.zero()
     for i in range(n):
         coeff = ring.field.digit(i, r)
@@ -414,7 +416,7 @@ def ismax_general(p: int, n: int, *,
     ring = PolyRing(p, n + 1, max_table_size=max_table_size)
     d_y = _delta_list(ring, 0)
     d_x = [_delta_list(ring, i + 1) for i in range(n)]
-    l_x = [_lowpass_list(ring, i + 1, d_x[i]) for i in range(n)]
+    l_x = [_lowpass_list(ring, i + 1) for i in range(n)]
     acc = ring.zero()
     for t in range(p):
         inner = ring.zero()
@@ -429,7 +431,7 @@ def nummax0_general(p: int, n: int, *,
     """The number of maximizing indices, reduced mod p (its lowest digit)."""
     ring = PolyRing(p, n, max_table_size=max_table_size)
     deltas = [_delta_list(ring, i) for i in range(n)]
-    lows = [_lowpass_list(ring, i, deltas[i]) for i in range(n)]
+    lows = [_lowpass_list(ring, i) for i in range(n)]
     acc = ring.zero()
     for i in range(n):
         for t in range(p):
@@ -449,7 +451,7 @@ def nummax_digit_subsets(p: int, n: int, r: int, *,
         raise FormulaParamError("digit index must be nonnegative")
     ring = PolyRing(p, n, max_table_size=max_table_size)
     deltas = [_delta_list(ring, i) for i in range(n)]
-    lows = [_lowpass_list(ring, i, deltas[i]) for i in range(n)]
+    lows = [_lowpass_list(ring, i) for i in range(n)]
     acc = ring.zero()
     for k in range(1, n + 1):
         coeff = ring.field.digit(k, r)

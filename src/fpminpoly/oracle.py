@@ -15,12 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 import json
 from typing import Sequence
 
 from .ff import PrimeField
 from .polyring import (DEFAULT_MAX_TABLE_SIZE, Polynomial, PolyRing, SizeGuardError,
-                       apply_axis_transform)
+                       apply_axis_transform, bounded_power)
 
 #: Function kinds understood by tabulate() and the CLI.
 KINDS = ("max", "min", "argmax_digit", "argmin_digit", "ismax", "nummax_digit",
@@ -54,13 +55,25 @@ def argmin_sem(xs: Sequence[int]) -> int:
     return list(xs).index(min(xs))
 
 
+def digit_sem(k: int, r: int, p: int) -> int:
+    """The r-th base-p digit of k >= 0.
+
+    Shifts k down one digit at a time instead of dividing by p**r, so a
+    huge r costs no more than the digits k actually has.
+    """
+    while r and k:
+        k //= p
+        r -= 1
+    return k % p
+
+
 def argmax_digit_sem(xs: Sequence[int], r: int, p: int) -> int:
     """The r-th base-p digit of the least maximizing index."""
-    return (argmax_sem(xs) // p**r) % p
+    return digit_sem(argmax_sem(xs), r, p)
 
 
 def argmin_digit_sem(xs: Sequence[int], r: int, p: int) -> int:
-    return (argmin_sem(xs) // p**r) % p
+    return digit_sem(argmin_sem(xs), r, p)
 
 
 def ismax_sem(y: int, xs: Sequence[int]) -> int:
@@ -76,7 +89,7 @@ def nummax_count(xs: Sequence[int]) -> int:
 
 def nummax_digit_sem(xs: Sequence[int], r: int, p: int) -> int:
     """The r-th base-p digit of the number of maximizing indices."""
-    return (nummax_count(xs) // p**r) % p
+    return digit_sem(nummax_count(xs), r, p)
 
 
 def carry_sem(y0: int, y1: int, p: int) -> int:
@@ -120,9 +133,11 @@ class TruthTable:
 
     def __post_init__(self):
         field = PrimeField(self.p)
-        if len(self.values) != self.p**self.arity:
+        if not isinstance(self.arity, int) or self.arity < 0:
+            raise ValueError(f"arity must be a nonnegative int, got {self.arity!r}")
+        if bounded_power(self.p, self.arity, len(self.values)) != len(self.values):
             raise ValueError(
-                f"truth table needs p^arity = {self.p**self.arity} values, "
+                f"truth table needs p^arity = {self.p}^{self.arity} values, "
                 f"got {len(self.values)}")
         for v in self.values:
             field.check(v)
@@ -208,11 +223,13 @@ def tabulate(spec: FunctionSpec,
              max_table_size: int | None = DEFAULT_MAX_TABLE_SIZE) -> TruthTable:
     """Evaluate the semantics at every input point, mixed-radix order."""
     p, arity = spec.p, spec.arity
-    size = p**arity
-    if max_table_size is not None and size > max_table_size:
+    if max_table_size is not None and bounded_power(p, arity, max_table_size) is None:
         raise SizeGuardError(
-            f"truth table of {size} entries exceeds the cap of {max_table_size}")
-    values = tuple(spec.evaluate(point_at(p, arity, i)) for i in range(size))
+            f"truth table size p^arity = {p}^{arity} exceeds the cap of "
+            f"{max_table_size} entries")
+    # product() runs its last place fastest; x0 is least significant.
+    values = tuple(spec.evaluate(point[::-1])
+                   for point in product(range(p), repeat=arity))
     return TruthTable(p, arity, values)
 
 

@@ -19,6 +19,7 @@ equality as functions.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress, product
 import json
 from typing import Iterable, Sequence
 
@@ -48,34 +49,53 @@ def apply_axis_transform(vals: list[int], p: int, n: int, matrix) -> None:
     """Apply a p x p matrix along every axis of a flat mixed-radix table.
 
     ``vals`` is modified in place; ``matrix[new][old]`` gives the linear map
-    used on each length-p fiber.  Cost O(n * p^(n+1)).
+    used on each length-p fiber.  Each round slices the table into the p
+    columns ``vals[e::p]`` (the sub-tables with x0 = e), forms the new
+    column a as a combination of them and concatenates the results.  That
+    transforms axis 0 and moves it to the most significant place, so after
+    n rounds every axis is transformed and the original order is back.
+    Cost O(n * p^(n+1)), spent in list comprehensions.
     """
-    size = len(vals)
+    out = vals
     if p == 2 and matrix == ((1, 0), (1, 1)):
         # Shared fast path: mod 2 the evaluation and interpolation matrices
         # coincide and the fiber update is a single xor butterfly.
-        stride = 1
-        while stride < size:
-            period = stride * 2
-            for start in range(0, size, period):
-                for off in range(start, start + stride):
-                    vals[off + stride] ^= vals[off]
-            stride = period
+        for _axis in range(n):
+            low = out[0::2]
+            out = low + [a ^ b for a, b in zip(low, out[1::2])]
+        vals[:] = out
         return
     rows = [tuple(row) for row in matrix]
-    stride = 1
     for _axis in range(n):
-        period = stride * p
-        for start in range(0, size, period):
-            for off in range(start, start + stride):
-                fiber = [vals[off + e * stride] for e in range(p)]
-                for a in range(p):
-                    acc = 0
-                    row = rows[a]
-                    for e in range(p):
-                        acc += row[e] * fiber[e]
-                    vals[off + a * stride] = acc % p
-        stride = period
+        cols = [out[e::p] for e in range(p)]
+        out = []
+        for row in rows:
+            acc = None
+            for m, col in zip(row, cols):
+                if not m:
+                    continue
+                if acc is None:
+                    acc = col if m == 1 else [m * c for c in col]
+                elif m == 1:
+                    acc = [a + c for a, c in zip(acc, col)]
+                else:
+                    acc = [a + m * c for a, c in zip(acc, col)]
+            out += [0] * len(cols[0]) if acc is None else [a % p for a in acc]
+    vals[:] = out
+
+
+def bounded_power(p: int, n: int, bound: int) -> int | None:
+    """p**n if it is at most ``bound``, else None.
+
+    Multiplies up one factor at a time and stops as soon as the product
+    passes ``bound``, so a huge n costs no more than a small one.
+    """
+    size = 1
+    for _ in range(n):
+        size *= p
+        if size > bound:
+            return None
+    return size if size <= bound else None
 
 
 class PolyRing:
@@ -89,11 +109,14 @@ class PolyRing:
         self.p = self.field.p
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ValueError(f"variable count must be a positive int, got {n!r}")
-        size = self.p**n
-        if max_table_size is not None and size > max_table_size:
-            raise SizeGuardError(
-                f"table size p^n = {self.p}^{n} = {size} exceeds the cap of "
-                f"{max_table_size} entries")
+        if max_table_size is None:
+            size = self.p**n
+        else:
+            size = bounded_power(self.p, n, max_table_size)
+            if size is None:
+                raise SizeGuardError(
+                    f"table size p^n = {self.p}^{n} exceeds the cap of "
+                    f"{max_table_size} entries")
         self.n = n
         self.size = size
         self.strides = tuple(self.p**i for i in range(n))
@@ -112,15 +135,8 @@ class PolyRing:
     def exponents(self) -> list[tuple[int, ...]]:
         """Exponent vector of every table index, built once on first use."""
         if self._exps is None:
-            p, n = self.p, self.n
-            exps = []
-            for idx in range(self.size):
-                e = []
-                for _ in range(n):
-                    e.append(idx % p)
-                    idx //= p
-                exps.append(tuple(e))
-            self._exps = exps
+            # product() runs its last place fastest; x0 is least significant.
+            self._exps = [e[::-1] for e in product(range(self.p), repeat=self.n)]
         return self._exps
 
     def index_of(self, exps: Sequence[int]) -> int:
@@ -305,32 +321,35 @@ class Polynomial:
             return NotImplemented
         ring = self._same_ring(other)
         p = ring.p
-        a_items = [(i, c) for i, c in enumerate(self.coeffs) if c]
-        b_items = [(j, c) for j, c in enumerate(other.coeffs) if c]
-        out = [0] * ring.size
-        if not a_items or not b_items:
+        a, b = self.coeffs, other.coeffs
+        a_idx = list(compress(range(ring.size), a))
+        b_idx = list(compress(range(ring.size), b))
+        if not a_idx or not b_idx:
             return ring.zero()
-        if len(a_items) < len(b_items):
-            a_items, b_items = b_items, a_items
+        if len(a_idx) < len(b_idx):
+            a, b, a_idx, b_idx = b, a, b_idx, a_idx
+        out = [0] * ring.size
         if p == 2:
             # Exponents are bits and x^2 = x, so indices combine by OR.
-            for i, _ in a_items:
-                for j, _ in b_items:
+            for j in b_idx:
+                for i in a_idx:
                     out[i | j] ^= 1
-        else:
-            exps = ring.exponents
-            strides = ring.strides
-            fold = p - 1  # x^(p+k) = x^(k+1): digit sums >= p drop by p-1
-            for i, ca in a_items:
-                ei = exps[i]
-                for j, cb in b_items:
-                    k = 0
-                    for d1, d2, w in zip(ei, exps[j], strides):
-                        d = d1 + d2
-                        if d >= p:
-                            d -= fold
-                        k += d * w
-                    out[k] = (out[k] + ca * cb) % p
+            return Polynomial(ring, out)
+        exps = ring.exponents
+        strides = ring.strides
+        a_items = [(i, a[i], exps[i]) for i in a_idx]
+        for j in b_idx:
+            cb = b[j]
+            # Digit sums d1 + d2 >= p fold to d1 + d2 - (p-1) since
+            # x^(p+k) = x^(k+1); only nonzero digits of j can overflow.
+            carries = [(pos, p - d, (p - 1) * strides[pos])
+                       for pos, d in enumerate(exps[j]) if d]
+            for i, ca, ei in a_items:
+                k = i + j
+                for pos, low, drop in carries:
+                    if ei[pos] >= low:
+                        k -= drop
+                out[k] = (out[k] + ca * cb) % p
         return Polynomial(ring, out)
 
     def __rmul__(self, other):
@@ -376,7 +395,9 @@ class Polynomial:
         """Values at every point of F_p^n, in mixed-radix point order.
 
         Computed by applying the univariate evaluation matrix along each
-        axis; O(n * p^(n+1)) instead of p^n separate Horner passes.
+        axis with ``apply_axis_transform`` (slice rotation; the xor
+        butterfly at p = 2); O(n * p^(n+1)) instead of p^n separate Horner
+        passes.
         """
         vals = list(self.coeffs)
         apply_axis_transform(vals, self.ring.p, self.ring.n, vandermonde_rows(self.ring.p))

@@ -209,6 +209,18 @@ class TestCircuitStructure:
         with pytest.raises(ValueError):
             Circuit(3, 1, (("input", 1),), 0)
 
+    @pytest.mark.parametrize("gates", [
+        (("input",),),
+        ((),),
+        (("const",),),
+        (("input", 0), ("add", 0)),
+        (("input", 0), ("scale", 2)),
+        (("input", 0), ("mul", 0, 0, 0)),
+    ])
+    def test_validation_rejects_wrong_gate_lengths(self, gates):
+        with pytest.raises(ValueError):
+            Circuit(2 if len(gates) == 1 else 3, 1, gates, 0)
+
     def test_json_round_trip(self):
         circ = lower(max_p3(3), "nested_horner")
         assert Circuit.from_json(circ.to_json()) == circ

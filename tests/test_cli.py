@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 
+import fpminpoly
+from fpminpoly import cli
 from fpminpoly.cli import (EXIT_MISMATCH, EXIT_OK, EXIT_SIZE_GUARD, EXIT_USAGE,
                            main)
 from fpminpoly.formulas import CATALOG, build_formula
@@ -49,6 +54,14 @@ class TestGen:
 
     def test_size_guard_exit_code(self):
         assert run_cli("gen", "--func", "max", "--p", "2", "--n", "30") == EXIT_SIZE_GUARD
+
+    def test_size_guard_refuses_huge_arity_before_exponentiating(self, capsys):
+        for form in ("closed", "interpolated"):
+            assert run_cli("gen", "--func", "max2", "--n", "30000000",
+                           "--form", form) == EXIT_SIZE_GUARD
+            err = capsys.readouterr().err
+            assert "2^30000000 exceeds the cap of 16777216" in err
+            assert len(err) < 200
 
     def test_size_guard_override_prints_estimate(self, tmp_path, capsys):
         out = tmp_path / "big.json"
@@ -161,6 +174,15 @@ class TestEval:
                            "--strategy", strategy, "--cse") == EXIT_OK
             assert capsys.readouterr().out.strip() == "2"
 
+    def test_circuit_disagreement_is_a_mismatch(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run", lambda circuit, point: 1)
+        assert run_cli("eval", "--func", "max3", "--n", "2", "--point", "2,0",
+                       "--circuit") == EXIT_MISMATCH
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "circuit evaluation disagrees" in captured.err
+        assert "1 vs 2" in captured.err
+
     def test_value_out_of_range(self):
         assert run_cli("eval", "--func", "max", "--p", "3", "--n", "2",
                        "--point", "1,5") == EXIT_USAGE
@@ -241,3 +263,24 @@ class TestEnvGuard:
     def test_env_var_must_be_int(self, monkeypatch):
         monkeypatch.setenv("FPMINPOLY_MAX_TABLE_SIZE", "lots")
         assert run_cli("gen", "--func", "max2", "--n", "3") == EXIT_USAGE
+
+    def test_env_var_must_be_nonnegative(self, monkeypatch, capsys):
+        monkeypatch.setenv("FPMINPOLY_MAX_TABLE_SIZE", "-5")
+        assert run_cli("gen", "--func", "max2", "--n", "3") == EXIT_USAGE
+        assert "nonnegative" in capsys.readouterr().err
+
+    def test_flag_must_be_nonnegative(self, capsys):
+        assert run_cli("gen", "--func", "max2", "--n", "3",
+                       "--max-table-size", "-5") == EXIT_USAGE
+        assert "nonnegative" in capsys.readouterr().err
+
+
+class TestImports:
+    def test_cli_import_stays_stdlib_only(self):
+        # numpy alone would add about 0.3 s and 14 MiB to every process start.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(fpminpoly.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-c",
+                        "import fpminpoly.cli, sys; assert 'numpy' not in sys.modules"],
+                       env=env, check=True)

@@ -117,6 +117,10 @@ class TestDigits:
                     r += 1
                 assert F.digit(k, r) == 0
 
+    def test_digit_of_huge_position_does_not_exponentiate(self):
+        assert PrimeField(3).digit(7, 10**12) == 0
+        assert PrimeField(3).digit(3**40, 40) == 1
+
     def test_digit_rejects_negative(self):
         F = PrimeField(3)
         with pytest.raises(ValueError):

@@ -148,6 +148,19 @@ class TestTabulate:
             TruthTable(3, 1, (0, 1))
         with pytest.raises(ValueError):
             TruthTable(3, 1, (0, 1, 3))
+        with pytest.raises(ValueError):
+            TruthTable(3, -1, (0,))
+        with pytest.raises(ValueError, match=r"2\^30000000 values, got 1"):
+            TruthTable(2, 30000000, (0,))
+
+    def test_size_guard_message_does_not_format_the_size(self):
+        with pytest.raises(SizeGuardError, match=r"2\^30000000 exceeds the cap of 100"):
+            tabulate(FunctionSpec("max", 2, 30000000, 0), max_table_size=100)
+
+    def test_huge_digit_index_is_zero_without_exponentiating(self):
+        t = tabulate(FunctionSpec("argmax_digit", 3, 2, 10**12))
+        assert set(t.values) == {0}
+        assert nummax_digit_sem((1, 1, 1), 10**12, 3) == 0
 
 
 class TestInterpolate:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from fpminpoly.oracle import point_at
 from fpminpoly.polyring import (Polynomial, PolyRing, RingMismatchError,
-                                SizeGuardError, format_terms)
+                                SizeGuardError, bounded_power, format_terms)
 
 
 def random_poly(ring, rng):
@@ -58,6 +58,15 @@ class TestConstructors:
             PolyRing(2, 25)  # 2^25 > 2^24 default cap
         assert PolyRing(2, 25, max_table_size=1 << 25).size == 1 << 25
         assert PolyRing(2, 25, max_table_size=None).size == 1 << 25
+
+    def test_size_guard_stops_before_exponentiating(self):
+        with pytest.raises(SizeGuardError, match=r"3\^1000000000000 exceeds"):
+            PolyRing(3, 10**12)
+        assert bounded_power(3, 4, 81) == 81
+        assert bounded_power(3, 4, 80) is None
+        assert bounded_power(2, 0, 1) == 1
+        assert bounded_power(2, 0, 0) is None
+        assert bounded_power(2, 10**12, 1 << 24) is None
 
     def test_ring_needs_positive_arity(self):
         with pytest.raises(ValueError):
