@@ -23,7 +23,7 @@ import json
 from typing import Sequence
 
 from .ff import PrimeField
-from .polyring import Polynomial
+from .polyring import DEFAULT_MAX_TABLE_SIZE, Polynomial, SizeGuardError, bounded_power
 
 STRATEGIES = ("naive_monomial", "nested_horner")
 
@@ -425,7 +425,11 @@ def run_all(circuit: Circuit) -> tuple[int, ...]:
     their last use.
     """
     p, n = circuit.p, circuit.n_inputs
-    size = p**n
+    size = bounded_power(p, n, DEFAULT_MAX_TABLE_SIZE)
+    if size is None:
+        raise SizeGuardError(
+            f"run_all table size p^n = {p}^{n} exceeds the cap of "
+            f"{DEFAULT_MAX_TABLE_SIZE} entries")
     last = _last_uses(circuit)
     gates = circuit.gates
 

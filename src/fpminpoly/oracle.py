@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 import json
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .ff import PrimeField
 from .polyring import (DEFAULT_MAX_TABLE_SIZE, Polynomial, PolyRing, SizeGuardError,
@@ -46,13 +46,13 @@ def argmax_sem(xs: Sequence[int]) -> int:
     """Least index attaining the maximum (ties break to the first)."""
     if not xs:
         raise ValueError("argmax of an empty input is undefined")
-    return list(xs).index(max(xs))
+    return xs.index(max(xs))
 
 
 def argmin_sem(xs: Sequence[int]) -> int:
     if not xs:
         raise ValueError("argmin of an empty input is undefined")
-    return list(xs).index(min(xs))
+    return xs.index(min(xs))
 
 
 def digit_sem(k: int, r: int, p: int) -> int:
@@ -83,8 +83,7 @@ def ismax_sem(y: int, xs: Sequence[int]) -> int:
 
 def nummax_count(xs: Sequence[int]) -> int:
     """How many indices attain the maximum."""
-    m = max_sem(xs)
-    return sum(1 for v in xs if v == m)
+    return xs.count(max_sem(xs))
 
 
 def nummax_digit_sem(xs: Sequence[int], r: int, p: int) -> int:
@@ -139,8 +138,10 @@ class TruthTable:
             raise ValueError(
                 f"truth table needs p^arity = {self.p}^{self.arity} values, "
                 f"got {len(self.values)}")
+        p = self.p
         for v in self.values:
-            field.check(v)
+            if not (type(v) is int and 0 <= v < p):
+                field.check(v)
 
     def to_dict(self) -> dict:
         return {"p": self.p, "arity": self.arity, "values": list(self.values)}
@@ -194,29 +195,37 @@ class FunctionSpec:
             return 2 * self.n + 2
         return self.n
 
+    def point_function(self) -> Callable[[Sequence[int]], int]:
+        """The integer-level semantics of this kind as a function of one point.
+
+        The kind and the parameters are bound once here, so a caller that
+        evaluates many points (``tabulate``) dispatches only once.  The
+        point must have the right arity; ``evaluate`` checks it.
+        """
+        kind, p, r = self.kind, self.p, self.r
+        if kind == "max":
+            return max_sem
+        if kind == "min":
+            return min_sem
+        if kind == "argmax_digit":
+            return lambda xs: argmax_digit_sem(xs, r, p)
+        if kind == "argmin_digit":
+            return lambda xs: argmin_digit_sem(xs, r, p)
+        if kind == "ismax":
+            return lambda xs: ismax_sem(xs[0], xs[1:])
+        if kind == "nummax_digit":
+            return lambda xs: nummax_digit_sem(xs, r, p)
+        if kind == "carry":
+            return lambda xs: carry_sem(xs[0], xs[1], p)
+        if kind == "ismax_2bit":
+            return lambda xs: ismax_2bit_sem(xs[:2], tuple(zip(xs[2::2], xs[3::2])))
+        raise AssertionError(f"unhandled kind {kind}")
+
     def evaluate(self, point: Sequence[int]) -> int:
         """Integer-level value at one input point (variable order as tabulated)."""
         if len(point) != self.arity:
             raise ValueError(f"expected arity {self.arity}, got {len(point)}")
-        kind = self.kind
-        if kind == "max":
-            return max_sem(point)
-        if kind == "min":
-            return min_sem(point)
-        if kind == "argmax_digit":
-            return argmax_digit_sem(point, self.r, self.p)
-        if kind == "argmin_digit":
-            return argmin_digit_sem(point, self.r, self.p)
-        if kind == "ismax":
-            return ismax_sem(point[0], point[1:])
-        if kind == "nummax_digit":
-            return nummax_digit_sem(point, self.r, self.p)
-        if kind == "carry":
-            return carry_sem(point[0], point[1], self.p)
-        if kind == "ismax_2bit":
-            pairs = [(point[2 + 2 * i], point[3 + 2 * i]) for i in range(self.n)]
-            return ismax_2bit_sem((point[0], point[1]), pairs)
-        raise AssertionError(f"unhandled kind {kind}")
+        return self.point_function()(point)
 
 
 def tabulate(spec: FunctionSpec,
@@ -227,9 +236,9 @@ def tabulate(spec: FunctionSpec,
         raise SizeGuardError(
             f"truth table size p^arity = {p}^{arity} exceeds the cap of "
             f"{max_table_size} entries")
+    semantics = spec.point_function()
     # product() runs its last place fastest; x0 is least significant.
-    values = tuple(spec.evaluate(point[::-1])
-                   for point in product(range(p), repeat=arity))
+    values = tuple(semantics(point[::-1]) for point in product(range(p), repeat=arity))
     return TruthTable(p, arity, values)
 
 

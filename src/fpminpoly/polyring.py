@@ -14,6 +14,17 @@ By the counting argument (p^(p^n) functions, p^(p^n) canonical tables) the
 canonical representative agreeing with a given function is unique, which is
 why coefficient equality of two canonical polynomials is the same thing as
 equality as functions.
+
+A polynomial may also carry a private record of its support: the ascending
+tuple of table indices whose coefficient is nonzero.  The small pieces the
+closed forms are built from (constants, variables, univariate rows,
+elementary symmetric polynomials) know theirs at construction, and ``+``,
+``-``, ``*``, ``scale`` and negation use it to touch only those entries
+instead of scanning the whole p^n table.  A record is kept only while it has
+at most ``size >> _SUPPORT_SHIFT`` entries (see ``_with_support``): the
+indices are separate int objects, so recording the support of a dense table
+would cost several times the table's own memory.  Equality, hashing and
+serialisation look at the coefficient table alone.
 """
 
 from __future__ import annotations
@@ -29,6 +40,10 @@ from .ff import PrimeField
 #: verification are meant to stay desk-scale; raise explicitly if you know
 #: what you are doing.
 DEFAULT_MAX_TABLE_SIZE = 1 << 24
+
+#: A support record is kept only while it holds at most size >> _SUPPORT_SHIFT
+#: indices, which bounds its memory at a fraction of the table's.
+_SUPPORT_SHIFT = 4
 
 
 class RingMismatchError(ValueError):
@@ -152,27 +167,28 @@ class PolyRing:
     # -- constructors ------------------------------------------------------
 
     def zero(self) -> "Polynomial":
-        return Polynomial(self, (0,) * self.size)
+        return _with_support(self, (0,) * self.size, ())
 
     def one(self) -> "Polynomial":
         return self.constant(1)
 
     def constant(self, c: int) -> "Polynomial":
         table = [0] * self.size
-        table[0] = c % self.p
-        return Polynomial(self, table)
+        table[0] = c = c % self.p
+        return _with_support(self, table, (0,) if c else ())
 
     def variable(self, i: int) -> "Polynomial":
         if not 0 <= i < self.n:
             raise ValueError(f"variable index {i} out of range [0, {self.n})")
         table = [0] * self.size
         table[self.strides[i]] = 1
-        return Polynomial(self, table)
+        return _with_support(self, table, (self.strides[i],))
 
     def monomial(self, exps: Sequence[int], coeff: int = 1) -> "Polynomial":
         table = [0] * self.size
-        table[self.index_of(exps)] = coeff % self.p
-        return Polynomial(self, table)
+        idx = self.index_of(exps)
+        table[idx] = c = coeff % self.p
+        return _with_support(self, table, (idx,) if c else ())
 
     def univariate(self, i: int, coeffs: Sequence[int]) -> "Polynomial":
         """The polynomial sum_e coeffs[e] * x_i^e (len(coeffs) <= p)."""
@@ -184,7 +200,8 @@ class PolyRing:
         s = self.strides[i]
         for e, c in enumerate(coeffs):
             table[e * s] = c % self.p
-        return Polynomial(self, table)
+        return _with_support(self, table,
+                             tuple(e * s for e in range(len(coeffs)) if table[e * s]))
 
     def elementary_symmetric(self, i: int) -> "Polynomial":
         """e_i: the sum of all i-fold products of distinct variables; e_0 = 1."""
@@ -193,9 +210,12 @@ class PolyRing:
         from itertools import combinations
 
         table = [0] * self.size
+        support = []
         for subset in combinations(range(self.n), i):
-            table[sum(self.strides[j] for j in subset)] = 1
-        return Polynomial(self, table)
+            idx = sum(self.strides[j] for j in subset)
+            table[idx] = 1
+            support.append(idx)
+        return _with_support(self, table, tuple(sorted(support)))
 
     def from_coeffs(self, coeffs: Iterable[int]) -> "Polynomial":
         """Validated construction from a full canonical coefficient table."""
@@ -230,13 +250,20 @@ class Polynomial:
 
     Supports +, -, * (with plain ints coerced to constants) and ** with
     nonnegative integer exponents.  All results are canonical.
+
+    ``_nz`` is the optional support record: the ascending tuple of indices
+    whose coefficient is nonzero, or None when it is not known.  Only
+    ``_with_support`` sets it, and only while it has at most
+    ``ring.size >> _SUPPORT_SHIFT`` entries.  It never changes what a
+    polynomial is: ``==``, ``hash``, ``coeffs`` and ``to_dict`` ignore it.
     """
 
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ("ring", "coeffs", "_nz")
 
     def __init__(self, ring: PolyRing, coeffs: Sequence[int]):
         self.ring = ring
         self.coeffs = tuple(coeffs)
+        self._nz: tuple[int, ...] | None = None
         if len(self.coeffs) != ring.size:
             raise ValueError("coefficient table length does not match the ring")
 
@@ -254,6 +281,12 @@ class Polynomial:
         if isinstance(other, int) and not isinstance(other, bool):
             return self.ring.constant(other)
         return None
+
+    def _indices(self):
+        """Nonzero indices: the support record, else a scan (not cached)."""
+        if self._nz is not None:
+            return self._nz
+        return list(compress(range(self.ring.size), self.coeffs))
 
     def __repr__(self) -> str:
         nnz = sum(1 for c in self.coeffs if c)
@@ -277,13 +310,36 @@ class Polynomial:
 
     # -- ring operations ----------------------------------------------------
 
+    def _add(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """self + sign * other for sign in {1, -1}.
+
+        When ``other`` has a support record (for a sum, when either side
+        has one), the table of the operand without it is copied once and
+        patched at the recorded indices only.  The result keeps a record
+        when both operands had one.
+        """
+        ring = self._same_ring(other)
+        p = ring.p
+        f, g = self, other
+        if sign > 0 and f._nz is not None and (g._nz is None or len(f._nz) < len(g._nz)):
+            f, g = g, f  # a sum commutes: patch at the shorter record
+        fz, gz, a, b = f._nz, g._nz, f.coeffs, g.coeffs
+        if gz is None:
+            if sign > 0:
+                return Polynomial(ring, [(x + y) % p for x, y in zip(a, b)])
+            return Polynomial(ring, [(x - y) % p for x, y in zip(a, b)])
+        out = list(a)
+        for k in gz:
+            out[k] = (out[k] + sign * b[k]) % p
+        if fz is None:
+            return Polynomial(ring, out)
+        return _with_support(ring, out, tuple(k for k in sorted({*fz, *gz}) if out[k]))
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        p = self._same_ring(other).p
-        return Polynomial(self.ring,
-                          [(a + b) % p for a, b in zip(self.coeffs, other.coeffs)])
+        return self._add(other, 1)
 
     __radd__ = __add__
 
@@ -291,9 +347,7 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        p = self._same_ring(other).p
-        return Polynomial(self.ring,
-                          [(a - b) % p for a, b in zip(self.coeffs, other.coeffs)])
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -302,8 +356,7 @@ class Polynomial:
         return other - self
 
     def __neg__(self):
-        p = self.ring.p
-        return Polynomial(self.ring, [(-a) % p for a in self.coeffs])
+        return self.scale(-1)
 
     def scale(self, c: int) -> "Polynomial":
         c = c % self.ring.p
@@ -311,8 +364,15 @@ class Polynomial:
             return self
         if c == 0:
             return self.ring.zero()
-        p = self.ring.p
-        return Polynomial(self.ring, [(a * c) % p for a in self.coeffs])
+        ring = self.ring
+        p = ring.p
+        a, nz = self.coeffs, self._nz
+        if nz is None:
+            return Polynomial(ring, [(x * c) % p for x in a])
+        out = [0] * ring.size
+        for k in nz:
+            out[k] = (a[k] * c) % p
+        return _with_support(ring, out, nz)
 
     def __mul__(self, other):
         if isinstance(other, int) and not isinstance(other, bool):
@@ -322,35 +382,43 @@ class Polynomial:
         ring = self._same_ring(other)
         p = ring.p
         a, b = self.coeffs, other.coeffs
-        a_idx = list(compress(range(ring.size), a))
-        b_idx = list(compress(range(ring.size), b))
+        a_idx = self._indices()
+        b_idx = other._indices()
         if not a_idx or not b_idx:
             return ring.zero()
         if len(a_idx) < len(b_idx):
             a, b, a_idx, b_idx = b, a, b_idx, a_idx
+        # Few pairs touch few entries: collect them as the product's support.
+        record = len(a_idx) * len(b_idx) <= ring.size >> _SUPPORT_SHIFT
         out = [0] * ring.size
         if p == 2:
             # Exponents are bits and x^2 = x, so indices combine by OR.
             for j in b_idx:
                 for i in a_idx:
                     out[i | j] ^= 1
+            touched = {i | j for j in b_idx for i in a_idx} if record else None
+        else:
+            touched = set() if record else None
+            exps = ring.exponents
+            strides = ring.strides
+            a_items = [(i, a[i], exps[i]) for i in a_idx]
+            for j in b_idx:
+                cb = b[j]
+                # Digit sums d1 + d2 >= p fold to d1 + d2 - (p-1) since
+                # x^(p+k) = x^(k+1); only nonzero digits of j can overflow.
+                carries = [(pos, p - d, (p - 1) * strides[pos])
+                           for pos, d in enumerate(exps[j]) if d]
+                for i, ca, ei in a_items:
+                    k = i + j
+                    for pos, low, drop in carries:
+                        if ei[pos] >= low:
+                            k -= drop
+                    out[k] = (out[k] + ca * cb) % p
+                    if touched is not None:
+                        touched.add(k)
+        if touched is None:
             return Polynomial(ring, out)
-        exps = ring.exponents
-        strides = ring.strides
-        a_items = [(i, a[i], exps[i]) for i in a_idx]
-        for j in b_idx:
-            cb = b[j]
-            # Digit sums d1 + d2 >= p fold to d1 + d2 - (p-1) since
-            # x^(p+k) = x^(k+1); only nonzero digits of j can overflow.
-            carries = [(pos, p - d, (p - 1) * strides[pos])
-                       for pos, d in enumerate(exps[j]) if d]
-            for i, ca, ei in a_items:
-                k = i + j
-                for pos, low, drop in carries:
-                    if ei[pos] >= low:
-                        k -= drop
-                out[k] = (out[k] + ca * cb) % p
-        return Polynomial(ring, out)
+        return _with_support(ring, out, tuple(k for k in sorted(touched) if out[k]))
 
     def __rmul__(self, other):
         if isinstance(other, int) and not isinstance(other, bool):
@@ -476,13 +544,30 @@ class Polynomial:
             p, n, coeffs = data["p"], data["n"], data["coeffs"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed polynomial record: {exc}") from exc
-        ring = PolyRing(p, n, max_table_size=max_table_size)
-        return ring.from_coeffs(coeffs)
+        try:
+            ring = PolyRing(p, n, max_table_size=max_table_size)
+            return ring.from_coeffs(coeffs)
+        except TypeError as exc:
+            raise ValueError(f"malformed polynomial record: {exc}") from exc
 
     @staticmethod
     def from_json(text: str,
                   max_table_size: int | None = DEFAULT_MAX_TABLE_SIZE) -> "Polynomial":
         return Polynomial.from_dict(json.loads(text), max_table_size=max_table_size)
+
+
+def _with_support(ring: PolyRing, table: Sequence[int],
+                  nz: tuple[int, ...]) -> Polynomial:
+    """A polynomial on ``table`` that records ``nz`` as its support.
+
+    ``nz`` must be exactly the ascending nonzero indices of ``table``.  The
+    record is dropped when it has more than ``ring.size >> _SUPPORT_SHIFT``
+    entries; that is the one place the bound is applied.
+    """
+    f = Polynomial(ring, table)
+    if len(nz) <= ring.size >> _SUPPORT_SHIFT:
+        f._nz = nz
+    return f
 
 
 def format_terms(f: Polynomial) -> str:

@@ -4,12 +4,13 @@ import random
 
 import pytest
 
+from fpminpoly import circuit as circuit_module
 from fpminpoly.circuit import (STRATEGIES, Circuit, CircuitBuilder, CostReport,
                                cost, eliminate_common_subexpressions, lower,
                                run, run_all)
 from fpminpoly.formulas import argmax_p2, argmax_p3_n3, carry, max_n2, max_p3
 from fpminpoly.oracle import point_at
-from fpminpoly.polyring import PolyRing
+from fpminpoly.polyring import PolyRing, SizeGuardError
 
 
 def longest_mul_path(circuit):
@@ -104,6 +105,18 @@ class TestRunAll:
         f = max_p3(4)
         for strategy in STRATEGIES:
             assert run_all(lower(f, strategy)) == f.values()
+
+    def test_size_guard_fires_before_any_table(self, monkeypatch):
+        # 2^40 points: without the guard the p = 2 path would ask for a
+        # 2^40-bit mask.  Everything after the guard is made to fail loudly
+        # instead, so a missing guard cannot allocate anything here.
+        def reached(_circuit):
+            raise AssertionError("run_all went past its size guard")
+
+        monkeypatch.setattr(circuit_module, "_last_uses", reached)
+        circ = Circuit(2, 40, (("input", 39),), 0)
+        with pytest.raises(SizeGuardError, match=r"2\^40 exceeds the cap"):
+            run_all(circ)
 
 
 class TestCSE:

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import fpminpoly
 from fpminpoly import cli
 from fpminpoly.cli import (EXIT_MISMATCH, EXIT_OK, EXIT_SIZE_GUARD, EXIT_USAGE,
@@ -134,6 +136,19 @@ class TestVerify:
                        "--file", str(poly)) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "PolyRing(p=3, n=3)" in err and "PolyRing(p=3, n=2)" in err
+
+    @pytest.mark.parametrize("record,fault", [
+        ({"p": "3", "n": 2, "coeffs": [0] * 9}, "modulus must be an int, got str"),
+        ({"p": 2.0, "n": 2, "coeffs": [0] * 4}, "modulus must be an int, got float"),
+        ({"p": 3, "n": 2, "coeffs": 5}, "'int' object is not iterable"),
+    ])
+    def test_mistyped_file_is_a_usage_error(self, tmp_path, capsys, record, fault):
+        bad = tmp_path / "mistyped.json"
+        bad.write_text(json.dumps(record))
+        assert run_cli("verify", "--func", "max", "--p", "3", "--n", "2",
+                       "--file", str(bad)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "malformed polynomial record" in err and fault in err
 
     def test_intact_file_passes(self, tmp_path):
         good = tmp_path / "good.json"

@@ -1,17 +1,21 @@
 """Differential tests: the dense kernels against straightforward reference loops.
 
-The references below are the plain fiber loop for the axis transform and
-the plain pair loop for multiplication, kept here verbatim so that any
-rewrite of the kernels in ``polyring`` is checked entry for entry.
+The references below are the plain fiber loop for the axis transform, the
+plain pair loop for multiplication, the full-table ``zip`` loops for
+addition and subtraction and the per-point kind dispatch of the semantics,
+kept here verbatim so that any rewrite of the kernels in ``polyring`` and
+``oracle`` is checked entry for entry.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fpminpoly.formulas import _delta_list, _lowpass_list
-from fpminpoly.oracle import delta_basis_rows
-from fpminpoly.polyring import (Polynomial, PolyRing, apply_axis_transform,
-                                vandermonde_rows)
+from fpminpoly.oracle import (KINDS, FunctionSpec, argmax_digit_sem, argmin_digit_sem,
+                              carry_sem, delta_basis_rows, ismax_2bit_sem, ismax_sem,
+                              max_sem, min_sem, nummax_digit_sem, point_at, tabulate)
+from fpminpoly.polyring import (_SUPPORT_SHIFT, Polynomial, PolyRing,
+                                apply_axis_transform, vandermonde_rows)
 
 #: Largest arity per modulus that keeps p^n small enough for a quick test.
 MAX_ARITY = {2: 8, 3: 5, 5: 3, 7: 3, 11: 2, 13: 2}
@@ -139,3 +143,212 @@ class TestSingleVariablePieces:
             assert _delta_list(ring, i) == deltas
             assert _lowpass_list(ring, i) == lows
 
+
+# -- support records ---------------------------------------------------------------
+
+def reference_add(f, g, sign):
+    """f + sign * g over the whole table, ignoring any support record."""
+    p = f.ring.p
+    return Polynomial(f.ring, [(a + sign * b) % p for a, b in zip(f.coeffs, g.coeffs)])
+
+
+def assert_support_invariant(f):
+    """A recorded support is exactly the nonzero indices, within the bound."""
+    if f._nz is not None:
+        assert f._nz == tuple(i for i, c in enumerate(f.coeffs) if c)
+        assert len(f._nz) <= f.ring.size >> _SUPPORT_SHIFT
+
+
+#: Rings with at least 16 entries, so that size >> 4 leaves room for records.
+CHAIN_RINGS = [(2, 4), (2, 6), (2, 8), (3, 3), (3, 5), (5, 2), (5, 3), (7, 2), (7, 3)]
+
+
+@st.composite
+def operand(draw, ring):
+    """A polynomial from a recording constructor or from a plain table."""
+    p, n = ring.p, ring.n
+    kind = draw(st.sampled_from(["zero", "constant", "variable", "monomial", "binomial",
+                                 "univariate", "symmetric", "dense", "sparse"]))
+    if kind == "zero":
+        return ring.zero()
+    if kind == "constant":
+        return ring.constant(draw(st.integers(-2 * p, 2 * p)))
+    if kind == "variable":
+        return ring.variable(draw(st.integers(0, n - 1)))
+    if kind in ("monomial", "binomial"):
+        terms = []
+        for _ in range(1 if kind == "monomial" else 2):
+            exps = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+            terms.append(ring.monomial(exps, draw(st.integers(0, p - 1))))
+        return terms[0] if kind == "monomial" else terms[0] + terms[1]
+    if kind == "univariate":
+        row = draw(st.lists(st.integers(0, p - 1), min_size=0, max_size=p))
+        return ring.univariate(draw(st.integers(0, n - 1)), row)
+    if kind == "symmetric":
+        return ring.elementary_symmetric(draw(st.integers(0, n)))
+    if kind == "dense":
+        return ring.from_coeffs(draw(st.lists(st.integers(0, p - 1),
+                                              min_size=ring.size, max_size=ring.size)))
+    table = [0] * ring.size
+    for pos in draw(st.lists(st.integers(0, ring.size - 1), max_size=5)):
+        table[pos] = draw(st.integers(1, p - 1))
+    return ring.from_coeffs(table)
+
+
+@st.composite
+def expression_chain(draw):
+    """A start operand and a list of steps, each an op and its argument."""
+    p, n = draw(st.sampled_from(CHAIN_RINGS))
+    ring = PolyRing(p, n)
+    start = draw(operand(ring))
+    steps = []
+    for _ in range(draw(st.integers(1, 8))):
+        op = draw(st.sampled_from(["add", "sub", "mul", "radd", "rsub", "rmul",
+                                   "scale", "neg", "square"]))
+        if op in ("square", "neg"):
+            arg = None
+        elif op == "scale" or draw(st.booleans()):
+            arg = draw(st.integers(-p, 2 * p))
+        else:
+            arg = draw(operand(ring))
+        steps.append((op, arg))
+    return ring, start, steps
+
+
+def apply_step(f, op, arg):
+    if op == "add":
+        return f + arg
+    if op == "sub":
+        return f - arg
+    if op == "mul":
+        return f * arg
+    if op == "radd":
+        return arg + f
+    if op == "rsub":
+        return arg - f
+    if op == "rmul":
+        return arg * f
+    if op == "scale":
+        return f.scale(arg)
+    if op == "square":
+        return f * f
+    return -f
+
+
+def reference_step(f, op, arg):
+    """The same step on record-free copies, with the full-table loops."""
+    ring = f.ring
+    if op == "square":
+        return reference_mul(f, f)
+    if op == "neg":
+        return reference_add(Polynomial(ring, [0] * ring.size), f, -1)
+    g = (Polynomial(ring, arg.coeffs) if isinstance(arg, Polynomial)
+         else Polynomial(ring, [arg % ring.p] + [0] * (ring.size - 1)))
+    if op == "add" or op == "radd":
+        return reference_add(f, g, 1)
+    if op == "sub":
+        return reference_add(f, g, -1)
+    if op == "rsub":
+        return reference_add(g, f, -1)
+    return reference_mul(f, g)  # mul, rmul, scale
+
+
+class TestSupportRecords:
+    @settings(max_examples=200, deadline=None)
+    @given(expression_chain())
+    def test_chains_match_full_table_loops(self, chain):
+        ring, start, steps = chain
+        got = start
+        expected = Polynomial(ring, start.coeffs)
+        assert_support_invariant(got)
+        for op, arg in steps:
+            if isinstance(arg, Polynomial):
+                assert_support_invariant(arg)
+            got = apply_step(got, op, arg)
+            expected = reference_step(expected, op, arg)
+            assert got == expected
+            assert_support_invariant(got)
+
+    def test_constructors_record_their_support(self):
+        ring = PolyRing(3, 4)  # 81 entries: records of up to 5 indices
+        assert ring.zero()._nz == ()
+        assert ring.constant(3)._nz == ()
+        assert ring.constant(5)._nz == (0,)
+        assert ring.variable(2)._nz == (9,)
+        assert ring.monomial((1, 0, 2, 0), 4)._nz == (19,)
+        assert ring.univariate(1, (1, 0, 2))._nz == (0, 6)
+        assert ring.elementary_symmetric(1)._nz == (1, 3, 9, 27)
+        assert ring.elementary_symmetric(2)._nz is None  # 6 > 81 >> 4
+        assert ring.from_coeffs([1] + [0] * 80)._nz is None
+
+    def test_records_flow_through_operations_until_the_bound(self):
+        ring = PolyRing(2, 8)  # 256 entries: records of up to 16 indices
+        prod = ring.one()
+        for i in range(4):
+            prod = prod * (1 + ring.variable(i))
+        assert prod._nz == tuple(range(16))
+        assert (prod - 1)._nz == tuple(range(1, 16))
+        assert (prod * (1 + ring.variable(4)))._nz is None  # 32 terms
+        assert (-prod)._nz == prod._nz and prod.scale(3)._nz == prod._nz
+
+    def test_cancelled_terms_leave_the_record(self):
+        ring2 = PolyRing(2, 6)  # 64 entries: records of up to 4 indices
+        s = ring2.variable(0) + ring2.variable(1)
+        assert (s * s)._nz == (1, 2)  # the two x0*x1 terms cancel mod 2
+        assert (s + ring2.variable(1))._nz == (1,)
+        ring3 = PolyRing(3, 3)  # 27 entries: records of up to 1 index
+        x = ring3.variable(0)
+        assert ((x + 1) * (x + 2))._nz is None  # 4 pairs > 1
+        ring3 = PolyRing(3, 4)  # 81 entries: records of up to 5 indices
+        x = ring3.variable(0)
+        assert ((x + 1) * (x + 2))._nz == (0, 2)  # x^2 + 3x + 2 = x^2 + 2
+
+    def test_record_is_invisible_to_equality_and_serialisation(self):
+        ring = PolyRing(2, 5)
+        recorded = ring.variable(0) + 1
+        plain = ring.from_coeffs(recorded.coeffs)
+        assert recorded._nz is not None and plain._nz is None
+        assert recorded == plain and hash(recorded) == hash(plain)
+        assert recorded.to_dict() == plain.to_dict()
+
+
+# -- semantics bound once per table ----------------------------------------------
+
+def reference_evaluate(spec, point):
+    """The per-point kind dispatch that ``tabulate`` used to run."""
+    kind = spec.kind
+    if kind == "max":
+        return max_sem(point)
+    if kind == "min":
+        return min_sem(point)
+    if kind == "argmax_digit":
+        return argmax_digit_sem(point, spec.r, spec.p)
+    if kind == "argmin_digit":
+        return argmin_digit_sem(point, spec.r, spec.p)
+    if kind == "ismax":
+        return ismax_sem(point[0], point[1:])
+    if kind == "nummax_digit":
+        return nummax_digit_sem(point, spec.r, spec.p)
+    if kind == "carry":
+        return carry_sem(point[0], point[1], spec.p)
+    if kind == "ismax_2bit":
+        pairs = [(point[2 + 2 * i], point[3 + 2 * i]) for i in range(spec.n)]
+        return ismax_2bit_sem((point[0], point[1]), pairs)
+    raise AssertionError(f"unhandled kind {kind}")
+
+
+def small_specs(kind):
+    for p in ((2,) if kind == "ismax_2bit" else (2, 3, 5)):
+        for n in ((2,) if kind == "carry" else (1, 2, 3)):
+            for r in ((0, 1, 2) if kind.endswith("_digit") else (0,)):
+                yield FunctionSpec(kind, p, n, r)
+
+
+class TestTabulate:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_per_point_dispatch(self, kind):
+        for spec in small_specs(kind):
+            points = [point_at(spec.p, spec.arity, i) for i in range(spec.p ** spec.arity)]
+            expected = tuple(reference_evaluate(spec, point) for point in points)
+            assert tabulate(spec).values == expected, spec
+            assert tuple(spec.evaluate(point) for point in points) == expected, spec
