@@ -19,6 +19,7 @@ where a, b are indices of earlier gates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 import json
 from typing import Sequence
 
@@ -33,18 +34,28 @@ _BINARY = ("add", "sub", "mul")
 _GATE_LEN = {"input": 2, "const": 2, "add": 3, "sub": 3, "mul": 3, "scale": 3}
 
 
-def _gate_args(gate: tuple) -> tuple[int, ...]:
-    op = gate[0]
-    if op in _BINARY:
-        return (gate[1], gate[2])
-    if op == "scale":
-        return (gate[2],)
-    return ()
+def _ref_error(idx: int, refs: tuple) -> ValueError:
+    """The error for gate ``idx`` whose references ``refs`` hold a bad one."""
+    for ref in refs:
+        if type(ref) is not int:
+            return ValueError(f"gate {idx} references {ref!r}, which is not an int")
+        if not 0 <= ref < idx:
+            break
+    return ValueError(f"gate {idx} references gate {ref}, which is not earlier")
 
 
 @dataclass(frozen=True)
 class Circuit:
-    """An immutable gate list with a single designated output."""
+    """An immutable gate list with a single designated output.
+
+    Construction validates in one pass over the gates: the modulus (as
+    ``PrimeField`` does), the input count (a nonnegative int), each op and
+    its tuple length, each input index (an int below ``n_inputs``), each
+    const and scale value (a canonical field element), each gate reference
+    (an int naming an earlier gate) and the output (an int naming a gate).
+    Breaking any of these rules raises ``ValueError``; ``bool`` and
+    ``float`` do not count as ints.
+    """
 
     p: int
     n_inputs: int
@@ -53,25 +64,44 @@ class Circuit:
 
     def __post_init__(self):
         field = PrimeField(self.p)
-        if self.n_inputs < 0:
+        p = field.p
+        n_inputs = self.n_inputs
+        if type(n_inputs) is not int:
+            raise ValueError(f"input count {n_inputs!r} is not an int")
+        if n_inputs < 0:
             raise ValueError("input count must be nonnegative")
         for idx, gate in enumerate(self.gates):
             op = gate[0] if gate else None
-            if op not in _GATE_LEN:
+            size = _GATE_LEN.get(op)
+            if size is None:
                 raise ValueError(f"gate {idx}: unknown op {op!r}")
-            if len(gate) != _GATE_LEN[op]:
-                raise ValueError(f"gate {idx}: {op} gate needs {_GATE_LEN[op] - 1} "
+            if len(gate) != size:
+                raise ValueError(f"gate {idx}: {op} gate needs {size - 1} "
                                  f"fields after the op, got {gate!r}")
-            if op == "input":
-                if not 0 <= gate[1] < self.n_inputs:
-                    raise ValueError(f"gate {idx}: input index {gate[1]} out of range")
-            elif op in ("const", "scale"):
-                field.check(gate[1])
-            for ref in _gate_args(gate):
-                if not 0 <= ref < idx:
-                    raise ValueError(
-                        f"gate {idx} references gate {ref}, which is not earlier")
-        if not 0 <= self.output < len(self.gates):
+            if op == "mul" or op == "add" or op == "sub":
+                a, b = gate[1], gate[2]
+                if not (type(a) is int and type(b) is int and 0 <= a < idx and 0 <= b < idx):
+                    raise _ref_error(idx, (a, b))
+            elif op == "scale":
+                c, a = gate[1], gate[2]
+                if not (type(c) is int and 0 <= c < p):
+                    field.check(c)
+                if not (type(a) is int and 0 <= a < idx):
+                    raise _ref_error(idx, (a,))
+            elif op == "const":
+                v = gate[1]
+                if not (type(v) is int and 0 <= v < p):
+                    field.check(v)
+            else:
+                v = gate[1]
+                if type(v) is not int:
+                    raise ValueError(f"gate {idx}: input index {v!r} is not an int")
+                if not 0 <= v < n_inputs:
+                    raise ValueError(f"gate {idx}: input index {v} out of range")
+        output = self.output
+        if type(output) is not int:
+            raise ValueError(f"output reference {output!r} is not an int")
+        if not 0 <= output < len(self.gates):
             raise ValueError("output reference out of range")
 
     def to_dict(self) -> dict:
@@ -163,11 +193,13 @@ class CircuitBuilder:
         return self._const_of[ref]
 
     def input(self, i: int) -> int:
+        ref = self._input_cache.get(i)
+        if ref is not None:
+            return ref
         if not 0 <= i < self.n_inputs:
             raise ValueError(f"input index {i} out of range [0, {self.n_inputs})")
-        if i not in self._input_cache:
-            self._input_cache[i] = self._emit(("input", i))
-        return self._input_cache[i]
+        ref = self._input_cache[i] = self._emit(("input", i))
+        return ref
 
     def const(self, v: int) -> int:
         v %= self.p
@@ -197,13 +229,13 @@ class CircuitBuilder:
 
     def mul(self, a: int, b: int) -> int:
         ca, cb = self._const_of[a], self._const_of[b]
+        if ca is None and cb is None:
+            return self._emit(("mul", a, b))
         if ca is not None and cb is not None:
             return self.const(ca * cb)
         if ca is not None:
             return self.scale(ca, b)
-        if cb is not None:
-            return self.scale(cb, a)
-        return self._emit(("mul", a, b))
+        return self.scale(cb, a)
 
     def scale(self, c: int, a: int) -> int:
         c %= self.p
@@ -230,7 +262,10 @@ class CircuitBuilder:
             return self.const(1)
         layer = list(refs)
         while len(layer) > 1:
-            nxt = [self.mul(layer[i], layer[i + 1]) for i in range(0, len(layer) - 1, 2)]
+            nxt = []
+            pairs = iter(layer)
+            for a, b in zip(pairs, pairs):
+                nxt.append(self.mul(a, b))
             if len(layer) % 2:
                 nxt.append(layer[-1])
             layer = nxt
@@ -242,6 +277,8 @@ class CircuitBuilder:
         Squaring-based like classic square-and-multiply but balanced, so
         the depth is exactly ceil(log2 k) for every k >= 1.
         """
+        if k == 1:
+            return ref
         if k < 1:
             raise ValueError("power expects a positive exponent")
         memo = {1: ref}
@@ -254,23 +291,36 @@ class CircuitBuilder:
         return go(k)
 
     def finish(self, output: int) -> Circuit:
-        """Drop gates unreachable from the output and renumber in order."""
-        needed = set()
-        stack = [output]
-        while stack:
-            ref = stack.pop()
-            if ref in needed:
-                continue
-            needed.add(ref)
-            stack.extend(_gate_args(self._gates[ref]))
-        remap: dict[int, int] = {}
+        """Drop gates unreachable from the output and renumber in order.
+
+        Every argument names an earlier gate, so one sweep from the output
+        down to gate 0 marks all reachable gates, and one forward sweep
+        over those renumbers them.  When every gate is reachable, as in naive
+        lowering, the gate list is kept as it is.  The result is validated
+        like any other ``Circuit``.
+        """
+        gates = self._gates
+        if not 0 <= output < len(gates):
+            raise ValueError("output reference out of range")
+        live = bytearray(len(gates))
+        live[output] = 1
+        for idx in range(output, -1, -1):
+            if live[idx]:
+                gate = gates[idx]
+                op = gate[0]
+                if op == "mul" or op == "add" or op == "sub":
+                    live[gate[1]] = 1
+                    live[gate[2]] = 1
+                elif op == "scale":
+                    live[gate[2]] = 1
+        if 0 not in live:
+            return Circuit(self.p, self.n_inputs, tuple(gates), output)
+        remap = [0] * len(gates)
         kept: list[tuple] = []
-        for idx in range(len(self._gates)):
-            if idx not in needed:
-                continue
-            gate = self._gates[idx]
+        for idx in compress(range(len(gates)), live):
+            gate = gates[idx]
             op = gate[0]
-            if op in _BINARY:
+            if op == "mul" or op == "add" or op == "sub":
                 gate = (op, remap[gate[1]], remap[gate[2]])
             elif op == "scale":
                 gate = ("scale", gate[1], remap[gate[2]])
@@ -338,44 +388,44 @@ def eliminate_common_subexpressions(circuit: Circuit) -> Circuit:
     """
     seen: dict[tuple, int] = {}
     remap: list[int] = []
-    kept: list[tuple] = []
     for gate in circuit.gates:
         op = gate[0]
-        if op in ("add", "mul"):
+        if op == "mul" or op == "add":
             a, c = remap[gate[1]], remap[gate[2]]
-            if a > c:
-                a, c = c, a
-            key = (op, a, c)
+            key = (op, a, c) if a <= c else (op, c, a)
         elif op == "sub":
             key = (op, remap[gate[1]], remap[gate[2]])
         elif op == "scale":
             key = (op, gate[1], remap[gate[2]])
         else:
             key = gate
-        if key in seen:
-            remap.append(seen[key])
-        else:
-            seen[key] = len(kept)
-            remap.append(len(kept))
-            kept.append(key)
-    return Circuit(circuit.p, circuit.n_inputs, tuple(kept), remap[circuit.output])
+        # A new key gets the next index, so ``seen`` lists the kept gates in order.
+        remap.append(seen.setdefault(key, len(seen)))
+    return Circuit(circuit.p, circuit.n_inputs, tuple(seen), remap[circuit.output])
 
 
 def cost(circuit: Circuit) -> CostReport:
     """Gate counts and the multiplicative depth of the output wire."""
-    depth = [0] * len(circuit.gates)
+    depth: list[int] = []
+    push = depth.append
     muls = adds = scales = 0
-    for idx, gate in enumerate(circuit.gates):
+    for gate in circuit.gates:
         op = gate[0]
-        if op == "mul":
-            muls += 1
-            depth[idx] = max(depth[gate[1]], depth[gate[2]]) + 1
-        elif op in ("add", "sub"):
-            adds += 1
-            depth[idx] = max(depth[gate[1]], depth[gate[2]])
+        if op == "mul" or op == "add" or op == "sub":
+            da, db = depth[gate[1]], depth[gate[2]]
+            if da < db:
+                da = db
+            if op == "mul":
+                muls += 1
+                push(da + 1)
+            else:
+                adds += 1
+                push(da)
         elif op == "scale":
             scales += 1
-            depth[idx] = depth[gate[2]]
+            push(depth[gate[2]])
+        else:
+            push(0)
     return CostReport(muls, adds, scales, depth[circuit.output])
 
 
@@ -407,10 +457,16 @@ def run(circuit: Circuit, point: Sequence[int]) -> int:
 
 
 def _last_uses(circuit: Circuit) -> list[int]:
+    """For each gate, the index of the last gate reading it (its own index
+    if none does; one past the end for the output)."""
     last = list(range(len(circuit.gates)))
     for idx, gate in enumerate(circuit.gates):
-        for ref in _gate_args(gate):
-            last[ref] = idx
+        op = gate[0]
+        if op == "mul" or op == "add" or op == "sub":
+            last[gate[1]] = idx
+            last[gate[2]] = idx
+        elif op == "scale":
+            last[gate[2]] = idx
     last[circuit.output] = len(circuit.gates)
     return last
 
@@ -421,8 +477,10 @@ def run_all(circuit: Circuit) -> tuple[int, ...]:
     Gate semantics are identical to :func:`run`; the whole domain is just
     carried through each gate at once.  Mod 2 a wire's values across all
     2^n points pack into one big int (add is xor, mul is and), which keeps
-    exhaustive checks at arity 14 quick.  Intermediate values are freed at
-    their last use.
+    exhaustive checks at arity 14 quick.  Each wire's values are dropped
+    right after the last gate that reads them, so only live wires are
+    held.  Raises ``SizeGuardError`` before allocating anything when p^n
+    exceeds the default table cap.
     """
     p, n = circuit.p, circuit.n_inputs
     size = bounded_power(p, n, DEFAULT_MAX_TABLE_SIZE)
@@ -442,17 +500,20 @@ def run_all(circuit: Circuit) -> tuple[int, ...]:
                 s = 1 << gate[1]
                 chunk = ((1 << s) - 1) << s
                 masks[idx] = chunk * (full // ((1 << (2 * s)) - 1)) if 2 * s <= size else chunk
-            elif op == "const":
+                continue
+            if op == "const":
                 masks[idx] = full if gate[1] else 0
-            elif op in ("add", "sub"):
-                masks[idx] = masks[gate[1]] ^ masks[gate[2]]
-            elif op == "mul":
-                masks[idx] = masks[gate[1]] & masks[gate[2]]
-            else:  # scale by 0 or 1
-                masks[idx] = masks[gate[2]] if gate[1] else 0
-            for ref in _gate_args(gate):
-                if last[ref] == idx:
-                    masks[ref] = None
+                continue
+            b = gate[2]
+            if op == "scale":  # by 0 or 1
+                masks[idx] = masks[b] if gate[1] else 0
+            else:
+                a = gate[1]
+                masks[idx] = masks[a] & masks[b] if op == "mul" else masks[a] ^ masks[b]
+                if last[a] == idx:
+                    masks[a] = None
+            if last[b] == idx:
+                masks[b] = None
         out = masks[circuit.output]
         return tuple((out >> a) & 1 for a in range(size))
 
@@ -463,18 +524,24 @@ def run_all(circuit: Circuit) -> tuple[int, ...]:
             s = p ** gate[1]
             pattern = [v for v in range(p) for _ in range(s)]
             vecs[idx] = pattern * (size // (s * p))
-        elif op == "const":
+            continue
+        if op == "const":
             vecs[idx] = [gate[1]] * size
-        elif op == "add":
-            vecs[idx] = [(x + y) % p for x, y in zip(vecs[gate[1]], vecs[gate[2]])]
-        elif op == "sub":
-            vecs[idx] = [(x - y) % p for x, y in zip(vecs[gate[1]], vecs[gate[2]])]
-        elif op == "mul":
-            vecs[idx] = [(x * y) % p for x, y in zip(vecs[gate[1]], vecs[gate[2]])]
-        else:
+            continue
+        b = gate[2]
+        if op == "scale":
             c = gate[1]
-            vecs[idx] = [(c * x) % p for x in vecs[gate[2]]]
-        for ref in _gate_args(gate):
-            if last[ref] == idx:
-                vecs[ref] = None
+            vecs[idx] = [(c * x) % p for x in vecs[b]]
+        else:
+            a = gate[1]
+            if op == "add":
+                vecs[idx] = [(x + y) % p for x, y in zip(vecs[a], vecs[b])]
+            elif op == "sub":
+                vecs[idx] = [(x - y) % p for x, y in zip(vecs[a], vecs[b])]
+            else:
+                vecs[idx] = [(x * y) % p for x, y in zip(vecs[a], vecs[b])]
+            if last[a] == idx:
+                vecs[a] = None
+        if last[b] == idx:
+            vecs[b] = None
     return tuple(vecs[circuit.output])

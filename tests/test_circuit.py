@@ -234,6 +234,37 @@ class TestCircuitStructure:
         with pytest.raises(ValueError):
             Circuit(2 if len(gates) == 1 else 3, 1, gates, 0)
 
+    @pytest.mark.parametrize("n_inputs, gates, output", [
+        (1, (("input", 0), ("add", 0.5, 0)), 1),
+        (1, (("input", 0), ("mul", 0, "0")), 1),
+        (1, (("input", 0), ("sub", None, 0)), 1),
+        (1, (("input", 0), ("scale", 2, 0.0)), 1),
+        (1, (("input", 0), ("scale", 2, True)), 1),
+        (2, (("input", True),), 0),
+        (2, (("input", 1.0),), 0),
+        (1, (("input", 0),), 0.0),
+        (1, (("input", 0),), True),
+        (1.5, (("input", 1),), 0),
+        (True, (("input", 0),), 0),
+    ])
+    def test_validation_rejects_non_int_references(self, n_inputs, gates, output):
+        with pytest.raises(ValueError, match="not an int"):
+            Circuit(3, n_inputs, gates, output)
+
+    @pytest.mark.parametrize("text", [
+        '{"p": 3, "inputs": 1, "gates": [{"op": "input", "index": 0}, '
+        '{"op": "scale", "value": 2, "args": [0.0]}], "output": 1}',
+        '{"p": 3, "inputs": 1, "gates": [{"op": "input", "index": 0}, '
+        '{"op": "add", "args": [0, 0.5]}], "output": 1}',
+        '{"p": 3, "inputs": 2, "gates": [{"op": "input", "index": 1.0}], "output": 0}',
+        '{"p": 3, "inputs": 1, "gates": [{"op": "input", "index": true}], "output": 0}',
+        '{"p": 3, "inputs": 1, "gates": [{"op": "input", "index": 0}], "output": 0.0}',
+        '{"p": 3, "inputs": true, "gates": [{"op": "input", "index": 0}], "output": 0}',
+    ])
+    def test_from_json_rejects_non_int_references(self, text):
+        with pytest.raises(ValueError, match="not an int"):
+            Circuit.from_json(text)
+
     def test_json_round_trip(self):
         circ = lower(max_p3(3), "nested_horner")
         assert Circuit.from_json(circ.to_json()) == circ
