@@ -28,10 +28,14 @@ from .polyring import DEFAULT_MAX_TABLE_SIZE, Polynomial, SizeGuardError, bounde
 
 STRATEGIES = ("naive_monomial", "nested_horner")
 
-_BINARY = ("add", "sub", "mul")
-
 #: Tuple length of each gate kind, op name included.
 _GATE_LEN = {"input": 2, "const": 2, "add": 3, "sub": 3, "mul": 3, "scale": 3}
+
+#: The keys of a circuit record and of each of its gate records by op.
+_RECORD_KEYS = {"p", "inputs", "gates", "output"}
+_GATE_KEYS = {"input": {"op", "index"}, "const": {"op", "value"},
+              "scale": {"op", "value", "args"}, "add": {"op", "args"},
+              "sub": {"op", "args"}, "mul": {"op", "args"}}
 
 
 def _ref_error(idx: int, refs: tuple) -> ValueError:
@@ -123,22 +127,41 @@ class Circuit:
 
     @staticmethod
     def from_dict(data: dict) -> "Circuit":
+        """The circuit of a ``to_dict`` record.
+
+        A key that ``to_dict`` never writes, or an ``args`` list of the
+        wrong length (one reference for scale, two for add, sub and mul),
+        raises ``ValueError`` instead of loading as some other circuit.
+        """
         try:
+            if not isinstance(data, dict) or data.keys() - _RECORD_KEYS:
+                raise ValueError("circuit record must be an object with the keys "
+                                 "p, inputs, gates and output only")
             gates = []
-            for g in data["gates"]:
+            for idx, g in enumerate(data["gates"]):
+                if not isinstance(g, dict):
+                    raise ValueError(f"gate {idx}: record must be an object, got {g!r}")
                 op = g["op"]
+                keys = _GATE_KEYS.get(op) if isinstance(op, str) else None
+                if keys is None:
+                    raise ValueError(f"unknown op {op!r}")
+                if g.keys() != keys:
+                    raise ValueError(f"gate {idx}: {op} takes the keys "
+                                     f"{', '.join(sorted(keys))}, got "
+                                     f"{', '.join(sorted(map(str, g)))}")
                 if op == "input":
                     gates.append(("input", g["index"]))
                 elif op == "const":
                     gates.append(("const", g["value"]))
-                elif op == "scale":
-                    gates.append(("scale", g["value"], g["args"][0]))
-                elif op in _BINARY:
-                    gates.append((op, g["args"][0], g["args"][1]))
                 else:
-                    raise ValueError(f"unknown op {op!r}")
+                    args, want = g["args"], 1 if op == "scale" else 2
+                    if not isinstance(args, list) or len(args) != want:
+                        raise ValueError(f"gate {idx}: args of {op} must be a list of "
+                                         f"exactly {want} gate references, got {args!r}")
+                    gates.append(("scale", g["value"], args[0]) if op == "scale"
+                                 else (op, args[0], args[1]))
             return Circuit(data["p"], data["inputs"], tuple(gates), data["output"])
-        except (KeyError, TypeError, IndexError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed circuit record: {exc}") from exc
 
     @staticmethod

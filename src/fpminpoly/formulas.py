@@ -759,9 +759,15 @@ def build_formula(name: str, p: int | None = None, n: int | None = None,
 
 
 def first_mismatch(a: Sequence[int], b: Sequence[int]) -> int | None:
-    """Index of the first disagreement between two value tables, else None."""
+    """Index of the first disagreement between two value tables, else None.
+
+    Equal tables, the common case, are settled by one ``==``; only tables
+    that differ are scanned index by index.
+    """
     if len(a) != len(b):
         raise ValueError("cannot compare value tables of different sizes")
+    if a == b:
+        return None
     for i in range(len(a)):
         if a[i] != b[i]:
             return i

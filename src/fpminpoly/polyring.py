@@ -25,12 +25,24 @@ at most ``size >> _SUPPORT_SHIFT`` entries (see ``_with_support``): the
 indices are separate int objects, so recording the support of a dense table
 would cost several times the table's own memory.  Equality, hashing and
 serialisation look at the coefficient table alone.
+
+The dense table work runs on byte lanes, with the standard library only:
+a table of canonical residues in [0, p) is packed into ``bytes``, one entry
+per byte.  ``bytes.translate`` with a 256-entry table scales every entry by
+a constant mod p (or reduces it mod p), and whole tables or columns add as
+little-endian big ints, reduced before any byte can pass 255.  Axis
+transforms (``apply_axis_transform``), dense ``+``, ``-`` and ``scale``, and
+products by a factor in a single variable (one p x p matrix on that axis)
+work this way.  Lanes need 2(p-1) <= 255, so p >= 128 keeps the list code,
+and so do tables below ``LANE_MIN_SIZE`` entries, where packing costs as
+much as it saves.  Exponents are read from per-axis digit planes
+(``PolyRing.digit_planes``), n * p^n bytes in all, built on first use.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress, product
+from itertools import compress
 import json
 from typing import Iterable, Sequence
 
@@ -44,6 +56,13 @@ DEFAULT_MAX_TABLE_SIZE = 1 << 24
 #: A support record is kept only while it holds at most size >> _SUPPORT_SHIFT
 #: indices, which bounds its memory at a fraction of the table's.
 _SUPPORT_SHIFT = 4
+
+#: Crossover of the byte-lane kernels: axis transforms, dense +, - and
+#: scale, and products by a single-axis factor run on packed bytes for
+#: tables of at least this many entries (and p < 128).  Below it, packing
+#: and unpacking cost about as much as the list code they replace (the p = 2
+#: xor butterfly ties with lanes up to 256 entries).
+LANE_MIN_SIZE = 512
 
 
 class RingMismatchError(ValueError):
@@ -60,17 +79,82 @@ def vandermonde_rows(p: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(pow(a, e, p) for e in range(p)) for a in range(p))
 
 
+def _lanes_fit(p: int, size: int) -> bool:
+    """True when a table of ``size`` entries mod p runs on byte lanes.
+
+    Lanes need the sum of two reduced entries, 2(p-1), to fit a byte, so p
+    must stay below 128; below LANE_MIN_SIZE entries packing saves too
+    little to pay for itself.
+    """
+    return size >= LANE_MIN_SIZE and p < 128
+
+
+@lru_cache(maxsize=None)
+def _scale_table(p: int, m: int) -> bytes:
+    """The byte map v -> (m * v) mod p for every byte v.
+
+    With m = 1 this is the mod-p reduction of a lane.
+    """
+    return bytes((m * v) % p for v in range(256))
+
+
+def _lane_round(data: bytes, p: int, rows) -> bytes:
+    """One slice-rotation round on a packed table: map axis 0, move it to the top.
+
+    ``rows[new][old]`` is the fiber matrix for axis 0; None leaves the
+    axis as it is and only rotates.  The p columns ``data[e::p]`` are
+    scaled with ``bytes.translate``, summed as little-endian ints and
+    reduced with the mod-p table before any lane can pass 255.
+    """
+    cols = [data[e::p] for e in range(p)]
+    if rows is None:
+        return b"".join(cols)
+    width = len(cols[0])
+    reduce = _scale_table(p, 1)
+    room = 255 // (p - 1)  # reduced lanes that sum to at most 255
+    out = []
+    for row in rows:
+        terms = [col if m % p == 1 else col.translate(_scale_table(p, m % p))
+                 for m, col in zip(row, cols) if m % p]
+        if len(terms) == 1:
+            out.append(terms[0])
+            continue
+        acc = held = 0
+        for col in terms:
+            if held == room:
+                acc = int.from_bytes(acc.to_bytes(width, "little").translate(reduce), "little")
+                held = 1
+            acc += int.from_bytes(col, "little")
+            held += 1
+        out.append(acc.to_bytes(width, "little").translate(reduce))
+    return b"".join(out)
+
+
 def apply_axis_transform(vals: list[int], p: int, n: int, matrix) -> None:
     """Apply a p x p matrix along every axis of a flat mixed-radix table.
 
     ``vals`` is modified in place; ``matrix[new][old]`` gives the linear map
-    used on each length-p fiber.  Each round slices the table into the p
+    used on each length-p fiber, and every entry of ``vals`` must be a
+    canonical residue in [0, p).  Each round slices the table into the p
     columns ``vals[e::p]`` (the sub-tables with x0 = e), forms the new
     column a as a combination of them and concatenates the results.  That
     transforms axis 0 and moves it to the most significant place, so after
     n rounds every axis is transformed and the original order is back.
-    Cost O(n * p^(n+1)), spent in list comprehensions.
+    Cost O(n * p^(n+1)).
+
+    From LANE_MIN_SIZE entries on and for p < 128 the table is packed into
+    ``bytes`` and every round runs on byte lanes (see ``_lane_round``):
+    ``bytes.translate`` scales a column, one big-int addition adds whole
+    columns.  Smaller tables, where the packing costs more than it saves,
+    and p >= 128, where two reduced lanes can sum past 255, run the same
+    rounds as list comprehensions (the xor butterfly at p = 2).
     """
+    if _lanes_fit(p, len(vals)):
+        data = bytes(vals)
+        for _axis in range(n):
+            data = _lane_round(data, p, matrix)
+        vals[:] = data
+        return
     out = vals
     if p == 2 and matrix == ((1, 0), (1, 1)):
         # Shared fast path: mod 2 the evaluation and interpolation matrices
@@ -116,7 +200,7 @@ def bounded_power(p: int, n: int, bound: int) -> int | None:
 class PolyRing:
     """The ring F_p[x0, ..., x_{n-1}] / (x_i^p - x_i) for a fixed (p, n)."""
 
-    __slots__ = ("field", "p", "n", "size", "strides", "_exps")
+    __slots__ = ("field", "p", "n", "size", "strides", "_planes")
 
     def __init__(self, p: int | PrimeField, n: int,
                  max_table_size: int | None = DEFAULT_MAX_TABLE_SIZE):
@@ -135,7 +219,7 @@ class PolyRing:
         self.n = n
         self.size = size
         self.strides = tuple(self.p**i for i in range(n))
-        self._exps: list[tuple[int, ...]] | None = None
+        self._planes: tuple[Sequence[int], ...] | None = None
 
     def __repr__(self) -> str:
         return f"PolyRing(p={self.p}, n={self.n})"
@@ -146,13 +230,29 @@ class PolyRing:
     def __hash__(self) -> int:
         return hash(("PolyRing", self.p, self.n))
 
-    @property
-    def exponents(self) -> list[tuple[int, ...]]:
-        """Exponent vector of every table index, built once on first use."""
-        if self._exps is None:
-            # product() runs its last place fastest; x0 is least significant.
-            self._exps = [e[::-1] for e in product(range(self.p), repeat=self.n)]
-        return self._exps
+    def digit_planes(self) -> tuple[Sequence[int], ...]:
+        """Plane i holds digit i (the exponent of x_i) of every table index.
+
+        Built once on first use: one ``bytes`` plane per axis, n * p^n
+        bytes in all, or an ``array('H')`` when p > 256 and a digit does
+        not fit a byte.  Each plane is one run of every digit, p^i entries
+        long apiece, repeated up to the table size.
+        """
+        if self._planes is None:
+            p, size = self.p, self.size
+            planes = []
+            for s in self.strides:
+                if p <= 256:
+                    run = b"".join(bytes((d,)) * s for d in range(p))
+                else:
+                    from array import array  # only here: the import costs set-up time
+
+                    run = array("H")
+                    for d in range(p):
+                        run += array("H", (d,)) * s
+                planes.append(run * (size // (s * p)))
+            self._planes = tuple(planes)
+        return self._planes
 
     def index_of(self, exps: Sequence[int]) -> int:
         if len(exps) != self.n:
@@ -304,9 +404,14 @@ class Polynomial:
         return any(self.coeffs)
 
     def support(self) -> list[tuple[tuple[int, ...], int]]:
-        """Nonzero terms as (exponent vector, coefficient), index-ordered."""
-        exps = self.ring.exponents
-        return [(exps[i], c) for i, c in enumerate(self.coeffs) if c]
+        """Nonzero terms as (exponent vector, coefficient), index-ordered.
+
+        Each digit plane is filtered down to the nonzero entries, so only
+        those get an exponent tuple.
+        """
+        coeffs = self.coeffs
+        exps = zip(*(compress(plane, coeffs) for plane in self.ring.digit_planes()))
+        return list(zip(exps, filter(None, coeffs)))
 
     # -- ring operations ----------------------------------------------------
 
@@ -325,6 +430,8 @@ class Polynomial:
             f, g = g, f  # a sum commutes: patch at the shorter record
         fz, gz, a, b = f._nz, g._nz, f.coeffs, g.coeffs
         if gz is None:
+            if _lanes_fit(p, ring.size):
+                return Polynomial(ring, _lane_add(a, b, p, sign))
             if sign > 0:
                 return Polynomial(ring, [(x + y) % p for x, y in zip(a, b)])
             return Polynomial(ring, [(x - y) % p for x, y in zip(a, b)])
@@ -368,6 +475,8 @@ class Polynomial:
         p = ring.p
         a, nz = self.coeffs, self._nz
         if nz is None:
+            if _lanes_fit(p, ring.size):
+                return Polynomial(ring, bytes(a).translate(_scale_table(p, c)))
             return Polynomial(ring, [(x * c) % p for x in a])
         out = [0] * ring.size
         for k in nz:
@@ -380,6 +489,10 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         ring = self._same_ring(other)
+        if self._nz == (0,):
+            return other.scale(self.coeffs[0])
+        if other._nz == (0,):
+            return self.scale(other.coeffs[0])
         p = ring.p
         a, b = self.coeffs, other.coeffs
         a_idx = self._indices()
@@ -389,7 +502,13 @@ class Polynomial:
         if len(a_idx) < len(b_idx):
             a, b, a_idx, b_idx = b, a, b_idx, a_idx
         # Few pairs touch few entries: collect them as the product's support.
+        # Past that bound a factor on a single axis is one fiber matrix,
+        # which byte lanes apply at a cost independent of the pair count.
         record = len(a_idx) * len(b_idx) <= ring.size >> _SUPPORT_SHIFT
+        if not record and _lanes_fit(p, ring.size):
+            axis = _single_axis(ring, b_idx)
+            if axis is not None:
+                return Polynomial(ring, _lane_univariate_product(a, b, ring, axis))
         out = [0] * ring.size
         if p == 2:
             # Exponents are bits and x^2 = x, so indices combine by OR.
@@ -399,19 +518,19 @@ class Polynomial:
             touched = {i | j for j in b_idx for i in a_idx} if record else None
         else:
             touched = set() if record else None
-            exps = ring.exponents
+            planes = ring.digit_planes()
             strides = ring.strides
-            a_items = [(i, a[i], exps[i]) for i in a_idx]
+            a_items = [(i, a[i]) for i in a_idx]
             for j in b_idx:
                 cb = b[j]
                 # Digit sums d1 + d2 >= p fold to d1 + d2 - (p-1) since
                 # x^(p+k) = x^(k+1); only nonzero digits of j can overflow.
-                carries = [(pos, p - d, (p - 1) * strides[pos])
-                           for pos, d in enumerate(exps[j]) if d]
-                for i, ca, ei in a_items:
+                carries = [(plane, p - plane[j], (p - 1) * s)
+                           for plane, s in zip(planes, strides) if plane[j]]
+                for i, ca in a_items:
                     k = i + j
-                    for pos, low, drop in carries:
-                        if ei[pos] >= low:
+                    for plane, low, drop in carries:
+                        if plane[i] >= low:
                             k -= drop
                     out[k] = (out[k] + ca * cb) % p
                     if touched is not None:
@@ -463,8 +582,8 @@ class Polynomial:
         """Values at every point of F_p^n, in mixed-radix point order.
 
         Computed by applying the univariate evaluation matrix along each
-        axis with ``apply_axis_transform`` (slice rotation; the xor
-        butterfly at p = 2); O(n * p^(n+1)) instead of p^n separate Horner
+        axis with ``apply_axis_transform`` (slice rotation, on byte lanes
+        for large tables); O(n * p^(n+1)) instead of p^n separate Horner
         passes.
         """
         vals = list(self.coeffs)
@@ -496,12 +615,9 @@ class Polynomial:
                 row.append(row[-1] * s)
             powers.append(row)
         acc = target.zero()
-        exps = ring.exponents
-        for idx, c in enumerate(self.coeffs):
-            if not c:
-                continue
+        for exps, c in self.support():
             term = target.constant(c)
-            for i, e in enumerate(exps[idx]):
+            for i, e in enumerate(exps):
                 if e:
                     term = term * powers[i][e]
             acc = acc + term
@@ -512,18 +628,12 @@ class Polynomial:
     def max_degree_per_variable(self) -> tuple[int, ...]:
         """Largest exponent of each variable over nonzero terms (0 for the
         zero polynomial, by convention)."""
-        degs = [0] * self.ring.n
-        exps = self.ring.exponents
-        for idx, c in enumerate(self.coeffs):
-            if c:
-                for i, e in enumerate(exps[idx]):
-                    if e > degs[i]:
-                        degs[i] = e
-        return tuple(degs)
+        coeffs = self.coeffs
+        return tuple(max(compress(plane, coeffs), default=0)
+                     for plane in self.ring.digit_planes())
 
     def total_degree(self) -> int:
-        exps = self.ring.exponents
-        return max((sum(exps[i]) for i, c in enumerate(self.coeffs) if c), default=0)
+        return max((sum(exps) for exps, _ in self.support()), default=0)
 
     def is_minimal_form(self) -> bool:
         """True iff every per-variable degree is at most p-1."""
@@ -554,6 +664,47 @@ class Polynomial:
     def from_json(text: str,
                   max_table_size: int | None = DEFAULT_MAX_TABLE_SIZE) -> "Polynomial":
         return Polynomial.from_dict(json.loads(text), max_table_size=max_table_size)
+
+
+def _lane_add(a: Sequence[int], b: Sequence[int], p: int, sign: int) -> bytes:
+    """The table a + sign * b on byte lanes (canonical entries, p < 128)."""
+    y = bytes(b) if sign > 0 else bytes(b).translate(_scale_table(p, p - 1))
+    total = int.from_bytes(bytes(a), "little") + int.from_bytes(y, "little")
+    return total.to_bytes(len(a), "little").translate(_scale_table(p, 1))
+
+
+def _single_axis(ring: PolyRing, idx: Sequence[int]) -> int | None:
+    """The axis i when every index in ``idx`` (ascending) is e * p^i, else None."""
+    axis = ring.n - 1
+    top = idx[-1]
+    while axis and ring.strides[axis] > top:
+        axis -= 1
+    s = ring.strides[axis]
+    if all(k % s == 0 for k in idx):
+        return axis
+    return None
+
+
+def _lane_univariate_product(a: Sequence[int], b: Sequence[int], ring: PolyRing,
+                             axis: int) -> bytes:
+    """The table a * u where b holds u(x_axis) = sum_e b[e * p^axis] x_axis^e.
+
+    Multiplying by u acts on each fiber of ``axis`` alone, as the p x p
+    matrix that sends x^d to sum_e u_e x^(d+e), folded by x^p = x; the
+    other axes are only rotated.
+    """
+    p, s = ring.p, ring.strides[axis]
+    rows = [[0] * p for _ in range(p)]
+    for e in range(p):
+        c = b[e * s]
+        if c:
+            for d in range(p):
+                k = d + e if d + e < p else d + e - (p - 1)
+                rows[k][d] += c
+    data = bytes(a)
+    for i in range(ring.n):
+        data = _lane_round(data, p, rows if i == axis else None)
+    return data
 
 
 def _with_support(ring: PolyRing, table: Sequence[int],

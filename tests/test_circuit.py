@@ -275,6 +275,32 @@ class TestCircuitStructure:
             Circuit.from_dict({"p": 3, "inputs": 1, "gates": [{"op": "xor"}],
                                "output": 0})
 
+    @pytest.mark.parametrize("gate, message", [
+        ({"op": "add", "args": [0, 0, 9]}, "exactly 2"),
+        ({"op": "mul", "args": [0]}, "exactly 2"),
+        ({"op": "sub", "args": 0}, "exactly 2"),
+        ({"op": "scale", "value": 2, "args": [0, 5]}, "exactly 1"),
+        ({"op": "scale", "value": 2, "args": []}, "exactly 1"),
+        ({"op": "add", "args": [0, 0], "value": 1}, "takes the keys"),
+        ({"op": "scale", "args": [0]}, "takes the keys"),
+        ({"op": "const", "value": 1, "index": 0}, "takes the keys"),
+        (["add", 0, 0], "must be an object"),
+    ])
+    def test_from_dict_rejects_records_of_other_circuits(self, gate, message):
+        record = {"p": 3, "inputs": 1, "gates": [{"op": "input", "index": 0}, gate],
+                  "output": 1}
+        with pytest.raises(ValueError, match=message):
+            Circuit.from_dict(record)
+
+    def test_from_dict_rejects_unknown_record_keys(self):
+        circ = lower(max_p3(2), "nested_horner")
+        record = circ.to_dict()
+        assert Circuit.from_dict(record) == circ
+        with pytest.raises(ValueError, match="keys p, inputs, gates and output"):
+            Circuit.from_dict({**record, "depth": 3})
+        with pytest.raises(ValueError, match="must be an object"):
+            Circuit.from_dict([record])
+
     def test_builder_constant_folding(self):
         b = CircuitBuilder(5, 2)
         assert b.const_value(b.mul(b.const(2), b.const(3))) == 1

@@ -4,8 +4,13 @@ The references below are the plain fiber loop for the axis transform, the
 plain pair loop for multiplication, the full-table ``zip`` loops for
 addition and subtraction and the per-point kind dispatch of the semantics,
 kept here verbatim so that any rewrite of the kernels in ``polyring`` and
-``oracle`` is checked entry for entry.
+``oracle`` is checked entry for entry.  Exponents and digits are decoded
+with ``oracle.point_at``, independently of the ring's digit planes.  The
+byte-lane kernels are checked on both sides of ``LANE_MIN_SIZE`` and of
+p = 128.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +19,8 @@ from fpminpoly.formulas import _delta_list, _lowpass_list
 from fpminpoly.oracle import (KINDS, FunctionSpec, argmax_digit_sem, argmin_digit_sem,
                               carry_sem, delta_basis_rows, ismax_2bit_sem, ismax_sem,
                               max_sem, min_sem, nummax_digit_sem, point_at, tabulate)
-from fpminpoly.polyring import (_SUPPORT_SHIFT, Polynomial, PolyRing,
+from fpminpoly import polyring
+from fpminpoly.polyring import (_SUPPORT_SHIFT, LANE_MIN_SIZE, Polynomial, PolyRing,
                                 apply_axis_transform, vandermonde_rows)
 
 #: Largest arity per modulus that keeps p^n small enough for a quick test.
@@ -45,7 +51,7 @@ def reference_mul(f, g):
     ring = f.ring
     p = ring.p
     out = [0] * ring.size
-    exps = ring.exponents
+    exps = [point_at(p, ring.n, i) for i in range(ring.size)]
     for i, ca in enumerate(f.coeffs):
         if not ca:
             continue
@@ -111,6 +117,58 @@ class TestAxisTransform:
         assert vals == expected
 
 
+#: (p, n) on both sides of the lane crossover, and of p = 128 where lanes stop.
+CROSSOVER_RINGS = [(2, 8), (2, 10), (3, 5), (3, 7), (5, 3), (5, 5), (7, 3), (7, 4),
+                   (11, 2), (11, 3), (13, 2), (13, 3), (17, 3), (127, 1), (127, 2),
+                   (131, 1), (131, 2)]
+
+
+def uses_lanes(p, n):
+    return p ** n >= LANE_MIN_SIZE and p < 128
+
+
+def count_calls(monkeypatch, name):
+    """Count the calls of the polyring function ``name``."""
+    calls = []
+    original = getattr(polyring, name)
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(polyring, name, counted)
+    return calls
+
+
+def random_matrix(rng, p):
+    """Unreduced and negative entries, and a first row that is zero mod p."""
+    zero_row = tuple(rng.choice((0, p, -p)) for _ in range(p))
+    return (zero_row,) + tuple(tuple(rng.randrange(-p, 3 * p) for _ in range(p))
+                               for _ in range(p - 1))
+
+
+class TestAxisTransformAcrossTheCrossover:
+    @pytest.mark.parametrize("p,n", CROSSOVER_RINGS)
+    @pytest.mark.parametrize("which", ["vandermonde", "delta", "random", "all p-1"])
+    def test_matches_fiber_loop(self, p, n, which, monkeypatch):
+        rng = random.Random(f"{p}/{n}/{which}")
+        size = p ** n
+        if which == "all p-1":
+            # Largest entries and largest weights: every lane sum at its maximum.
+            values, matrix = [p - 1] * size, tuple(((p - 1,) * p,) * p)
+        else:
+            values = [rng.randrange(p) for _ in range(size)]
+            matrix = {"vandermonde": vandermonde_rows(p), "delta": delta_basis_rows(p),
+                      "random": random_matrix(rng, p)}[which]
+        expected = list(values)
+        reference_axis_transform(expected, p, n, matrix)
+        rounds = count_calls(monkeypatch, "_lane_round")
+        got = list(values)
+        apply_axis_transform(got, p, n, matrix)
+        assert got == expected
+        assert len(rounds) == (n if uses_lanes(p, n) else 0)
+
+
 class TestMultiply:
     @settings(max_examples=150, deadline=None)
     @given(sparse_dense_pair())
@@ -128,6 +186,109 @@ class TestMultiply:
                                    min_size=ring.size, max_size=ring.size))
         f, g = ring.from_coeffs(values), ring.from_coeffs(other)
         assert f * g == reference_mul(f, g)
+
+
+#: Rings where a dense table times a univariate factor runs on lanes, plus
+#: rings below the crossover and at p >= 128 where it does not.
+UNIVARIATE_RINGS = [(2, 9), (2, 10), (3, 6), (3, 7), (5, 4), (7, 4), (13, 3), (127, 2),
+                    (2, 6), (3, 4), (5, 3), (131, 2)]
+
+
+class TestUnivariateProducts:
+    @pytest.mark.parametrize("p,n", UNIVARIATE_RINGS)
+    def test_every_axis_matches_pair_loop(self, p, n, monkeypatch):
+        rng = random.Random(f"{p}/{n}")
+        ring = PolyRing(p, n)
+        lane_products = count_calls(monkeypatch, "_lane_univariate_product")
+        # At p > 100 about 130 terms times a 20-term factor keep the reference
+        # pair loop quick and still pass the record bound.
+        density = 130 / ring.size if p > 100 else 0.7
+        for axis in range(n):
+            table = [rng.randrange(1, p) if rng.random() < density else 0
+                     for _ in range(ring.size)]
+            dense = ring.from_coeffs(table)
+            row = [rng.randrange(p) if p < 100 or e < 20 else 0 for e in range(p)]
+            row[rng.randrange(1, min(p, 20))] = rng.randrange(1, p)  # not a constant
+            factor = ring.univariate(axis, row)
+            got = dense * factor
+            assert got == reference_mul(dense, factor)
+            assert got._nz is None
+            assert factor * dense == reference_mul(factor, dense)
+        if uses_lanes(p, n):
+            assert len(lane_products) == 2 * n
+
+    @pytest.mark.parametrize("p,n,axis", [(3, 6, 0), (3, 6, 5), (2, 10, 9)])
+    def test_multi_axis_factor_stays_on_pair_loop(self, p, n, axis, monkeypatch):
+        ring = PolyRing(p, n)
+        rng = random.Random(axis)
+        dense = ring.from_coeffs([rng.randrange(p) for _ in range(ring.size)])
+        other = (axis + 1) % n
+        factor = ring.univariate(axis, [1] * p) + ring.variable(other)
+        lane_products = count_calls(monkeypatch, "_lane_univariate_product")
+        assert dense * factor == reference_mul(dense, factor)
+        assert not lane_products
+
+    def test_constant_operand_is_a_scale_keeping_the_record(self):
+        ring = PolyRing(3, 6)
+        x = ring.univariate(2, (1, 0, 2))
+        assert (x * ring.constant(2))._nz == x._nz
+        assert (ring.constant(2) * x) == x.scale(2)
+        dense = ring.from_coeffs([(k * 7) % 3 for k in range(ring.size)])
+        assert dense * ring.constant(2) == reference_mul(dense, ring.constant(2))
+        assert ring.constant(1) * dense is dense
+
+
+#: Rings with dense tables on lanes, below the crossover and at p >= 128.
+DENSE_RINGS = [(2, 6), (2, 10), (3, 4), (3, 7), (5, 4), (7, 4), (13, 3), (127, 2), (131, 2)]
+
+
+class TestDenseAddSubScale:
+    @pytest.mark.parametrize("p,n", DENSE_RINGS)
+    def test_match_full_table_loops(self, p, n):
+        rng = random.Random(f"{p}/{n}")
+        ring = PolyRing(p, n)
+        for fill in ("random", "max"):
+            if fill == "max":
+                a, b = [p - 1] * ring.size, [p - 1] * ring.size
+            else:
+                a = [rng.randrange(p) for _ in range(ring.size)]
+                b = [rng.randrange(p) for _ in range(ring.size)]
+            f, g = ring.from_coeffs(a), ring.from_coeffs(b)
+            assert f + g == reference_add(f, g, 1)
+            assert f - g == reference_add(f, g, -1)
+            assert g - f == reference_add(g, f, -1)
+            assert -f == reference_add(ring.from_coeffs([0] * ring.size), f, -1)
+            for c in (2, p - 1, p + 3, -2):
+                assert f.scale(c) == Polynomial(ring, [(x * c) % p for x in a])
+
+
+class TestDigitPlanes:
+    @pytest.mark.parametrize("p,n", [(2, 1), (2, 9), (3, 5), (5, 3), (7, 2), (131, 2),
+                                     (257, 2), (65521, 1)])
+    def test_planes_and_support_match_point_at(self, p, n):
+        ring = PolyRing(p, n)
+        planes = ring.digit_planes()
+        points = [point_at(p, n, k) for k in range(ring.size)]
+        assert len(planes) == n
+        for i, plane in enumerate(planes):
+            assert list(plane) == [pt[i] for pt in points]
+        assert ring.digit_planes() is planes
+        rng = random.Random(f"{p}/{n}")
+        for density in (0.0, 0.01, 0.5, 1.0):
+            table = [rng.randrange(1, p) if rng.random() < density else 0
+                     for _ in range(ring.size)]
+            f = ring.from_coeffs(table)
+            expected = [(points[k], c) for k, c in enumerate(table) if c]
+            assert f.support() == expected
+            assert f.max_degree_per_variable() == tuple(
+                max((e[i] for e, _ in expected), default=0) for i in range(n))
+            assert f.total_degree() == max((sum(e) for e, _ in expected), default=0)
+
+    def test_recorded_support_decodes_the_same(self):
+        ring = PolyRing(3, 5)
+        f = ring.univariate(3, (2, 0, 1)) + ring.monomial((1, 2, 0, 0, 1), 2)
+        assert f._nz is not None
+        assert f.support() == [(point_at(3, 5, k), c) for k, c in enumerate(f.coeffs) if c]
 
 
 class TestSingleVariablePieces:
