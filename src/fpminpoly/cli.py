@@ -73,10 +73,11 @@ def _table_size_cap(args) -> int | None:
         if cap < 0:
             raise FormulaParamError(f"--max-table-size must be nonnegative, got {cap}")
         if cap > DEFAULT_MAX_TABLE_SIZE:
-            # Rough figure: CPython small-int table entries run ~32 bytes.
-            mb = cap * 32 / 2**20
-            print(f"size guard raised to {cap} entries "
-                  f"(roughly {mb:.0f} MiB per dense table)", file=sys.stderr)
+            # A coefficient tuple holds one 8-byte reference per entry; the
+            # ints 0..256 are shared, larger residues are ~32-byte objects each.
+            print(f"size guard raised to {cap} entries (roughly "
+                  f"{cap * 8 / 2**20:.0f} MiB per dense table, "
+                  f"{cap * 40 / 2**20:.0f} MiB when p > 257)", file=sys.stderr)
         return cap
     env = os.environ.get(ENV_MAX_TABLE_SIZE)
     if env:
@@ -121,7 +122,15 @@ def cmd_gen(args) -> int:
 
 def cmd_verify(args) -> int:
     cap = _table_size_cap(args)
-    if args.all and not args.file:
+    if args.all:
+        if args.file:
+            raise FormulaParamError("verify takes --all or --file, not both")
+        given = [f"--{name}" for name in ("func", "p", "n", "r")
+                 if getattr(args, name) is not None]
+        if given:
+            raise FormulaParamError(
+                f"--all verifies every catalog entry over its own grid; "
+                f"drop {', '.join(given)}")
         reports = [verify_formula(name, p, n, r, max_table_size=cap)
                    for name, entry in CATALOG.items()
                    for (p, n, r) in entry.verify_grid]

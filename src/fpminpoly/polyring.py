@@ -26,23 +26,26 @@ indices are separate int objects, so recording the support of a dense table
 would cost several times the table's own memory.  Equality, hashing and
 serialisation look at the coefficient table alone.
 
-The dense table work runs on byte lanes, with the standard library only:
-a table of canonical residues in [0, p) is packed into ``bytes``, one entry
-per byte.  ``bytes.translate`` with a 256-entry table scales every entry by
-a constant mod p (or reduces it mod p), and whole tables or columns add as
-little-endian big ints, reduced before any byte can pass 255.  Axis
-transforms (``apply_axis_transform``), dense ``+``, ``-`` and ``scale``, and
-products by a factor in a single variable (one p x p matrix on that axis)
-work this way.  Lanes need 2(p-1) <= 255, so p >= 128 keeps the list code,
-and so do tables below ``LANE_MIN_SIZE`` entries, where packing costs as
-much as it saves.  Exponents are read from per-axis digit planes
-(``PolyRing.digit_planes``), n * p^n bytes in all, built on first use.
+The dense table work runs through one seam, with the standard library only.
+``_pack`` picks a table's working form from p alone: for p < 128 the
+canonical residues are packed into ``bytes``, one entry per byte; for
+p >= 128, where the sum of two reduced entries can pass 255, the table stays
+a list.  ``_combine`` is the one place where columns are scaled, summed and
+reduced mod p: on bytes ``bytes.translate`` with a 256-entry table scales
+every entry by a constant (or reduces it), and columns add as little-endian
+big ints, reduced before any byte can pass 255; on lists it runs
+comprehensions.  ``_round`` is the one slice-rotation round built on it.
+Axis transforms (``apply_axis_transform``), dense ``+``, ``-`` and
+``scale``, and products by a factor in a single variable (one p x p matrix
+on that axis) all call these.  Exponents are read from per-axis digit
+planes (``PolyRing.digit_planes``), n * p^n bytes in all, built on first
+use.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress
+from itertools import chain, compress
 import json
 from typing import Iterable, Sequence
 
@@ -57,11 +60,11 @@ DEFAULT_MAX_TABLE_SIZE = 1 << 24
 #: indices, which bounds its memory at a fraction of the table's.
 _SUPPORT_SHIFT = 4
 
-#: Crossover of the byte-lane kernels: axis transforms, dense +, - and
-#: scale, and products by a single-axis factor run on packed bytes for
-#: tables of at least this many entries (and p < 128).  Below it, packing
-#: and unpacking cost about as much as the list code they replace (the p = 2
-#: xor butterfly ties with lanes up to 256 entries).
+#: Products by a factor in a single variable run as one fiber matrix on
+#: that axis (``_univariate_product``) for tables of at least this many
+#: entries.  Below it the pair loop is faster: without this gate, ``*``
+#: took more than twice as long on the small tables of short catalog
+#: requests.
 LANE_MIN_SIZE = 512
 
 
@@ -79,16 +82,6 @@ def vandermonde_rows(p: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(pow(a, e, p) for e in range(p)) for a in range(p))
 
 
-def _lanes_fit(p: int, size: int) -> bool:
-    """True when a table of ``size`` entries mod p runs on byte lanes.
-
-    Lanes need the sum of two reduced entries, 2(p-1), to fit a byte, so p
-    must stay below 128; below LANE_MIN_SIZE entries packing saves too
-    little to pay for itself.
-    """
-    return size >= LANE_MIN_SIZE and p < 128
-
-
 @lru_cache(maxsize=None)
 def _scale_table(p: int, m: int) -> bytes:
     """The byte map v -> (m * v) mod p for every byte v.
@@ -98,36 +91,65 @@ def _scale_table(p: int, m: int) -> bytes:
     return bytes((m * v) % p for v in range(256))
 
 
-def _lane_round(data: bytes, p: int, rows) -> bytes:
-    """One slice-rotation round on a packed table: map axis 0, move it to the top.
+def _pack(table: Sequence[int], p: int) -> Sequence[int]:
+    """A table's working form, chosen by p alone.
 
-    ``rows[new][old]`` is the fiber matrix for axis 0; None leaves the
-    axis as it is and only rotates.  The p columns ``data[e::p]`` are
-    scaled with ``bytes.translate``, summed as little-endian ints and
-    reduced with the mod-p table before any lane can pass 255.
+    For p < 128 the canonical entries are packed into ``bytes``, one entry
+    per byte; for p >= 128 two reduced entries can sum past 255, so the
+    table itself is used.
+    """
+    return bytes(table) if p < 128 else table
+
+
+def _combine(p: int, weights: Sequence[int], cols: Sequence[Sequence[int]]):
+    """The column sum_e weights[e] * cols[e] mod p, in the form of ``cols``.
+
+    Weights are any ints; they are reduced here and zero ones are skipped.
+    The columns hold canonical residues and share one length.  Packed
+    columns are scaled with ``bytes.translate``, summed as little-endian
+    ints and reduced with the mod-p table before any lane can pass 255; list
+    columns are combined with comprehensions.
+    """
+    width = len(cols[0])
+    if not isinstance(cols[0], bytes):
+        acc = None
+        for m, col in zip(weights, cols):
+            m %= p
+            if m:
+                acc = ([m * c for c in col] if acc is None
+                       else [a + m * c for a, c in zip(acc, col)])
+        return [0] * width if acc is None else [a % p for a in acc]
+    room = 255 // (p - 1)  # reduced lanes that sum to at most 255
+    reduce = _scale_table(p, 1)
+    acc = held = 0
+    for m, col in zip(weights, cols):
+        m %= p
+        if not m:
+            continue
+        term = col if m == 1 else col.translate(_scale_table(p, m))
+        if held == room:
+            acc = int.from_bytes(acc.to_bytes(width, "little").translate(reduce), "little")
+            held = 1
+        acc += int.from_bytes(term, "little")
+        held += 1
+    if held == 1:  # a single term, already reduced
+        return term
+    return acc.to_bytes(width, "little").translate(reduce)
+
+
+def _round(data: Sequence[int], p: int, rows) -> Sequence[int]:
+    """One slice-rotation round: map axis 0 of a working-form table, move it to the top.
+
+    ``rows[new][old]`` is the fiber matrix for axis 0; None leaves the axis
+    as it is and only rotates.  The p columns ``data[e::p]`` (the sub-tables
+    with x0 = e) are combined row by row and concatenated.
     """
     cols = [data[e::p] for e in range(p)]
-    if rows is None:
+    if rows is not None:
+        cols = [_combine(p, row, cols) for row in rows]
+    if isinstance(data, bytes):
         return b"".join(cols)
-    width = len(cols[0])
-    reduce = _scale_table(p, 1)
-    room = 255 // (p - 1)  # reduced lanes that sum to at most 255
-    out = []
-    for row in rows:
-        terms = [col if m % p == 1 else col.translate(_scale_table(p, m % p))
-                 for m, col in zip(row, cols) if m % p]
-        if len(terms) == 1:
-            out.append(terms[0])
-            continue
-        acc = held = 0
-        for col in terms:
-            if held == room:
-                acc = int.from_bytes(acc.to_bytes(width, "little").translate(reduce), "little")
-                held = 1
-            acc += int.from_bytes(col, "little")
-            held += 1
-        out.append(acc.to_bytes(width, "little").translate(reduce))
-    return b"".join(out)
+    return list(chain.from_iterable(cols))
 
 
 def apply_axis_transform(vals: list[int], p: int, n: int, matrix) -> None:
@@ -135,52 +157,16 @@ def apply_axis_transform(vals: list[int], p: int, n: int, matrix) -> None:
 
     ``vals`` is modified in place; ``matrix[new][old]`` gives the linear map
     used on each length-p fiber, and every entry of ``vals`` must be a
-    canonical residue in [0, p).  Each round slices the table into the p
-    columns ``vals[e::p]`` (the sub-tables with x0 = e), forms the new
-    column a as a combination of them and concatenates the results.  That
-    transforms axis 0 and moves it to the most significant place, so after
-    n rounds every axis is transformed and the original order is back.
-    Cost O(n * p^(n+1)).
-
-    From LANE_MIN_SIZE entries on and for p < 128 the table is packed into
-    ``bytes`` and every round runs on byte lanes (see ``_lane_round``):
-    ``bytes.translate`` scales a column, one big-int addition adds whole
-    columns.  Smaller tables, where the packing costs more than it saves,
-    and p >= 128, where two reduced lanes can sum past 255, run the same
-    rounds as list comprehensions (the xor butterfly at p = 2).
+    canonical residue in [0, p).  The table is put in its working form
+    (``_pack``: bytes for p < 128, a list for larger p) and run through n
+    rounds of ``_round``.  Each round transforms axis 0 and moves it to the
+    most significant place, so after n rounds every axis is transformed and
+    the original order is back.  Cost O(n * p^(n+1)).
     """
-    if _lanes_fit(p, len(vals)):
-        data = bytes(vals)
-        for _axis in range(n):
-            data = _lane_round(data, p, matrix)
-        vals[:] = data
-        return
-    out = vals
-    if p == 2 and matrix == ((1, 0), (1, 1)):
-        # Shared fast path: mod 2 the evaluation and interpolation matrices
-        # coincide and the fiber update is a single xor butterfly.
-        for _axis in range(n):
-            low = out[0::2]
-            out = low + [a ^ b for a, b in zip(low, out[1::2])]
-        vals[:] = out
-        return
-    rows = [tuple(row) for row in matrix]
+    data = _pack(vals, p)
     for _axis in range(n):
-        cols = [out[e::p] for e in range(p)]
-        out = []
-        for row in rows:
-            acc = None
-            for m, col in zip(row, cols):
-                if not m:
-                    continue
-                if acc is None:
-                    acc = col if m == 1 else [m * c for c in col]
-                elif m == 1:
-                    acc = [a + c for a, c in zip(acc, col)]
-                else:
-                    acc = [a + m * c for a, c in zip(acc, col)]
-            out += [0] * len(cols[0]) if acc is None else [a % p for a in acc]
-    vals[:] = out
+        data = _round(data, p, matrix)
+    vals[:] = data
 
 
 def bounded_power(p: int, n: int, bound: int) -> int | None:
@@ -430,11 +416,7 @@ class Polynomial:
             f, g = g, f  # a sum commutes: patch at the shorter record
         fz, gz, a, b = f._nz, g._nz, f.coeffs, g.coeffs
         if gz is None:
-            if _lanes_fit(p, ring.size):
-                return Polynomial(ring, _lane_add(a, b, p, sign))
-            if sign > 0:
-                return Polynomial(ring, [(x + y) % p for x, y in zip(a, b)])
-            return Polynomial(ring, [(x - y) % p for x, y in zip(a, b)])
+            return Polynomial(ring, _combine(p, (1, sign), (_pack(a, p), _pack(b, p))))
         out = list(a)
         for k in gz:
             out[k] = (out[k] + sign * b[k]) % p
@@ -475,9 +457,7 @@ class Polynomial:
         p = ring.p
         a, nz = self.coeffs, self._nz
         if nz is None:
-            if _lanes_fit(p, ring.size):
-                return Polynomial(ring, bytes(a).translate(_scale_table(p, c)))
-            return Polynomial(ring, [(x * c) % p for x in a])
+            return Polynomial(ring, _combine(p, (c,), (_pack(a, p),)))
         out = [0] * ring.size
         for k in nz:
             out[k] = (a[k] * c) % p
@@ -503,12 +483,12 @@ class Polynomial:
             a, b, a_idx, b_idx = b, a, b_idx, a_idx
         # Few pairs touch few entries: collect them as the product's support.
         # Past that bound a factor on a single axis is one fiber matrix,
-        # which byte lanes apply at a cost independent of the pair count.
+        # applied at a cost independent of the pair count.
         record = len(a_idx) * len(b_idx) <= ring.size >> _SUPPORT_SHIFT
-        if not record and _lanes_fit(p, ring.size):
+        if not record and ring.size >= LANE_MIN_SIZE:
             axis = _single_axis(ring, b_idx)
             if axis is not None:
-                return Polynomial(ring, _lane_univariate_product(a, b, ring, axis))
+                return Polynomial(ring, _univariate_product(a, b, ring, axis))
         out = [0] * ring.size
         if p == 2:
             # Exponents are bits and x^2 = x, so indices combine by OR.
@@ -582,9 +562,8 @@ class Polynomial:
         """Values at every point of F_p^n, in mixed-radix point order.
 
         Computed by applying the univariate evaluation matrix along each
-        axis with ``apply_axis_transform`` (slice rotation, on byte lanes
-        for large tables); O(n * p^(n+1)) instead of p^n separate Horner
-        passes.
+        axis with ``apply_axis_transform`` (slice rotation, on packed bytes
+        for p < 128); O(n * p^(n+1)) instead of p^n separate Horner passes.
         """
         vals = list(self.coeffs)
         apply_axis_transform(vals, self.ring.p, self.ring.n, vandermonde_rows(self.ring.p))
@@ -666,13 +645,6 @@ class Polynomial:
         return Polynomial.from_dict(json.loads(text), max_table_size=max_table_size)
 
 
-def _lane_add(a: Sequence[int], b: Sequence[int], p: int, sign: int) -> bytes:
-    """The table a + sign * b on byte lanes (canonical entries, p < 128)."""
-    y = bytes(b) if sign > 0 else bytes(b).translate(_scale_table(p, p - 1))
-    total = int.from_bytes(bytes(a), "little") + int.from_bytes(y, "little")
-    return total.to_bytes(len(a), "little").translate(_scale_table(p, 1))
-
-
 def _single_axis(ring: PolyRing, idx: Sequence[int]) -> int | None:
     """The axis i when every index in ``idx`` (ascending) is e * p^i, else None."""
     axis = ring.n - 1
@@ -685,8 +657,8 @@ def _single_axis(ring: PolyRing, idx: Sequence[int]) -> int | None:
     return None
 
 
-def _lane_univariate_product(a: Sequence[int], b: Sequence[int], ring: PolyRing,
-                             axis: int) -> bytes:
+def _univariate_product(a: Sequence[int], b: Sequence[int], ring: PolyRing,
+                        axis: int) -> Sequence[int]:
     """The table a * u where b holds u(x_axis) = sum_e b[e * p^axis] x_axis^e.
 
     Multiplying by u acts on each fiber of ``axis`` alone, as the p x p
@@ -701,9 +673,9 @@ def _lane_univariate_product(a: Sequence[int], b: Sequence[int], ring: PolyRing,
             for d in range(p):
                 k = d + e if d + e < p else d + e - (p - 1)
                 rows[k][d] += c
-    data = bytes(a)
+    data = _pack(a, p)
     for i in range(ring.n):
-        data = _lane_round(data, p, rows if i == axis else None)
+        data = _round(data, p, rows if i == axis else None)
     return data
 
 

@@ -71,6 +71,17 @@ class TestGen:
                        "--max-table-size", str(1 << 25)) == EXIT_OK
         assert "size guard raised" in capsys.readouterr().err
 
+    def test_size_guard_estimate_counts_shared_small_ints(self, capsys):
+        base = ("gen", "--func", "max", "--p", "3", "--n", "2")
+        assert run_cli(*base) == EXIT_OK
+        plain = capsys.readouterr()
+        assert run_cli(*base, "--max-table-size", str(1 << 25)) == EXIT_OK
+        raised = capsys.readouterr()
+        assert raised.out == plain.out
+        # 8 bytes per entry while residues stay shared small ints, 40 beyond p = 257
+        assert raised.err == ("size guard raised to 33554432 entries (roughly "
+                              "256 MiB per dense table, 1280 MiB when p > 257)\n")
+
     def test_no_temp_files_left_behind(self, tmp_path):
         out = tmp_path / "poly.json"
         run_cli("gen", "--func", "max2", "--n", "3", "--out", str(out))
@@ -128,6 +139,26 @@ class TestVerify:
         assert report["mismatch_point"] == [1, 1]
         assert (report["expected"], report["got"]) == (0, 1)
         assert report["coefficient_match"] is False
+
+    @pytest.mark.parametrize("flags", [("--func", "max"), ("--p", "3"), ("--n", "2"),
+                                       ("--r", "0"), ("--func", "max", "--p", "3")])
+    def test_all_refuses_single_entry_flags(self, flags, capsys):
+        assert run_cli("verify", "--all", *flags) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("fpminpoly: error: --all verifies every catalog")
+        for flag in flags[::2]:
+            assert flag in captured.err
+
+    def test_all_refuses_file(self, tmp_path, capsys):
+        poly = tmp_path / "max32.json"
+        run_cli("gen", "--func", "max", "--p", "3", "--n", "2", "--out", str(poly))
+        for extra in ((), ("--func", "max", "--p", "3", "--n", "2")):
+            assert run_cli("verify", "--all", "--file", str(poly), *extra) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("fpminpoly: error: verify takes --all or --file, "
+                                    "not both\n")
 
     def test_file_from_wrong_ring_is_a_usage_error(self, tmp_path, capsys):
         poly = tmp_path / "max33.json"

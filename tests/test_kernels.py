@@ -6,14 +6,16 @@ addition and subtraction and the per-point kind dispatch of the semantics,
 kept here verbatim so that any rewrite of the kernels in ``polyring`` and
 ``oracle`` is checked entry for entry.  Exponents and digits are decoded
 with ``oracle.point_at``, independently of the ring's digit planes.  The
-byte-lane kernels are checked on both sides of ``LANE_MIN_SIZE`` and of
-p = 128.
+dense kernels are checked on both sides of p = 128, where tables stop being
+packed into bytes, and the single-axis product on both sides of
+``LANE_MIN_SIZE``.  ``_combine``, the one place where columns are scaled,
+summed and reduced, is checked against a per-entry sum.
 """
 
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fpminpoly.formulas import _delta_list, _lowpass_list
 from fpminpoly.oracle import (KINDS, FunctionSpec, argmax_digit_sem, argmin_digit_sem,
@@ -21,7 +23,7 @@ from fpminpoly.oracle import (KINDS, FunctionSpec, argmax_digit_sem, argmin_digi
                               max_sem, min_sem, nummax_digit_sem, point_at, tabulate)
 from fpminpoly import polyring
 from fpminpoly.polyring import (_SUPPORT_SHIFT, LANE_MIN_SIZE, Polynomial, PolyRing,
-                                apply_axis_transform, vandermonde_rows)
+                                _combine, _pack, apply_axis_transform, vandermonde_rows)
 
 #: Largest arity per modulus that keeps p^n small enough for a quick test.
 MAX_ARITY = {2: 8, 3: 5, 5: 3, 7: 3, 11: 2, 13: 2}
@@ -117,26 +119,29 @@ class TestAxisTransform:
         assert vals == expected
 
 
-#: (p, n) on both sides of the lane crossover, and of p = 128 where lanes stop.
-CROSSOVER_RINGS = [(2, 8), (2, 10), (3, 5), (3, 7), (5, 3), (5, 5), (7, 3), (7, 4),
-                   (11, 2), (11, 3), (13, 2), (13, 3), (17, 3), (127, 1), (127, 2),
-                   (131, 1), (131, 2)]
+#: (p, n) on both sides of p = 128, where tables stop being packed, from
+#: tiny rings (one fiber, a few entries) up to a few thousand entries.
+CROSSOVER_RINGS = [(2, 1), (2, 3), (2, 5), (2, 8), (2, 10), (3, 1), (3, 2), (3, 5), (3, 7),
+                   (5, 1), (5, 3), (5, 5), (7, 3), (7, 4), (11, 2), (11, 3), (13, 2),
+                   (13, 3), (17, 3), (127, 1), (127, 2), (131, 1), (131, 2)]
 
 
-def uses_lanes(p, n):
-    return p ** n >= LANE_MIN_SIZE and p < 128
+def packed_form(p):
+    """The working form every table mod p must take: bytes below 128, else a list."""
+    return bytes if p < 128 else list
 
 
-def count_calls(monkeypatch, name):
-    """Count the calls of the polyring function ``name``."""
+def record_calls(monkeypatch, name):
+    """Record the type of the table each call of polyring's ``name`` returns."""
     calls = []
     original = getattr(polyring, name)
 
-    def counted(*args):
-        calls.append(1)
-        return original(*args)
+    def recorded(*args):
+        result = original(*args)
+        calls.append(type(result))
+        return result
 
-    monkeypatch.setattr(polyring, name, counted)
+    monkeypatch.setattr(polyring, name, recorded)
     return calls
 
 
@@ -162,11 +167,56 @@ class TestAxisTransformAcrossTheCrossover:
                       "random": random_matrix(rng, p)}[which]
         expected = list(values)
         reference_axis_transform(expected, p, n, matrix)
-        rounds = count_calls(monkeypatch, "_lane_round")
+        rounds = record_calls(monkeypatch, "_round")
         got = list(values)
         apply_axis_transform(got, p, n, matrix)
         assert got == expected
-        assert len(rounds) == (n if uses_lanes(p, n) else 0)
+        assert rounds == [packed_form(p)] * n
+
+
+def reference_combine(p, weights, cols):
+    """One entry at a time: sum(m * c) % p over the weighted columns."""
+    return [sum(m * col[k] for m, col in zip(weights, cols)) % p
+            for k in range(len(cols[0]))]
+
+
+@st.composite
+def weighted_columns(draw):
+    """Columns of canonical residues and any-int weights, enough of them to
+    pass the number of reduced lanes a byte can hold (``room``)."""
+    p = draw(st.sampled_from([2, 3, 17, 127, 131]))
+    room = 255 // (p - 1)
+    width = draw(st.integers(0, 6))
+    count = draw(st.integers(1, 2 * room + 2))
+    cols = [draw(st.lists(st.integers(0, p - 1), min_size=width, max_size=width))
+            for _ in range(count)]
+    weights = draw(st.lists(st.one_of(st.integers(-3 * p, 3 * p), st.sampled_from(
+        [0, 1, p, -p, p - 1, 1 - p])), min_size=count, max_size=count))
+    return p, weights, cols
+
+
+class TestCombine:
+    @settings(max_examples=300, deadline=None)
+    @given(weighted_columns())
+    @example((2, [1] * 300, [[1, 1, 0]] * 300))
+    @example((127, [126, -1, 253], [[126, 0], [126, 1], [126, 126]]))
+    @example((3, [0, 3, -6], [[1, 2], [2, 2], [0, 1]]))
+    @example((17, [5], [[16, 3, 0]]))
+    def test_matches_per_entry_sum(self, case):
+        p, weights, cols = case
+        got = _combine(p, weights, [_pack(col, p) for col in cols])
+        assert type(got) is packed_form(p)
+        assert list(got) == reference_combine(p, weights, cols)
+
+    @pytest.mark.parametrize("p", [2, 3, 17, 127])
+    def test_lane_sums_at_their_maximum(self, p):
+        """Entries and weights all p-1, on both sides of each reduction point."""
+        room = 255 // (p - 1)
+        for count in (room - 1, room, room + 1, 2 * room, 2 * room + 1):
+            cols = [[p - 1] * 5] * count
+            weights = [p - 1] * count
+            got = _combine(p, weights, [_pack(col, p) for col in cols])
+            assert list(got) == reference_combine(p, weights, cols)
 
 
 class TestMultiply:
@@ -188,8 +238,8 @@ class TestMultiply:
         assert f * g == reference_mul(f, g)
 
 
-#: Rings where a dense table times a univariate factor runs on lanes, plus
-#: rings below the crossover and at p >= 128 where it does not.
+#: Rings where a dense table times a univariate factor runs as a fiber matrix,
+#: on bytes and (p >= 128) on lists, plus rings below ``LANE_MIN_SIZE``.
 UNIVARIATE_RINGS = [(2, 9), (2, 10), (3, 6), (3, 7), (5, 4), (7, 4), (13, 3), (127, 2),
                     (2, 6), (3, 4), (5, 3), (131, 2)]
 
@@ -199,7 +249,7 @@ class TestUnivariateProducts:
     def test_every_axis_matches_pair_loop(self, p, n, monkeypatch):
         rng = random.Random(f"{p}/{n}")
         ring = PolyRing(p, n)
-        lane_products = count_calls(monkeypatch, "_lane_univariate_product")
+        products = record_calls(monkeypatch, "_univariate_product")
         # At p > 100 about 130 terms times a 20-term factor keep the reference
         # pair loop quick and still pass the record bound.
         density = 130 / ring.size if p > 100 else 0.7
@@ -214,8 +264,7 @@ class TestUnivariateProducts:
             assert got == reference_mul(dense, factor)
             assert got._nz is None
             assert factor * dense == reference_mul(factor, dense)
-        if uses_lanes(p, n):
-            assert len(lane_products) == 2 * n
+        assert products == [packed_form(p)] * (2 * n if ring.size >= LANE_MIN_SIZE else 0)
 
     @pytest.mark.parametrize("p,n,axis", [(3, 6, 0), (3, 6, 5), (2, 10, 9)])
     def test_multi_axis_factor_stays_on_pair_loop(self, p, n, axis, monkeypatch):
@@ -224,9 +273,9 @@ class TestUnivariateProducts:
         dense = ring.from_coeffs([rng.randrange(p) for _ in range(ring.size)])
         other = (axis + 1) % n
         factor = ring.univariate(axis, [1] * p) + ring.variable(other)
-        lane_products = count_calls(monkeypatch, "_lane_univariate_product")
+        products = record_calls(monkeypatch, "_univariate_product")
         assert dense * factor == reference_mul(dense, factor)
-        assert not lane_products
+        assert not products
 
     def test_constant_operand_is_a_scale_keeping_the_record(self):
         ring = PolyRing(3, 6)
@@ -238,15 +287,16 @@ class TestUnivariateProducts:
         assert ring.constant(1) * dense is dense
 
 
-#: Rings with dense tables on lanes, below the crossover and at p >= 128.
+#: Rings with dense tables packed into bytes, small and large, and at p >= 128.
 DENSE_RINGS = [(2, 6), (2, 10), (3, 4), (3, 7), (5, 4), (7, 4), (13, 3), (127, 2), (131, 2)]
 
 
 class TestDenseAddSubScale:
     @pytest.mark.parametrize("p,n", DENSE_RINGS)
-    def test_match_full_table_loops(self, p, n):
+    def test_match_full_table_loops(self, p, n, monkeypatch):
         rng = random.Random(f"{p}/{n}")
         ring = PolyRing(p, n)
+        combined = record_calls(monkeypatch, "_combine")
         for fill in ("random", "max"):
             if fill == "max":
                 a, b = [p - 1] * ring.size, [p - 1] * ring.size
@@ -260,6 +310,7 @@ class TestDenseAddSubScale:
             assert -f == reference_add(ring.from_coeffs([0] * ring.size), f, -1)
             for c in (2, p - 1, p + 3, -2):
                 assert f.scale(c) == Polynomial(ring, [(x * c) % p for x in a])
+        assert combined and set(combined) == {packed_form(p)}
 
 
 class TestDigitPlanes:
