@@ -169,6 +169,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if not args.circuit:
+        given = [flag for flag, on in (("--strategy", args.strategy is not None),
+                                       ("--cse", args.cse)) if on]
+        if given:
+            raise FormulaParamError(f"eval uses {' and '.join(given)} only with --circuit")
     cap = _table_size_cap(args)
     poly = _build_requested(args, cap)
     try:
@@ -177,7 +182,7 @@ def cmd_eval(args) -> int:
         raise FormulaParamError(f"could not parse --point {args.point!r}")
     value = poly.eval(point)
     if args.circuit:
-        circ = lower(poly, args.strategy)
+        circ = lower(poly, args.strategy or "nested_horner")
         if args.cse:
             circ = eliminate_common_subexpressions(circ)
         via_circuit = run(circ, point)
@@ -231,12 +236,12 @@ def cmd_list(args) -> int:
 
 # -- parser ---------------------------------------------------------------------
 
-def _add_common(sub, *, point=False, output=True, func=True):
-    if func:
-        sub.add_argument("--func", help="catalog formula name (see `list`)")
-        sub.add_argument("--p", type=int, default=None, help="field modulus")
-        sub.add_argument("--n", type=int, default=None, help="input count")
-        sub.add_argument("--r", type=int, default=None, help="digit index")
+def _add_common(sub, *, source=True, point=False, output=True):
+    sub.add_argument("--func", help="catalog formula name (see `list`)")
+    sub.add_argument("--p", type=int, default=None, help="field modulus")
+    sub.add_argument("--n", type=int, default=None, help="input count")
+    sub.add_argument("--r", type=int, default=None, help="digit index")
+    if source:
         sub.add_argument("--form", choices=("closed", "interpolated"), default="closed",
                          help="closed formula or independent interpolation path")
         sub.add_argument("--table", help="truth-table JSON file to interpolate instead")
@@ -245,9 +250,10 @@ def _add_common(sub, *, point=False, output=True, func=True):
                          help="comma-separated input values, x0 first")
         sub.add_argument("--circuit", action="store_true",
                          help="also evaluate via a lowered circuit and cross-check")
-        sub.add_argument("--strategy", choices=STRATEGIES, default="nested_horner")
+        sub.add_argument("--strategy", choices=STRATEGIES, default=None,
+                         help="lowering strategy for --circuit (default nested_horner)")
         sub.add_argument("--cse", action="store_true",
-                         help="apply common-subexpression elimination first")
+                         help="apply common-subexpression elimination first (with --circuit)")
     if output:
         sub.add_argument("--out", help="output file (default: stdout)")
         sub.add_argument("--format", choices=("json", "human"), default="json")
@@ -269,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(handler=cmd_gen)
 
     verify = subs.add_parser("verify", help="verify closed forms against interpolation")
-    _add_common(verify)
+    _add_common(verify, source=False)
     verify.add_argument("--file", help="polynomial JSON file to check against --func")
     verify.add_argument("--all", action="store_true",
                         help="verify every catalog entry over its default grid")

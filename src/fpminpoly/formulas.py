@@ -8,6 +8,13 @@ unique minimal-degree polynomial of its function exactly when it agrees
 with :func:`fpminpoly.oracle.interpolate` of the semantic truth table,
 coefficient for coefficient.  ``verify_formula`` runs that check.
 
+A constructor's ring comes from its caller: it takes the ring it builds in
+as its first argument (plus the digit index r where it has one) and reads
+p and the variable count from it.  ``build_formula`` is where a catalog
+formula's ring is made, with ``FunctionSpec.arity`` variables under the
+table-size cap; the forms written for one p or one arity refuse any other
+ring with :class:`FormulaParamError`.
+
 Nothing is hand-expanded: even forms printed as long monomial lists are
 reproduced by machine from their factored shape.
 """
@@ -28,18 +35,28 @@ class FormulaParamError(ValueError):
     """A formula was requested with parameters outside its constraints."""
 
 
+def _require_ring(ring: PolyRing, form: str, *, p: int | None = None,
+                  n: int | None = None, paired: bool = False) -> None:
+    """Refuse a ring other than the one a fixed form is written for: modulus
+    ``p``, ``n`` variables, or an even variable count when ``paired``."""
+    if ((p is not None and ring.p != p) or (n is not None and ring.n != n)
+            or (paired and ring.n % 2)):
+        need = [f"{name} = {v}" for name, v in (("p", p), ("n", n)) if v is not None]
+        if paired:
+            need.append("an even n")
+        raise FormulaParamError(f"{form} needs a ring with {' and '.join(need)}, got {ring}")
+
+
 # -- univariate building blocks ----------------------------------------------
 
-def delta(p: int, t: int, *,
-          max_table_size: int | None = DEFAULT_MAX_TABLE_SIZE) -> Polynomial:
+def delta(p: int, t: int) -> Polynomial:
     """Indicator of x = t as the univariate 1 - (x - t)^(p-1)."""
-    ring = PolyRing(p, 1, max_table_size=max_table_size)
+    ring = PolyRing(p, 1, max_table_size=None)
     ring.field.check(t)
     return 1 - (ring.variable(0) - t) ** (p - 1)
 
 
-def lowpass(p: int, t: int, *,
-            max_table_size: int | None = DEFAULT_MAX_TABLE_SIZE) -> Polynomial:
+def lowpass(p: int, t: int) -> Polynomial:
     """Indicator of x < t (integer ordering); t may run from 0 to p.
 
     The empty sum gives the zero polynomial for t = 0, and t = p yields the
@@ -47,7 +64,7 @@ def lowpass(p: int, t: int, *,
     """
     if not 0 <= t <= p:
         raise ValueError(f"lowpass threshold must lie in [0, {p}], got {t}")
-    ring = PolyRing(p, 1, max_table_size=max_table_size)
+    ring = PolyRing(p, 1, max_table_size=None)
     acc = ring.zero()
     for k in range(t):
         acc = acc + (1 - (ring.variable(0) - k) ** (p - 1))
@@ -57,8 +74,8 @@ def lowpass(p: int, t: int, *,
 @lru_cache(maxsize=None)
 def _piece_rows(p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """Coefficient rows of delta(p, t) for t < p and lowpass(p, t) for t <= p."""
-    deltas = tuple(delta(p, t, max_table_size=None).coeffs for t in range(p))
-    lows = tuple(lowpass(p, t, max_table_size=None).coeffs for t in range(p + 1))
+    deltas = tuple(delta(p, t).coeffs for t in range(p))
+    lows = tuple(lowpass(p, t).coeffs for t in range(p + 1))
     return deltas, lows
 
 
@@ -94,59 +111,54 @@ def _level_indicator(deltas: Sequence[Sequence[Polynomial]],
 
 # -- max and min ---------------------------------------------------------------
 
-def max_general(p: int, n: int, *,
-                max_table_size: int | None = DEFAULT_MAX_TABLE_SIZE) -> Polynomial:
-    """max of n inputs for any prime p: sum over thresholds t >= 1 of the
-    indicator that some input reaches t."""
-    ring = PolyRing(p, n, max_table_size=max_table_size)
-    lows = [_lowpass_list(ring, i) for i in range(n)]
+def max_general(ring: PolyRing) -> Polynomial:
+    """max of the ring's inputs for any prime p: sum over thresholds t >= 1
+    of the indicator that some input reaches t."""
+    lows = [_lowpass_list(ring, i) for i in range(ring.n)]
     acc = ring.zero()
-    for t in range(1, p):
+    for t in range(1, ring.p):
         prod = ring.one()
-        for i in range(n):
-            prod = prod * lows[i][t]
+        for low in lows:
+            prod = prod * low[t]
         acc = acc + (1 - prod)
     return acc
 
 
-def max_p2(n: int, *,
-           max_table_size: int | None = DEFAULT_MAX_TABLE_SIZE) -> Polynomial:
+def max_p2(ring: PolyRing) -> Polynomial:
     """max over F_2: the product of (1 + x_i) minus 1 (an OR gate)."""
-    ring = PolyRing(2, n, max_table_size=max_table_size)
+    _require_ring(ring, "max_p2", p=2)
     prod = ring.one()
-    for i in range(n):
+    for i in range(ring.n):
         prod = prod * (1 + ring.variable(i))
     return prod - 1
 
 
-def min_p2(n: int, *,
-           max_table_size: int | None = DEFAULT_MAX_TABLE_SIZE) -> Polynomial:
+def min_p2(ring: PolyRing) -> Polynomial:
     """min over F_2: the product of all inputs (an AND gate)."""
-    ring = PolyRing(2, n, max_table_size=max_table_size)
+    _require_ring(ring, "min_p2", p=2)
     prod = ring.one()
-    for i in range(n):
+    for i in range(ring.n):
         prod = prod * ring.variable(i)
     return prod
 
 
-def max_p3(n: int, *,
-           max_table_size: int | None = DEFAULT_MAX_TABLE_SIZE) -> Polynomial:
+def max_p3(ring: PolyRing) -> Polynomial:
     """max over F_3 via elementary symmetric polynomials:
     (e_0 + e_2 + e_4 + ...) * (e_0 + ... + e_n) - 1."""
-    ring = PolyRing(3, n, max_table_size=max_table_size)
+    _require_ring(ring, "max_p3", p=3)
     even = ring.zero()
-    for i in range(0, n + 1, 2):
+    for i in range(0, ring.n + 1, 2):
         even = even + ring.elementary_symmetric(i)
     full = ring.zero()
-    for i in range(n + 1):
+    for i in range(ring.n + 1):
         full = full + ring.elementary_symmetric(i)
     return even * full - 1
 
 
-def min_p3(n: int, *,
-           max_table_size: int | None = DEFAULT_MAX_TABLE_SIZE) -> Polynomial:
+def min_p3(ring: PolyRing) -> Polynomial:
     """min over F_3: e_n * (1 + sum_i (-1)^i e_i + e_n)."""
-    ring = PolyRing(3, n, max_table_size=max_table_size)
+    _require_ring(ring, "min_p3", p=3)
+    n = ring.n
     alt = ring.one()
     for i in range(1, n + 1):
         e = ring.elementary_symmetric(i)
@@ -154,17 +166,17 @@ def min_p3(n: int, *,
     return ring.elementary_symmetric(n) * (alt + ring.elementary_symmetric(n))
 
 
-def max_p5_n2(*, max_table_size: int | None = DEFAULT_MAX_TABLE_SIZE) -> Polynomial:
+def max_p5_n2(ring: PolyRing) -> Polynomial:
     """max of two inputs over F_5, in elementary symmetric polynomials."""
-    ring = PolyRing(5, 2, max_table_size=max_table_size)
+    _require_ring(ring, "max_p5_n2", p=5, n=2)
     e1 = ring.elementary_symmetric(1)
     e2 = ring.elementary_symmetric(2)
     return (1 + e1 + e2) * (1 + 2 * e1**2 * e2 + 4 * e1 * e2 + e2) - 1
 
 
-def max_p5_n3(*, max_table_size: int | None = DEFAULT_MAX_TABLE_SIZE) -> Polynomial:
+def max_p5_n3(ring: PolyRing) -> Polynomial:
     """max of three inputs over F_5, in elementary symmetric polynomials."""
-    ring = PolyRing(5, 3, max_table_size=max_table_size)
+    _require_ring(ring, "max_p5_n3", p=5, n=3)
     e1 = ring.elementary_symmetric(1)
     e2 = ring.elementary_symmetric(2)
     e3 = ring.elementary_symmetric(3)
@@ -176,8 +188,7 @@ def max_p5_n3(*, max_table_size: int | None = DEFAULT_MAX_TABLE_SIZE) -> Polynom
 
 # -- argmax digits --------------------------------------------------------------
 
-def argmax_digit_general(p: int, n: int, r: int, *,
-                         max_table_size: int | None = DEFAULT_MAX_TABLE_SIZE) -> Polynomial:
+def argmax_digit_general(ring: PolyRing, r: int) -> Polynomial:
     """Digit r (base p) of the least maximizing index, for any prime p.
 
     Sums, over candidate index i and candidate max value t, the indicator
@@ -186,7 +197,7 @@ def argmax_digit_general(p: int, n: int, r: int, *,
     """
     if r < 0:
         raise FormulaParamError("digit index must be nonnegative")
-    ring = PolyRing(p, n, max_table_size=max_table_size)
+    n = ring.n
     deltas = [_delta_list(ring, i) for i in range(n)]
     lows = [_lowpass_list(ring, i) for i in range(n)]
     acc = ring.zero()
@@ -195,7 +206,7 @@ def argmax_digit_general(p: int, n: int, r: int, *,
         if coeff == 0:
             continue
         inner = ring.zero()
-        for t in range(p):
+        for t in range(ring.p):
             inner = inner + _level_indicator(deltas, lows, t, (i,), range(i))
         acc = acc + inner.scale(coeff)
     return acc
@@ -209,8 +220,7 @@ def _prefix_products_p2(ring: PolyRing) -> list[Polynomial]:
     return prods
 
 
-def argmax_p2(n: int, r: int, *,
-              max_table_size: int | None = DEFAULT_MAX_TABLE_SIZE) -> Polynomial:
+def argmax_p2(ring: PolyRing, r: int) -> Polynomial:
     """Digit r of the least maximizing index over F_2.
 
     A sum of prefix products (1 + x_0)...(1 + x_{m-1}) with m running over
@@ -219,9 +229,10 @@ def argmax_p2(n: int, r: int, *,
     changes the least maximizing index, and truncated factors of padded
     positions are just 1.  Duplicate full-length terms cancel mod 2.
     """
+    _require_ring(ring, "argmax_p2", p=2)
     if r < 0:
         raise FormulaParamError("digit index must be nonnegative")
-    ring = PolyRing(2, n, max_table_size=max_table_size)
+    n = ring.n
     block = 2**r
     k = -(-n // (2 * block)) - 1  # pad to length (2k+2)*2^r
     prefix = _prefix_products_p2(ring)
@@ -231,22 +242,22 @@ def argmax_p2(n: int, r: int, *,
     return acc
 
 
-def argmax_p2_selector(n: int, r: int, *,
-                       max_table_size: int | None = DEFAULT_MAX_TABLE_SIZE) -> Polynomial:
+def argmax_p2_selector(ring: PolyRing, r: int) -> Polynomial:
     """Digit r of the least maximizing index over F_2, inputs x_0..x_n.
 
-    Same function as ``argmax_p2(n + 1, r)`` but assembled from an explicit
-    index set: term i is the prefix product (1 + x_0)...(1 + x_i).  The set
-    collects the index right before each half-period boundary of 2^(r+1),
-    the index right before each full period, and the end of the last
-    relevant period clamped to n.  When 2^r exceeds n the digit is
+    Same function as ``argmax_p2`` on the same ring but assembled from an
+    explicit index set: term i is the prefix product (1 + x_0)...(1 + x_i).
+    The set collects the index right before each half-period boundary of
+    2^(r+1), the index right before each full period, and the end of the
+    last relevant period clamped to n.  When 2^r exceeds n the digit is
     identically zero and the empty sum is returned.
     """
+    _require_ring(ring, "argmax_p2_selector", p=2)
+    n = ring.n - 1  # the index of the last input
     if n < 1:
         raise FormulaParamError("selector form needs at least inputs x_0, x_1")
     if r < 0:
         raise FormulaParamError("digit index must be nonnegative")
-    ring = PolyRing(2, n + 1, max_table_size=max_table_size)
     block = 2**r
     if block > n:
         return ring.zero()
@@ -268,28 +279,29 @@ def argmax_p2_selector(n: int, r: int, *,
     return acc
 
 
-def argmax_p3_n3(*, max_table_size: int | None = DEFAULT_MAX_TABLE_SIZE) -> Polynomial:
+def argmax_p3_n3(ring: PolyRing) -> Polynomial:
     """The least maximizing index of three inputs over F_3 (digit 0)."""
-    ring = PolyRing(3, 3, max_table_size=max_table_size)
+    _require_ring(ring, "argmax_p3_n3", p=3, n=3)
     x0, x1, x2 = ring.variable(0), ring.variable(1), ring.variable(2)
     inner = (x0 * x1**2 * x2 + x1**2 * x2**2 + x1**2 * x2 + 2 * x1 * x2**2
              + x0 * x1 + 2 * x0 * x2 + 2 * x1**2 + x1 * x2 + x2**2)
     return (2 * inner) * (x0 + 1)
 
 
-def argmax_block_recurrence(p: int, n: int, r: int, *,
-                            max_table_size: int | None = DEFAULT_MAX_TABLE_SIZE) -> Polynomial:
+def argmax_block_recurrence(ring: PolyRing, r: int) -> Polynomial:
     """Digit r of argmax as digit 0 of the argmax over blockwise maxima.
 
     Inputs are split into blocks of size p^r (the tail block may be
     shorter, which is the same as zero-padding: appended zeros never become
     the unique maximum and never precede an existing one).  Digit r of the
     least maximizing index is digit 0 of the least maximizing block.
+    The block and head rings are no larger than ``ring``, which already
+    passed the size cap, so they are made uncapped.
     """
     if r < 0:
         raise FormulaParamError("digit index must be nonnegative")
-    ring = PolyRing(p, n, max_table_size=max_table_size)
-    width = p**r
+    n = ring.n
+    width = ring.p**r
     nblocks = -(-n // width)
     block_maxima = []
     for b in range(nblocks):
@@ -298,30 +310,31 @@ def argmax_block_recurrence(p: int, n: int, r: int, *,
         if hi - lo == 1:
             block_maxima.append(ring.variable(lo))
         else:
-            block_max = max_general(p, hi - lo, max_table_size=max_table_size)
+            block_max = max_general(PolyRing(ring.field, hi - lo, max_table_size=None))
             block_maxima.append(
                 block_max.compose([ring.variable(j) for j in range(lo, hi)]))
-    head = argmax_digit_general(p, nblocks, 0, max_table_size=max_table_size)
+    head = argmax_digit_general(PolyRing(ring.field, nblocks, max_table_size=None), 0)
     return head.compose(block_maxima)
 
 
-def argmax_extend_recursive(p: int, r: int, prefix_poly: Polynomial, n: int, *,
-                            max_table_size: int | None = DEFAULT_MAX_TABLE_SIZE) -> Polynomial:
-    """Extend digit r of argmax from n inputs to n + 1.
+def argmax_extend_recursive(ring: PolyRing, r: int, prefix_poly: Polynomial) -> Polynomial:
+    """Extend digit r of argmax from the first ring.n - 1 inputs to all of
+    ``ring``'s inputs.
 
-    With A the indicator that the new input x_n strictly beats the running
-    maximum, the digit becomes prefix * (1 - A) + digit_r(n) * A.
+    With A the indicator that the new last input x_n strictly beats the
+    running maximum, the digit becomes prefix * (1 - A) + digit_r(n) * A.
     """
+    p, n = ring.p, ring.n - 1
     if prefix_poly.ring.p != p or prefix_poly.ring.n != n:
         raise RingMismatchError(
             f"prefix polynomial must live in PolyRing(p={p}, n={n}), "
             f"got {prefix_poly.ring}")
-    argmax0_2var = argmax0_n2(p, max_table_size=max_table_size)
-    max_prefix = max_general(p, n, max_table_size=max_table_size)
-    big = PolyRing(p, n + 1, max_table_size=max_table_size)
-    beats = argmax0_2var.compose([big.embed(max_prefix), big.variable(n)])
-    new_digit = big.field.digit(n, r)
-    return big.embed(prefix_poly) * (1 - beats) + beats.scale(new_digit)
+    # n >= 1 here, so the two-variable ring is no larger than ``ring``
+    argmax0_2var = argmax0_n2(PolyRing(ring.field, 2, max_table_size=None))
+    max_prefix = max_general(prefix_poly.ring)
+    beats = argmax0_2var.compose([ring.embed(max_prefix), ring.variable(n)])
+    new_digit = ring.field.digit(n, r)
+    return ring.embed(prefix_poly) * (1 - beats) + beats.scale(new_digit)
 
 
 # -- two-input forms for any p ---------------------------------------------------
@@ -344,60 +357,54 @@ def _rising(ring: PolyRing, i: int) -> list[Polynomial]:
     return out
 
 
-def carry(p: int, *,
-          max_table_size: int | None = DEFAULT_MAX_TABLE_SIZE) -> Polynomial:
+def _split_sum(ring: PolyRing, head: Sequence[Polynomial], splits: range,
+               weight: Callable[[int], int]) -> Polynomial:
+    """Sum over split points d of weight(d) * head[d] * F[p - d], where F
+    holds the falling factorials of x_1; the terms are added in order of d."""
+    tail = _falling(ring, 1)
+    acc = ring.zero()
+    for d in splits:
+        acc = acc + (head[d] * tail[ring.p - d]).scale(weight(d))
+    return acc
+
+
+def carry(ring: PolyRing) -> Polynomial:
     """Indicator that two single base-p digits sum to p or more.
 
     The expression runs over the split point d: the first input covers at
     least d and the second at least p - d, detected by falling factorials
-    with inverse weights.
+    with inverse weights of alternating sign.
     """
-    ring = PolyRing(p, 2, max_table_size=max_table_size)
-    f0 = _falling(ring, 0)
-    f1 = _falling(ring, 1)
-    acc = ring.zero()
-    for d in range(1, p):
-        coeff = ring.field.inverse(d)
-        if d % 2 == 1:
-            coeff = ring.field.neg(coeff)
-        acc = acc + (f0[d] * f1[p - d]).scale(coeff)
-    return acc
+    _require_ring(ring, "carry", n=2)
+    field = ring.field
+    return _split_sum(ring, _falling(ring, 0), range(1, ring.p),
+                      lambda d: field.neg(field.inverse(d)) if d % 2 else field.inverse(d))
 
 
-def argmax0_n2(p: int, *,
-               max_table_size: int | None = DEFAULT_MAX_TABLE_SIZE) -> Polynomial:
+def argmax0_n2(ring: PolyRing) -> Polynomial:
     """Indicator that the second of two inputs is strictly larger.
 
     This is the carry of the involuted first input with the second: x0 < x1
     exactly when (p-1-x0) + x1 reaches p.  Written directly with rising
     factorials in x0 and falling factorials in x1.
     """
-    ring = PolyRing(p, 2, max_table_size=max_table_size)
-    rising = _rising(ring, 0)
-    f1 = _falling(ring, 1)
-    acc = ring.zero()
-    for d in range(1, p):
-        acc = acc + (rising[d] * f1[p - d]).scale(ring.field.inverse(d))
-    return acc
+    _require_ring(ring, "argmax0_n2", n=2)
+    return _split_sum(ring, _rising(ring, 0), range(1, ring.p), ring.field.inverse)
 
 
-def max_n2(p: int, *,
-           max_table_size: int | None = DEFAULT_MAX_TABLE_SIZE) -> Polynomial:
+def max_n2(ring: PolyRing) -> Polynomial:
     """max of two inputs for p >= 3, folded from the select-by-argmax form.
 
     The endpoint terms of the selection sum collapse (via Wilson's theorem)
     into the two indicator corrections that close the expression:
     x0 + (x0+1)^2 * delta_{p-1}(x1) + delta_0(x0) * x1^2.
     """
+    _require_ring(ring, "max_n2", n=2)
+    p = ring.p
     if p == 2:
-        raise FormulaParamError("two-input max over F_2 is max_p2(2); this form needs p >= 3")
-    ring = PolyRing(p, 2, max_table_size=max_table_size)
+        raise FormulaParamError("two-input max over F_2 is max_p2; this form needs p >= 3")
     x0, x1 = ring.variable(0), ring.variable(1)
-    rising = _rising(ring, 0)
-    f1 = _falling(ring, 1)
-    middle = ring.zero()
-    for d in range(2, p - 1):
-        middle = middle + (rising[d] * f1[p - d]).scale(ring.field.inverse(d))
+    middle = _split_sum(ring, _rising(ring, 0), range(2, p - 1), ring.field.inverse)
     return ((x1 - x0) * middle + x0
             + (x0 + 1) ** 2 * (1 - (x1 + 1) ** (p - 1))
             + (1 - x0 ** (p - 1)) * x1**2)
@@ -405,42 +412,38 @@ def max_n2(p: int, *,
 
 # -- ismax and nummax -------------------------------------------------------------
 
-def ismax_general(p: int, n: int, *,
-                  max_table_size: int | None = DEFAULT_MAX_TABLE_SIZE) -> Polynomial:
-    """Indicator that max(x) equals the extra first input y (arity n + 1).
+def ismax_general(ring: PolyRing) -> Polynomial:
+    """Indicator that max(x) equals the extra first input y.
 
-    Variable 0 is y; variables 1..n are the compared inputs.  For each
+    Variable 0 is y; variables 1.. are the compared inputs.  For each
     candidate value t there is exactly one index where the first maximum
     can sit, so the inner sum is itself an indicator.
     """
-    ring = PolyRing(p, n + 1, max_table_size=max_table_size)
     d_y = _delta_list(ring, 0)
-    d_x = [_delta_list(ring, i + 1) for i in range(n)]
-    l_x = [_lowpass_list(ring, i + 1) for i in range(n)]
+    d_x = [_delta_list(ring, i) for i in range(1, ring.n)]
+    l_x = [_lowpass_list(ring, i) for i in range(1, ring.n)]
     acc = ring.zero()
-    for t in range(p):
+    for t in range(ring.p):
         inner = ring.zero()
-        for i in range(n):
+        for i in range(len(d_x)):
             inner = inner + _level_indicator(d_x, l_x, t, (i,), range(i))
         acc = acc + d_y[t] * inner
     return acc
 
 
-def nummax0_general(p: int, n: int, *,
-                    max_table_size: int | None = DEFAULT_MAX_TABLE_SIZE) -> Polynomial:
+def nummax0_general(ring: PolyRing) -> Polynomial:
     """The number of maximizing indices, reduced mod p (its lowest digit)."""
-    ring = PolyRing(p, n, max_table_size=max_table_size)
+    n = ring.n
     deltas = [_delta_list(ring, i) for i in range(n)]
     lows = [_lowpass_list(ring, i) for i in range(n)]
     acc = ring.zero()
     for i in range(n):
-        for t in range(p):
+        for t in range(ring.p):
             acc = acc + _level_indicator(deltas, lows, t, (i,), ())
     return acc
 
 
-def nummax_digit_subsets(p: int, n: int, r: int, *,
-                         max_table_size: int | None = DEFAULT_MAX_TABLE_SIZE) -> Polynomial:
+def nummax_digit_subsets(ring: PolyRing, r: int) -> Polynomial:
     """Digit r of the number of maximizing indices, by subset enumeration.
 
     For each count k with a nonzero digit, sums over all k-element index
@@ -449,7 +452,7 @@ def nummax_digit_subsets(p: int, n: int, r: int, *,
     """
     if r < 0:
         raise FormulaParamError("digit index must be nonnegative")
-    ring = PolyRing(p, n, max_table_size=max_table_size)
+    n = ring.n
     deltas = [_delta_list(ring, i) for i in range(n)]
     lows = [_lowpass_list(ring, i) for i in range(n)]
     acc = ring.zero()
@@ -459,47 +462,45 @@ def nummax_digit_subsets(p: int, n: int, r: int, *,
             continue
         inner = ring.zero()
         for subset in combinations(range(n), k):
-            for t in range(p):
+            for t in range(ring.p):
                 inner = inner + _level_indicator(deltas, lows, t, subset, range(n))
         acc = acc + inner.scale(coeff)
     return acc
 
 
-def ismax_p2(n: int, *,
-             max_table_size: int | None = DEFAULT_MAX_TABLE_SIZE) -> Polynomial:
-    """ismax over F_2: y + (1 + x_0)...(1 + x_{n-1}), arity n + 1."""
-    ring = PolyRing(2, n + 1, max_table_size=max_table_size)
+def ismax_p2(ring: PolyRing) -> Polynomial:
+    """ismax over F_2, y first: y + (1 + x_0)...(1 + x_{n-1})."""
+    _require_ring(ring, "ismax_p2", p=2)
     prod = ring.one()
-    for i in range(n):
-        prod = prod * (1 + ring.variable(i + 1))
+    for i in range(1, ring.n):
+        prod = prod * (1 + ring.variable(i))
     return ring.variable(0) + prod
 
 
-def ismax_p3(n: int, *,
-             max_table_size: int | None = DEFAULT_MAX_TABLE_SIZE) -> Polynomial:
-    """ismax over F_3, arity n + 1 with y first:
+def ismax_p3(ring: PolyRing) -> Polynomial:
+    """ismax over F_3, y first:
     -y^2 + y * (prod (1+x_i)^2 + prod (1-x_i^2) + 1) + prod (1-x_i^2)."""
-    ring = PolyRing(3, n + 1, max_table_size=max_table_size)
+    _require_ring(ring, "ismax_p3", p=3)
     y = ring.variable(0)
     sq = ring.one()
     zero_ind = ring.one()
-    for i in range(n):
-        x = ring.variable(i + 1)
+    for i in range(1, ring.n):
+        x = ring.variable(i)
         sq = sq * (1 + x) ** 2
         zero_ind = zero_ind * (1 - x**2)
     return -(y**2) + y * (sq + zero_ind + 1) + zero_ind
 
 
-def nummax_p2(n: int, r: int, *,
-              max_table_size: int | None = DEFAULT_MAX_TABLE_SIZE) -> Polynomial:
+def nummax_p2(ring: PolyRing, r: int) -> Polynomial:
     """Digit r of the number of maximizing indices over F_2.
 
     e_{2^r} picks up digit r of the popcount when some input is 1; the
     all-zero case is patched by digit_r(n) times the all-zero indicator.
     """
+    _require_ring(ring, "nummax_p2", p=2)
     if r < 0:
         raise FormulaParamError("digit index must be nonnegative")
-    ring = PolyRing(2, n, max_table_size=max_table_size)
+    n = ring.n
     idx = 2**r
     acc = ring.elementary_symmetric(idx) if idx <= n else ring.zero()
     nd = ring.field.digit(n, r)
@@ -511,22 +512,21 @@ def nummax_p2(n: int, r: int, *,
     return acc
 
 
-def ismax_2bit_p2(n: int, *,
-                  max_table_size: int | None = DEFAULT_MAX_TABLE_SIZE) -> Polynomial:
+def ismax_2bit_p2(ring: PolyRing) -> Polynomial:
     """Two-bit ismax over F_2: does max of n two-bit values equal y?
 
-    Arity 2n + 2 with variable order (y_1, y_0, x_{0,1}, x_{0,0}, ...):
-    the candidate's high bit, then low bit, then each input's high bit
-    before its low bit.
+    The variables come in bit pairs, ordered (y_1, y_0, x_{0,1}, x_{0,0},
+    ...): the candidate's high bit, then low bit, then each input's high
+    bit before its low bit.
     """
-    ring = PolyRing(2, 2 * n + 2, max_table_size=max_table_size)
+    _require_ring(ring, "ismax_2bit_p2", p=2, paired=True)
     y1, y0 = ring.variable(0), ring.variable(1)
     both = ring.one()     # no input has high and low set
     high = ring.one()     # no input has its high bit set
     all_zero = ring.one() # every bit of every input is zero
-    for i in range(n):
-        hi = ring.variable(2 + 2 * i)
-        lo = ring.variable(3 + 2 * i)
+    for i in range(2, ring.n, 2):
+        hi = ring.variable(i)
+        lo = ring.variable(i + 1)
         both = both * (1 + hi * lo)
         high = high * (1 + hi)
         all_zero = all_zero * (1 + hi) * (1 + lo)
@@ -562,7 +562,7 @@ class CatalogEntry:
     allowed_n: tuple[int, ...] | None
     uses_r: bool
     min_p: int
-    build: Callable[..., Polynomial]          # (p, n, r, max_table_size)
+    build: Callable[[PolyRing, int], Polynomial]
     spec_of: Callable[[int, int, int], FunctionSpec]
     verify_grid: tuple[tuple[int, int, int], ...]
 
@@ -615,125 +615,124 @@ CATALOG: dict[str, CatalogEntry] = {e.name: e for e in [
     _entry("max",
            "largest of n inputs; threshold-indicator sum",
            "any supported prime p; n >= 1",
-           lambda p, n, r, mts: max_general(p, n, max_table_size=mts),
+           lambda ring, r: max_general(ring),
            lambda p, n, r: FunctionSpec("max", p, n),
            verify_grid=_grid((2, 3), (1, 2, 3))),
     _entry("max2",
            "largest of n bits: prod(1 + x_i) - 1",
            "p = 2; n >= 1",
-           lambda p, n, r, mts: max_p2(n, max_table_size=mts),
+           lambda ring, r: max_p2(ring),
            lambda p, n, r: FunctionSpec("max", 2, n),
            fixed_p=2, verify_grid=_grid((2,), range(1, 7))),
     _entry("min2",
            "smallest of n bits: prod(x_i)",
            "p = 2; n >= 1",
-           lambda p, n, r, mts: min_p2(n, max_table_size=mts),
+           lambda ring, r: min_p2(ring),
            lambda p, n, r: FunctionSpec("min", 2, n),
            fixed_p=2, verify_grid=_grid((2,), range(1, 7))),
     _entry("max3",
            "largest of n inputs via elementary symmetric polynomials",
            "p = 3; n >= 1",
-           lambda p, n, r, mts: max_p3(n, max_table_size=mts),
+           lambda ring, r: max_p3(ring),
            lambda p, n, r: FunctionSpec("max", 3, n),
            fixed_p=3, verify_grid=_grid((3,), range(1, 5))),
     _entry("min3",
            "smallest of n inputs via elementary symmetric polynomials",
            "p = 3; n >= 1",
-           lambda p, n, r, mts: min_p3(n, max_table_size=mts),
+           lambda ring, r: min_p3(ring),
            lambda p, n, r: FunctionSpec("min", 3, n),
            fixed_p=3, verify_grid=_grid((3,), range(1, 5))),
     _entry("max5",
            "largest of 2 or 3 inputs via elementary symmetric polynomials",
            "p = 5; n in {2, 3}",
-           lambda p, n, r, mts: (max_p5_n2(max_table_size=mts) if n == 2
-                                 else max_p5_n3(max_table_size=mts)),
+           lambda ring, r: (max_p5_n2 if ring.n == 2 else max_p5_n3)(ring),
            lambda p, n, r: FunctionSpec("max", 5, n),
            fixed_p=5, allowed_n=(2, 3), verify_grid=_grid((5,), (2, 3))),
     _entry("maxn2",
            "largest of two inputs, closed form in falling factorials",
            "any prime p >= 3; n = 2",
-           lambda p, n, r, mts: max_n2(p, max_table_size=mts),
+           lambda ring, r: max_n2(ring),
            lambda p, n, r: FunctionSpec("max", p, 2),
            fixed_n=2, min_p=3, verify_grid=_grid((3, 5, 7), (2,))),
     _entry("argmax",
            "digit r of the least maximizing index; indicator sum",
            "any supported prime p; n >= 1; r >= 0",
-           lambda p, n, r, mts: argmax_digit_general(p, n, r, max_table_size=mts),
+           argmax_digit_general,
            lambda p, n, r: FunctionSpec("argmax_digit", p, n, r),
            uses_r=True, verify_grid=_grid((2, 3), (1, 2, 3), (0, 1))),
     _entry("argmax2",
            "digit r of the least maximizing index via prefix products",
            "p = 2; n >= 1; r >= 0",
-           lambda p, n, r, mts: argmax_p2(n, r, max_table_size=mts),
+           argmax_p2,
            lambda p, n, r: FunctionSpec("argmax_digit", 2, n, r),
            fixed_p=2, uses_r=True, verify_grid=_grid((2,), range(1, 9), (0, 1, 2))),
     _entry("argmax2sel",
            "digit r of the least maximizing index of x_0..x_n via an "
            "explicit prefix-product index set",
            "p = 2; inputs x_0..x_n (arity n + 1); r >= 0",
-           lambda p, n, r, mts: argmax_p2_selector(n, r, max_table_size=mts),
+           argmax_p2_selector,
            lambda p, n, r: FunctionSpec("argmax_digit", 2, n + 1, r),
            fixed_p=2, uses_r=True, verify_grid=_grid((2,), range(1, 8), (0, 1, 2))),
     _entry("argmax3n3",
            "least maximizing index of three inputs, compact factored form",
            "p = 3; n = 3",
-           lambda p, n, r, mts: argmax_p3_n3(max_table_size=mts),
+           lambda ring, r: argmax_p3_n3(ring),
            lambda p, n, r: FunctionSpec("argmax_digit", 3, 3, 0),
            fixed_p=3, fixed_n=3, verify_grid=[(3, 3, 0)]),
     _entry("argmax0",
            "lowest digit of the least maximizing index (n = 2 uses the "
            "dedicated two-input closed form)",
            "any supported prime p; n >= 1",
-           lambda p, n, r, mts: (argmax0_n2(p, max_table_size=mts) if n == 2
-                                 else argmax_digit_general(p, n, 0, max_table_size=mts)),
+           lambda ring, r: (argmax0_n2(ring) if ring.n == 2
+                            else argmax_digit_general(ring, 0)),
            lambda p, n, r: FunctionSpec("argmax_digit", p, n, 0),
            verify_grid=_grid((2, 3, 5, 7), (2,)) + _grid((2, 3), (3,))),
     _entry("carry",
            "carry of adding two single base-p digits",
            "any supported prime p; inputs are the two digits (n = 2)",
-           lambda p, n, r, mts: carry(p, max_table_size=mts),
+           lambda ring, r: carry(ring),
            lambda p, n, r: FunctionSpec("carry", p, 2),
            fixed_n=2, verify_grid=_grid((2, 3, 5, 7, 11), (2,))),
     _entry("ismax",
            "indicator that max of the n inputs equals the extra input y",
            "any supported prime p; arity n + 1 (y first)",
-           lambda p, n, r, mts: ismax_general(p, n, max_table_size=mts),
+           lambda ring, r: ismax_general(ring),
            lambda p, n, r: FunctionSpec("ismax", p, n),
            verify_grid=_grid((2, 3), (1, 2))),
     _entry("ismax2",
            "ismax over F_2: y + prod(1 + x_i); arity n + 1",
            "p = 2; arity n + 1 (y first)",
-           lambda p, n, r, mts: ismax_p2(n, max_table_size=mts),
+           lambda ring, r: ismax_p2(ring),
            lambda p, n, r: FunctionSpec("ismax", 2, n),
            fixed_p=2, verify_grid=_grid((2,), range(1, 7))),
     _entry("ismax3",
            "ismax over F_3 in squared-product indicators; arity n + 1",
            "p = 3; arity n + 1 (y first)",
-           lambda p, n, r, mts: ismax_p3(n, max_table_size=mts),
+           lambda ring, r: ismax_p3(ring),
            lambda p, n, r: FunctionSpec("ismax", 3, n),
            fixed_p=3, verify_grid=_grid((3,), range(1, 4))),
     _entry("nummax0",
            "number of maximizing indices, mod p",
            "any supported prime p; n >= 1",
-           lambda p, n, r, mts: nummax0_general(p, n, max_table_size=mts),
+           lambda ring, r: nummax0_general(ring),
            lambda p, n, r: FunctionSpec("nummax_digit", p, n, 0),
            verify_grid=_grid((2, 3), (1, 2, 3))),
     _entry("nummax",
            "digit r of the number of maximizing indices, subset sum",
            "any supported prime p; n >= 1; r >= 0",
-           lambda p, n, r, mts: nummax_digit_subsets(p, n, r, max_table_size=mts),
+           nummax_digit_subsets,
            lambda p, n, r: FunctionSpec("nummax_digit", p, n, r),
            uses_r=True, verify_grid=_grid((2, 3), (1, 2, 3), (0, 1))),
     _entry("nummax2",
            "digit r of the number of maximizing indices over F_2",
            "p = 2; n >= 1; r >= 0",
-           lambda p, n, r, mts: nummax_p2(n, r, max_table_size=mts),
+           nummax_p2,
            lambda p, n, r: FunctionSpec("nummax_digit", 2, n, r),
            fixed_p=2, uses_r=True, verify_grid=_grid((2,), range(1, 7), (0, 1, 2))),
     _entry("ismax2bit",
            "two-bit ismax over F_2; arity 2n + 2, order (y1, y0, x_i1, x_i0, ...)",
            "p = 2; n two-bit inputs plus the two-bit candidate y",
-           lambda p, n, r, mts: ismax_2bit_p2(n, max_table_size=mts),
+           lambda ring, r: ismax_2bit_p2(ring),
            lambda p, n, r: FunctionSpec("ismax_2bit", 2, n),
            fixed_p=2, verify_grid=_grid((2,), (1, 2, 3))),
 ]}
@@ -753,9 +752,14 @@ def resolve_params(name: str, p: int | None = None, n: int | None = None,
 def build_formula(name: str, p: int | None = None, n: int | None = None,
                   r: int | None = None, *,
                   max_table_size: int | None = DEFAULT_MAX_TABLE_SIZE) -> Polynomial:
-    """Build a catalog formula by name, validating its parameters first."""
+    """Build a catalog formula by name, validating its parameters first.
+
+    This is the one place a catalog formula's ring is made: modulus p and
+    the arity of the formula's semantics, under the table-size cap.
+    """
     entry, p, n, r = resolve_params(name, p, n, r)
-    return entry.build(p, n, r, max_table_size)
+    ring = PolyRing(p, entry.spec_of(p, n, r).arity, max_table_size=max_table_size)
+    return entry.build(ring, r)
 
 
 def first_mismatch(a: Sequence[int], b: Sequence[int]) -> int | None:
@@ -787,7 +791,8 @@ def verify_formula(name: str, p: int | None = None, n: int | None = None,
     form; it must live in the ring the formula's semantics need.
     """
     entry, p, n, r = resolve_params(name, p, n, r)
-    poly = entry.build(p, n, r, max_table_size) if candidate is None else candidate
+    poly = (build_formula(name, p, n, r, max_table_size=max_table_size)
+            if candidate is None else candidate)
     spec = entry.spec_of(p, n, r)
     table = tabulate(spec, max_table_size=max_table_size)
     reference = interpolate(table, max_table_size=max_table_size)

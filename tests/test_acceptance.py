@@ -42,55 +42,58 @@ def _suite1_instances():
 
     for p in (2, 3, 5):
         for n in range(1, 5):
-            add(f"max_general p={p} n={n}", max_general(p, n), FunctionSpec("max", p, n))
+            add(f"max_general p={p} n={n}", max_general(PolyRing(p, n)),
+                FunctionSpec("max", p, n))
     for n in range(1, 11):
-        add(f"max_p2 n={n}", max_p2(n), FunctionSpec("max", 2, n))
-        add(f"min_p2 n={n}", min_p2(n), FunctionSpec("min", 2, n))
+        add(f"max_p2 n={n}", max_p2(PolyRing(2, n)), FunctionSpec("max", 2, n))
+        add(f"min_p2 n={n}", min_p2(PolyRing(2, n)), FunctionSpec("min", 2, n))
     for n in range(1, 7):
-        add(f"max_p3 n={n}", max_p3(n), FunctionSpec("max", 3, n))
-        add(f"min_p3 n={n}", min_p3(n), FunctionSpec("min", 3, n))
-    add("max_p5_n2", max_p5_n2(), FunctionSpec("max", 5, 2))
-    add("max_p5_n3", max_p5_n3(), FunctionSpec("max", 5, 3))
+        add(f"max_p3 n={n}", max_p3(PolyRing(3, n)), FunctionSpec("max", 3, n))
+        add(f"min_p3 n={n}", min_p3(PolyRing(3, n)), FunctionSpec("min", 3, n))
+    add("max_p5_n2", max_p5_n2(PolyRing(5, 2)), FunctionSpec("max", 5, 2))
+    add("max_p5_n3", max_p5_n3(PolyRing(5, 3)), FunctionSpec("max", 5, 3))
     for p in (2, 3):
         for n in range(1, 5):
             for r in (0, 1):
                 add(f"argmax_digit_general p={p} n={n} r={r}",
-                    argmax_digit_general(p, n, r),
+                    argmax_digit_general(PolyRing(p, n), r),
                     FunctionSpec("argmax_digit", p, n, r))
     for n in range(1, 13):
         for r in range(4):
-            add(f"argmax_p2 n={n} r={r}", argmax_p2(n, r),
+            add(f"argmax_p2 n={n} r={r}", argmax_p2(PolyRing(2, n), r),
                 FunctionSpec("argmax_digit", 2, n, r))
     for n in range(1, 13):
         for r in range(4):
-            add(f"argmax_p2_selector n={n} r={r}", argmax_p2_selector(n, r),
+            add(f"argmax_p2_selector n={n} r={r}", argmax_p2_selector(PolyRing(2, n + 1), r),
                 FunctionSpec("argmax_digit", 2, n + 1, r))
-    add("argmax_p3_n3", argmax_p3_n3(), FunctionSpec("argmax_digit", 3, 3, 0))
+    add("argmax_p3_n3", argmax_p3_n3(PolyRing(3, 3)), FunctionSpec("argmax_digit", 3, 3, 0))
     for p in (2, 3, 5, 7, 11):
-        add(f"carry p={p}", carry(p), FunctionSpec("carry", p, 2))
-        add(f"argmax0_n2 p={p}", argmax0_n2(p), FunctionSpec("argmax_digit", p, 2, 0))
+        add(f"carry p={p}", carry(PolyRing(p, 2)), FunctionSpec("carry", p, 2))
+        add(f"argmax0_n2 p={p}", argmax0_n2(PolyRing(p, 2)),
+            FunctionSpec("argmax_digit", p, 2, 0))
     for p in (3, 5, 7, 11, 13):
-        add(f"max_n2 p={p}", max_n2(p), FunctionSpec("max", p, 2))
+        add(f"max_n2 p={p}", max_n2(PolyRing(p, 2)), FunctionSpec("max", p, 2))
     for p in (2, 3):
         for n in range(1, 4):
-            add(f"ismax_general p={p} n={n}", ismax_general(p, n),
+            add(f"ismax_general p={p} n={n}", ismax_general(PolyRing(p, n + 1)),
                 FunctionSpec("ismax", p, n))
-            add(f"nummax0_general p={p} n={n}", nummax0_general(p, n),
+            add(f"nummax0_general p={p} n={n}", nummax0_general(PolyRing(p, n)),
                 FunctionSpec("nummax_digit", p, n, 0))
             for r in (0, 1):
                 add(f"nummax_digit_subsets p={p} n={n} r={r}",
-                    nummax_digit_subsets(p, n, r),
+                    nummax_digit_subsets(PolyRing(p, n), r),
                     FunctionSpec("nummax_digit", p, n, r))
     for n in range(1, 11):
-        add(f"ismax_p2 n={n}", ismax_p2(n), FunctionSpec("ismax", 2, n))
+        add(f"ismax_p2 n={n}", ismax_p2(PolyRing(2, n + 1)), FunctionSpec("ismax", 2, n))
     for n in range(1, 6):
-        add(f"ismax_p3 n={n}", ismax_p3(n), FunctionSpec("ismax", 3, n))
+        add(f"ismax_p3 n={n}", ismax_p3(PolyRing(3, n + 1)), FunctionSpec("ismax", 3, n))
     for n in range(1, 11):
         for r in range(4):
-            add(f"nummax_p2 n={n} r={r}", nummax_p2(n, r),
+            add(f"nummax_p2 n={n} r={r}", nummax_p2(PolyRing(2, n), r),
                 FunctionSpec("nummax_digit", 2, n, r))
     for n in range(1, 7):
-        add(f"ismax_2bit_p2 n={n}", ismax_2bit_p2(n), FunctionSpec("ismax_2bit", 2, n))
+        add(f"ismax_2bit_p2 n={n}", ismax_2bit_p2(PolyRing(2, 2 * n + 2)),
+            FunctionSpec("ismax_2bit", 2, n))
 
     return items
 
@@ -129,7 +132,7 @@ def test_criterion_1_flagship_minimality(suite1):
         if poly != interpolate(table):
             failures.append(label)
     for p, printed in _printed_argmax0_forms().items():
-        if argmax0_n2(p) != printed:
+        if argmax0_n2(PolyRing(p, 2)) != printed:
             failures.append(f"argmax0_n2 printed form p={p}")
     elapsed = time.perf_counter() - start
     ok = not failures and elapsed < 60.0
@@ -143,31 +146,31 @@ def test_criterion_2_cross_identities():
     failures = []
 
     for p in (2, 3, 5, 7, 11):
-        c = carry(p)
+        c = carry(PolyRing(p, 2))
         ring = c.ring
         conj = c.compose([(p - 1) - ring.variable(0), ring.variable(1)])
-        if conj != argmax0_n2(p):
+        if conj != argmax0_n2(PolyRing(p, 2)):
             failures.append(f"carry/argmax0 relation p={p}")
 
     for p in (3, 5, 7, 11, 13):
-        A = argmax0_n2(p)
+        A = argmax0_n2(PolyRing(p, 2))
         ring = A.ring
         x0, x1 = ring.variable(0), ring.variable(1)
-        if x0 * (1 - A) + x1 * A != max_n2(p):
+        if x0 * (1 - A) + x1 * A != max_n2(PolyRing(p, 2)):
             failures.append(f"select-by-argmax max p={p}")
 
     for n in range(1, 11):
-        if involution_conjugate(max_p2(n)) != min_p2(n):
+        if involution_conjugate(max_p2(PolyRing(2, n))) != min_p2(PolyRing(2, n)):
             failures.append(f"p2 duality n={n}")
     for n in range(1, 7):
-        if involution_conjugate(max_p3(n)) != min_p3(n):
+        if involution_conjugate(max_p3(PolyRing(3, n))) != min_p3(PolyRing(3, n)):
             failures.append(f"p3 duality n={n}")
 
     checks = 0
     for n in range(1, 7):
         for r in range(3):
             direct = tabulate(FunctionSpec("argmax_digit", 2, n, r)).values
-            if argmax_block_recurrence(2, n, r).values() != direct:
+            if argmax_block_recurrence(PolyRing(2, n), r).values() != direct:
                 failures.append(f"block recurrence p=2 n={n} r={r}")
             checks += 1
     for r in range(3):
@@ -177,11 +180,12 @@ def test_criterion_2_cross_identities():
             if current.values() != direct:
                 failures.append(f"extension recurrence p=2 n={n} r={r}")
             if n < 6:
-                current = argmax_extend_recursive(2, r, current, n)
+                current = argmax_extend_recursive(PolyRing(2, n + 1), r, current)
             checks += 1
-    if argmax_block_recurrence(3, 3, 0) != argmax_p3_n3():
+    if argmax_block_recurrence(PolyRing(3, 3), 0) != argmax_p3_n3(PolyRing(3, 3)):
         failures.append("block recurrence p=3 n=3")
-    if argmax_extend_recursive(3, 0, argmax0_n2(3), 2) != argmax_p3_n3():
+    if (argmax_extend_recursive(PolyRing(3, 3), 0, argmax0_n2(PolyRing(3, 2)))
+            != argmax_p3_n3(PolyRing(3, 3))):
         failures.append("extension recurrence p=3 n=3")
 
     _report(2, not failures, f"cross identities incl. {checks} recurrence checks")
@@ -218,7 +222,7 @@ def test_criterion_4_compiler_preservation(suite1, tmp_path):
                 failures.append(f"{label} [{strategy} cse regressed cost]")
 
     # spot-check the single-point evaluator against the vectorized one
-    sample = argmax_p3_n3()
+    sample = argmax_p3_n3(PolyRing(3, 3))
     circ = lower(sample, "nested_horner")
     vals = run_all(circ)
     for idx in (0, 13, 26):
@@ -248,9 +252,9 @@ def test_criterion_5_cost_regression_anchors():
     """Frozen mul_count/mul_depth anchors for three lowered formulas."""
     goldens = json.loads(GOLDEN_PATH.read_text())
     current = {}
-    for label, poly in (("max_p2_8", max_p2(8)),
-                        ("argmax_p3_n3", argmax_p3_n3()),
-                        ("max_n2_7", max_n2(7))):
+    for label, poly in (("max_p2_8", max_p2(PolyRing(2, 8))),
+                        ("argmax_p3_n3", argmax_p3_n3(PolyRing(3, 3))),
+                        ("max_n2_7", max_n2(PolyRing(7, 2)))):
         circ = eliminate_common_subexpressions(lower(poly, "nested_horner"))
         rep = cost(circ)
         current[label] = {"mul_count": rep.mul_count, "mul_depth": rep.mul_depth}

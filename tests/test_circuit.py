@@ -61,13 +61,13 @@ class TestLowering:
                     assert run(circ, point) == f.eval(point), (strategy, point)
 
     def test_horner_agrees_on_max_p3(self):
-        f = max_p3(3)
+        f = max_p3(PolyRing(3, 3))
         circ = lower(f, "nested_horner")
         for point in itertools.product(range(3), repeat=3):
             assert run(circ, point) == f.eval(point)
 
     def test_carry_circuit_value(self):
-        circ = lower(carry(5))
+        circ = lower(carry(PolyRing(5, 2)))
         assert run(circ, (4, 4)) == 1
         assert run(circ, (0, 4)) == 0
 
@@ -85,7 +85,7 @@ class TestLowering:
 
 class TestRunAll:
     def test_matches_pointwise_run_p2(self):
-        f = argmax_p2(5, 1)
+        f = argmax_p2(PolyRing(2, 5), 1)
         for strategy in STRATEGIES:
             circ = lower(f, strategy)
             vals = run_all(circ)
@@ -102,7 +102,7 @@ class TestRunAll:
             assert vals[idx] == run(circ, point_at(3, 3, idx))
 
     def test_agrees_with_polynomial_values(self):
-        f = max_p3(4)
+        f = max_p3(PolyRing(3, 4))
         for strategy in STRATEGIES:
             assert run_all(lower(f, strategy)) == f.values()
 
@@ -133,7 +133,7 @@ class TestCSE:
         assert run(shared, (1, 0, 1)) == run(circ, (1, 0, 1))
 
     def test_idempotent(self):
-        circ = lower(max_p3(3), "naive_monomial")
+        circ = lower(max_p3(PolyRing(3, 3)), "naive_monomial")
         once = eliminate_common_subexpressions(circ)
         assert eliminate_common_subexpressions(once) == once
 
@@ -146,13 +146,13 @@ class TestCSE:
         assert sum(1 for g in shared.gates if g[0] == "mul") == 1
 
     def test_argmax_p2_n8_post_cse_still_correct(self):
-        f = argmax_p2(8, 0)
+        f = argmax_p2(PolyRing(2, 8), 0)
         circ = eliminate_common_subexpressions(lower(f, "naive_monomial"))
         assert run_all(circ) == f.values()
 
     def test_never_increases_any_cost_field(self):
         rng = random.Random(23)
-        samples = [max_p3(4), argmax_p2(6, 1), carry(7),
+        samples = [max_p3(PolyRing(3, 4)), argmax_p2(PolyRing(2, 6), 1), carry(PolyRing(7, 2)),
                    random_poly(PolyRing(3, 3), rng)]
         for f in samples:
             for strategy in STRATEGIES:
@@ -184,7 +184,8 @@ class TestCost:
                 else cost(circ).mul_depth == 0
 
     def test_depth_cross_check_second_implementation(self):
-        for f in (max_p3(4), argmax_p3_n3(), max_n2(7), argmax_p2(8, 0)):
+        for f in (max_p3(PolyRing(3, 4)), argmax_p3_n3(PolyRing(3, 3)), max_n2(PolyRing(7, 2)),
+                  argmax_p2(PolyRing(2, 8), 0)):
             for strategy in STRATEGIES:
                 circ = lower(f, strategy)
                 assert cost(circ).mul_depth == longest_mul_path(circ)
@@ -192,7 +193,7 @@ class TestCost:
                 assert cost(shared).mul_depth == longest_mul_path(shared)
 
     def test_depth_bounded_by_mul_count(self):
-        for f in (max_p3(3), carry(11), max_n2(13)):
+        for f in (max_p3(PolyRing(3, 3)), carry(PolyRing(11, 2)), max_n2(PolyRing(13, 2))):
             report = cost(lower(f))
             if report.mul_count > 0:
                 assert report.mul_depth <= report.mul_count
@@ -200,8 +201,9 @@ class TestCost:
     def test_horner_depth_bound(self):
         # depth <= sum_i ceil(log2(deg_i + 1)) + ceil(log2 n) for the
         # variable-by-variable strategy (a sanity bound, not tightness)
-        samples = [max_p3(4), max_n2(5), max_n2(13), argmax_p3_n3(),
-                   argmax_p2(8, 0), carry(11)]
+        samples = [max_p3(PolyRing(3, 4)), max_n2(PolyRing(5, 2)), max_n2(PolyRing(13, 2)),
+                   argmax_p3_n3(PolyRing(3, 3)), argmax_p2(PolyRing(2, 8), 0),
+                   carry(PolyRing(11, 2))]
         for f in samples:
             degs = f.max_degree_per_variable()
             bound = sum(math.ceil(math.log2(d + 1)) for d in degs if d)
@@ -266,7 +268,7 @@ class TestCircuitStructure:
             Circuit.from_json(text)
 
     def test_json_round_trip(self):
-        circ = lower(max_p3(3), "nested_horner")
+        circ = lower(max_p3(PolyRing(3, 3)), "nested_horner")
         assert Circuit.from_json(circ.to_json()) == circ
         assert Circuit.from_json(circ.to_json()).to_json() == circ.to_json()
 
@@ -293,7 +295,7 @@ class TestCircuitStructure:
             Circuit.from_dict(record)
 
     def test_from_dict_rejects_unknown_record_keys(self):
-        circ = lower(max_p3(2), "nested_horner")
+        circ = lower(max_p3(PolyRing(3, 2)), "nested_horner")
         record = circ.to_dict()
         assert Circuit.from_dict(record) == circ
         with pytest.raises(ValueError, match="keys p, inputs, gates and output"):

@@ -160,6 +160,18 @@ class TestVerify:
             assert captured.err == ("fpminpoly: error: verify takes --all or --file, "
                                     "not both\n")
 
+    @pytest.mark.parametrize("flags", [("--table", "table.json"),
+                                       ("--form", "interpolated"), ("--form", "closed")])
+    def test_refuses_gen_source_flags(self, flags, capsys):
+        # verify always checks the closed form against interpolation
+        with pytest.raises(SystemExit) as info:
+            run_cli("verify", "--func", "max", "--p", "3", "--n", "2", *flags)
+        assert info.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: fpminpoly")
+        assert "error:" in captured.err and flags[1] in captured.err
+
     def test_file_from_wrong_ring_is_a_usage_error(self, tmp_path, capsys):
         poly = tmp_path / "max33.json"
         run_cli("gen", "--func", "max", "--p", "3", "--n", "3", "--out", str(poly))
@@ -219,6 +231,18 @@ class TestEval:
                            "--point", "1,2,0", "--circuit",
                            "--strategy", strategy, "--cse") == EXIT_OK
             assert capsys.readouterr().out.strip() == "2"
+
+    @pytest.mark.parametrize("flags, named", [
+        (("--strategy", "naive_monomial"), "--strategy"),
+        (("--strategy", "nested_horner"), "--strategy"),
+        (("--cse",), "--cse"),
+        (("--strategy", "naive_monomial", "--cse"), "--strategy and --cse")])
+    def test_circuit_flags_need_circuit(self, flags, named, capsys):
+        assert run_cli("eval", "--func", "max3", "--n", "2", "--point", "2,0",
+                       *flags) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"fpminpoly: error: eval uses {named} only with --circuit\n"
 
     def test_circuit_disagreement_is_a_mismatch(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "run", lambda circuit, point: 1)

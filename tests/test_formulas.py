@@ -15,7 +15,7 @@ from fpminpoly.formulas import (CATALOG, FormulaParamError, argmax0_n2,
                                 verify_formula)
 from fpminpoly.oracle import (FunctionSpec, TruthTable, carry_sem, interpolate,
                               point_at, tabulate)
-from fpminpoly.polyring import PolyRing, RingMismatchError
+from fpminpoly.polyring import PolyRing, RingMismatchError, SizeGuardError
 
 
 def reference(kind, p, n, r=0):
@@ -58,39 +58,39 @@ class TestDeltaLowpass:
 
 class TestMaxFamily:
     def test_max_general_matches_interpolation(self):
-        assert max_general(3, 3) == reference("max", 3, 3)
+        assert max_general(PolyRing(3, 3)) == reference("max", 3, 3)
 
     def test_max_general_p2_n2_printed_form(self):
         ring = PolyRing(2, 2)
         x0, x1 = ring.variable(0), ring.variable(1)
-        assert max_general(2, 2) == x0 + x1 + x0 * x1
+        assert max_general(PolyRing(2, 2)) == x0 + x1 + x0 * x1
 
     def test_max_general_at_zero(self):
-        assert max_general(5, 3).eval((0, 0, 0)) == 0
+        assert max_general(PolyRing(5, 3)).eval((0, 0, 0)) == 0
 
     def test_max_p2_is_symmetric_sum(self):
         ring = PolyRing(2, 3)
         expected = (ring.elementary_symmetric(1) + ring.elementary_symmetric(2)
                     + ring.elementary_symmetric(3))
-        assert max_p2(3) == expected
+        assert max_p2(PolyRing(2, 3)) == expected
 
     def test_min_p2_vanishes_with_any_zero(self):
-        f = min_p2(4)
+        f = min_p2(PolyRing(2, 4))
         assert f.eval((1, 1, 0, 1)) == 0
         assert f.eval((1, 1, 1, 1)) == 1
 
     def test_p2_forms_match_interpolation(self):
         for n in range(1, 6):
-            assert max_p2(n) == reference("max", 2, n)
-            assert min_p2(n) == reference("min", 2, n)
+            assert max_p2(PolyRing(2, n)) == reference("max", 2, n)
+            assert min_p2(PolyRing(2, n)) == reference("min", 2, n)
 
     def test_max_p3_eval_example(self):
-        assert max_p3(2).eval((1, 2)) == 2
+        assert max_p3(PolyRing(3, 2)).eval((1, 2)) == 2
 
     def test_p3_forms_match_interpolation(self):
         for n in range(1, 5):
-            assert max_p3(n) == reference("max", 3, n)
-            assert min_p3(n) == reference("min", 3, n)
+            assert max_p3(PolyRing(3, n)) == reference("max", 3, n)
+            assert min_p3(PolyRing(3, n)) == reference("min", 3, n)
 
     def test_min_p3_product_identity(self):
         # e_n (1 + sum (-1)^i e_i + e_n) is also prod x_i^2 + prod x_i(1-x_i)
@@ -102,74 +102,77 @@ class TestMaxFamily:
                 x = ring.variable(i)
                 sq = sq * x**2
                 mixed = mixed * (x * (1 - x))
-            assert min_p3(n) == sq + mixed
+            assert min_p3(PolyRing(3, n)) == sq + mixed
 
     def test_min_p3_is_dual_of_max_p3(self):
         for n in range(1, 5):
-            assert min_p3(n) == involution_conjugate(max_p3(n))
+            assert min_p3(PolyRing(3, n)) == involution_conjugate(max_p3(PolyRing(3, n)))
 
     def test_max_p5_printed_forms(self):
-        assert max_p5_n2() == reference("max", 5, 2)
-        assert max_p5_n3() == reference("max", 5, 3)
+        assert max_p5_n2(PolyRing(5, 2)) == reference("max", 5, 2)
+        assert max_p5_n3(PolyRing(5, 3)) == reference("max", 5, 3)
 
     def test_max_p5_forced_by_top_value(self):
-        f = max_p5_n2()
+        f = max_p5_n2(PolyRing(5, 2))
         for other in range(5):
             assert f.eval((4, other)) == 4
 
 
 class TestArgmaxFamily:
     def test_general_matches_interpolation(self):
-        assert argmax_digit_general(3, 3, 0) == reference("argmax_digit", 3, 3, 0)
+        assert argmax_digit_general(PolyRing(3, 3), 0) == reference("argmax_digit", 3, 3, 0)
 
     def test_digit_beyond_range_is_zero(self):
         # p^r > n-1 means every index has digit 0 at position r.
-        assert argmax_digit_general(3, 3, 1) == PolyRing(3, 3).zero()
-        assert argmax_digit_general(2, 2, 1) == PolyRing(2, 2).zero()
+        assert argmax_digit_general(PolyRing(3, 3), 1) == PolyRing(3, 3).zero()
+        assert argmax_digit_general(PolyRing(2, 2), 1) == PolyRing(2, 2).zero()
 
     def test_general_p2_n2_printed_form(self):
         ring = PolyRing(2, 2)
-        assert argmax_digit_general(2, 2, 0) == (1 + ring.variable(0)) * ring.variable(1)
+        assert (argmax_digit_general(PolyRing(2, 2), 0)
+                == (1 + ring.variable(0)) * ring.variable(1))
 
     def test_argmax_p2_printed_form_n2(self):
         ring = PolyRing(2, 2)
-        assert argmax_p2(2, 0) == (1 + ring.variable(0)) * ring.variable(1)
+        assert argmax_p2(PolyRing(2, 2), 0) == (1 + ring.variable(0)) * ring.variable(1)
 
     def test_argmax_p2_zero_input(self):
         for n, r in ((3, 0), (4, 1), (5, 0)):
-            assert argmax_p2(n, r).eval((0,) * n) == 0
+            assert argmax_p2(PolyRing(2, n), r).eval((0,) * n) == 0
 
     def test_argmax_p2_matches_interpolation(self):
         for n in range(1, 8):
             for r in range(3):
-                assert argmax_p2(n, r) == reference("argmax_digit", 2, n, r), (n, r)
+                assert (argmax_p2(PolyRing(2, n), r)
+                        == reference("argmax_digit", 2, n, r)), (n, r)
 
     def test_selector_n1_r0_printed_form(self):
         ring = PolyRing(2, 2)
-        assert argmax_p2_selector(1, 0) == (1 + ring.variable(0)) * ring.variable(1)
+        assert (argmax_p2_selector(PolyRing(2, 2), 0)
+                == (1 + ring.variable(0)) * ring.variable(1))
 
     def test_selector_zero_when_digit_unreachable(self):
-        assert argmax_p2_selector(2, 2) == PolyRing(2, 3).zero()
-        assert argmax_p2_selector(3, 2) == PolyRing(2, 4).zero()
+        assert argmax_p2_selector(PolyRing(2, 3), 2) == PolyRing(2, 3).zero()
+        assert argmax_p2_selector(PolyRing(2, 4), 2) == PolyRing(2, 4).zero()
 
     def test_selector_matches_direct_form_and_interpolation(self):
         for n in range(1, 7):
             for r in range(3):
-                sel = argmax_p2_selector(n, r)
-                direct = argmax_p2(n + 1, r)
+                sel = argmax_p2_selector(PolyRing(2, n + 1), r)
+                direct = argmax_p2(PolyRing(2, n + 1), r)
                 assert sel == direct, (n, r)
                 assert sel == reference("argmax_digit", 2, n + 1, r), (n, r)
 
     def test_argmax_p3_n3_printed_polynomial(self):
-        assert argmax_p3_n3() == reference("argmax_digit", 3, 3, 0)
+        assert argmax_p3_n3(PolyRing(3, 3)) == reference("argmax_digit", 3, 3, 0)
 
     def test_argmax_p3_n3_tie_and_top(self):
-        f = argmax_p3_n3()
+        f = argmax_p3_n3(PolyRing(3, 3))
         assert f.eval((2, 2, 2)) == 0  # least-index tie
         assert f.eval((0, 0, 2)) == 2
 
     def test_least_index_tie_break_exhaustive(self):
-        f = argmax_p3_n3()
+        f = argmax_p3_n3(PolyRing(3, 3))
         for point in itertools.product(range(3), repeat=3):
             ties = [i for i, v in enumerate(point) if v == max(point)]
             assert f.eval(point) == min(ties) % 3
@@ -177,20 +180,21 @@ class TestArgmaxFamily:
 
 class TestArgmaxRecurrences:
     def test_block_recurrence_p2_r1_n4(self):
-        f = argmax_block_recurrence(2, 4, 1)
+        f = argmax_block_recurrence(PolyRing(2, 4), 1)
         table = tabulate(FunctionSpec("argmax_digit", 2, 4, 1))
         assert f.values() == table.values
-        assert f == argmax_p2(4, 1)  # canonical, so also coefficient-equal
+        assert f == argmax_p2(PolyRing(2, 4), 1)  # canonical, so also coefficient-equal
 
     def test_block_recurrence_r0_degenerates_to_direct(self):
-        assert argmax_block_recurrence(3, 3, 0) == argmax_digit_general(3, 3, 0)
+        assert (argmax_block_recurrence(PolyRing(3, 3), 0)
+                == argmax_digit_general(PolyRing(3, 3), 0))
 
     def test_block_recurrence_padding_invariance(self):
         # appending a zero input never changes the least maximizing index
         for n in range(1, 5):
             small = tabulate(FunctionSpec("argmax_digit", 2, n, 0))
             if n > 1:
-                big = argmax_block_recurrence(2, n, 0)
+                big = argmax_block_recurrence(PolyRing(2, n), 0)
                 assert big.values() == small.values
             for point_idx in range(2**n):
                 point = point_at(2, n, point_idx)
@@ -202,7 +206,7 @@ class TestArgmaxRecurrences:
     def test_block_recurrence_grid_p2(self):
         for n in range(1, 7):
             for r in range(3):
-                f = argmax_block_recurrence(2, n, r)
+                f = argmax_block_recurrence(PolyRing(2, n), r)
                 table = tabulate(FunctionSpec("argmax_digit", 2, n, r))
                 assert f.values() == table.values, (n, r)
 
@@ -213,19 +217,19 @@ class TestArgmaxRecurrences:
                 table = tabulate(FunctionSpec("argmax_digit", 2, n, r))
                 assert current.values() == table.values, (r, n)
                 if n < 6:
-                    current = argmax_extend_recursive(2, r, current, n)
+                    current = argmax_extend_recursive(PolyRing(2, n + 1), r, current)
 
     def test_extension_reproduces_compact_p3_form(self):
         # two inputs -> three inputs; the canonical reduction of the
         # recurrence is exactly the compact three-input polynomial
-        extended = argmax_extend_recursive(3, 0, argmax0_n2(3), 2)
-        assert extended == argmax_p3_n3()
+        extended = argmax_extend_recursive(PolyRing(3, 3), 0, argmax0_n2(PolyRing(3, 2)))
+        assert extended == argmax_p3_n3(PolyRing(3, 3))
 
     def test_extension_when_new_index_digit_is_zero(self):
         # extending 3 -> 4 inputs at r=0: digit_0(3) = 0, so the new input
         # only ever zeroes the result (when it strictly wins); elsewhere the
         # prefix function must survive unchanged
-        extended = argmax_extend_recursive(3, 0, argmax_p3_n3(), 3)
+        extended = argmax_extend_recursive(PolyRing(3, 4), 0, argmax_p3_n3(PolyRing(3, 3)))
         spec = FunctionSpec("argmax_digit", 3, 4, 0)
         prefix_spec = FunctionSpec("argmax_digit", 3, 3, 0)
         for point in itertools.product(range(3), repeat=4):
@@ -239,49 +243,49 @@ class TestArgmaxRecurrences:
     def test_extension_with_zero_digit_prefix(self):
         # at r=1 the two-input prefix polynomial is identically zero, and
         # digit_1(2) = 0, so the extension stays the zero function
-        prefix = argmax_digit_general(3, 2, 1)
+        prefix = argmax_digit_general(PolyRing(3, 2), 1)
         assert prefix == PolyRing(3, 2).zero()
-        extended = argmax_extend_recursive(3, 1, prefix, 2)
+        extended = argmax_extend_recursive(PolyRing(3, 3), 1, prefix)
         assert extended == PolyRing(3, 3).zero()
 
     def test_extension_validates_rings(self):
         with pytest.raises(RingMismatchError):
-            argmax_extend_recursive(3, 0, PolyRing(3, 3).zero(), 2)
+            argmax_extend_recursive(PolyRing(3, 3), 0, PolyRing(3, 3).zero())
 
 
 class TestTwoInputForms:
     def test_carry_matches_integer_addition(self):
         for p in (2, 3, 5, 7, 11):
-            f = carry(p)
+            f = carry(PolyRing(p, 2))
             for y0 in range(p):
                 for y1 in range(p):
                     assert f.eval((y0, y1)) == carry_sem(y0, y1, p), (p, y0, y1)
 
     def test_carry_edge_rows(self):
         for p in (3, 5, 7):
-            f = carry(p)
+            f = carry(PolyRing(p, 2))
             for y1 in range(p):
                 assert f.eval((0, y1)) == 0
             assert f.eval((p - 1, 1)) == 1
 
     def test_carry_is_minimal(self):
         for p in (2, 3, 5, 7, 11):
-            assert carry(p) == reference("carry", p, 2)
+            assert carry(PolyRing(p, 2)) == reference("carry", p, 2)
 
     def test_argmax0_printed_form_p2(self):
         ring = PolyRing(2, 2)
-        assert argmax0_n2(2) == (ring.variable(0) + 1) * ring.variable(1)
+        assert argmax0_n2(PolyRing(2, 2)) == (ring.variable(0) + 1) * ring.variable(1)
 
     def test_argmax0_printed_form_p3(self):
         ring = PolyRing(3, 2)
         x0, x1 = ring.variable(0), ring.variable(1)
-        assert argmax0_n2(3) == -((x0 + 1) * (x0 - x1) * x1)
+        assert argmax0_n2(PolyRing(3, 2)) == -((x0 + 1) * (x0 - x1) * x1)
 
     def test_argmax0_printed_form_p5(self):
         ring = PolyRing(5, 2)
         x0, x1 = ring.variable(0), ring.variable(1)
         printed = -((x0 + 1) * (x0**2 - x0 * x1 + x0 + x1**2) * (x0 - x1) * x1)
-        assert argmax0_n2(5) == printed
+        assert argmax0_n2(PolyRing(5, 2)) == printed
 
     def test_argmax0_printed_form_p7(self):
         ring = PolyRing(7, 2)
@@ -290,48 +294,48 @@ class TestTwoInputForms:
                    + x0**2 * x1 + 4 * x0**2 + 5 * x0 * x1**3 + 6 * x0 * x1**2
                    + 3 * x0 + x1**4)
         printed = -(quartic * (x0 + 1) * (x0 - x1) * x1)
-        assert argmax0_n2(7) == printed
+        assert argmax0_n2(PolyRing(7, 2)) == printed
 
     def test_argmax0_is_carry_after_involution(self):
         for p in (2, 3, 5, 7, 11):
-            c = carry(p)
+            c = carry(PolyRing(p, 2))
             ring = c.ring
             composed = c.compose([(p - 1) - ring.variable(0), ring.variable(1)])
-            assert composed == argmax0_n2(p)
+            assert composed == argmax0_n2(PolyRing(p, 2))
 
     def test_max_n2_matches_interpolation(self):
         for p in (3, 5, 7, 11, 13):
-            assert max_n2(p) == reference("max", p, 2)
+            assert max_n2(PolyRing(p, 2)) == reference("max", p, 2)
 
     def test_max_n2_is_select_by_argmax(self):
         for p in (3, 5, 7):
-            A = argmax0_n2(p)
+            A = argmax0_n2(PolyRing(p, 2))
             ring = A.ring
             x0, x1 = ring.variable(0), ring.variable(1)
-            assert max_n2(p) == x0 * (1 - A) + x1 * A
+            assert max_n2(PolyRing(p, 2)) == x0 * (1 - A) + x1 * A
 
     def test_max_n2_diagonal(self):
-        f = max_n2(7)
+        f = max_n2(PolyRing(7, 2))
         for t in range(7):
             assert f.eval((t, t)) == t
 
     def test_max_n2_rejects_p2(self):
         with pytest.raises(FormulaParamError):
-            max_n2(2)
+            max_n2(PolyRing(2, 2))
 
 
 class TestIsmaxNummax:
     def test_ismax_general_matches_interpolation(self):
-        assert ismax_general(3, 2) == reference("ismax", 3, 2)
-        assert ismax_general(2, 3) == reference("ismax", 2, 3)
+        assert ismax_general(PolyRing(3, 3)) == reference("ismax", 3, 2)
+        assert ismax_general(PolyRing(2, 4)) == reference("ismax", 2, 3)
 
     def test_nummax0_all_equal(self):
-        f = nummax0_general(5, 3)
+        f = nummax0_general(PolyRing(5, 3))
         assert f.eval((2, 2, 2)) == 3
         assert f.eval((4, 4, 4)) == 3
 
     def test_nummax_subsets_digit_of_count(self):
-        f = nummax_digit_subsets(2, 3, 1)
+        f = nummax_digit_subsets(PolyRing(2, 3), 1)
         for idx in range(8):
             point = point_at(2, 3, idx)
             count = sum(1 for v in point if v == max(point))
@@ -340,28 +344,28 @@ class TestIsmaxNummax:
     def test_general_ismax_nummax_grid(self):
         for p in (2, 3):
             for n in (1, 2, 3):
-                assert ismax_general(p, n) == reference("ismax", p, n), (p, n)
-                assert nummax0_general(p, n) == reference("nummax_digit", p, n, 0)
+                assert ismax_general(PolyRing(p, n + 1)) == reference("ismax", p, n), (p, n)
+                assert nummax0_general(PolyRing(p, n)) == reference("nummax_digit", p, n, 0)
                 for r in (0, 1):
-                    assert (nummax_digit_subsets(p, n, r)
+                    assert (nummax_digit_subsets(PolyRing(p, n), r)
                             == reference("nummax_digit", p, n, r)), (p, n, r)
 
     def test_ismax_p2_matches_interpolation(self):
         for n in range(1, 7):
-            assert ismax_p2(n) == reference("ismax", 2, n)
+            assert ismax_p2(PolyRing(2, n + 1)) == reference("ismax", 2, n)
 
     def test_ismax_p3_matches_interpolation(self):
         for n in range(1, 5):
-            assert ismax_p3(n) == reference("ismax", 3, n)
+            assert ismax_p3(PolyRing(3, n + 1)) == reference("ismax", 3, n)
 
     def test_ismax_p3_all_zero(self):
-        f = ismax_p3(3)
+        f = ismax_p3(PolyRing(3, 4))
         assert f.eval((0, 0, 0, 0)) == 1  # y = 0 against all-zero inputs
 
     def test_nummax_p2_semantics_grid(self):
         for n in range(1, 7):
             for r in range(3):
-                f = nummax_p2(n, r)
+                f = nummax_p2(PolyRing(2, n), r)
                 table = tabulate(FunctionSpec("nummax_digit", 2, n, r))
                 assert f.values() == table.values, (n, r)
 
@@ -369,20 +373,20 @@ class TestIsmaxNummax:
         F = PrimeField(2)
         for n in range(1, 9):
             for r in range(4):
-                assert nummax_p2(n, r).eval((0,) * n) == F.digit(n, r)
+                assert nummax_p2(PolyRing(2, n), r).eval((0,) * n) == F.digit(n, r)
 
     def test_nummax_p2_single_one(self):
-        f = nummax_p2(5, 0)
+        f = nummax_p2(PolyRing(2, 5), 0)
         assert f.eval((0, 0, 1, 0, 0)) == 1
 
 
 class TestTwoBitIsmax:
     def test_matches_interpolation(self):
         for n in range(1, 5):
-            assert ismax_2bit_p2(n) == reference("ismax_2bit", 2, n)
+            assert ismax_2bit_p2(PolyRing(2, 2 * n + 2)) == reference("ismax_2bit", 2, n)
 
     def test_examples(self):
-        f = ismax_2bit_p2(2)
+        f = ismax_2bit_p2(PolyRing(2, 6))
         # variable order (y1, y0, x01, x00, x11, x10)
         assert f.eval((1, 1, 1, 1, 0, 1)) == 1  # y=3, inputs 3 and 1
         assert f.eval((0, 0, 0, 0, 0, 0)) == 1  # y=0, all zero
@@ -392,18 +396,23 @@ class TestTwoBitIsmax:
 class TestDualityAndMinimality:
     def test_min_constructors_are_involution_conjugates(self):
         for n in range(1, 6):
-            assert min_p2(n) == involution_conjugate(max_p2(n))
+            assert min_p2(PolyRing(2, n)) == involution_conjugate(max_p2(PolyRing(2, n)))
         for n in range(1, 5):
-            assert min_p3(n) == involution_conjugate(max_p3(n))
+            assert min_p3(PolyRing(3, n)) == involution_conjugate(max_p3(PolyRing(3, n)))
 
     def test_every_constructor_output_is_minimal_form(self):
         outputs = [
-            max_general(5, 2), max_p2(6), min_p2(6), max_p3(4), min_p3(4),
-            max_p5_n2(), max_p5_n3(), argmax_digit_general(3, 3, 0),
-            argmax_p2(8, 1), argmax_p2_selector(6, 1), argmax_p3_n3(),
-            carry(11), argmax0_n2(7), max_n2(11), ismax_general(3, 2),
-            nummax0_general(3, 3), nummax_digit_subsets(2, 3, 1),
-            ismax_p2(6), ismax_p3(3), nummax_p2(6, 2), ismax_2bit_p2(3),
+            max_general(PolyRing(5, 2)), max_p2(PolyRing(2, 6)), min_p2(PolyRing(2, 6)),
+            max_p3(PolyRing(3, 4)), min_p3(PolyRing(3, 4)),
+            max_p5_n2(PolyRing(5, 2)), max_p5_n3(PolyRing(5, 3)),
+            argmax_digit_general(PolyRing(3, 3), 0),
+            argmax_p2(PolyRing(2, 8), 1), argmax_p2_selector(PolyRing(2, 7), 1),
+            argmax_p3_n3(PolyRing(3, 3)),
+            carry(PolyRing(11, 2)), argmax0_n2(PolyRing(7, 2)), max_n2(PolyRing(11, 2)),
+            ismax_general(PolyRing(3, 3)),
+            nummax0_general(PolyRing(3, 3)), nummax_digit_subsets(PolyRing(2, 3), 1),
+            ismax_p2(PolyRing(2, 7)), ismax_p3(PolyRing(3, 4)), nummax_p2(PolyRing(2, 6), 2),
+            ismax_2bit_p2(PolyRing(2, 8)),
         ]
         for f in outputs:
             assert f.is_minimal_form()
@@ -414,22 +423,23 @@ class TestDualityAndMinimality:
         # must equal the direct form (the unreduced composition would not).
         for p in (3, 5):
             big = PolyRing(p, 3)
-            composed = max_n2(p).compose([big.embed(max_general(p, 2)),
+            composed = max_n2(PolyRing(p, 2)).compose([big.embed(max_general(PolyRing(p, 2))),
                                           big.variable(2)])
-            assert composed == max_general(p, 3)
+            assert composed == max_general(PolyRing(p, 3))
             table = tabulate(FunctionSpec("max", p, 3))
             assert composed.values() == table.values
 
     def test_two_input_max_composes_associatively_p2(self):
         big = PolyRing(2, 3)
-        composed = max_p2(2).compose([big.embed(max_p2(2)), big.variable(2)])
-        assert composed == max_p2(3)
+        composed = max_p2(PolyRing(2, 2)).compose([big.embed(max_p2(PolyRing(2, 2))),
+                                                   big.variable(2)])
+        assert composed == max_p2(PolyRing(2, 3))
 
     def test_argmax_constructors_break_ties_to_least_index(self):
         cases = [
-            (argmax_p2(4, 0), 2, 4, 0), (argmax_p2(4, 1), 2, 4, 1),
-            (argmax_digit_general(3, 3, 0), 3, 3, 0),
-            (argmax0_n2(5), 5, 2, 0),
+            (argmax_p2(PolyRing(2, 4), 0), 2, 4, 0), (argmax_p2(PolyRing(2, 4), 1), 2, 4, 1),
+            (argmax_digit_general(PolyRing(3, 3), 0), 3, 3, 0),
+            (argmax0_n2(PolyRing(5, 2)), 5, 2, 0),
         ]
         F = {2: PrimeField(2), 3: PrimeField(3), 5: PrimeField(5)}
         for poly, p, n, r in cases:
@@ -438,6 +448,34 @@ class TestDualityAndMinimality:
                 if len(maxima) < 2:
                     continue
                 assert poly.eval(point) == F[p].digit(min(maxima), r), (p, n, r, point)
+
+
+#: Each form written for one modulus or one arity, with a ring it must refuse.
+FIXED_RING_FORMS = [
+    ("max_p2", max_p2, PolyRing(3, 2)), ("min_p2", min_p2, PolyRing(3, 2)),
+    ("max_p3", max_p3, PolyRing(2, 3)), ("min_p3", min_p3, PolyRing(5, 2)),
+    ("max_p5_n2", max_p5_n2, PolyRing(5, 3)), ("max_p5_n2", max_p5_n2, PolyRing(3, 2)),
+    ("max_p5_n3", max_p5_n3, PolyRing(5, 2)),
+    ("argmax_p2", lambda ring: argmax_p2(ring, 0), PolyRing(3, 2)),
+    ("argmax_p2_selector", lambda ring: argmax_p2_selector(ring, 0), PolyRing(3, 3)),
+    ("argmax_p3_n3", argmax_p3_n3, PolyRing(3, 4)),
+    ("argmax_p3_n3", argmax_p3_n3, PolyRing(2, 3)),
+    ("carry", carry, PolyRing(3, 3)), ("argmax0_n2", argmax0_n2, PolyRing(5, 1)),
+    ("max_n2", max_n2, PolyRing(7, 3)),
+    ("ismax_p2", ismax_p2, PolyRing(3, 3)), ("ismax_p3", ismax_p3, PolyRing(2, 3)),
+    ("nummax_p2", lambda ring: nummax_p2(ring, 0), PolyRing(3, 3)),
+    ("ismax_2bit_p2", ismax_2bit_p2, PolyRing(2, 5)),
+    ("ismax_2bit_p2", ismax_2bit_p2, PolyRing(3, 4)),
+]
+
+
+@pytest.mark.parametrize("form, build, ring", FIXED_RING_FORMS,
+                         ids=[f"{form}-p{ring.p}n{ring.n}"
+                              for form, _, ring in FIXED_RING_FORMS])
+def test_fixed_form_refuses_other_ring(form, build, ring):
+    with pytest.raises(FormulaParamError) as info:
+        build(ring)
+    assert form in str(info.value) and repr(ring) in str(info.value)
 
 
 class TestCatalog:
@@ -455,9 +493,21 @@ class TestCatalog:
 
     def test_build_formula_dispatch(self):
         assert build_formula("max", p=3, n=1) == PolyRing(3, 1).variable(0)
-        assert build_formula("argmax0", p=2, n=2) == argmax0_n2(2)
-        assert build_formula("argmax0", p=3, n=3) == argmax_p3_n3()
-        assert build_formula("max5", n=2) == max_p5_n2()
+        assert build_formula("argmax0", p=2, n=2) == argmax0_n2(PolyRing(2, 2))
+        assert build_formula("argmax0", p=3, n=3) == argmax_p3_n3(PolyRing(3, 3))
+        assert build_formula("max5", n=2) == max_p5_n2(PolyRing(5, 2))
+
+    def test_build_formula_ring_has_spec_arity(self):
+        for name, entry in CATALOG.items():
+            for p, n, r in entry.verify_grid:
+                ring = build_formula(name, p, n, r).ring
+                assert (ring.p, ring.n) == (p, entry.spec_of(p, n, r).arity), (name, p, n, r)
+
+    def test_build_formula_caps_the_arity_table(self):
+        # ismax with n = 3 inputs has arity 4: 81 entries, over a cap of 27
+        with pytest.raises(SizeGuardError, match=r"3\^4 exceeds the cap of 27"):
+            build_formula("ismax", p=3, n=3, max_table_size=27)
+        assert build_formula("ismax", p=3, n=3, max_table_size=81).ring.n == 4
 
     def test_build_formula_validation(self):
         with pytest.raises(FormulaParamError):
