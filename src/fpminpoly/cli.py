@@ -73,8 +73,9 @@ def _table_size_cap(args) -> int | None:
         if cap < 0:
             raise FormulaParamError(f"--max-table-size must be nonnegative, got {cap}")
         if cap > DEFAULT_MAX_TABLE_SIZE:
-            # A coefficient tuple holds one 8-byte reference per entry; the
-            # ints 0..256 are shared, larger residues are ~32-byte objects each.
+            # A truth table or a transform's working list holds one 8-byte
+            # reference per entry; the ints 0..256 are shared, larger residues
+            # are ~32-byte objects each.  Stored tables below p = 128 are bytes.
             print(f"size guard raised to {cap} entries (roughly "
                   f"{cap * 8 / 2**20:.0f} MiB per dense table, "
                   f"{cap * 40 / 2**20:.0f} MiB when p > 257)", file=sys.stderr)
@@ -264,32 +265,33 @@ def _add_common(sub, *, source=True, point=False, output=True):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="fpminpoly",
+        prog="fpminpoly", allow_abbrev=False,
         description="Minimal-degree polynomial expressions of max/argmax-style "
                     "functions over F_p, with interpolation cross-checks and "
                     "circuit cost reports.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    gen = subs.add_parser("gen", help="generate a polynomial artifact")
+    gen = subs.add_parser("gen", allow_abbrev=False, help="generate a polynomial artifact")
     _add_common(gen)
     gen.set_defaults(handler=cmd_gen)
 
-    verify = subs.add_parser("verify", help="verify closed forms against interpolation")
+    verify = subs.add_parser("verify", allow_abbrev=False,
+                             help="verify closed forms against interpolation")
     _add_common(verify, source=False)
     verify.add_argument("--file", help="polynomial JSON file to check against --func")
     verify.add_argument("--all", action="store_true",
                         help="verify every catalog entry over its default grid")
     verify.set_defaults(handler=cmd_verify)
 
-    ev = subs.add_parser("eval", help="evaluate a polynomial at a point")
+    ev = subs.add_parser("eval", allow_abbrev=False, help="evaluate a polynomial at a point")
     _add_common(ev, point=True, output=False)
     ev.set_defaults(handler=cmd_eval)
 
-    stats = subs.add_parser("stats", help="circuit cost table per strategy")
+    stats = subs.add_parser("stats", allow_abbrev=False, help="circuit cost table per strategy")
     _add_common(stats)
     stats.set_defaults(handler=cmd_stats)
 
-    lst = subs.add_parser("list", help="list the formula catalog")
+    lst = subs.add_parser("list", allow_abbrev=False, help="list the formula catalog")
     lst.add_argument("--out", help="output file (default: stdout)")
     lst.add_argument("--format", choices=("json", "human"), default="human")
     lst.set_defaults(handler=cmd_list)

@@ -73,10 +73,17 @@ def lowpass(p: int, t: int) -> Polynomial:
 
 @lru_cache(maxsize=None)
 def _piece_rows(p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """Coefficient rows of delta(p, t) for t < p and lowpass(p, t) for t <= p."""
-    deltas = tuple(delta(p, t).coeffs for t in range(p))
-    lows = tuple(lowpass(p, t).coeffs for t in range(p + 1))
-    return deltas, lows
+    """Coefficient rows of delta(p, t) for t < p and lowpass(p, t) for t <= p.
+
+    The lowpass rows are the running sums of the delta rows mod p, which is
+    what ``lowpass`` computes, with each delta built once instead of O(p)
+    times.
+    """
+    deltas = tuple(tuple(delta(p, t).coeffs) for t in range(p))
+    lows = [(0,) * p]
+    for row in deltas:
+        lows.append(tuple((a + b) % p for a, b in zip(lows[-1], row)))
+    return deltas, tuple(lows)
 
 
 def _delta_list(ring: PolyRing, i: int) -> list[Polynomial]:

@@ -15,31 +15,34 @@ canonical representative agreeing with a given function is unique, which is
 why coefficient equality of two canonical polynomials is the same thing as
 equality as functions.
 
+A table is stored in one form, picked from p alone by ``_pack``: for
+p < 128 the canonical residues are packed into ``bytes``, one entry per
+byte; for p >= 128, where the sum of two reduced entries can pass 255, the
+table is a tuple of ints.  Tables filled entry by entry start from
+``_scratch`` (a ``bytearray`` or a list) and are packed once.
+
 A polynomial may also carry a private record of its support: the ascending
 tuple of table indices whose coefficient is nonzero.  The small pieces the
 closed forms are built from (constants, variables, univariate rows,
-elementary symmetric polynomials) know theirs at construction, and ``+``,
-``-``, ``*``, ``scale`` and negation use it to touch only those entries
-instead of scanning the whole p^n table.  A record is kept only while it has
-at most ``size >> _SUPPORT_SHIFT`` entries (see ``_with_support``): the
-indices are separate int objects, so recording the support of a dense table
-would cost several times the table's own memory.  Equality, hashing and
-serialisation look at the coefficient table alone.
+elementary symmetric polynomials) know theirs at construction.  ``*`` uses
+it to visit only the nonzero terms instead of scanning the whole p^n table;
+``+``, ``-``, ``scale`` and negation pass it on to their results.  A record
+is kept only while it has at most ``size >> _SUPPORT_SHIFT`` entries (see
+``_with_support``): the indices are separate int objects, so recording the
+support of a dense table would cost several times the table's own memory.
+Equality, hashing and serialisation look at the coefficient table alone.
 
 The dense table work runs through one seam, with the standard library only.
-``_pack`` picks a table's working form from p alone: for p < 128 the
-canonical residues are packed into ``bytes``, one entry per byte; for
-p >= 128, where the sum of two reduced entries can pass 255, the table stays
-a list.  ``_combine`` is the one place where columns are scaled, summed and
-reduced mod p: on bytes ``bytes.translate`` with a 256-entry table scales
-every entry by a constant (or reduces it), and columns add as little-endian
-big ints, reduced before any byte can pass 255; on lists it runs
+``_combine`` is the one place where columns are scaled, summed and reduced
+mod p: on bytes ``bytes.translate`` with a 256-entry table scales every
+entry by a constant (or reduces it), and columns add as little-endian big
+ints, reduced before any byte can pass 255; on tuples and lists it runs
 comprehensions.  ``_round`` is the one slice-rotation round built on it.
-Axis transforms (``apply_axis_transform``), dense ``+``, ``-`` and
-``scale``, and products by a factor in a single variable (one p x p matrix
-on that axis) all call these.  Exponents are read from per-axis digit
-planes (``PolyRing.digit_planes``), n * p^n bytes in all, built on first
-use.
+Axis transforms (``apply_axis_transform``), ``+``, ``-`` and ``scale``, and
+products by a factor in a single variable (one p x p matrix on that axis)
+all call these on the stored tables.  Exponents are read from per-axis
+digit planes (``PolyRing.digit_planes``), n * p^n bytes in all, built on
+first use.
 """
 
 from __future__ import annotations
@@ -92,23 +95,29 @@ def _scale_table(p: int, m: int) -> bytes:
 
 
 def _pack(table: Sequence[int], p: int) -> Sequence[int]:
-    """A table's working form, chosen by p alone.
+    """A table's stored form, chosen by p alone.
 
     For p < 128 the canonical entries are packed into ``bytes``, one entry
     per byte; for p >= 128 two reduced entries can sum past 255, so the
-    table itself is used.
+    table is a tuple of ints.
     """
-    return bytes(table) if p < 128 else table
+    return bytes(table) if p < 128 else tuple(table)
+
+
+def _scratch(size: int, p: int):
+    """A zero table to fill entry by entry, then ``_pack``: a ``bytearray``
+    for p < 128, else a list."""
+    return bytearray(size) if p < 128 else [0] * size
 
 
 def _combine(p: int, weights: Sequence[int], cols: Sequence[Sequence[int]]):
-    """The column sum_e weights[e] * cols[e] mod p, in the form of ``cols``.
+    """The column sum_e weights[e] * cols[e] mod p: bytes from bytes, else a list.
 
     Weights are any ints; they are reduced here and zero ones are skipped.
     The columns hold canonical residues and share one length.  Packed
     columns are scaled with ``bytes.translate``, summed as little-endian
-    ints and reduced with the mod-p table before any lane can pass 255; list
-    columns are combined with comprehensions.
+    ints and reduced with the mod-p table before any lane can pass 255; tuple
+    and list columns are combined with comprehensions.
     """
     width = len(cols[0])
     if not isinstance(cols[0], bytes):
@@ -138,7 +147,7 @@ def _combine(p: int, weights: Sequence[int], cols: Sequence[Sequence[int]]):
 
 
 def _round(data: Sequence[int], p: int, rows) -> Sequence[int]:
-    """One slice-rotation round: map axis 0 of a working-form table, move it to the top.
+    """One slice-rotation round: map axis 0 of a stored table, move it to the top.
 
     ``rows[new][old]`` is the fiber matrix for axis 0; None leaves the axis
     as it is and only rotates.  The p columns ``data[e::p]`` (the sub-tables
@@ -157,8 +166,8 @@ def apply_axis_transform(vals: list[int], p: int, n: int, matrix) -> None:
 
     ``vals`` is modified in place; ``matrix[new][old]`` gives the linear map
     used on each length-p fiber, and every entry of ``vals`` must be a
-    canonical residue in [0, p).  The table is put in its working form
-    (``_pack``: bytes for p < 128, a list for larger p) and run through n
+    canonical residue in [0, p).  The table is put in its stored form
+    (``_pack``: bytes for p < 128, a tuple for larger p) and run through n
     rounds of ``_round``.  Each round transforms axis 0 and moves it to the
     most significant place, so after n rounds every axis is transformed and
     the original order is back.  Cost O(n * p^(n+1)).
@@ -253,25 +262,25 @@ class PolyRing:
     # -- constructors ------------------------------------------------------
 
     def zero(self) -> "Polynomial":
-        return _with_support(self, (0,) * self.size, ())
+        return _with_support(self, _scratch(self.size, self.p), ())
 
     def one(self) -> "Polynomial":
         return self.constant(1)
 
     def constant(self, c: int) -> "Polynomial":
-        table = [0] * self.size
+        table = _scratch(self.size, self.p)
         table[0] = c = c % self.p
         return _with_support(self, table, (0,) if c else ())
 
     def variable(self, i: int) -> "Polynomial":
         if not 0 <= i < self.n:
             raise ValueError(f"variable index {i} out of range [0, {self.n})")
-        table = [0] * self.size
+        table = _scratch(self.size, self.p)
         table[self.strides[i]] = 1
         return _with_support(self, table, (self.strides[i],))
 
     def monomial(self, exps: Sequence[int], coeff: int = 1) -> "Polynomial":
-        table = [0] * self.size
+        table = _scratch(self.size, self.p)
         idx = self.index_of(exps)
         table[idx] = c = coeff % self.p
         return _with_support(self, table, (idx,) if c else ())
@@ -282,7 +291,7 @@ class PolyRing:
             raise ValueError(f"variable index {i} out of range [0, {self.n})")
         if len(coeffs) > self.p:
             raise ValueError("univariate coefficient row longer than p")
-        table = [0] * self.size
+        table = _scratch(self.size, self.p)
         s = self.strides[i]
         for e, c in enumerate(coeffs):
             table[e * s] = c % self.p
@@ -295,7 +304,7 @@ class PolyRing:
             raise ValueError(f"elementary symmetric index {i} out of range [0, {self.n}]")
         from itertools import combinations
 
-        table = [0] * self.size
+        table = _scratch(self.size, self.p)
         support = []
         for subset in combinations(range(self.n), i):
             idx = sum(self.strides[j] for j in subset)
@@ -326,7 +335,7 @@ class PolyRing:
         if f.ring.n > self.n:
             raise RingMismatchError(
                 f"cannot embed {f.ring.n} variables into a ring with {self.n}")
-        table = [0] * self.size
+        table = _scratch(self.size, self.p)
         table[: f.ring.size] = f.coeffs
         return Polynomial(self, table)
 
@@ -337,18 +346,22 @@ class Polynomial:
     Supports +, -, * (with plain ints coerced to constants) and ** with
     nonnegative integer exponents.  All results are canonical.
 
+    ``coeffs`` is the table in its stored form (``_pack``): ``bytes`` for
+    p < 128, a tuple of ints otherwise; ``to_dict`` gives it as a list.
+
     ``_nz`` is the optional support record: the ascending tuple of indices
-    whose coefficient is nonzero, or None when it is not known.  Only
-    ``_with_support`` sets it, and only while it has at most
-    ``ring.size >> _SUPPORT_SHIFT`` entries.  It never changes what a
-    polynomial is: ``==``, ``hash``, ``coeffs`` and ``to_dict`` ignore it.
+    whose coefficient is nonzero, or None when it is not known.  ``*``
+    reads it; ``+``, ``-`` and ``scale`` pass it on.  Only ``_with_support``
+    sets it, and only while it has at most ``ring.size >> _SUPPORT_SHIFT``
+    entries.  It never changes what a polynomial is: ``==``, ``hash``,
+    ``coeffs`` and ``to_dict`` ignore it.
     """
 
     __slots__ = ("ring", "coeffs", "_nz")
 
     def __init__(self, ring: PolyRing, coeffs: Sequence[int]):
         self.ring = ring
-        self.coeffs = tuple(coeffs)
+        self.coeffs = _pack(coeffs, ring.p)
         self._nz: tuple[int, ...] | None = None
         if len(self.coeffs) != ring.size:
             raise ValueError("coefficient table length does not match the ring")
@@ -404,25 +417,15 @@ class Polynomial:
     def _add(self, other: "Polynomial", sign: int) -> "Polynomial":
         """self + sign * other for sign in {1, -1}.
 
-        When ``other`` has a support record (for a sum, when either side
-        has one), the table of the operand without it is copied once and
-        patched at the recorded indices only.  The result keeps a record
-        when both operands had one.
+        The result keeps a support record when both operands had one: their
+        union, less the entries that cancelled.
         """
         ring = self._same_ring(other)
-        p = ring.p
-        f, g = self, other
-        if sign > 0 and f._nz is not None and (g._nz is None or len(f._nz) < len(g._nz)):
-            f, g = g, f  # a sum commutes: patch at the shorter record
-        fz, gz, a, b = f._nz, g._nz, f.coeffs, g.coeffs
-        if gz is None:
-            return Polynomial(ring, _combine(p, (1, sign), (_pack(a, p), _pack(b, p))))
-        out = list(a)
-        for k in gz:
-            out[k] = (out[k] + sign * b[k]) % p
-        if fz is None:
-            return Polynomial(ring, out)
-        return _with_support(ring, out, tuple(k for k in sorted({*fz, *gz}) if out[k]))
+        out = _combine(ring.p, (1, sign), (self.coeffs, other.coeffs))
+        nz = None
+        if self._nz is not None and other._nz is not None:
+            nz = tuple(k for k in sorted({*self._nz, *other._nz}) if out[k])
+        return _with_support(ring, out, nz)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -453,15 +456,8 @@ class Polynomial:
             return self
         if c == 0:
             return self.ring.zero()
-        ring = self.ring
-        p = ring.p
-        a, nz = self.coeffs, self._nz
-        if nz is None:
-            return Polynomial(ring, _combine(p, (c,), (_pack(a, p),)))
-        out = [0] * ring.size
-        for k in nz:
-            out[k] = (a[k] * c) % p
-        return _with_support(ring, out, nz)
+        # c is a unit mod p, so the support record carries over unchanged.
+        return _with_support(self.ring, _combine(self.ring.p, (c,), (self.coeffs,)), self._nz)
 
     def __mul__(self, other):
         if isinstance(other, int) and not isinstance(other, bool):
@@ -489,7 +485,7 @@ class Polynomial:
             axis = _single_axis(ring, b_idx)
             if axis is not None:
                 return Polynomial(ring, _univariate_product(a, b, ring, axis))
-        out = [0] * ring.size
+        out = _scratch(ring.size, p)
         if p == 2:
             # Exponents are bits and x^2 = x, so indices combine by OR.
             for j in b_idx:
@@ -515,9 +511,8 @@ class Polynomial:
                     out[k] = (out[k] + ca * cb) % p
                     if touched is not None:
                         touched.add(k)
-        if touched is None:
-            return Polynomial(ring, out)
-        return _with_support(ring, out, tuple(k for k in sorted(touched) if out[k]))
+        return _with_support(ring, out, None if touched is None
+                             else tuple(k for k in sorted(touched) if out[k]))
 
     def __rmul__(self, other):
         if isinstance(other, int) and not isinstance(other, bool):
@@ -661,9 +656,9 @@ def _univariate_product(a: Sequence[int], b: Sequence[int], ring: PolyRing,
                         axis: int) -> Sequence[int]:
     """The table a * u where b holds u(x_axis) = sum_e b[e * p^axis] x_axis^e.
 
-    Multiplying by u acts on each fiber of ``axis`` alone, as the p x p
-    matrix that sends x^d to sum_e u_e x^(d+e), folded by x^p = x; the
-    other axes are only rotated.
+    Both are stored tables.  Multiplying by u acts on each fiber of ``axis``
+    alone, as the p x p matrix that sends x^d to sum_e u_e x^(d+e), folded
+    by x^p = x; the other axes are only rotated.
     """
     p, s = ring.p, ring.strides[axis]
     rows = [[0] * p for _ in range(p)]
@@ -673,22 +668,22 @@ def _univariate_product(a: Sequence[int], b: Sequence[int], ring: PolyRing,
             for d in range(p):
                 k = d + e if d + e < p else d + e - (p - 1)
                 rows[k][d] += c
-    data = _pack(a, p)
     for i in range(ring.n):
-        data = _round(data, p, rows if i == axis else None)
-    return data
+        a = _round(a, p, rows if i == axis else None)
+    return a
 
 
 def _with_support(ring: PolyRing, table: Sequence[int],
-                  nz: tuple[int, ...]) -> Polynomial:
+                  nz: tuple[int, ...] | None) -> Polynomial:
     """A polynomial on ``table`` that records ``nz`` as its support.
 
-    ``nz`` must be exactly the ascending nonzero indices of ``table``.  The
-    record is dropped when it has more than ``ring.size >> _SUPPORT_SHIFT``
-    entries; that is the one place the bound is applied.
+    ``nz`` must be exactly the ascending nonzero indices of ``table``, or
+    None when they are not known.  The record is dropped when it has more
+    than ``ring.size >> _SUPPORT_SHIFT`` entries; that is the one place the
+    bound is applied.
     """
     f = Polynomial(ring, table)
-    if len(nz) <= ring.size >> _SUPPORT_SHIFT:
+    if nz is not None and len(nz) <= ring.size >> _SUPPORT_SHIFT:
         f._nz = nz
     return f
 

@@ -321,6 +321,24 @@ class TestList:
         assert {e["name"] for e in entries} == set(CATALOG)
 
 
+@pytest.mark.parametrize("argv,refused", [
+    (("verify", "--func", "max", "--p", "3", "--n", "2", "--form", "human"), "--form human"),
+    (("gen", "--fun", "max", "--p", "3", "--n", "2"), "--fun max"),
+    (("stats", "--func", "max", "--p", "3", "--n", "2", "--for", "human"), "--for human"),
+    (("eval", "--func", "max", "--p", "3", "--n", "2", "--point", "1,2", "--circ"), "--circ"),
+    (("list", "--form", "json"), "--form json"),
+    (("--he", "list"), "--he"),
+])
+def test_abbreviated_flags_are_refused(argv, refused, capsys):
+    # --form must not be read as --format, --fun as --func, nor --he as --help
+    with pytest.raises(SystemExit) as info:
+        run_cli(*argv)
+    assert info.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {refused}" in captured.err
+
+
 class TestEnvGuard:
     def test_env_var_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FPMINPOLY_MAX_TABLE_SIZE", "100")

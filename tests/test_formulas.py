@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from fpminpoly import formulas
 from fpminpoly.ff import PrimeField
 from fpminpoly.formulas import (CATALOG, FormulaParamError, argmax0_n2,
                                 argmax_block_recurrence, argmax_digit_general,
@@ -54,6 +55,20 @@ class TestDeltaLowpass:
     def test_lowpass_threshold_range(self):
         with pytest.raises(ValueError):
             lowpass(3, 4)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_piece_rows_build_each_delta_once(p, monkeypatch):
+    """The lowpass rows are running sums of the delta rows, not ``lowpass`` calls."""
+    deltas = tuple(tuple(delta(p, t).coeffs) for t in range(p))
+    lows = tuple(tuple(lowpass(p, t).coeffs) for t in range(p + 1))
+
+    def refuse(p, t):
+        raise AssertionError("_piece_rows called lowpass")
+
+    monkeypatch.setattr(formulas, "lowpass", refuse)
+    formulas._piece_rows.cache_clear()
+    assert formulas._piece_rows(p) == (deltas, lows)
 
 
 class TestMaxFamily:

@@ -13,14 +13,16 @@ summed and reduced, is checked against a per-entry sum.
 """
 
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fpminpoly.formulas import _delta_list, _lowpass_list
 from fpminpoly.oracle import (KINDS, FunctionSpec, argmax_digit_sem, argmin_digit_sem,
-                              carry_sem, delta_basis_rows, ismax_2bit_sem, ismax_sem,
-                              max_sem, min_sem, nummax_digit_sem, point_at, tabulate)
+                              carry_sem, delta_basis_rows, interpolate, ismax_2bit_sem,
+                              ismax_sem, max_sem, min_sem, nummax_digit_sem, point_at,
+                              tabulate)
 from fpminpoly import polyring
 from fpminpoly.polyring import (_SUPPORT_SHIFT, LANE_MIN_SIZE, Polynomial, PolyRing,
                                 _combine, _pack, apply_axis_transform, vandermonde_rows)
@@ -522,6 +524,70 @@ class TestSupportRecords:
         assert recorded._nz is not None and plain._nz is None
         assert recorded == plain and hash(recorded) == hash(plain)
         assert recorded.to_dict() == plain.to_dict()
+
+
+# -- one stored table form ---------------------------------------------------------
+
+#: Rings on both sides of p = 128 where a dense operand times a univariate
+#: factor passes the record bound and runs as a fiber matrix.
+FORM_RINGS = [(2, 10), (3, 6), (127, 2), (131, 2)]
+
+
+def form_operands(ring):
+    """A dense polynomial (about 130 terms, no record) and a univariate factor
+    with a record whose pairs with it pass the record bound."""
+    p = ring.p
+    rng = random.Random(f"{p}/{ring.n}")
+    dense = ring.from_coeffs([rng.randrange(1, p) if rng.random() < 130 / ring.size else 0
+                              for _ in range(ring.size)])
+    row = [rng.randrange(1, p) for _ in range(min(p, 20))]
+    return dense, ring.univariate(ring.n - 1, row)
+
+
+class TestOneTableForm:
+    @pytest.mark.parametrize("p,n", FORM_RINGS)
+    def test_every_result_is_stored_packed(self, p, n, monkeypatch):
+        ring = PolyRing(p, n)
+        form = bytes if p < 128 else tuple
+        dense, factor = form_operands(ring)
+        x = ring.variable(0)
+        products = record_calls(monkeypatch, "_univariate_product")
+        results = {
+            "zero": ring.zero(), "constant": ring.constant(5), "variable": x,
+            "monomial": ring.monomial((1,) * n, 3), "univariate": factor,
+            "elementary_symmetric": ring.elementary_symmetric(2),
+            "from_coeffs": dense, "embed": ring.embed(PolyRing(p, 1).variable(0) + 2),
+            "+": dense + factor, "-": factor - dense, "scale": factor.scale(2),
+            "* (pair loop)": (x + 1) * factor, "**": (x + 2) ** 3,
+            "interpolate": interpolate(tabulate(FunctionSpec("max", p, n))),
+        }
+        assert products == []
+        results["* (single axis)"] = dense * factor
+        assert products == [list if p >= 128 else bytes]
+        for name, f in results.items():
+            assert type(f.coeffs) is form, name
+            assert len(f.coeffs) == ring.size, name
+
+    @pytest.mark.parametrize("p,n", [(2, 10), (3, 6), (127, 2)])
+    def test_packed_tables_take_one_byte_per_entry(self, p, n):
+        ring = PolyRing(p, n)
+        dense, factor = form_operands(ring)
+        for f in (ring.zero(), factor, dense, dense + factor, dense * factor,
+                  ring.from_coeffs(list(dense.coeffs))):
+            assert sys.getsizeof(f.coeffs) < ring.size + 64
+
+    @pytest.mark.parametrize("p,n", [(3, 4), (131, 2)])
+    def test_add_sub_scale_combine_recorded_operands(self, p, n, monkeypatch):
+        ring = PolyRing(p, n)
+        x, y = ring.variable(0), ring.univariate(1, (0, 2, 1))
+        dense = ring.from_coeffs([k % p for k in range(ring.size)])
+        assert x._nz is not None and y._nz is not None and dense._nz is None
+        combined = record_calls(monkeypatch, "_combine")
+        for op in (lambda: x + y, lambda: x - y, lambda: y + dense, lambda: dense - x,
+                   lambda: x.scale(2), lambda: -y):
+            combined.clear()
+            op()
+            assert combined, "a recorded operand skipped _combine"
 
 
 # -- semantics bound once per table ----------------------------------------------
