@@ -2,9 +2,15 @@
 
 Every function the library builds a polynomial for also exists here as a
 plain-integer definition; comparison happens in the integers {0, ..., p-1},
-arithmetic in F_p only at the boundary.  ``tabulate`` turns a function spec
-into its full truth table, and ``interpolate`` turns any truth table into
-the unique canonical polynomial agreeing with it everywhere.
+arithmetic in F_p only at the boundary.  The ``*_sem`` functions are that
+definition in its plainest form, one input list at a time: the reference.
+``FunctionSpec.fold`` states each kind once more as a left-to-right fold
+over x0, x1, ... (a running maximum, a best value with its first index),
+and that fold is the one path by which values are computed: ``evaluate``
+runs it over one point, ``tabulate`` over the full truth table, stepping
+once per distinct state and axis instead of once per point.
+``interpolate`` turns any truth table into the unique canonical polynomial
+agreeing with it everywhere.
 
 Because the canonical polynomial is unique, "formula equals interpolation
 of the semantics, coefficient for coefficient" is a complete correctness
@@ -15,9 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import chain
 import json
-from typing import Callable, Sequence
+from typing import Callable, Hashable, Sequence
 
 from .ff import PrimeField
 from .polyring import (DEFAULT_MAX_TABLE_SIZE, Polynomial, PolyRing, SizeGuardError,
@@ -178,6 +184,9 @@ class FunctionSpec:
         PrimeField(self.p)
         if self.kind not in KINDS:
             raise ValueError(f"unknown function kind {self.kind!r}; expected one of {KINDS}")
+        for name, value in (("input count n", self.n), ("digit index r", self.r)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.n < 1:
             raise ValueError("input count must be at least 1")
         if self.r < 0:
@@ -195,51 +204,112 @@ class FunctionSpec:
             return 2 * self.n + 2
         return self.n
 
-    def point_function(self) -> Callable[[Sequence[int]], int]:
-        """The integer-level semantics of this kind as a function of one point.
+    def fold(self) -> tuple[Hashable, Callable[[Hashable, int, int], Hashable],
+                            Callable[[Hashable], int]]:
+        """The semantics of this kind as a left-to-right fold over x0, x1, ...
 
-        The kind and the parameters are bound once here, so a caller that
-        evaluates many points (``tabulate``) dispatches only once.  The
-        point must have the right arity; ``evaluate`` checks it.
+        Returns ``(start, step, finish)``: the value at a point is
+        ``finish(state)`` after ``state = step(state, k, x_k)`` for k = 0, 1,
+        ...  States are hashable and few (``max`` keeps the running maximum,
+        ``argmax_digit`` the best value and its first index), so ``tabulate``
+        runs ``step`` once per distinct state and axis, not once per point.
         """
         kind, p, r = self.kind, self.p, self.r
         if kind == "max":
-            return max_sem
+            return None, lambda s, k, x: x if k == 0 or x > s else s, lambda s: s
         if kind == "min":
-            return min_sem
-        if kind == "argmax_digit":
-            return lambda xs: argmax_digit_sem(xs, r, p)
+            return None, lambda s, k, x: x if k == 0 or x < s else s, lambda s: s
+        if kind == "argmax_digit":  # (best value, least index attaining it)
+            return (None, lambda s, k, x: (x, k) if k == 0 or x > s[0] else s,
+                    lambda s: digit_sem(s[1], r, p))
         if kind == "argmin_digit":
-            return lambda xs: argmin_digit_sem(xs, r, p)
-        if kind == "ismax":
-            return lambda xs: ismax_sem(xs[0], xs[1:])
-        if kind == "nummax_digit":
-            return lambda xs: nummax_digit_sem(xs, r, p)
-        if kind == "carry":
-            return lambda xs: carry_sem(xs[0], xs[1], p)
-        if kind == "ismax_2bit":
-            return lambda xs: ismax_2bit_sem(xs[:2], tuple(zip(xs[2::2], xs[3::2])))
+            return (None, lambda s, k, x: (x, k) if k == 0 or x < s[0] else s,
+                    lambda s: digit_sem(s[1], r, p))
+        if kind == "ismax":  # (y, running maximum of the x's)
+            return None, _ismax_step, lambda s: 1 if s[1] == s[0] else 0
+        if kind == "nummax_digit":  # (running maximum, inputs attaining it)
+            return None, _nummax_step, lambda s: digit_sem(s[1], r, p)
+        if kind == "carry":  # running sum of the two digits
+            return 0, lambda s, k, x: s + x, lambda s: 1 if s >= p else 0
+        if kind == "ismax_2bit":  # (y, running maximum, pending high bit)
+            return None, _ismax_2bit_step, lambda s: 1 if s[1] == s[0] else 0
         raise AssertionError(f"unhandled kind {kind}")
 
     def evaluate(self, point: Sequence[int]) -> int:
-        """Integer-level value at one input point (variable order as tabulated)."""
+        """Integer-level value at one input point (variable order as tabulated):
+        the fold of this kind, run over the point."""
         if len(point) != self.arity:
             raise ValueError(f"expected arity {self.arity}, got {len(point)}")
-        return self.point_function()(point)
+        state, step, finish = self.fold()
+        for k, x in enumerate(point):
+            state = step(state, k, x)
+        return finish(state)
+
+
+def _ismax_step(s, k, x):
+    if k == 0:
+        return x, None
+    return (s[0], x) if k == 1 or x > s[1] else s
+
+
+def _nummax_step(s, k, x):
+    if k == 0 or x > s[0]:
+        return x, 1
+    return (x, s[1] + 1) if x == s[0] else s
+
+
+def _ismax_2bit_step(s, k, x):
+    """x0, x1 are y's high and low bit; then each input is a (high, low) pair."""
+    if k == 0:
+        return 2 * x, None, None
+    y, m, high = s
+    if k == 1:
+        return y + x, None, None
+    if k % 2 == 0:
+        return y, m, x
+    v = 2 * high + x
+    return y, (v if k == 3 or v > m else m), None
 
 
 def tabulate(spec: FunctionSpec,
              max_table_size: int | None = DEFAULT_MAX_TABLE_SIZE) -> TruthTable:
-    """Evaluate the semantics at every input point, mixed-radix order."""
+    """The fold of ``spec`` run over every input point, one axis at a time.
+
+    The table of state ids starts as the one start state and grows p-fold
+    per axis, x0 least significant.  Per axis, ``step`` runs once per
+    (distinct state, x); the new states are interned, so ``argmax`` at
+    p = 2, n = 16 meets at most 2 * 16 states, never 65,536 points.  The
+    last axis maps ids straight to values through ``finish``.
+    """
     p, arity = spec.p, spec.arity
     if max_table_size is not None and bounded_power(p, arity, max_table_size) is None:
         raise SizeGuardError(
             f"truth table size p^arity = {p}^{arity} exceeds the cap of "
             f"{max_table_size} entries")
-    semantics = spec.point_function()
-    # product() runs its last place fastest; x0 is least significant.
-    values = tuple(semantics(point[::-1]) for point in product(range(p), repeat=arity))
-    return TruthTable(p, arity, values)
+    start, step, finish = spec.fold()
+    states, table = [start], b"\0"
+    last = arity - 1
+    for axis in range(last):
+        interned = {}
+        rows = [[interned.setdefault(step(s, axis, x), len(interned)) for s in states]
+                for x in range(p)]
+        states = list(interned)
+        table = _grow(table, rows, len(states))
+    table = _grow(table, ([finish(step(s, last, x)) for s in states] for x in range(p)), p)
+    return TruthTable(p, arity, tuple(table))
+
+
+def _grow(table, rows, bound: int):
+    """The table p-fold longer: block x is ``table`` mapped through ``rows[x]``.
+
+    Every row entry is below ``bound``.  A ``bytes`` table stays ``bytes``,
+    grown by ``bytes.translate``, while the entries fit in a byte; otherwise
+    the result is a tuple.  ``rows`` may be a generator: each row is then
+    built just before its block, so only one row is alive at a time.
+    """
+    if type(table) is bytes and bound <= 256:
+        return b"".join([table.translate(bytes(row).ljust(256, b"\0")) for row in rows])
+    return tuple(chain.from_iterable(map(row.__getitem__, table) for row in rows))
 
 
 # -- interpolation ------------------------------------------------------------

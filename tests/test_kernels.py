@@ -18,7 +18,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fpminpoly.formulas import _delta_list, _lowpass_list
+from fpminpoly.formulas import CATALOG, _delta_list, _lowpass_list
 from fpminpoly.oracle import (KINDS, FunctionSpec, argmax_digit_sem, argmin_digit_sem,
                               carry_sem, delta_basis_rows, interpolate, ismax_2bit_sem,
                               ismax_sem, max_sem, min_sem, nummax_digit_sem, point_at,
@@ -590,7 +590,7 @@ class TestOneTableForm:
             assert combined, "a recorded operand skipped _combine"
 
 
-# -- semantics bound once per table ----------------------------------------------
+# -- the fold against the per-point dispatch ---------------------------------------
 
 def reference_evaluate(spec, point):
     """The per-point kind dispatch that ``tabulate`` used to run."""
@@ -622,10 +622,32 @@ def small_specs(kind):
                 yield FunctionSpec(kind, p, n, r)
 
 
+#: The verify cases of the dense-p3 and dense-p2 benchmark workloads.
+DENSE_CASES = (("max", 3, 9, 0), ("argmax", 3, 9, 0), ("nummax0", 3, 9, 0), ("max", 5, 6, 0),
+               ("max2", 2, 17, 0), ("argmax2", 2, 16, 1), ("nummax2", 2, 17, 1),
+               ("ismax2bit", 2, 7, 0), ("argmax2sel", 2, 15, 1))
+
+#: Specs at the one-byte limit of ``tabulate``'s id table: ismax p = 17 and
+#: max p = 257 reach 289 and 257 states and move to a tuple; argmax_digit
+#: p = 131 stays on bytes with 131 ids.
+PAST_BYTE_SPECS = (FunctionSpec("ismax", 17, 2), FunctionSpec("argmax_digit", 131, 2, 1),
+                   FunctionSpec("max", 257, 2))
+
+
+def differential_specs(kind):
+    """Small specs, every catalog ``verify_grid`` spec, the dense benchmark
+    cases and the past-one-byte specs of this kind, each once."""
+    catalog = [entry.spec_of(p, n, r)
+               for entry in CATALOG.values() for p, n, r in entry.verify_grid]
+    dense = [CATALOG[name].spec_of(p, n, r) for name, p, n, r in DENSE_CASES]
+    specs = [*small_specs(kind), *catalog, *dense, *PAST_BYTE_SPECS]
+    return [spec for spec in dict.fromkeys(specs) if spec.kind == kind]
+
+
 class TestTabulate:
     @pytest.mark.parametrize("kind", KINDS)
     def test_matches_per_point_dispatch(self, kind):
-        for spec in small_specs(kind):
+        for spec in differential_specs(kind):
             points = [point_at(spec.p, spec.arity, i) for i in range(spec.p ** spec.arity)]
             expected = tuple(reference_evaluate(spec, point) for point in points)
             assert tabulate(spec).values == expected, spec

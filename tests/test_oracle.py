@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -117,6 +118,13 @@ class TestFunctionSpec:
         with pytest.raises(ValueError):
             FunctionSpec("ismax_2bit", 3, 2)
 
+    @pytest.mark.parametrize("kind, n, r", [
+        ("argmax_digit", 2, 1.5), ("max", True, 0), ("max", 2.0, 0), ("max", "2", 0),
+        ("argmax_digit", 2, False), ("max", 2, None)])
+    def test_non_int_count_or_digit_is_refused(self, kind, n, r):
+        with pytest.raises(ValueError, match="must be an int"):
+            FunctionSpec(kind, 3, n, r)
+
 
 class TestTabulate:
     def test_max_p2_n1(self):
@@ -156,6 +164,23 @@ class TestTabulate:
     def test_size_guard_message_does_not_format_the_size(self):
         with pytest.raises(SizeGuardError, match=r"2\^30000000 exceeds the cap of 100"):
             tabulate(FunctionSpec("max", 2, 30000000, 0), max_table_size=100)
+
+    @pytest.mark.parametrize("spec", [FunctionSpec("max", 1021, 2),
+                                      FunctionSpec("argmax_digit", 2, 20, 1)],
+                             ids=["tuple-path", "bytes-path"])
+    def test_peak_memory_stays_near_the_table(self, spec):
+        # The fold's rows and id tables are small beside the result; building
+        # every row of the last axis at once would double the peak.
+        tabulate(FunctionSpec(spec.kind, spec.p, 1, spec.r))  # warm caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            table = tabulate(spec)
+            size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table.values) == spec.p ** spec.arity
+        assert peak - base <= 1.25 * (size - base), (size - base, peak - base)
 
     def test_huge_digit_index_is_zero_without_exponentiating(self):
         t = tabulate(FunctionSpec("argmax_digit", 3, 2, 10**12))
