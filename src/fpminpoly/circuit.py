@@ -14,17 +14,26 @@ Gates are plain tuples::
     ("sub", a, b)    ("mul", a, b)     ("scale", c, a)
 
 where a, b are indices of earlier gates.
+
+``run_all`` carries all p^n points through each gate at once, in a wire
+form chosen by p alone: an int of p^n bits for p = 2, ``bytes`` of p^n
+residues for 2 < p < 16 (each binary gate is one ``bytes.translate`` of the
+lane pair codes a*p + b, which fit in a byte as p^2 <= 256), and a list of
+p^n ints for p >= 16.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress
 import json
+from operator import add, and_, mul, sub, xor
 from typing import Sequence
 
 from .ff import PrimeField
-from .polyring import DEFAULT_MAX_TABLE_SIZE, Polynomial, SizeGuardError, bounded_power
+from .polyring import (DEFAULT_MAX_TABLE_SIZE, Polynomial, SizeGuardError, _scale_table,
+                       bounded_power)
 
 STRATEGIES = ("naive_monomial", "nested_horner")
 
@@ -494,16 +503,91 @@ def _last_uses(circuit: Circuit) -> list[int]:
     return last
 
 
+#: Byte map of a p = 2 output's binary digits, in ASCII, to the values 0 and 1.
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+@lru_cache(maxsize=None)
+def _pair_table(p: int, op: str) -> bytes:
+    """The byte map a*p + b -> (a op b) mod p for residues a, b; 256 entries.
+
+    Used for 2 < p < 16, where the pair code a*p + b is at most p^2 - 1 and
+    fits in a byte.  Codes past p^2 - 1 never occur and map to 0.
+    """
+    fn = {"add": add, "sub": sub, "mul": mul}[op]
+    return bytes([fn(a, b) % p for a in range(p) for b in range(p)] + [0] * (256 - p * p))
+
+
+def _wire_form(p: int, size: int):
+    """The gate kernels of ``run_all``'s wire form for p, at ``size`` points.
+
+    Returns ``(source, const, scale, binary, unpack)``: ``source(i)`` and
+    ``const(c)`` make the wires of input i and of a constant,
+    ``scale(c, w)`` and ``binary[op](w, v)`` apply a gate, and
+    ``unpack(w)`` gives the tuple of ints.  On byte lanes a binary gate
+    forms W*p + V of the two wires read as little-endian ints; each lane
+    then holds a*p + b <= p^2 - 1 < 256, so no lane carries into the next.
+    """
+    if p == 2:
+        full = (1 << size) - 1
+
+        def source(i):
+            s = 1 << i
+            chunk = ((1 << s) - 1) << s
+            return chunk * (full // ((1 << (2 * s)) - 1)) if 2 * s <= size else chunk
+
+        def unpack(w):
+            return tuple(format(w, "b").zfill(size)[::-1].encode().translate(_BITS))
+
+        return (source, lambda c: full if c else 0, lambda c, w: w if c else 0,
+                {"add": xor, "sub": xor, "mul": and_}, unpack)
+
+    def period(i):
+        """Input i's values over one period of p^(i+1) points."""
+        return [v for v in range(p) for _ in range(p ** i)]
+
+    if p < 16:
+        from_bytes = int.from_bytes
+
+        def source(i):
+            digits = period(i)
+            return bytes(digits) * (size // len(digits))
+
+        def pair(op):
+            table = _pair_table(p, op)
+
+            def gate(w, v):
+                code = from_bytes(w, "little") * p + from_bytes(v, "little")
+                return code.to_bytes(size, "little").translate(table)
+            return gate
+
+        return (source, lambda c: bytes((c,)) * size,
+                lambda c, w: w.translate(_scale_table(p, c)),
+                {op: pair(op) for op in ("add", "sub", "mul")}, tuple)
+
+    def source(i):
+        digits = period(i)
+        return digits * (size // len(digits))
+
+    return (source, lambda c: [c] * size, lambda c, w: [(c * x) % p for x in w],
+            {"add": lambda w, v: [(x + y) % p for x, y in zip(w, v)],
+             "sub": lambda w, v: [(x - y) % p for x, y in zip(w, v)],
+             "mul": lambda w, v: [(x * y) % p for x, y in zip(w, v)]}, tuple)
+
+
 def run_all(circuit: Circuit) -> tuple[int, ...]:
     """Evaluate the circuit at every point of F_p^n, mixed-radix order.
 
     Gate semantics are identical to :func:`run`; the whole domain is just
-    carried through each gate at once.  Mod 2 a wire's values across all
-    2^n points pack into one big int (add is xor, mul is and), which keeps
-    exhaustive checks at arity 14 quick.  Each wire's values are dropped
-    right after the last gate that reads them, so only live wires are
-    held.  Raises ``SizeGuardError`` before allocating anything when p^n
-    exceeds the default table cap.
+    carried through each gate at once, in a wire form chosen by p alone
+    (``_wire_form``): one big int of p^n bits for p = 2 (add is xor, mul is
+    and), which keeps exhaustive checks at arity 14 quick; ``bytes`` of p^n
+    residues for 2 < p < 16, where a gate is one big-int pair code a*p + b
+    (bounded by p^2 <= 256) and one ``bytes.translate``; a list of p^n ints
+    for p >= 16.  Each wire's values are dropped right after the last gate
+    that reads them, so only live wires are held, p^n bytes each for
+    2 < p < 16.  Raises ``SizeGuardError`` before allocating anything when
+    p^n exceeds the default table cap.
     """
     p, n = circuit.p, circuit.n_inputs
     size = bounded_power(p, n, DEFAULT_MAX_TABLE_SIZE)
@@ -513,58 +597,24 @@ def run_all(circuit: Circuit) -> tuple[int, ...]:
             f"{DEFAULT_MAX_TABLE_SIZE} entries")
     last = _last_uses(circuit)
     gates = circuit.gates
-
-    if p == 2:
-        full = (1 << size) - 1
-        masks: list[int | None] = [None] * len(gates)
-        for idx, gate in enumerate(gates):
-            op = gate[0]
-            if op == "input":
-                s = 1 << gate[1]
-                chunk = ((1 << s) - 1) << s
-                masks[idx] = chunk * (full // ((1 << (2 * s)) - 1)) if 2 * s <= size else chunk
-                continue
-            if op == "const":
-                masks[idx] = full if gate[1] else 0
-                continue
-            b = gate[2]
-            if op == "scale":  # by 0 or 1
-                masks[idx] = masks[b] if gate[1] else 0
-            else:
-                a = gate[1]
-                masks[idx] = masks[a] & masks[b] if op == "mul" else masks[a] ^ masks[b]
-                if last[a] == idx:
-                    masks[a] = None
-            if last[b] == idx:
-                masks[b] = None
-        out = masks[circuit.output]
-        return tuple((out >> a) & 1 for a in range(size))
-
-    vecs: list[list[int] | None] = [None] * len(gates)
+    source, const, scale, binary, unpack = _wire_form(p, size)
+    wires: list = [None] * len(gates)
     for idx, gate in enumerate(gates):
         op = gate[0]
         if op == "input":
-            s = p ** gate[1]
-            pattern = [v for v in range(p) for _ in range(s)]
-            vecs[idx] = pattern * (size // (s * p))
+            wires[idx] = source(gate[1])
             continue
         if op == "const":
-            vecs[idx] = [gate[1]] * size
+            wires[idx] = const(gate[1])
             continue
         b = gate[2]
         if op == "scale":
-            c = gate[1]
-            vecs[idx] = [(c * x) % p for x in vecs[b]]
+            wires[idx] = scale(gate[1], wires[b])
         else:
             a = gate[1]
-            if op == "add":
-                vecs[idx] = [(x + y) % p for x, y in zip(vecs[a], vecs[b])]
-            elif op == "sub":
-                vecs[idx] = [(x - y) % p for x, y in zip(vecs[a], vecs[b])]
-            else:
-                vecs[idx] = [(x * y) % p for x, y in zip(vecs[a], vecs[b])]
+            wires[idx] = binary[op](wires[a], wires[b])
             if last[a] == idx:
-                vecs[a] = None
+                wires[a] = None
         if last[b] == idx:
-            vecs[b] = None
-    return tuple(vecs[circuit.output])
+            wires[b] = None
+    return unpack(wires[circuit.output])

@@ -107,16 +107,19 @@ class TestRunAll:
             assert run_all(lower(f, strategy)) == f.values()
 
     def test_size_guard_fires_before_any_table(self, monkeypatch):
-        # 2^40 points: without the guard the p = 2 path would ask for a
-        # 2^40-bit mask.  Everything after the guard is made to fail loudly
-        # instead, so a missing guard cannot allocate anything here.
+        # Past the 2^24 cap in each wire form: without the guard the p = 2
+        # path would ask for a 2^40-bit mask, the byte lanes for 3^16 bytes
+        # and the list path for 17^6 ints.  Everything after the guard is
+        # made to fail loudly instead, so a missing guard cannot allocate
+        # anything here.
         def reached(_circuit):
             raise AssertionError("run_all went past its size guard")
 
         monkeypatch.setattr(circuit_module, "_last_uses", reached)
-        circ = Circuit(2, 40, (("input", 39),), 0)
-        with pytest.raises(SizeGuardError, match=r"2\^40 exceeds the cap"):
-            run_all(circ)
+        for p, n in ((2, 40), (3, 16), (17, 6)):
+            circ = Circuit(p, n, (("input", n - 1),), 0)
+            with pytest.raises(SizeGuardError, match=rf"{p}\^{n} exceeds the cap"):
+                run_all(circ)
 
 
 class TestCSE:

@@ -4,16 +4,20 @@ The references below are the set-and-stack ``finish``, the builder's
 memoised ``power``, its ``mul``-per-pair ``product``, the validator with a
 separate argument helper, the value-numbering CSE and the ``max``-based
 ``cost``, kept here as they were written before the single-pass rewrite of
-``circuit``.  Random polynomials must lower to the same gate tuples,
-outputs and cost reports through both; random malformed gate lists must get
-the same verdict and message as from the old validator extended with the
-rule that gate references, input indices and the output are ints (checked
-just before each range test), and the same as from the old validator itself
-where that rule does not apply; and every lowered circuit must agree with
-``Polynomial.eval`` and ``values()``.
+``circuit``, and ``run_all``'s loop from before its byte lanes: one list of
+p^n ints per wire and one comprehension per gate.  Random polynomials must
+lower to the same gate tuples, outputs and cost reports through both;
+random malformed gate lists must get the same verdict and message as from
+the old validator extended with the rule that gate references, input
+indices and the output are ints (checked just before each range test), and
+the same as from the old validator itself where that rule does not apply;
+every lowered circuit must agree with ``Polynomial.eval`` and ``values()``;
+and ``run_all`` must return the list loop's tuple on random circuits, the
+catalog grids and the benchmark's circuit cases.
 """
 
 from hypothesis import given, settings, strategies as st
+import pytest
 
 from fpminpoly import circuit as circuit_module
 from fpminpoly.circuit import (STRATEGIES, Circuit, CircuitBuilder, CostReport, cost,
@@ -25,6 +29,16 @@ from fpminpoly.polyring import PolyRing
 
 #: Largest arity per modulus that keeps the naive lowering small.
 MAX_ARITY = {2: 6, 3: 3, 5: 2, 7: 2}
+
+#: Largest arity per modulus of the random circuits: MAX_ARITY plus the two
+#: largest byte-lane primes and the first prime past them, on lists.
+RUN_ARITY = {**MAX_ARITY, 11: 2, 13: 2, 17: 2}
+
+#: The circuit-stats benchmark cases (func, p, n, r).
+CIRCUIT_CASES = (("max2", 2, 14, 0), ("argmax2", 2, 14, 1), ("max", 3, 6, 0),
+                 ("argmax", 3, 6, 0), ("ismax3", 3, 5, 0), ("max", 5, 4, 0),
+                 ("carry", 13, 2, 0), ("maxn2", 13, 2, 0),
+                 ("max2", 2, 8, 0), ("argmax3n3", 3, 3, 0), ("maxn2", 7, 2, 0))
 
 _BINARY = ("add", "sub", "mul")
 _GATE_LEN = {"input": 2, "const": 2, "add": 3, "sub": 3, "mul": 3, "scale": 3}
@@ -206,6 +220,46 @@ def reference_cost(gates, output):
     return CostReport(muls, adds, scales, depth[output])
 
 
+def reference_run_all(circuit):
+    """Every point's value: a list of p^n ints per wire, one comprehension
+    per gate, each wire dropped after the last gate that reads it."""
+    p, gates = circuit.p, circuit.gates
+    size = p ** circuit.n_inputs
+    last = list(range(len(gates)))
+    for idx, gate in enumerate(gates):
+        for ref in reference_gate_args(gate):
+            last[ref] = idx
+    last[circuit.output] = len(gates)
+    vecs = [None] * len(gates)
+    for idx, gate in enumerate(gates):
+        op = gate[0]
+        if op == "input":
+            s = p ** gate[1]
+            pattern = [v for v in range(p) for _ in range(s)]
+            vecs[idx] = pattern * (size // (s * p))
+            continue
+        if op == "const":
+            vecs[idx] = [gate[1]] * size
+            continue
+        b = gate[2]
+        if op == "scale":
+            c = gate[1]
+            vecs[idx] = [(c * x) % p for x in vecs[b]]
+        else:
+            a = gate[1]
+            if op == "add":
+                vecs[idx] = [(x + y) % p for x, y in zip(vecs[a], vecs[b])]
+            elif op == "sub":
+                vecs[idx] = [(x - y) % p for x, y in zip(vecs[a], vecs[b])]
+            else:
+                vecs[idx] = [(x * y) % p for x, y in zip(vecs[a], vecs[b])]
+            if last[a] == idx:
+                vecs[a] = None
+        if last[b] == idx:
+            vecs[b] = None
+    return tuple(vecs[circuit.output])
+
+
 @st.composite
 def polynomials(draw):
     """A random canonical polynomial: dense, sparse, or a small catalog form."""
@@ -334,8 +388,8 @@ class TestValidationAgainstReference:
 
 @st.composite
 def valid_circuits(draw):
-    p = draw(st.sampled_from(sorted(MAX_ARITY)))
-    n_inputs = draw(st.integers(0, MAX_ARITY[p]))
+    p = draw(st.sampled_from(sorted(RUN_ARITY)))
+    n_inputs = draw(st.integers(0, RUN_ARITY[p]))
     gates = []
     for idx in range(draw(st.integers(1, 30))):
         ops = ["const"] + (["input"] if n_inputs else []) \
@@ -376,7 +430,61 @@ class TestEvaluationAgreement:
         size = circ.p ** circ.n_inputs
         assert values == tuple(run(circ, point_at(circ.p, circ.n_inputs, idx))
                                for idx in range(size))
+        assert values == reference_run_all(circ)
         assert cost(circ) == reference_cost(circ.gates, circ.output)
         shared = eliminate_common_subexpressions(circ)
         assert (shared.gates, shared.output) == reference_cse(circ.gates, circ.output)
         assert run_all(shared) == values
+
+
+def _lowered(f):
+    """Both strategies' circuits for ``f``, each with and without CSE."""
+    for strategy in STRATEGIES:
+        base = lower(f, strategy)
+        yield base
+        yield eliminate_common_subexpressions(base)
+
+
+#: Hand-made circuits at the edges of the wire forms: no inputs (one point),
+#: an input as the output, scale by 0, and p = 2 outputs of all zeros (whose
+#: binary digits are the single "0") and all ones.
+EDGE_CIRCUITS = (
+    *(Circuit(p, 0, (("const", p - 1),), 0) for p in (2, 3, 17)),
+    *(Circuit(p, 0, (("const", 1), ("scale", 0, 0), ("add", 0, 1)), 2) for p in (2, 3, 17)),
+    *(Circuit(p, 3, (("input", 0), ("input", 2), ("mul", 0, 1)), 1) for p in (2, 3, 17)),
+    *(Circuit(p, 2, (("input", 1), ("scale", 0, 0)), 1) for p in (2, 3, 13, 17)),
+    Circuit(2, 5, (("input", 3), ("sub", 0, 0)), 1),
+    Circuit(2, 5, (("input", 3), ("input", 0), ("mul", 0, 1), ("add", 2, 2)), 3),
+    Circuit(2, 5, (("const", 1), ("input", 4), ("scale", 1, 0)), 2),
+    Circuit(2, 4, (("input", 1), ("const", 1), ("add", 0, 1), ("add", 0, 2)), 3),
+)
+
+
+class TestRunAllAgainstReference:
+    def test_catalog_grids_on_byte_lanes(self):
+        for name, entry in sorted(CATALOG.items()):
+            for p, n, r in entry.verify_grid:
+                if 2 < p < 16:
+                    f = build_formula(name, p, n, r)
+                    for circ in _lowered(f):
+                        assert run_all(circ) == reference_run_all(circ), (name, p, n, r)
+
+    @pytest.mark.parametrize("case", CIRCUIT_CASES, ids=lambda case: "-".join(map(str, case)))
+    def test_circuit_stats_cases(self, case):
+        # The list loop needs about 1 s per 2^22 gate entries; past that
+        # (the p = 2 arity-14 circuits other than CSE'd Horner) the values
+        # table is the reference.
+        f = build_formula(*case)
+        values = f.values()
+        for circ in _lowered(f):
+            expected = (reference_run_all(circ) if len(circ.gates) * len(values) <= 1 << 22
+                        else values)
+            assert run_all(circ) == expected == values
+
+    @pytest.mark.parametrize("circ", EDGE_CIRCUITS)
+    def test_edge_circuits(self, circ):
+        values = run_all(circ)
+        assert values == reference_run_all(circ)
+        assert values == tuple(run(circ, point_at(circ.p, circ.n_inputs, idx))
+                               for idx in range(circ.p ** circ.n_inputs))
+        assert all(type(v) is int for v in values)

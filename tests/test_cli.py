@@ -320,6 +320,23 @@ class TestList:
         entries = json.loads(first)
         assert {e["name"] for e in entries} == set(CATALOG)
 
+    def test_out_in_a_missing_directory_names_the_given_path(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "list.txt"
+        assert run_cli("list", "--out", str(target)) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("fpminpoly: error: [Errno 2] No such file or directory: "
+                                f"'{target}'\n")
+
+    def test_out_onto_a_directory_names_it_and_leaves_no_temp_file(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.mkdir()
+        assert run_cli("list", "--out", str(target)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("fpminpoly: error: ") and err.endswith(f": '{target}'\n")
+        assert ".tmp" not in err
+        assert list(tmp_path.iterdir()) == [target]
+
 
 @pytest.mark.parametrize("argv,refused", [
     (("verify", "--func", "max", "--p", "3", "--n", "2", "--form", "human"), "--form human"),
