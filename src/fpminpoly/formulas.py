@@ -15,20 +15,23 @@ formula's ring is made, with ``FunctionSpec.arity`` variables under the
 table-size cap; the forms written for one p or one arity refuse any other
 ring with :class:`FormulaParamError`.
 
-Nothing is hand-expanded: even forms printed as long monomial lists are
-reproduced by machine from their factored shape.
+The forms for any p share their building blocks: the delta and lowpass
+pieces of each variable, the all-below products B_t = prod_i L_t(x_i)
+(``max`` and ``ismax``), and for the ``nummax`` digits elementary symmetric
+polynomials of the deltas, read through Lucas's theorem.  Nothing is
+hand-expanded: even forms printed as long monomial lists are reproduced by
+machine from their factored shape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Callable, Sequence
 
 from .oracle import FunctionSpec, interpolate, point_at, tabulate
 from .polyring import (DEFAULT_MAX_TABLE_SIZE, Polynomial, PolyRing,
-                       RingMismatchError)
+                       RingMismatchError, bounded_power)
 
 
 class FormulaParamError(ValueError):
@@ -97,23 +100,24 @@ def _lowpass_list(ring: PolyRing, i: int) -> list[Polynomial]:
 
 
 def _level_indicator(deltas: Sequence[Sequence[Polynomial]],
-                     lows: Sequence[Sequence[Polynomial]], t: int,
-                     equal: Sequence[int], strict: Sequence[int]) -> Polynomial:
-    """Indicator that inputs in ``equal`` sit at value t, inputs in ``strict``
-    stay below t and the rest stay at or below t.
-
-    The delta factors are multiplied first, then the lowpass factors in
-    ascending index order.  The product is the same in any order, but a
-    dense product costs in proportion to the nonzero terms of its operands,
-    so the order sets the build time.
-    """
-    term = deltas[equal[0]][t]
-    for i in equal[1:]:
-        term = term * deltas[i][t]
+                     lows: Sequence[Sequence[Polynomial]], i: int, t: int) -> Polynomial:
+    """Indicator that x_i is the first input at the maximum t: x_i = t, the
+    inputs before i stay below t and those after it at or below t.  The
+    delta factor goes first, then the lowpass factors in index order: a
+    dense product costs in proportion to its operands' nonzero terms."""
+    term = deltas[i][t]
     for j in range(len(lows)):
-        if j not in equal:
-            term = term * lows[j][t if j in strict else t + 1]
+        if j != i:
+            term = term * lows[j][t if j < i else t + 1]
     return term
+
+
+def _all_below(ring: PolyRing, lows: Sequence[Sequence[Polynomial]], t: int) -> Polynomial:
+    """B_t = prod_i L_t(x_i), in index order: every input in ``lows`` is below t."""
+    prod = ring.one()
+    for low in lows:
+        prod = prod * low[t]
+    return prod
 
 
 # -- max and min ---------------------------------------------------------------
@@ -124,10 +128,7 @@ def max_general(ring: PolyRing) -> Polynomial:
     lows = [_lowpass_list(ring, i) for i in range(ring.n)]
     acc = ring.zero()
     for t in range(1, ring.p):
-        prod = ring.one()
-        for low in lows:
-            prod = prod * low[t]
-        acc = acc + (1 - prod)
+        acc = acc + (1 - _all_below(ring, lows, t))
     return acc
 
 
@@ -214,7 +215,7 @@ def argmax_digit_general(ring: PolyRing, r: int) -> Polynomial:
             continue
         inner = ring.zero()
         for t in range(ring.p):
-            inner = inner + _level_indicator(deltas, lows, t, (i,), range(i))
+            inner = inner + _level_indicator(deltas, lows, i, t)
         acc = acc + inner.scale(coeff)
     return acc
 
@@ -240,7 +241,9 @@ def argmax_p2(ring: PolyRing, r: int) -> Polynomial:
     if r < 0:
         raise FormulaParamError("digit index must be nonnegative")
     n = ring.n
-    block = 2**r
+    block = bounded_power(2, r, n - 1)
+    if block is None:  # 2^r >= n: digit r of every index is zero
+        return ring.zero()
     k = -(-n // (2 * block)) - 1  # pad to length (2k+2)*2^r
     prefix = _prefix_products_p2(ring)
     acc = ring.zero()
@@ -265,8 +268,8 @@ def argmax_p2_selector(ring: PolyRing, r: int) -> Polynomial:
         raise FormulaParamError("selector form needs at least inputs x_0, x_1")
     if r < 0:
         raise FormulaParamError("digit index must be nonnegative")
-    block = 2**r
-    if block > n:
+    block = bounded_power(2, r, n)
+    if block is None:
         return ring.zero()
     period = 2 * block
     members = set()
@@ -308,7 +311,9 @@ def argmax_block_recurrence(ring: PolyRing, r: int) -> Polynomial:
     if r < 0:
         raise FormulaParamError("digit index must be nonnegative")
     n = ring.n
-    width = ring.p**r
+    width = bounded_power(ring.p, r, n - 1)
+    if width is None:  # p^r >= n: digit r of every index is zero
+        return ring.zero()
     nblocks = -(-n // width)
     block_maxima = []
     for b in range(nblocks):
@@ -422,56 +427,49 @@ def max_n2(ring: PolyRing) -> Polynomial:
 def ismax_general(ring: PolyRing) -> Polynomial:
     """Indicator that max(x) equals the extra first input y.
 
-    Variable 0 is y; variables 1.. are the compared inputs.  For each
-    candidate value t there is exactly one index where the first maximum
-    can sit, so the inner sum is itself an indicator.
+    Variable 0 is y; variables 1.. are the compared inputs.  The maximum is
+    t exactly when all inputs are below t + 1 but not all below t, so the
+    form is sum_t delta_t(y) * (B_{t+1} - B_t), with B_0 = 0 and B_p = 1.
     """
+    lows = [_lowpass_list(ring, i) for i in range(1, ring.n)]
+    below = [ring.zero(), *(_all_below(ring, lows, t) for t in range(1, ring.p)), ring.one()]
     d_y = _delta_list(ring, 0)
-    d_x = [_delta_list(ring, i) for i in range(1, ring.n)]
-    l_x = [_lowpass_list(ring, i) for i in range(1, ring.n)]
     acc = ring.zero()
     for t in range(ring.p):
-        inner = ring.zero()
-        for i in range(len(d_x)):
-            inner = inner + _level_indicator(d_x, l_x, t, (i,), range(i))
-        acc = acc + d_y[t] * inner
+        acc = acc + d_y[t] * (below[t + 1] - below[t])
     return acc
 
 
-def nummax0_general(ring: PolyRing) -> Polynomial:
-    """The number of maximizing indices, reduced mod p (its lowest digit)."""
-    n = ring.n
-    deltas = [_delta_list(ring, i) for i in range(n)]
-    lows = [_lowpass_list(ring, i) for i in range(n)]
-    acc = ring.zero()
-    for i in range(n):
-        for t in range(ring.p):
-            acc = acc + _level_indicator(deltas, lows, t, (i,), ())
-    return acc
+def nummax_digit_general(ring: PolyRing, r: int) -> Polynomial:
+    """Digit r (base p) of the number of maximizing indices, for any prime p.
 
-
-def nummax_digit_subsets(ring: PolyRing, r: int) -> Polynomial:
-    """Digit r of the number of maximizing indices, by subset enumeration.
-
-    For each count k with a nonzero digit, sums over all k-element index
-    sets I the indicator that exactly the inputs in I sit at the common
-    maximum t while everything outside stays below t.
+    With c_t inputs equal to t, e_k(delta_t(x_0), ..., delta_t(x_{n-1})) is
+    C(c_t, k), and C(c, p^r) = digit_r(c) mod p by Lucas's theorem.  So the
+    digit is sum_t e_{p^r}(delta_t(x)) * prod_i L_{t+1}(x_i): the product
+    vanishes below the maximum, C(0, p^r) = 0 above it.  e_0..e_{p^r} come
+    from the DP e_j += delta_t(x_m) e_{j-1}; the lowpass factors then go in
+    one at a time, so each product acts on a single axis.
     """
     if r < 0:
         raise FormulaParamError("digit index must be nonnegative")
-    n = ring.n
+    n, p = ring.n, ring.p
+    k = bounded_power(p, r, n)
+    if k is None:  # p^r > n: digit r of every count is zero
+        return ring.zero()
     deltas = [_delta_list(ring, i) for i in range(n)]
     lows = [_lowpass_list(ring, i) for i in range(n)]
     acc = ring.zero()
-    for k in range(1, n + 1):
-        coeff = ring.field.digit(k, r)
-        if coeff == 0:
-            continue
-        inner = ring.zero()
-        for subset in combinations(range(n), k):
-            for t in range(ring.p):
-                inner = inner + _level_indicator(deltas, lows, t, subset, range(n))
-        acc = acc + inner.scale(coeff)
+    for t in range(p):
+        e = [ring.one()] + [ring.zero()] * k
+        for m in range(n):
+            d = deltas[m][t]
+            for j in range(min(k, m + 1), 0, -1):
+                e[j] = e[j] + d * e[j - 1]
+        term = e[k]
+        if t < p - 1:  # L_p = 1
+            for low in lows:
+                term = term * low[t + 1]
+        acc = acc + term
     return acc
 
 
@@ -508,8 +506,10 @@ def nummax_p2(ring: PolyRing, r: int) -> Polynomial:
     if r < 0:
         raise FormulaParamError("digit index must be nonnegative")
     n = ring.n
-    idx = 2**r
-    acc = ring.elementary_symmetric(idx) if idx <= n else ring.zero()
+    idx = bounded_power(2, r, n)
+    if idx is None:  # 2^r > n: digit r of every count is zero
+        return ring.zero()
+    acc = ring.elementary_symmetric(idx)
     nd = ring.field.digit(n, r)
     if nd:
         prod = ring.one()
@@ -721,13 +721,13 @@ CATALOG: dict[str, CatalogEntry] = {e.name: e for e in [
     _entry("nummax0",
            "number of maximizing indices, mod p",
            "any supported prime p; n >= 1",
-           lambda ring, r: nummax0_general(ring),
+           lambda ring, r: nummax_digit_general(ring, 0),
            lambda p, n, r: FunctionSpec("nummax_digit", p, n, 0),
            verify_grid=_grid((2, 3), (1, 2, 3))),
     _entry("nummax",
-           "digit r of the number of maximizing indices, subset sum",
+           "digit r of the number of maximizing indices, by Lucas's theorem",
            "any supported prime p; n >= 1; r >= 0",
-           nummax_digit_subsets,
+           nummax_digit_general,
            lambda p, n, r: FunctionSpec("nummax_digit", p, n, r),
            uses_r=True, verify_grid=_grid((2, 3), (1, 2, 3), (0, 1))),
     _entry("nummax2",

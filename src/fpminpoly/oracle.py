@@ -138,7 +138,7 @@ class TruthTable:
 
     def __post_init__(self):
         field = PrimeField(self.p)
-        if not isinstance(self.arity, int) or self.arity < 0:
+        if not isinstance(self.arity, int) or isinstance(self.arity, bool) or self.arity < 0:
             raise ValueError(f"arity must be a nonnegative int, got {self.arity!r}")
         if bounded_power(self.p, self.arity, len(self.values)) != len(self.values):
             raise ValueError(
@@ -347,6 +347,5 @@ def interpolate(table: TruthTable,
     O(n * p^(n+1)) instead of the literal O(p^(2n)) summation.
     """
     ring = PolyRing(table.p, table.arity, max_table_size=max_table_size)
-    vals = list(table.values)
-    apply_axis_transform(vals, table.p, table.arity, delta_basis_rows(table.p))
-    return Polynomial(ring, vals)
+    return Polynomial(ring, apply_axis_transform(table.values, table.p, table.arity,
+                                                 delta_basis_rows(table.p)))

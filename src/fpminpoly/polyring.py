@@ -161,21 +161,22 @@ def _round(data: Sequence[int], p: int, rows) -> Sequence[int]:
     return list(chain.from_iterable(cols))
 
 
-def apply_axis_transform(vals: list[int], p: int, n: int, matrix) -> None:
-    """Apply a p x p matrix along every axis of a flat mixed-radix table.
+def apply_axis_transform(table: Sequence[int], p: int, n: int, matrix) -> Sequence[int]:
+    """A p x p matrix applied along every axis of a flat mixed-radix table.
 
-    ``vals`` is modified in place; ``matrix[new][old]`` gives the linear map
-    used on each length-p fiber, and every entry of ``vals`` must be a
-    canonical residue in [0, p).  The table is put in its stored form
-    (``_pack``: bytes for p < 128, a tuple for larger p) and run through n
-    rounds of ``_round``.  Each round transforms axis 0 and moves it to the
-    most significant place, so after n rounds every axis is transformed and
-    the original order is back.  Cost O(n * p^(n+1)).
+    ``table`` is any sequence of canonical residues in [0, p) and is left
+    as it is; ``matrix[new][old]`` gives the linear map used on each
+    length-p fiber.  The result is in the stored form (``_pack``: bytes for
+    p < 128, a tuple for larger p), which is also the form the n rounds of
+    ``_round`` run on, so a stored table goes in without a copy.  Each
+    round transforms axis 0 and moves it to the most significant place, so
+    after n rounds every axis is transformed and the original order is
+    back.  Cost O(n * p^(n+1)).
     """
-    data = _pack(vals, p)
+    data = _pack(table, p)
     for _axis in range(n):
         data = _round(data, p, matrix)
-    vals[:] = data
+    return _pack(data, p)
 
 
 def bounded_power(p: int, n: int, bound: int) -> int | None:
@@ -560,9 +561,8 @@ class Polynomial:
         axis with ``apply_axis_transform`` (slice rotation, on packed bytes
         for p < 128); O(n * p^(n+1)) instead of p^n separate Horner passes.
         """
-        vals = list(self.coeffs)
-        apply_axis_transform(vals, self.ring.p, self.ring.n, vandermonde_rows(self.ring.p))
-        return tuple(vals)
+        return tuple(apply_axis_transform(self.coeffs, self.ring.p, self.ring.n,
+                                          vandermonde_rows(self.ring.p)))
 
     def compose(self, subs: Sequence["Polynomial"]) -> "Polynomial":
         """Substitute subs[i] for x_i; result lives in the ring of the subs.

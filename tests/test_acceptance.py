@@ -21,8 +21,7 @@ from fpminpoly.formulas import (argmax0_n2, argmax_block_recurrence,
                                 carry, involution_conjugate, ismax_2bit_p2,
                                 ismax_general, ismax_p2, ismax_p3, max_general,
                                 max_n2, max_p2, max_p3, max_p5_n2, max_p5_n3,
-                                min_p2, min_p3, nummax0_general,
-                                nummax_digit_subsets, nummax_p2)
+                                min_p2, min_p3, nummax_digit_general, nummax_p2)
 from fpminpoly.oracle import FunctionSpec, interpolate, point_at, tabulate
 from fpminpoly.polyring import PolyRing
 
@@ -77,11 +76,9 @@ def _suite1_instances():
         for n in range(1, 4):
             add(f"ismax_general p={p} n={n}", ismax_general(PolyRing(p, n + 1)),
                 FunctionSpec("ismax", p, n))
-            add(f"nummax0_general p={p} n={n}", nummax0_general(PolyRing(p, n)),
-                FunctionSpec("nummax_digit", p, n, 0))
             for r in (0, 1):
-                add(f"nummax_digit_subsets p={p} n={n} r={r}",
-                    nummax_digit_subsets(PolyRing(p, n), r),
+                add(f"nummax_digit_general p={p} n={n} r={r}",
+                    nummax_digit_general(PolyRing(p, n), r),
                     FunctionSpec("nummax_digit", p, n, r))
     for n in range(1, 11):
         add(f"ismax_p2 n={n}", ismax_p2(PolyRing(2, n + 1)), FunctionSpec("ismax", 2, n))

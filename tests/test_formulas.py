@@ -11,9 +11,8 @@ from fpminpoly.formulas import (CATALOG, FormulaParamError, argmax0_n2,
                                 carry, delta, involution_conjugate, ismax_2bit_p2,
                                 ismax_general, ismax_p2, ismax_p3, lowpass,
                                 max_general, max_n2, max_p2, max_p3, max_p5_n2,
-                                max_p5_n3, min_p2, min_p3, nummax0_general,
-                                nummax_digit_subsets, nummax_p2, resolve_params,
-                                verify_formula)
+                                max_p5_n3, min_p2, min_p3, nummax_digit_general,
+                                nummax_p2, resolve_params, verify_formula)
 from fpminpoly.oracle import (FunctionSpec, TruthTable, carry_sem, interpolate,
                               point_at, tabulate)
 from fpminpoly.polyring import PolyRing, RingMismatchError, SizeGuardError
@@ -21,6 +20,30 @@ from fpminpoly.polyring import PolyRing, RingMismatchError, SizeGuardError
 
 def reference(kind, p, n, r=0):
     return interpolate(tabulate(FunctionSpec(kind, p, n, r)))
+
+
+def nummax_digit_subsets(ring, r):
+    """Digit r of the number of maximizing indices, by subset enumeration.
+
+    The exponential form ``nummax_digit_general`` replaced, kept as its
+    reference: for each count k with a nonzero digit, sum over every
+    k-element index set I the indicator that exactly the inputs in I sit at
+    the common maximum t while every other input stays below t.
+    """
+    deltas = [formulas._delta_list(ring, i) for i in range(ring.n)]
+    lows = [formulas._lowpass_list(ring, i) for i in range(ring.n)]
+    acc = ring.zero()
+    for k in range(1, ring.n + 1):
+        coeff = ring.field.digit(k, r)
+        if coeff == 0:
+            continue
+        for subset in itertools.combinations(range(ring.n), k):
+            for t in range(ring.p):
+                term = ring.one()
+                for j in range(ring.n):
+                    term = term * (deltas[j][t] if j in subset else lows[j][t])
+                acc = acc + term.scale(coeff)
+    return acc
 
 
 class TestDeltaLowpass:
@@ -341,29 +364,49 @@ class TestTwoInputForms:
 
 class TestIsmaxNummax:
     def test_ismax_general_matches_interpolation(self):
-        assert ismax_general(PolyRing(3, 3)) == reference("ismax", 3, 2)
-        assert ismax_general(PolyRing(2, 4)) == reference("ismax", 2, 3)
+        for p, n in ((3, 2), (2, 3), (2, 6), (3, 5), (5, 3), (7, 2), (11, 1)):
+            assert ismax_general(PolyRing(p, n + 1)) == reference("ismax", p, n), (p, n)
 
     def test_nummax0_all_equal(self):
-        f = nummax0_general(PolyRing(5, 3))
+        f = nummax_digit_general(PolyRing(5, 3), 0)
         assert f.eval((2, 2, 2)) == 3
         assert f.eval((4, 4, 4)) == 3
 
-    def test_nummax_subsets_digit_of_count(self):
-        f = nummax_digit_subsets(PolyRing(2, 3), 1)
-        for idx in range(8):
-            point = point_at(2, 3, idx)
-            count = sum(1 for v in point if v == max(point))
-            assert f.eval(point) == (count >> 1) & 1
+    def test_nummax_digit_of_count(self):
+        ring = PolyRing(2, 3)
+        for f in (nummax_digit_general(ring, 1), nummax_digit_subsets(ring, 1)):
+            for idx in range(8):
+                point = point_at(2, 3, idx)
+                count = sum(1 for v in point if v == max(point))
+                assert f.eval(point) == (count >> 1) & 1
 
     def test_general_ismax_nummax_grid(self):
         for p in (2, 3):
             for n in (1, 2, 3):
                 assert ismax_general(PolyRing(p, n + 1)) == reference("ismax", p, n), (p, n)
-                assert nummax0_general(PolyRing(p, n)) == reference("nummax_digit", p, n, 0)
                 for r in (0, 1):
-                    assert (nummax_digit_subsets(PolyRing(p, n), r)
+                    assert (nummax_digit_general(PolyRing(p, n), r)
                             == reference("nummax_digit", p, n, r)), (p, n, r)
+
+    @pytest.mark.parametrize("p,n_max", [(2, 8), (3, 6), (5, 4), (7, 3)])
+    def test_nummax_digit_general_matches_subsets_and_interpolation(self, p, n_max):
+        for n in range(1, n_max + 1):
+            ring = PolyRing(p, n)
+            for r in (0, 1, 2):
+                f = nummax_digit_general(ring, r)
+                assert f == nummax_digit_subsets(ring, r), (p, n, r)
+                assert f == reference("nummax_digit", p, n, r), (p, n, r)
+
+    def test_huge_digit_index_is_zero_without_forming_the_power(self):
+        # p^r with r = 10^18 could never be allocated; every form must
+        # notice that the digit is zero before forming it.
+        for form, ring in ((nummax_digit_general, PolyRing(2, 4)),
+                           (nummax_digit_general, PolyRing(3, 3)),
+                           (nummax_p2, PolyRing(2, 4)), (argmax_p2, PolyRing(2, 4)),
+                           (argmax_p2_selector, PolyRing(2, 4)),
+                           (argmax_block_recurrence, PolyRing(3, 4)),
+                           (argmax_digit_general, PolyRing(3, 3))):
+            assert form(ring, 10**18) == ring.zero(), form.__name__
 
     def test_ismax_p2_matches_interpolation(self):
         for n in range(1, 7):
@@ -425,7 +468,7 @@ class TestDualityAndMinimality:
             argmax_p3_n3(PolyRing(3, 3)),
             carry(PolyRing(11, 2)), argmax0_n2(PolyRing(7, 2)), max_n2(PolyRing(11, 2)),
             ismax_general(PolyRing(3, 3)),
-            nummax0_general(PolyRing(3, 3)), nummax_digit_subsets(PolyRing(2, 3), 1),
+            nummax_digit_general(PolyRing(3, 3), 0), nummax_digit_general(PolyRing(2, 3), 1),
             ismax_p2(PolyRing(2, 7)), ismax_p3(PolyRing(3, 4)), nummax_p2(PolyRing(2, 6), 2),
             ismax_2bit_p2(PolyRing(2, 8)),
         ]

@@ -100,25 +100,24 @@ class TestAxisTransform:
         matrix = vandermonde_rows(p) if which == "vandermonde" else delta_basis_rows(p)
         expected = list(values)
         reference_axis_transform(expected, p, n, matrix)
-        got = list(values)
-        apply_axis_transform(got, p, n, matrix)
-        assert got == expected
+        assert list(apply_axis_transform(tuple(values), p, n, matrix)) == expected
 
-    def test_modifies_the_given_list_in_place(self):
-        vals = [1, 2, 0, 1, 1, 2, 0, 0, 2]
-        alias = vals
+    @pytest.mark.parametrize("p,n", [(3, 2), (131, 1)])
+    def test_returns_the_stored_form_and_leaves_the_table(self, p, n):
+        vals = [(7 * i + 1) % p for i in range(p ** n)]
+        before = list(vals)
         expected = list(vals)
-        reference_axis_transform(expected, 3, 2, vandermonde_rows(3))
-        apply_axis_transform(vals, 3, 2, vandermonde_rows(3))
-        assert alias is vals and vals == expected
+        reference_axis_transform(expected, p, n, vandermonde_rows(p))
+        got = apply_axis_transform(vals, p, n, vandermonde_rows(p))
+        assert got == (bytes(expected) if p < 128 else tuple(expected))
+        assert vals == before
 
     def test_unreduced_matrix_entries(self):
         vals = [2, 0, 1, 1, 2, 2, 0, 1, 0]
         matrix = ((4, 0, -1), (0, 0, 0), (1, 7, 3))
         expected = list(vals)
         reference_axis_transform(expected, 3, 2, matrix)
-        apply_axis_transform(vals, 3, 2, matrix)
-        assert vals == expected
+        assert list(apply_axis_transform(vals, 3, 2, matrix)) == expected
 
 
 #: (p, n) on both sides of p = 128, where tables stop being packed, from
@@ -170,9 +169,8 @@ class TestAxisTransformAcrossTheCrossover:
         expected = list(values)
         reference_axis_transform(expected, p, n, matrix)
         rounds = record_calls(monkeypatch, "_round")
-        got = list(values)
-        apply_axis_transform(got, p, n, matrix)
-        assert got == expected
+        got = apply_axis_transform(values, p, n, matrix)
+        assert list(got) == expected
         assert rounds == [packed_form(p)] * n
 
 

@@ -160,6 +160,8 @@ class TestTabulate:
             TruthTable(3, -1, (0,))
         with pytest.raises(ValueError, match=r"2\^30000000 values, got 1"):
             TruthTable(2, 30000000, (0,))
+        with pytest.raises(ValueError, match="arity must be a nonnegative int, got True"):
+            TruthTable(2, True, (0, 1))
 
     def test_size_guard_message_does_not_format_the_size(self):
         with pytest.raises(SizeGuardError, match=r"2\^30000000 exceeds the cap of 100"):
