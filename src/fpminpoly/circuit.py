@@ -32,8 +32,8 @@ from operator import add, and_, mul, sub, xor
 from typing import Sequence
 
 from .ff import PrimeField
-from .polyring import (DEFAULT_MAX_TABLE_SIZE, Polynomial, SizeGuardError, _scale_table,
-                       bounded_power)
+from .polyring import (DEFAULT_MAX_TABLE_SIZE, Polynomial, SizeGuardError, _pack,
+                       _scale_table, bounded_power)
 
 STRATEGIES = ("naive_monomial", "nested_horner")
 
@@ -67,7 +67,7 @@ class Circuit:
     const and scale value (a canonical field element), each gate reference
     (an int naming an earlier gate) and the output (an int naming a gate).
     Breaking any of these rules raises ``ValueError``; ``bool`` and
-    ``float`` do not count as ints.
+    ``float`` do not count as ints.  Gates are stored as a tuple of tuples.
     """
 
     p: int
@@ -116,6 +116,7 @@ class Circuit:
             raise ValueError(f"output reference {output!r} is not an int")
         if not 0 <= output < len(self.gates):
             raise ValueError("output reference out of range")
+        object.__setattr__(self, "gates", tuple(map(tuple, self.gates)))
 
     def to_dict(self) -> dict:
         out = []
@@ -524,7 +525,7 @@ def _wire_form(p: int, size: int):
     Returns ``(source, const, scale, binary, unpack)``: ``source(i)`` and
     ``const(c)`` make the wires of input i and of a constant,
     ``scale(c, w)`` and ``binary[op](w, v)`` apply a gate, and
-    ``unpack(w)`` gives the tuple of ints.  On byte lanes a binary gate
+    ``unpack(w)`` gives a sequence of ints.  On byte lanes a binary gate
     forms W*p + V of the two wires read as little-endian ints; each lane
     then holds a*p + b <= p^2 - 1 < 256, so no lane carries into the next.
     """
@@ -537,7 +538,7 @@ def _wire_form(p: int, size: int):
             return chunk * (full // ((1 << (2 * s)) - 1)) if 2 * s <= size else chunk
 
         def unpack(w):
-            return tuple(format(w, "b").zfill(size)[::-1].encode().translate(_BITS))
+            return format(w, "b").zfill(size)[::-1].encode().translate(_BITS)
 
         return (source, lambda c: full if c else 0, lambda c, w: w if c else 0,
                 {"add": xor, "sub": xor, "mul": and_}, unpack)
@@ -563,7 +564,7 @@ def _wire_form(p: int, size: int):
 
         return (source, lambda c: bytes((c,)) * size,
                 lambda c, w: w.translate(_scale_table(p, c)),
-                {op: pair(op) for op in ("add", "sub", "mul")}, tuple)
+                {op: pair(op) for op in ("add", "sub", "mul")}, lambda w: w)
 
     def source(i):
         digits = period(i)
@@ -572,11 +573,11 @@ def _wire_form(p: int, size: int):
     return (source, lambda c: [c] * size, lambda c, w: [(c * x) % p for x in w],
             {"add": lambda w, v: [(x + y) % p for x, y in zip(w, v)],
              "sub": lambda w, v: [(x - y) % p for x, y in zip(w, v)],
-             "mul": lambda w, v: [(x * y) % p for x, y in zip(w, v)]}, tuple)
+             "mul": lambda w, v: [(x * y) % p for x, y in zip(w, v)]}, lambda w: w)
 
 
-def run_all(circuit: Circuit) -> tuple[int, ...]:
-    """Evaluate the circuit at every point of F_p^n, mixed-radix order.
+def run_all(circuit: Circuit) -> Sequence[int]:
+    """Values at every point of F_p^n, in the form of ``Polynomial.values()``.
 
     Gate semantics are identical to :func:`run`; the whole domain is just
     carried through each gate at once, in a wire form chosen by p alone
@@ -617,4 +618,4 @@ def run_all(circuit: Circuit) -> tuple[int, ...]:
                 wires[a] = None
         if last[b] == idx:
             wires[b] = None
-    return unpack(wires[circuit.output])
+    return _pack(unpack(wires[circuit.output]), p)

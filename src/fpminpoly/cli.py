@@ -79,12 +79,11 @@ def _table_size_cap(args) -> int | None:
         if cap < 0:
             raise FormulaParamError(f"--max-table-size must be nonnegative, got {cap}")
         if cap > DEFAULT_MAX_TABLE_SIZE:
-            # A truth table or a transform's working list holds one 8-byte
-            # reference per entry; the ints 0..256 are shared, larger residues
-            # are ~32-byte objects each.  Stored tables below p = 128 are bytes.
-            print(f"size guard raised to {cap} entries (roughly "
-                  f"{cap * 8 / 2**20:.0f} MiB per dense table, "
-                  f"{cap * 40 / 2**20:.0f} MiB when p > 257)", file=sys.stderr)
+            # Stored tables take 1 byte an entry below p = 128, else an 8-byte
+            # reference to a shared int up to 256 or to a ~32-byte int above.
+            print(f"size guard raised to {cap} entries (roughly {cap / 2**20:.0f} MiB "
+                  f"per dense table when p < 128, {cap * 8 / 2**20:.0f} MiB when "
+                  f"p <= 257, {cap * 40 / 2**20:.0f} MiB above)", file=sys.stderr)
         return cap
     env = os.environ.get(ENV_MAX_TABLE_SIZE)
     if env:

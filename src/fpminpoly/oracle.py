@@ -27,7 +27,7 @@ from typing import Callable, Hashable, Sequence
 
 from .ff import PrimeField
 from .polyring import (DEFAULT_MAX_TABLE_SIZE, Polynomial, PolyRing, SizeGuardError,
-                       apply_axis_transform, bounded_power)
+                       _checked, apply_axis_transform, bounded_power)
 
 #: Function kinds understood by tabulate() and the CLI.
 KINDS = ("max", "min", "argmax_digit", "argmin_digit", "ismax", "nummax_digit",
@@ -129,25 +129,23 @@ class TruthTable:
 
     Entry i is the value at ``point_at(p, arity, i)``; the point order
     matches polynomial coefficient order, so tables and coefficient tables
-    are transforms of one another.
+    are transforms of one another.  ``values`` is checked and stored like
+    ``Polynomial.coeffs``, so a list, a tuple or ``bytes`` give equal tables.
     """
 
     p: int
     arity: int
-    values: tuple[int, ...]
+    values: Sequence[int]
 
     def __post_init__(self):
-        field = PrimeField(self.p)
+        PrimeField(self.p)
         if not isinstance(self.arity, int) or isinstance(self.arity, bool) or self.arity < 0:
             raise ValueError(f"arity must be a nonnegative int, got {self.arity!r}")
         if bounded_power(self.p, self.arity, len(self.values)) != len(self.values):
             raise ValueError(
                 f"truth table needs p^arity = {self.p}^{self.arity} values, "
                 f"got {len(self.values)}")
-        p = self.p
-        for v in self.values:
-            if not (type(v) is int and 0 <= v < p):
-                field.check(v)
+        object.__setattr__(self, "values", _checked(self.values, self.p))
 
     def to_dict(self) -> dict:
         return {"p": self.p, "arity": self.arity, "values": list(self.values)}
@@ -158,7 +156,7 @@ class TruthTable:
     @staticmethod
     def from_dict(data: dict) -> "TruthTable":
         try:
-            return TruthTable(data["p"], data["arity"], tuple(data["values"]))
+            return TruthTable(data["p"], data["arity"], data["values"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed truth table record: {exc}") from exc
 
@@ -296,7 +294,7 @@ def tabulate(spec: FunctionSpec,
         states = list(interned)
         table = _grow(table, rows, len(states))
     table = _grow(table, ([finish(step(s, last, x)) for s in states] for x in range(p)), p)
-    return TruthTable(p, arity, tuple(table))
+    return TruthTable(p, arity, table)
 
 
 def _grow(table, rows, bound: int):

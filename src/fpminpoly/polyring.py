@@ -15,11 +15,12 @@ canonical representative agreeing with a given function is unique, which is
 why coefficient equality of two canonical polynomials is the same thing as
 equality as functions.
 
-A table is stored in one form, picked from p alone by ``_pack``: for
-p < 128 the canonical residues are packed into ``bytes``, one entry per
-byte; for p >= 128, where the sum of two reduced entries can pass 255, the
-table is a tuple of ints.  Tables filled entry by entry start from
-``_scratch`` (a ``bytearray`` or a list) and are packed once.
+Every p^n table (coefficients, ``values()``, truth tables, ``run_all``) is
+stored in one form, picked from p alone by ``_pack``: for p < 128 the
+canonical residues are packed into ``bytes``, one entry per byte; for
+p >= 128, where the sum of two reduced entries can pass 255, a tuple of
+ints.  Tables filled entry by entry start from ``_scratch`` (a
+``bytearray`` or a list) and are packed once.
 
 A polynomial may also carry a private record of its support: the ascending
 tuple of table indices whose coefficient is nonzero.  The small pieces the
@@ -102,6 +103,17 @@ def _pack(table: Sequence[int], p: int) -> Sequence[int]:
     table is a tuple of ints.
     """
     return bytes(table) if p < 128 else tuple(table)
+
+
+def _checked(table: Sequence[int], p: int) -> Sequence[int]:
+    """``_pack`` of a table once every entry is checked to lie in [0, p):
+    ``bytes`` in one pass (no byte is left once those below p are deleted),
+    else one by one with ``PrimeField.check``, which refuses bools and floats."""
+    bad = (table.translate(None, bytes(range(min(p, 256)))) if type(table) is bytes
+           else (v for v in table if not (type(v) is int and 0 <= v < p)))
+    for v in bad:
+        PrimeField(p).check(v)
+    return _pack(table, p)
 
 
 def _scratch(size: int, p: int):
@@ -320,9 +332,7 @@ class PolyRing:
             raise ValueError(
                 f"coefficient table must have p^n = {self.size} entries, "
                 f"got {len(table)}")
-        for c in table:
-            self.field.check(c)
-        return Polynomial(self, table)
+        return Polynomial(self, _checked(table, self.p))
 
     def embed(self, f: "Polynomial") -> "Polynomial":
         """Reinterpret a polynomial on fewer variables inside this ring.
@@ -554,15 +564,15 @@ class Polynomial:
             table = acc
         return table[0]
 
-    def values(self) -> tuple[int, ...]:
-        """Values at every point of F_p^n, in mixed-radix point order.
+    def values(self) -> Sequence[int]:
+        """Values at every point of F_p^n in mixed-radix order, stored like ``coeffs``.
 
         Computed by applying the univariate evaluation matrix along each
         axis with ``apply_axis_transform`` (slice rotation, on packed bytes
         for p < 128); O(n * p^(n+1)) instead of p^n separate Horner passes.
         """
-        return tuple(apply_axis_transform(self.coeffs, self.ring.p, self.ring.n,
-                                          vandermonde_rows(self.ring.p)))
+        return apply_axis_transform(self.coeffs, self.ring.p, self.ring.n,
+                                    vandermonde_rows(self.ring.p))
 
     def compose(self, subs: Sequence["Polynomial"]) -> "Polynomial":
         """Substitute subs[i] for x_i; result lives in the ring of the subs.

@@ -215,6 +215,17 @@ class TestCost:
 
 
 class TestCircuitStructure:
+    def test_a_given_gate_list_is_stored_as_tuples(self):
+        gates = [["input", 0], ["mul", 0, 0]]
+        c = Circuit(3, 1, gates, 1)
+        stored = Circuit(3, 1, (("input", 0), ("mul", 0, 0)), 1)
+        assert c.gates == stored.gates and hash(c) == hash(stored)
+        assert eliminate_common_subexpressions(c) == stored
+        gates.append(["add", 5, 7])
+        gates[1][1] = 9
+        assert run_all(c) == bytes((0, 1, 1))
+        assert cost(c) == CostReport(1, 0, 0, 1)
+
     def test_validation_rejects_forward_references(self):
         with pytest.raises(ValueError):
             Circuit(3, 1, (("add", 0, 1), ("input", 0)), 0)

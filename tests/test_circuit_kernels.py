@@ -12,8 +12,9 @@ the old validator extended with the rule that gate references, input
 indices and the output are ints (checked just before each range test), and
 the same as from the old validator itself where that rule does not apply;
 every lowered circuit must agree with ``Polynomial.eval`` and ``values()``;
-and ``run_all`` must return the list loop's tuple on random circuits, the
-catalog grids and the benchmark's circuit cases.
+and ``run_all`` must return the list loop's values, in the stored form
+(``polyring._pack``), on random circuits, the catalog grids and the
+benchmark's circuit cases.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -25,7 +26,7 @@ from fpminpoly.circuit import (STRATEGIES, Circuit, CircuitBuilder, CostReport, 
 from fpminpoly.ff import PrimeField
 from fpminpoly.formulas import CATALOG, build_formula
 from fpminpoly.oracle import point_at
-from fpminpoly.polyring import PolyRing
+from fpminpoly.polyring import PolyRing, _pack
 
 #: Largest arity per modulus that keeps the naive lowering small.
 MAX_ARITY = {2: 6, 3: 3, 5: 2, 7: 2}
@@ -222,7 +223,8 @@ def reference_cost(gates, output):
 
 def reference_run_all(circuit):
     """Every point's value: a list of p^n ints per wire, one comprehension
-    per gate, each wire dropped after the last gate that reads it."""
+    per gate, each wire dropped after the last gate that reads it.  The
+    output list is returned in the stored form (``_pack``)."""
     p, gates = circuit.p, circuit.gates
     size = p ** circuit.n_inputs
     last = list(range(len(gates)))
@@ -257,7 +259,7 @@ def reference_run_all(circuit):
                 vecs[a] = None
         if last[b] == idx:
             vecs[b] = None
-    return tuple(vecs[circuit.output])
+    return _pack(vecs[circuit.output], p)
 
 
 @st.composite
@@ -428,8 +430,8 @@ class TestEvaluationAgreement:
         # exercise run_all's last-use frees and CSE beyond lowered shapes.
         values = run_all(circ)
         size = circ.p ** circ.n_inputs
-        assert values == tuple(run(circ, point_at(circ.p, circ.n_inputs, idx))
-                               for idx in range(size))
+        assert tuple(values) == tuple(run(circ, point_at(circ.p, circ.n_inputs, idx))
+                                      for idx in range(size))
         assert values == reference_run_all(circ)
         assert cost(circ) == reference_cost(circ.gates, circ.output)
         shared = eliminate_common_subexpressions(circ)
@@ -485,6 +487,6 @@ class TestRunAllAgainstReference:
     def test_edge_circuits(self, circ):
         values = run_all(circ)
         assert values == reference_run_all(circ)
-        assert values == tuple(run(circ, point_at(circ.p, circ.n_inputs, idx))
-                               for idx in range(circ.p ** circ.n_inputs))
+        assert tuple(values) == tuple(run(circ, point_at(circ.p, circ.n_inputs, idx))
+                                      for idx in range(circ.p ** circ.n_inputs))
         assert all(type(v) is int for v in values)

@@ -78,9 +78,11 @@ class TestGen:
         assert run_cli(*base, "--max-table-size", str(1 << 25)) == EXIT_OK
         raised = capsys.readouterr()
         assert raised.out == plain.out
-        # 8 bytes per entry while residues stay shared small ints, 40 beyond p = 257
-        assert raised.err == ("size guard raised to 33554432 entries (roughly "
-                              "256 MiB per dense table, 1280 MiB when p > 257)\n")
+        # 1 byte per entry below p = 128 (bytes), 8 while residues stay shared
+        # small ints, 40 beyond p = 257
+        assert raised.err == ("size guard raised to 33554432 entries (roughly 32 MiB "
+                              "per dense table when p < 128, 256 MiB when p <= 257, "
+                              "1280 MiB above)\n")
 
     def test_no_temp_files_left_behind(self, tmp_path):
         out = tmp_path / "poly.json"

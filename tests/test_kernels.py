@@ -18,7 +18,8 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fpminpoly.formulas import CATALOG, _delta_list, _lowpass_list
+from fpminpoly.circuit import lower, run_all
+from fpminpoly.formulas import CATALOG, _delta_list, _lowpass_list, build_formula
 from fpminpoly.oracle import (KINDS, FunctionSpec, argmax_digit_sem, argmin_digit_sem,
                               carry_sem, delta_basis_rows, interpolate, ismax_2bit_sem,
                               ismax_sem, max_sem, min_sem, nummax_digit_sem, point_at,
@@ -566,6 +567,16 @@ class TestOneTableForm:
             assert type(f.coeffs) is form, name
             assert len(f.coeffs) == ring.size, name
 
+    @pytest.mark.parametrize("p", [2, 3, 13, 17, 127, 131])
+    def test_value_tables_share_the_stored_form(self, p):
+        # Both sides of run_all's wire boundary at 16 and of _pack's at 128.
+        n = 2 if p < 20 else 1
+        f = build_formula("max", p, n)
+        table = tabulate(FunctionSpec("max", p, n)).values
+        values, ran = f.values(), run_all(lower(f, "nested_horner"))
+        assert type(table) is type(values) is type(ran) is type(f.coeffs)
+        assert table == values == ran
+
     @pytest.mark.parametrize("p,n", [(2, 10), (3, 6), (127, 2)])
     def test_packed_tables_take_one_byte_per_entry(self, p, n):
         ring = PolyRing(p, n)
@@ -648,5 +659,5 @@ class TestTabulate:
         for spec in differential_specs(kind):
             points = [point_at(spec.p, spec.arity, i) for i in range(spec.p ** spec.arity)]
             expected = tuple(reference_evaluate(spec, point) for point in points)
-            assert tabulate(spec).values == expected, spec
+            assert tabulate(spec).values == _pack(expected, spec.p), spec
             assert tuple(spec.evaluate(point) for point in points) == expected, spec

@@ -128,13 +128,13 @@ class TestFunctionSpec:
 
 class TestTabulate:
     def test_max_p2_n1(self):
-        assert tabulate(FunctionSpec("max", 2, 1)).values == (0, 1)
+        assert tabulate(FunctionSpec("max", 2, 1)).values == bytes((0, 1))
 
     def test_argmax_digit_p2_n2(self):
         # points in order (0,0), (1,0), (0,1), (1,1); least-index tie-break
         # puts the single 1 at input (0,1).
         t = tabulate(FunctionSpec("argmax_digit", 2, 2, 0))
-        assert t.values == (0, 0, 1, 0)
+        assert t.values == bytes((0, 0, 1, 0))
 
     def test_ismax_p3_n2_length(self):
         assert len(tabulate(FunctionSpec("ismax", 3, 2)).values) == 27
@@ -162,6 +162,34 @@ class TestTabulate:
             TruthTable(2, 30000000, (0,))
         with pytest.raises(ValueError, match="arity must be a nonnegative int, got True"):
             TruthTable(2, True, (0, 1))
+        with pytest.raises(ValueError, match="must be an int, got True"):
+            TruthTable(2, 1, [0, True])
+        with pytest.raises(ValueError, match="must be an int, got 1.0"):
+            TruthTable(2, 1, (0, 1.0))
+
+    @pytest.mark.parametrize("p", [3, 131])
+    def test_truth_table_from_list_tuple_or_bytes_is_one_table(self, p):
+        vals = [v % p for v in range(p * p)]
+        tables = [TruthTable(p, 2, form(vals)) for form in (list, tuple, bytes)]
+        assert tables[0] == tables[1] == tables[2]
+        assert len({hash(t) for t in tables}) == 1
+        assert type(tables[0].values) is (bytes if p < 128 else tuple)
+
+    def test_truth_table_keeps_no_reference_to_the_given_list(self):
+        vals = [0, 1]
+        t = TruthTable(2, 1, vals)
+        vals[0] = 5
+        assert t.values == bytes((0, 1))
+        assert interpolate(t).coeffs == bytes((0, 1))
+        assert hash(t) == hash(TruthTable(2, 1, (0, 1)))
+
+    def test_truth_table_refuses_bytes_out_of_range_as_it_does_a_list(self):
+        with pytest.raises(ValueError) as from_list:
+            TruthTable(3, 2, [0, 1, 2, 0, 7, 1, 9, 0, 0])
+        with pytest.raises(ValueError) as from_bytes:
+            TruthTable(3, 2, bytes((0, 1, 2, 0, 7, 1, 9, 0, 0)))
+        assert str(from_bytes.value) == str(from_list.value) == \
+            "field element 7 out of range [0, 3)"
 
     def test_size_guard_message_does_not_format_the_size(self):
         with pytest.raises(SizeGuardError, match=r"2\^30000000 exceeds the cap of 100"):
@@ -182,7 +210,15 @@ class TestTabulate:
         finally:
             tracemalloc.stop()
         assert len(table.values) == spec.p ** spec.arity
-        assert peak - base <= 1.25 * (size - base), (size - base, peak - base)
+        if type(table.values) is tuple:
+            assert peak - base <= 1.25 * (size - base), (size - base, peak - base)
+        else:
+            # A bytes result is 8x smaller than a tuple of it, and the previous
+            # axis's id table (half the result at p = 2) is held beside it: the
+            # peak stays within a tuple result's 8 bytes an entry and within
+            # 3x the packed result.
+            assert peak - base <= 8 * len(table.values), (size - base, peak - base)
+            assert peak - base <= 3 * (size - base), (size - base, peak - base)
 
     def test_huge_digit_index_is_zero_without_exponentiating(self):
         t = tabulate(FunctionSpec("argmax_digit", 3, 2, 10**12))

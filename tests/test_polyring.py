@@ -52,6 +52,12 @@ class TestConstructors:
             ring.from_coeffs([0, 1])  # wrong length
         with pytest.raises(ValueError):
             ring.from_coeffs([0, 1, 3])  # out of range
+        with pytest.raises(ValueError, match=r"field element 3 out of range \[0, 3\)"):
+            ring.from_coeffs(b"\0\1\3")
+        with pytest.raises(ValueError, match="must be an int, got True"):
+            ring.from_coeffs([0, True, 1])
+        assert ring.from_coeffs(b"\0\1\2") == ring.from_coeffs((0, 1, 2))
+        assert PolyRing(131, 1).from_coeffs(bytes(131)).coeffs == (0,) * 131
 
     def test_size_guard(self):
         with pytest.raises(SizeGuardError):
