@@ -84,33 +84,36 @@ class Circuit:
         if n_inputs < 0:
             raise ValueError("input count must be nonnegative")
         for idx, gate in enumerate(self.gates):
-            op = gate[0] if gate else None
-            size = _GATE_LEN.get(op)
-            if size is None:
-                raise ValueError(f"gate {idx}: unknown op {op!r}")
-            if len(gate) != size:
-                raise ValueError(f"gate {idx}: {op} gate needs {size - 1} "
-                                 f"fields after the op, got {gate!r}")
-            if op == "mul" or op == "add" or op == "sub":
-                a, b = gate[1], gate[2]
-                if not (type(a) is int and type(b) is int and 0 <= a < idx and 0 <= b < idx):
-                    raise _ref_error(idx, (a, b))
-            elif op == "scale":
-                c, a = gate[1], gate[2]
-                if not (type(c) is int and 0 <= c < p):
-                    field.check(c)
-                if not (type(a) is int and 0 <= a < idx):
-                    raise _ref_error(idx, (a,))
-            elif op == "const":
-                v = gate[1]
-                if not (type(v) is int and 0 <= v < p):
-                    field.check(v)
-            else:
-                v = gate[1]
-                if type(v) is not int:
-                    raise ValueError(f"gate {idx}: input index {v!r} is not an int")
-                if not 0 <= v < n_inputs:
-                    raise ValueError(f"gate {idx}: input index {v} out of range")
+            try:
+                op = gate[0] if gate else None
+                size = _GATE_LEN.get(op)
+                if size is None:
+                    raise ValueError(f"gate {idx}: unknown op {op!r}")
+                if len(gate) != size:
+                    raise ValueError(f"gate {idx}: {op} gate needs {size - 1} "
+                                     f"fields after the op, got {gate!r}")
+                if op == "mul" or op == "add" or op == "sub":
+                    a, b = gate[1], gate[2]
+                    if not (type(a) is int and type(b) is int and 0 <= a < idx and 0 <= b < idx):
+                        raise _ref_error(idx, (a, b))
+                elif op == "scale":
+                    c, a = gate[1], gate[2]
+                    if not (type(c) is int and 0 <= c < p):
+                        field.check(c)
+                    if not (type(a) is int and 0 <= a < idx):
+                        raise _ref_error(idx, (a,))
+                elif op == "const":
+                    v = gate[1]
+                    if not (type(v) is int and 0 <= v < p):
+                        field.check(v)
+                else:
+                    v = gate[1]
+                    if type(v) is not int:
+                        raise ValueError(f"gate {idx}: input index {v!r} is not an int")
+                    if not 0 <= v < n_inputs:
+                        raise ValueError(f"gate {idx}: input index {v} out of range")
+            except (KeyError, TypeError, IndexError) as exc:
+                raise ValueError(f"gate {idx}: malformed gate {gate!r}") from exc
         output = self.output
         if type(output) is not int:
             raise ValueError(f"output reference {output!r} is not an int")

@@ -15,12 +15,13 @@ formula's ring is made, with ``FunctionSpec.arity`` variables under the
 table-size cap; the forms written for one p or one arity refuse any other
 ring with :class:`FormulaParamError`.
 
-The forms for any p share their building blocks: the delta and lowpass
-pieces of each variable, the all-below products B_t = prod_i L_t(x_i)
-(``max`` and ``ismax``), and for the ``nummax`` digits elementary symmetric
-polynomials of the deltas, read through Lucas's theorem.  Nothing is
-hand-expanded: even forms printed as long monomial lists are reproduced by
-machine from their factored shape.
+The forms for any p share their building blocks: the coefficient rows of
+the delta, lowpass and factorial pieces, and for the ``nummax`` digits
+elementary symmetric polynomials of the deltas, read through Lucas's
+theorem.  A product of one factor per input, such as the all-below products
+B_t = prod_i L_t(x_i) of ``max`` and ``ismax``, is one ``PolyRing.tensor``
+of such rows.  Nothing is hand-expanded: even forms printed as long
+monomial lists are reproduced by machine from their factored shape.
 """
 
 from __future__ import annotations
@@ -99,25 +100,28 @@ def _lowpass_list(ring: PolyRing, i: int) -> list[Polynomial]:
     return [ring.univariate(i, row) for row in _piece_rows(ring.p)[1]]
 
 
-def _level_indicator(deltas: Sequence[Sequence[Polynomial]],
-                     lows: Sequence[Sequence[Polynomial]], i: int, t: int) -> Polynomial:
+def _row(p: int, factor: Callable[[Polynomial], Polynomial]) -> tuple[int, ...]:
+    """The coefficient row of factor(x), built in the one-variable ring."""
+    return tuple(factor(PolyRing(p, 1, max_table_size=None).variable(0)).coeffs)
+
+
+@lru_cache(maxsize=None)
+def _factorial_rows(p: int, rising: bool) -> tuple[tuple[int, ...], ...]:
+    """Rows of the falling factorials x (x - 1) ... (x - m + 1), or of the
+    rising ones (x + 1) (x + 2) ... (x + m) when ``rising``, for m = 0..p-1."""
+    ring = PolyRing(p, 1, max_table_size=None)
+    x, prods = ring.variable(0), [ring.one()]
+    for m in range(1, p):
+        prods.append(prods[-1] * (x + m if rising else x - (m - 1)))
+    return tuple(tuple(f.coeffs) for f in prods)
+
+
+def _level_indicator(ring: PolyRing, i: int, t: int) -> Polynomial:
     """Indicator that x_i is the first input at the maximum t: x_i = t, the
-    inputs before i stay below t and those after it at or below t.  The
-    delta factor goes first, then the lowpass factors in index order: a
-    dense product costs in proportion to its operands' nonzero terms."""
-    term = deltas[i][t]
-    for j in range(len(lows)):
-        if j != i:
-            term = term * lows[j][t if j < i else t + 1]
-    return term
-
-
-def _all_below(ring: PolyRing, lows: Sequence[Sequence[Polynomial]], t: int) -> Polynomial:
-    """B_t = prod_i L_t(x_i), in index order: every input in ``lows`` is below t."""
-    prod = ring.one()
-    for low in lows:
-        prod = prod * low[t]
-    return prod
+    inputs before i stay below t and those after it at or below t."""
+    deltas, lows = _piece_rows(ring.p)
+    return ring.tensor([deltas[t] if j == i else lows[t if j < i else t + 1]
+                        for j in range(ring.n)])
 
 
 # -- max and min ---------------------------------------------------------------
@@ -125,29 +129,23 @@ def _all_below(ring: PolyRing, lows: Sequence[Sequence[Polynomial]], t: int) -> 
 def max_general(ring: PolyRing) -> Polynomial:
     """max of the ring's inputs for any prime p: sum over thresholds t >= 1
     of the indicator that some input reaches t."""
-    lows = [_lowpass_list(ring, i) for i in range(ring.n)]
+    lows = _piece_rows(ring.p)[1]
     acc = ring.zero()
     for t in range(1, ring.p):
-        acc = acc + (1 - _all_below(ring, lows, t))
+        acc = acc + (1 - ring.tensor([lows[t]] * ring.n))
     return acc
 
 
 def max_p2(ring: PolyRing) -> Polynomial:
     """max over F_2: the product of (1 + x_i) minus 1 (an OR gate)."""
     _require_ring(ring, "max_p2", p=2)
-    prod = ring.one()
-    for i in range(ring.n):
-        prod = prod * (1 + ring.variable(i))
-    return prod - 1
+    return ring.tensor([_row(2, lambda x: 1 + x)] * ring.n) - 1
 
 
 def min_p2(ring: PolyRing) -> Polynomial:
     """min over F_2: the product of all inputs (an AND gate)."""
     _require_ring(ring, "min_p2", p=2)
-    prod = ring.one()
-    for i in range(ring.n):
-        prod = prod * ring.variable(i)
-    return prod
+    return ring.tensor([_row(2, lambda x: x)] * ring.n)
 
 
 def max_p3(ring: PolyRing) -> Polynomial:
@@ -205,27 +203,16 @@ def argmax_digit_general(ring: PolyRing, r: int) -> Polynomial:
     """
     if r < 0:
         raise FormulaParamError("digit index must be nonnegative")
-    n = ring.n
-    deltas = [_delta_list(ring, i) for i in range(n)]
-    lows = [_lowpass_list(ring, i) for i in range(n)]
     acc = ring.zero()
-    for i in range(n):
+    for i in range(ring.n):
         coeff = ring.field.digit(i, r)
         if coeff == 0:
             continue
         inner = ring.zero()
         for t in range(ring.p):
-            inner = inner + _level_indicator(deltas, lows, i, t)
+            inner = inner + _level_indicator(ring, i, t)
         acc = acc + inner.scale(coeff)
     return acc
-
-
-def _prefix_products_p2(ring: PolyRing) -> list[Polynomial]:
-    """P[m] = (1 + x_0) ... (1 + x_{m-1}) over F_2, with P[0] = 1."""
-    prods = [ring.one()]
-    for i in range(ring.n):
-        prods.append(prods[-1] * (1 + ring.variable(i)))
-    return prods
 
 
 def argmax_p2(ring: PolyRing, r: int) -> Polynomial:
@@ -245,10 +232,11 @@ def argmax_p2(ring: PolyRing, r: int) -> Polynomial:
     if block is None:  # 2^r >= n: digit r of every index is zero
         return ring.zero()
     k = -(-n // (2 * block)) - 1  # pad to length (2k+2)*2^r
-    prefix = _prefix_products_p2(ring)
+    plus = _row(2, lambda x: 1 + x)
     acc = ring.zero()
     for i in range(1, 2 * k + 3):
-        acc = acc + prefix[min(i * block, n)]
+        m = min(i * block, n)
+        acc = acc + ring.tensor([plus] * m + [(1,)] * (n - m))
     return acc
 
 
@@ -282,10 +270,10 @@ def argmax_p2_selector(ring: PolyRing, r: int) -> Polynomial:
         members.add(period * k - 1)
         k += 1
     members.add(min(n, period * ((n - block) // period + 1) - 1))
-    prefix = _prefix_products_p2(ring)
+    plus = _row(2, lambda x: 1 + x)
     acc = ring.zero()
     for i in sorted(members):
-        acc = acc + prefix[i + 1]
+        acc = acc + ring.tensor([plus] * (i + 1) + [(1,)] * (n - i))
     return acc
 
 
@@ -351,32 +339,16 @@ def argmax_extend_recursive(ring: PolyRing, r: int, prefix_poly: Polynomial) -> 
 
 # -- two-input forms for any p ---------------------------------------------------
 
-def _falling(ring: PolyRing, i: int) -> list[Polynomial]:
-    """F[m] = x_i (x_i - 1) ... (x_i - m + 1), for m = 0..p-1."""
-    out = [ring.one()]
-    x = ring.variable(i)
-    for j in range(ring.p - 1):
-        out.append(out[-1] * (x - j))
-    return out
-
-
-def _rising(ring: PolyRing, i: int) -> list[Polynomial]:
-    """R[m] = (x_i + 1) (x_i + 2) ... (x_i + m), for m = 0..p-1."""
-    out = [ring.one()]
-    x = ring.variable(i)
-    for j in range(1, ring.p):
-        out.append(out[-1] * (x + j))
-    return out
-
-
-def _split_sum(ring: PolyRing, head: Sequence[Polynomial], splits: range,
+def _split_sum(ring: PolyRing, head: Sequence[Sequence[int]], splits: range,
                weight: Callable[[int], int]) -> Polynomial:
-    """Sum over split points d of weight(d) * head[d] * F[p - d], where F
-    holds the falling factorials of x_1; the terms are added in order of d."""
-    tail = _falling(ring, 1)
+    """Sum over split points d of weight(d) * h_d(x_0) * F_{p-d}(x_1), where
+    ``head`` holds the rows h_d and F the falling factorials: one ``tensor``
+    per d, the weight folded into the x_0 row, added in order of d."""
+    tail = _factorial_rows(ring.p, False)
     acc = ring.zero()
     for d in splits:
-        acc = acc + (head[d] * tail[ring.p - d]).scale(weight(d))
+        w = weight(d)
+        acc = acc + ring.tensor([[w * c for c in head[d]], tail[ring.p - d]])
     return acc
 
 
@@ -389,7 +361,7 @@ def carry(ring: PolyRing) -> Polynomial:
     """
     _require_ring(ring, "carry", n=2)
     field = ring.field
-    return _split_sum(ring, _falling(ring, 0), range(1, ring.p),
+    return _split_sum(ring, _factorial_rows(ring.p, False), range(1, ring.p),
                       lambda d: field.neg(field.inverse(d)) if d % 2 else field.inverse(d))
 
 
@@ -401,7 +373,8 @@ def argmax0_n2(ring: PolyRing) -> Polynomial:
     factorials in x0 and falling factorials in x1.
     """
     _require_ring(ring, "argmax0_n2", n=2)
-    return _split_sum(ring, _rising(ring, 0), range(1, ring.p), ring.field.inverse)
+    return _split_sum(ring, _factorial_rows(ring.p, True), range(1, ring.p),
+                      ring.field.inverse)
 
 
 def max_n2(ring: PolyRing) -> Polynomial:
@@ -416,7 +389,7 @@ def max_n2(ring: PolyRing) -> Polynomial:
     if p == 2:
         raise FormulaParamError("two-input max over F_2 is max_p2; this form needs p >= 3")
     x0, x1 = ring.variable(0), ring.variable(1)
-    middle = _split_sum(ring, _rising(ring, 0), range(2, p - 1), ring.field.inverse)
+    middle = _split_sum(ring, _factorial_rows(p, True), range(2, p - 1), ring.field.inverse)
     return ((x1 - x0) * middle + x0
             + (x0 + 1) ** 2 * (1 - (x1 + 1) ** (p - 1))
             + (1 - x0 ** (p - 1)) * x1**2)
@@ -430,13 +403,16 @@ def ismax_general(ring: PolyRing) -> Polynomial:
     Variable 0 is y; variables 1.. are the compared inputs.  The maximum is
     t exactly when all inputs are below t + 1 but not all below t, so the
     form is sum_t delta_t(y) * (B_{t+1} - B_t), with B_0 = 0 and B_p = 1.
+    Each product delta_t(y) * B_t is one ``tensor``; the L_p row is the
+    constant 1, and the t = 0 term subtracts nothing.
     """
-    lows = [_lowpass_list(ring, i) for i in range(1, ring.n)]
-    below = [ring.zero(), *(_all_below(ring, lows, t) for t in range(1, ring.p)), ring.one()]
-    d_y = _delta_list(ring, 0)
+    deltas, lows = _piece_rows(ring.p)
+    m = ring.n - 1
     acc = ring.zero()
     for t in range(ring.p):
-        acc = acc + d_y[t] * (below[t + 1] - below[t])
+        acc = acc + ring.tensor([deltas[t]] + [lows[t + 1]] * m)
+        if t:
+            acc = acc - ring.tensor([deltas[t]] + [lows[t]] * m)
     return acc
 
 
@@ -476,10 +452,7 @@ def nummax_digit_general(ring: PolyRing, r: int) -> Polynomial:
 def ismax_p2(ring: PolyRing) -> Polynomial:
     """ismax over F_2, y first: y + (1 + x_0)...(1 + x_{n-1})."""
     _require_ring(ring, "ismax_p2", p=2)
-    prod = ring.one()
-    for i in range(1, ring.n):
-        prod = prod * (1 + ring.variable(i))
-    return ring.variable(0) + prod
+    return ring.variable(0) + ring.tensor([(1,)] + [_row(2, lambda x: 1 + x)] * (ring.n - 1))
 
 
 def ismax_p3(ring: PolyRing) -> Polynomial:
@@ -487,12 +460,9 @@ def ismax_p3(ring: PolyRing) -> Polynomial:
     -y^2 + y * (prod (1+x_i)^2 + prod (1-x_i^2) + 1) + prod (1-x_i^2)."""
     _require_ring(ring, "ismax_p3", p=3)
     y = ring.variable(0)
-    sq = ring.one()
-    zero_ind = ring.one()
-    for i in range(1, ring.n):
-        x = ring.variable(i)
-        sq = sq * (1 + x) ** 2
-        zero_ind = zero_ind * (1 - x**2)
+    m = ring.n - 1
+    sq = ring.tensor([(1,)] + [_row(3, lambda x: (1 + x) ** 2)] * m)
+    zero_ind = ring.tensor([(1,)] + [_row(3, lambda x: 1 - x**2)] * m)
     return -(y**2) + y * (sq + zero_ind + 1) + zero_ind
 
 
@@ -512,10 +482,7 @@ def nummax_p2(ring: PolyRing, r: int) -> Polynomial:
     acc = ring.elementary_symmetric(idx)
     nd = ring.field.digit(n, r)
     if nd:
-        prod = ring.one()
-        for i in range(n):
-            prod = prod * (1 - ring.variable(i))
-        acc = acc + prod.scale(nd)
+        acc = acc + ring.tensor([_row(2, lambda x: 1 - x)] * n).scale(nd)
     return acc
 
 
@@ -528,15 +495,12 @@ def ismax_2bit_p2(ring: PolyRing) -> Polynomial:
     """
     _require_ring(ring, "ismax_2bit_p2", p=2, paired=True)
     y1, y0 = ring.variable(0), ring.variable(1)
-    both = ring.one()     # no input has high and low set
-    high = ring.one()     # no input has its high bit set
-    all_zero = ring.one() # every bit of every input is zero
+    plus = _row(2, lambda x: 1 + x)
+    both = ring.one()  # no input has high and low set
     for i in range(2, ring.n, 2):
-        hi = ring.variable(i)
-        lo = ring.variable(i + 1)
-        both = both * (1 + hi * lo)
-        high = high * (1 + hi)
-        all_zero = all_zero * (1 + hi) * (1 + lo)
+        both = both * (1 + ring.variable(i) * ring.variable(i + 1))
+    high = ring.tensor([(1,), (1,)] + [plus, (1,)] * (ring.n // 2 - 1))  # no high bit set
+    all_zero = ring.tensor([(1,), (1,)] + [plus] * (ring.n - 2))  # every bit is zero
     return y1 * y0 + y1 * both + (y1 + y0) * high + (y1 + 1) * all_zero
 
 

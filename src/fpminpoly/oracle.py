@@ -300,14 +300,17 @@ def tabulate(spec: FunctionSpec,
 def _grow(table, rows, bound: int):
     """The table p-fold longer: block x is ``table`` mapped through ``rows[x]``.
 
-    Every row entry is below ``bound``.  A ``bytes`` table stays ``bytes``,
-    grown by ``bytes.translate``, while the entries fit in a byte; otherwise
-    the result is a tuple.  ``rows`` may be a generator: each row is then
-    built just before its block, so only one row is alive at a time.
+    Every row entry is below ``bound``.  While the entries fit in a byte the
+    result is ``bytes`` (grown by ``bytes.translate`` from a ``bytes``
+    table), so values below p <= 256 always end as ``bytes``; otherwise it
+    is a tuple.  ``rows`` may be a generator: each row is then built just
+    before its block, so only one row is alive at a time.
     """
-    if type(table) is bytes and bound <= 256:
+    if bound > 256:
+        return tuple(chain.from_iterable(map(row.__getitem__, table) for row in rows))
+    if type(table) is bytes:
         return b"".join([table.translate(bytes(row).ljust(256, b"\0")) for row in rows])
-    return tuple(chain.from_iterable(map(row.__getitem__, table) for row in rows))
+    return b"".join([bytes(map(row.__getitem__, table)) for row in rows])
 
 
 # -- interpolation ------------------------------------------------------------

@@ -25,7 +25,8 @@ ints.  Tables filled entry by entry start from ``_scratch`` (a
 A polynomial may also carry a private record of its support: the ascending
 tuple of table indices whose coefficient is nonzero.  The small pieces the
 closed forms are built from (constants, variables, univariate rows,
-elementary symmetric polynomials) know theirs at construction.  ``*`` uses
+elementary symmetric polynomials) know theirs at construction; ``tensor``
+products keep none.  ``*`` uses
 it to visit only the nonzero terms instead of scanning the whole p^n table;
 ``+``, ``-``, ``scale`` and negation pass it on to their results.  A record
 is kept only while it has at most ``size >> _SUPPORT_SHIFT`` entries (see
@@ -39,9 +40,11 @@ mod p: on bytes ``bytes.translate`` with a 256-entry table scales every
 entry by a constant (or reduces it), and columns add as little-endian big
 ints, reduced before any byte can pass 255; on tuples and lists it runs
 comprehensions.  ``_round`` is the one slice-rotation round built on it.
-Axis transforms (``apply_axis_transform``), ``+``, ``-`` and ``scale``, and
-products by a factor in a single variable (one p x p matrix on that axis)
-all call these on the stored tables.  Exponents are read from per-axis
+Axis transforms (``apply_axis_transform``), ``+``, ``-`` and ``scale``,
+products by a factor in a single variable (one p x p matrix on that axis),
+and ``PolyRing.tensor`` (a product of one single-variable factor per
+variable, built as the outer product of their coefficient rows) all call
+these on the stored tables.  Exponents are read from per-axis
 digit planes (``PolyRing.digit_planes``), n * p^n bytes in all, built on
 first use.
 """
@@ -310,6 +313,28 @@ class PolyRing:
             table[e * s] = c % self.p
         return _with_support(self, table,
                              tuple(e * s for e in range(len(coeffs)) if table[e * s]))
+
+    def tensor(self, rows: Sequence[Sequence[int]]) -> "Polynomial":
+        """The product prod_i u_i(x_i), where u_i = sum_e rows[i][e] * x_i^e.
+
+        One row of at most p coefficients per variable.  The table is the
+        outer product of the rows, built axis by axis in the stored form:
+        the table over x_0..x_i is the one over x_0..x_{i-1} scaled by each
+        coefficient of u_i in turn (``_combine``), the parts joined in
+        exponent order.  No ring multiplication runs, and the result keeps
+        no support record.
+        """
+        p = self.p
+        if len(rows) != self.n:
+            raise ValueError(f"expected {self.n} coefficient rows, got {len(rows)}")
+        table = _pack((1,), p)
+        for row in rows:
+            if len(row) > p:
+                raise ValueError("univariate coefficient row longer than p")
+            parts = [_combine(p, (c,), (table,)) for c in row]
+            parts.append(_scratch(len(table) * (p - len(row)), p))
+            table = b"".join(parts) if p < 128 else list(chain.from_iterable(parts))
+        return Polynomial(self, table)
 
     def elementary_symmetric(self, i: int) -> "Polynomial":
         """e_i: the sum of all i-fold products of distinct variables; e_0 = 1."""

@@ -250,6 +250,15 @@ class TestCircuitStructure:
         with pytest.raises(ValueError):
             Circuit(2 if len(gates) == 1 else 3, 1, gates, 0)
 
+    @pytest.mark.parametrize("gates", [
+        ({"op": "input", "index": 0},),
+        (5,),
+        (("input", 0), 7),
+    ])
+    def test_validation_rejects_gates_that_are_not_sequences(self, gates):
+        with pytest.raises(ValueError, match=f"gate {len(gates) - 1}: malformed gate"):
+            Circuit(3, 1, gates, 0)
+
     @pytest.mark.parametrize("n_inputs, gates, output", [
         (1, (("input", 0), ("add", 0.5, 0)), 1),
         (1, (("input", 0), ("mul", 0, "0")), 1),

@@ -24,7 +24,7 @@ from fpminpoly.oracle import (KINDS, FunctionSpec, argmax_digit_sem, argmin_digi
                               carry_sem, delta_basis_rows, interpolate, ismax_2bit_sem,
                               ismax_sem, max_sem, min_sem, nummax_digit_sem, point_at,
                               tabulate)
-from fpminpoly import polyring
+from fpminpoly import formulas, oracle, polyring
 from fpminpoly.polyring import (_SUPPORT_SHIFT, LANE_MIN_SIZE, Polynomial, PolyRing,
                                 _combine, _pack, apply_axis_transform, vandermonde_rows)
 
@@ -357,6 +357,84 @@ class TestSingleVariablePieces:
             assert _lowpass_list(ring, i) == lows
 
 
+# -- products of one factor per input ----------------------------------------------
+
+#: Rings on both sides of p = 128 and past p = 256; at p >= 128 one row is
+#: full and the rest short, which keeps the chained reference on the pair loop.
+TENSOR_RINGS = [(2, 8), (3, 5), (5, 4), (13, 3), (127, 2), (131, 2), (257, 2)]
+
+
+def tensor_row_sets(p, n):
+    """Full random rows (unreduced and negative entries too), rows mixing the
+    constant row (1,) with short and full rows, and a set with an empty row."""
+    rng = random.Random(f"{p}/{n}")
+
+    def row(length):
+        return tuple(rng.randrange(-p, 2 * p) for _ in range(length))
+
+    full = p < 128
+    yield [row(p) if full or i == 0 else row(3) for i in range(n)]
+    yield [(1,) if i % 3 == 0 else row(p if i % 3 == 1 and (full or i == 1) else 2)
+           for i in range(n)]
+    yield [() if i == n - 1 else row(2) for i in range(n)]
+
+
+class TestTensor:
+    @pytest.mark.parametrize("p,n", TENSOR_RINGS)
+    def test_matches_chained_univariate_products(self, p, n):
+        ring = PolyRing(p, n)
+        for rows in tensor_row_sets(p, n):
+            want = ring.one()
+            for i, row in enumerate(rows):
+                want = want * ring.univariate(i, row)
+            got = ring.tensor(rows)
+            assert got == want, rows
+            assert type(got.coeffs) is type(want.coeffs) is (bytes if p < 128 else tuple)
+
+    @pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (131, 2)])
+    def test_refuses_bad_rows(self, p, n):
+        ring = PolyRing(p, n)
+        for rows in ([(1,)] * (n - 1), [(1,)] * (n + 1)):
+            with pytest.raises(ValueError, match=f"expected {n} coefficient rows"):
+                ring.tensor(rows)
+        with pytest.raises(ValueError, match="row longer than p"):
+            ring.tensor([(1,)] * (n - 1) + [(1,) * (p + 1)])
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 131])
+    def test_factorial_rows_match_chained_products(self, p):
+        ring = PolyRing(p, 2)
+        x = ring.variable(1)
+        for rising in (False, True):
+            chained = ring.one()
+            for m, row in enumerate(formulas._factorial_rows(p, rising)):
+                if m:
+                    chained = chained * (x + m if rising else x - (m - 1))
+                assert ring.univariate(1, row) == chained, (rising, m)
+
+    #: Catalog entries whose closed forms are sums of tensors, scales and sums.
+    TENSOR_FORMS = ("max", "max2", "min2", "argmax", "argmax0", "argmax2", "argmax2sel",
+                    "ismax", "ismax2", "nummax2", "carry")
+
+    @pytest.mark.parametrize("name", TENSOR_FORMS)
+    def test_forms_build_without_multiplying_in_their_ring(self, name, monkeypatch):
+        entry = CATALOG[name]
+        for p, n, r in entry.verify_grid:  # the cached one-variable rows are built here
+            build_formula(name, p, n, r)
+        rings = []
+        original = Polynomial.__mul__
+
+        def recorded(self, other):
+            rings.append(self.ring)
+            return original(self, other)
+
+        monkeypatch.setattr(Polynomial, "__mul__", recorded)
+        for p, n, r in entry.verify_grid:
+            ring = PolyRing(p, entry.spec_of(p, n, r).arity)
+            rings.clear()
+            build_formula(name, p, n, r)
+            assert ring not in rings, (p, n, r)
+
+
 # -- support records ---------------------------------------------------------------
 
 def reference_add(f, g, sign):
@@ -637,8 +715,8 @@ DENSE_CASES = (("max", 3, 9, 0), ("argmax", 3, 9, 0), ("nummax0", 3, 9, 0), ("ma
                ("ismax2bit", 2, 7, 0), ("argmax2sel", 2, 15, 1))
 
 #: Specs at the one-byte limit of ``tabulate``'s id table: ismax p = 17 and
-#: max p = 257 reach 289 and 257 states and move to a tuple; argmax_digit
-#: p = 131 stays on bytes with 131 ids.
+#: max p = 257 reach 289 and 257 states and move to a tuple id table (ismax's
+#: values still end as bytes); argmax_digit p = 131 stays on bytes with 131 ids.
 PAST_BYTE_SPECS = (FunctionSpec("ismax", 17, 2), FunctionSpec("argmax_digit", 131, 2, 1),
                    FunctionSpec("max", 257, 2))
 
@@ -661,3 +739,19 @@ class TestTabulate:
             expected = tuple(reference_evaluate(spec, point) for point in points)
             assert tabulate(spec).values == _pack(expected, spec.p), spec
             assert tuple(spec.evaluate(point) for point in points) == expected, spec
+
+    def test_tuple_id_table_ends_as_bytes(self, monkeypatch):
+        # ismax at p = 17, n = 3 passes 256 fold states; its values fit a byte.
+        spec = FunctionSpec("ismax", 17, 3)
+        given = []
+        original = oracle.TruthTable
+
+        def recorded(p, arity, values):
+            given.append(type(values))
+            return original(p, arity, values)
+
+        monkeypatch.setattr(oracle, "TruthTable", recorded)
+        table = tabulate(spec)
+        assert given == [bytes]
+        points = (point_at(17, 4, i) for i in range(17 ** 4))
+        assert table.values == bytes(reference_evaluate(spec, point) for point in points)
