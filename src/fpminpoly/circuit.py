@@ -62,10 +62,11 @@ class Circuit:
     """An immutable gate list with a single designated output.
 
     Construction validates in one pass over the gates: the modulus (as
-    ``PrimeField`` does), the input count (a nonnegative int), each op and
-    its tuple length, each input index (an int below ``n_inputs``), each
-    const and scale value (a canonical field element), each gate reference
-    (an int naming an earlier gate) and the output (an int naming a gate).
+    ``PrimeField`` does), the input count (a nonnegative int), the gates (an
+    iterable), each op and its tuple length, each input index (an int below
+    ``n_inputs``), each const and scale value (a canonical field element),
+    each gate reference (an int naming an earlier gate) and the output (an
+    int naming a gate).
     Breaking any of these rules raises ``ValueError``; ``bool`` and
     ``float`` do not count as ints.  Gates are stored as a tuple of tuples.
     """
@@ -83,7 +84,11 @@ class Circuit:
             raise ValueError(f"input count {n_inputs!r} is not an int")
         if n_inputs < 0:
             raise ValueError("input count must be nonnegative")
-        for idx, gate in enumerate(self.gates):
+        try:
+            gates = tuple(self.gates)
+        except TypeError:
+            raise ValueError(f"gates must be an iterable of gates, got {self.gates!r}") from None
+        for idx, gate in enumerate(gates):
             try:
                 op = gate[0] if gate else None
                 size = _GATE_LEN.get(op)
@@ -117,9 +122,9 @@ class Circuit:
         output = self.output
         if type(output) is not int:
             raise ValueError(f"output reference {output!r} is not an int")
-        if not 0 <= output < len(self.gates):
+        if not 0 <= output < len(gates):
             raise ValueError("output reference out of range")
-        object.__setattr__(self, "gates", tuple(map(tuple, self.gates)))
+        object.__setattr__(self, "gates", tuple(map(tuple, gates)))
 
     def to_dict(self) -> dict:
         out = []

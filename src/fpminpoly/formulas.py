@@ -16,12 +16,14 @@ table-size cap; the forms written for one p or one arity refuse any other
 ring with :class:`FormulaParamError`.
 
 The forms for any p share their building blocks: the coefficient rows of
-the delta, lowpass and factorial pieces, and for the ``nummax`` digits
-elementary symmetric polynomials of the deltas, read through Lucas's
-theorem.  A product of one factor per input, such as the all-below products
-B_t = prod_i L_t(x_i) of ``max`` and ``ismax``, is one ``PolyRing.tensor``
-of such rows.  Nothing is hand-expanded: even forms printed as long
-monomial lists are reproduced by machine from their factored shape.
+the delta, lowpass and factorial pieces.  A product of one factor per
+input, such as the all-below products B_t = prod_i L_t(x_i) of ``max`` and
+``ismax``, is one ``PolyRing.tensor`` of such rows.  The ``argmax`` and
+``nummax`` digits are left-to-right counting automata, so each level is one
+``PolyRing.train`` of those rows: rank 2 for the first input at the
+maximum, rank p^r + 1 for counting the inputs at it, read through Lucas's
+theorem.  Nothing is hand-expanded: even forms printed as long monomial
+lists are reproduced by machine from their factored shape.
 """
 
 from __future__ import annotations
@@ -90,14 +92,14 @@ def _piece_rows(p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, .
     return deltas, tuple(lows)
 
 
-def _delta_list(ring: PolyRing, i: int) -> list[Polynomial]:
-    """delta_t(x_i) for t = 0..p-1, inside an n-variable ring."""
-    return [ring.univariate(i, row) for row in _piece_rows(ring.p)[0]]
-
-
-def _lowpass_list(ring: PolyRing, i: int) -> list[Polynomial]:
-    """L_t(x_i) for t = 0..p, the prefix sums of the deltas."""
-    return [ring.univariate(i, row) for row in _piece_rows(ring.p)[1]]
+def _train(ring: PolyRing, cores: list, end: int) -> Polynomial:
+    """``ring.train`` of one square core per variable, started in state 0 and
+    ended in state ``end``: the first core keeps only the rows out of state
+    0 and the last only the rows into ``end``."""
+    cores = list(cores)
+    cores[0] = cores[0][:1]
+    cores[-1] = [[steps[end]] for steps in cores[-1]]
+    return ring.train(cores)
 
 
 def _row(p: int, factor: Callable[[Polynomial], Polynomial]) -> tuple[int, ...]:
@@ -114,14 +116,6 @@ def _factorial_rows(p: int, rising: bool) -> tuple[tuple[int, ...], ...]:
     for m in range(1, p):
         prods.append(prods[-1] * (x + m if rising else x - (m - 1)))
     return tuple(tuple(f.coeffs) for f in prods)
-
-
-def _level_indicator(ring: PolyRing, i: int, t: int) -> Polynomial:
-    """Indicator that x_i is the first input at the maximum t: x_i = t, the
-    inputs before i stay below t and those after it at or below t."""
-    deltas, lows = _piece_rows(ring.p)
-    return ring.tensor([deltas[t] if j == i else lows[t if j < i else t + 1]
-                        for j in range(ring.n)])
 
 
 # -- max and min ---------------------------------------------------------------
@@ -197,21 +191,24 @@ def max_p5_n3(ring: PolyRing) -> Polynomial:
 def argmax_digit_general(ring: PolyRing, r: int) -> Polynomial:
     """Digit r (base p) of the least maximizing index, for any prime p.
 
-    Sums, over candidate index i and candidate max value t, the indicator
-    that x_i is the first input equal to the maximum t: everything before i
-    stays below t and everything after stays below t + 1.
+    Sums, over candidate max value t and candidate index i, digit_r(i) times
+    the indicator that x_i is the first input equal to the maximum t:
+    everything before i stays below t and everything after stays below
+    t + 1.  Per t that is one rank-2 ``train``: state 0 (no input at t yet)
+    stays by L_t, steps to state 1 at x_i by digit_r(i) * delta_t, and state
+    1 stays by L_{t+1}.
     """
     if r < 0:
         raise FormulaParamError("digit index must be nonnegative")
+    n, p = ring.n, ring.p
+    if bounded_power(p, r, n - 1) is None:  # p^r > n - 1: digit r of every index is zero
+        return ring.zero()
+    digits = [ring.field.digit(i, r) for i in range(n)]
+    deltas, lows = _piece_rows(p)
     acc = ring.zero()
-    for i in range(ring.n):
-        coeff = ring.field.digit(i, r)
-        if coeff == 0:
-            continue
-        inner = ring.zero()
-        for t in range(ring.p):
-            inner = inner + _level_indicator(ring, i, t)
-        acc = acc + inner.scale(coeff)
+    for t in range(p):
+        cores = [[[lows[t], [d * c for c in deltas[t]]], [(), lows[t + 1]]] for d in digits]
+        acc = acc + _train(ring, cores, 1)
     return acc
 
 
@@ -422,9 +419,10 @@ def nummax_digit_general(ring: PolyRing, r: int) -> Polynomial:
     With c_t inputs equal to t, e_k(delta_t(x_0), ..., delta_t(x_{n-1})) is
     C(c_t, k), and C(c, p^r) = digit_r(c) mod p by Lucas's theorem.  So the
     digit is sum_t e_{p^r}(delta_t(x)) * prod_i L_{t+1}(x_i): the product
-    vanishes below the maximum, C(0, p^r) = 0 above it.  e_0..e_{p^r} come
-    from the DP e_j += delta_t(x_m) e_{j-1}; the lowpass factors then go in
-    one at a time, so each product acts on a single axis.
+    vanishes below the maximum, C(0, p^r) = 0 above it.  As delta_t * L_{t+1}
+    = delta_t, each term is one ``train`` of rank p^r + 1: state j counts
+    the inputs so far equal to t, each input steps j -> j by L_{t+1} or
+    j -> j + 1 by delta_t, and the paths end at p^r.
     """
     if r < 0:
         raise FormulaParamError("digit index must be nonnegative")
@@ -432,20 +430,12 @@ def nummax_digit_general(ring: PolyRing, r: int) -> Polynomial:
     k = bounded_power(p, r, n)
     if k is None:  # p^r > n: digit r of every count is zero
         return ring.zero()
-    deltas = [_delta_list(ring, i) for i in range(n)]
-    lows = [_lowpass_list(ring, i) for i in range(n)]
+    deltas, lows = _piece_rows(p)
     acc = ring.zero()
     for t in range(p):
-        e = [ring.one()] + [ring.zero()] * k
-        for m in range(n):
-            d = deltas[m][t]
-            for j in range(min(k, m + 1), 0, -1):
-                e[j] = e[j] + d * e[j - 1]
-        term = e[k]
-        if t < p - 1:  # L_p = 1
-            for low in lows:
-                term = term * low[t + 1]
-        acc = acc + term
+        core = [[lows[t + 1] if b == j else deltas[t] if b == j + 1 else ()
+                 for b in range(k + 1)] for j in range(k + 1)]
+        acc = acc + _train(ring, [core] * n, k)
     return acc
 
 

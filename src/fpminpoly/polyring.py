@@ -25,10 +25,10 @@ ints.  Tables filled entry by entry start from ``_scratch`` (a
 A polynomial may also carry a private record of its support: the ascending
 tuple of table indices whose coefficient is nonzero.  The small pieces the
 closed forms are built from (constants, variables, univariate rows,
-elementary symmetric polynomials) know theirs at construction; ``tensor``
-products keep none.  ``*`` uses
-it to visit only the nonzero terms instead of scanning the whole p^n table;
-``+``, ``-``, ``scale`` and negation pass it on to their results.  A record
+elementary symmetric polynomials) know theirs at construction; ``train``
+and ``tensor`` products keep none.  ``*`` uses it to visit only the
+nonzero terms instead of scanning the whole p^n table; ``+``, ``-``,
+``scale`` and negation pass it on to their results.  A record
 is kept only while it has at most ``size >> _SUPPORT_SHIFT`` entries (see
 ``_with_support``): the indices are separate int objects, so recording the
 support of a dense table would cost several times the table's own memory.
@@ -42,17 +42,18 @@ ints, reduced before any byte can pass 255; on tuples and lists it runs
 comprehensions.  ``_round`` is the one slice-rotation round built on it.
 Axis transforms (``apply_axis_transform``), ``+``, ``-`` and ``scale``,
 products by a factor in a single variable (one p x p matrix on that axis),
-and ``PolyRing.tensor`` (a product of one single-variable factor per
-variable, built as the outer product of their coefficient rows) all call
-these on the stored tables.  Exponents are read from per-axis
-digit planes (``PolyRing.digit_planes``), n * p^n bytes in all, built on
-first use.
+and ``PolyRing.train`` (a sum over the state paths of a small automaton of
+products of one single-variable factor per variable, contracted axis by
+axis; ``PolyRing.tensor`` is its one-state case, the outer product of the
+factors' coefficient rows) all call these on the stored tables.
+Exponents are read from per-axis digit planes (``PolyRing.digit_planes``),
+n * p^n bytes in all, built on first use.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, compress
+from itertools import chain, compress, zip_longest
 import json
 from typing import Iterable, Sequence
 
@@ -317,24 +318,66 @@ class PolyRing:
     def tensor(self, rows: Sequence[Sequence[int]]) -> "Polynomial":
         """The product prod_i u_i(x_i), where u_i = sum_e rows[i][e] * x_i^e.
 
-        One row of at most p coefficients per variable.  The table is the
-        outer product of the rows, built axis by axis in the stored form:
-        the table over x_0..x_i is the one over x_0..x_{i-1} scaled by each
-        coefficient of u_i in turn (``_combine``), the parts joined in
-        exponent order.  No ring multiplication runs, and the result keeps
-        no support record.
+        One row of at most p coefficients per variable: the ``train`` whose
+        cores each hold one state and that row, so its table is the outer
+        product of the rows.
         """
-        p = self.p
         if len(rows) != self.n:
             raise ValueError(f"expected {self.n} coefficient rows, got {len(rows)}")
-        table = _pack((1,), p)
-        for row in rows:
-            if len(row) > p:
-                raise ValueError("univariate coefficient row longer than p")
-            parts = [_combine(p, (c,), (table,)) for c in row]
-            parts.append(_scratch(len(table) * (p - len(row)), p))
-            table = b"".join(parts) if p < 128 else list(chain.from_iterable(parts))
-        return Polynomial(self, table)
+        return self.train([((row,),) for row in rows])
+
+    def train(self, cores: Sequence[Sequence[Sequence[Sequence[int]]]]) -> "Polynomial":
+        """The tensor train sum over state paths of prod_i u_i(x_i).
+
+        ``cores[i][a][b]`` is the coefficient row of the factor in x_i that
+        takes state a to state b, at most p coefficients; an empty row is no
+        step.  The first core leaves one start state and the last enters one
+        end state, and the polynomial is the sum, over every path of states
+        from start to end, of the product of the rows along it.
+
+        It is built axis by axis in the stored form, keeping one table over
+        x_0..x_{i-1} per state that some path reaches.  Per state b and
+        exponent e, the table over x_0..x_i is one ``_combine`` of the
+        tables of the states that step into b, weighted by the e-th
+        coefficients of their rows; the parts are joined in exponent order,
+        as ``bytes`` below p = 128 and chained into a list above.  No ring
+        multiplication runs, and the result keeps no support record.
+        """
+        p, n = self.p, self.n
+        if len(cores) != n:
+            raise ValueError(f"expected {n} cores, got {len(cores)}")
+        tables = [_pack((1,), p)]  # None: no path reaches the state
+        for i, core in enumerate(cores):
+            if len(core) != len(tables):
+                raise ValueError(
+                    f"the first core must leave one start state, got {len(core)}" if i == 0
+                    else f"core {i} takes {len(core)} states, core {i - 1} gives {len(tables)}")
+            width = len(core[0])
+            if not width:
+                raise ValueError(f"core {i} must give each state one row per next state")
+            if i == n - 1 and width != 1:
+                raise ValueError(f"the last core must enter one end state, got {width}")
+            nxt = []
+            for b in range(width):
+                rows, cols = [], []
+                for steps, table in zip(core, tables):
+                    if len(steps) != width:
+                        raise ValueError(f"core {i} must give each state one row per next state")
+                    row = steps[b]
+                    if len(row) > p:
+                        raise ValueError("univariate coefficient row longer than p")
+                    if row and table is not None:
+                        rows.append(row)
+                        cols.append(table)
+                if not rows:
+                    nxt.append(None)
+                    continue
+                parts = [_combine(p, weights, cols)
+                         for weights in zip_longest(*rows, fillvalue=0)]
+                parts.append(_scratch(len(cols[0]) * (p - len(parts)), p))
+                nxt.append(b"".join(parts) if p < 128 else list(chain.from_iterable(parts)))
+            tables = nxt
+        return self.zero() if tables[0] is None else Polynomial(self, tables[0])
 
     def elementary_symmetric(self, i: int) -> "Polynomial":
         """e_i: the sum of all i-fold products of distinct variables; e_0 = 1."""

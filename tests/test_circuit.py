@@ -259,6 +259,11 @@ class TestCircuitStructure:
         with pytest.raises(ValueError, match=f"gate {len(gates) - 1}: malformed gate"):
             Circuit(3, 1, gates, 0)
 
+    @pytest.mark.parametrize("gates", [5, None, 2.5])
+    def test_validation_rejects_gates_that_are_not_iterable(self, gates):
+        with pytest.raises(ValueError, match="gates must be an iterable of gates"):
+            Circuit(3, 1, gates, 0)
+
     @pytest.mark.parametrize("n_inputs, gates, output", [
         (1, (("input", 0), ("add", 0.5, 0)), 1),
         (1, (("input", 0), ("mul", 0, "0")), 1),

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -15,11 +16,19 @@ from fpminpoly.formulas import (CATALOG, FormulaParamError, argmax0_n2,
                                 nummax_p2, resolve_params, verify_formula)
 from fpminpoly.oracle import (FunctionSpec, TruthTable, carry_sem, interpolate,
                               point_at, tabulate)
-from fpminpoly.polyring import PolyRing, RingMismatchError, SizeGuardError
+from fpminpoly.polyring import PolyRing, RingMismatchError, SizeGuardError, bounded_power
 
 
 def reference(kind, p, n, r=0):
     return interpolate(tabulate(FunctionSpec(kind, p, n, r)))
+
+
+def single_variable_pieces(ring):
+    """delta_t(x_i) for t < p and L_t(x_i) for t <= p, per input i, each a
+    full table of ``ring`` built by ``univariate`` from ``_piece_rows``."""
+    deltas, lows = formulas._piece_rows(ring.p)
+    return ([[ring.univariate(i, row) for row in deltas] for i in range(ring.n)],
+            [[ring.univariate(i, row) for row in lows] for i in range(ring.n)])
 
 
 def nummax_digit_subsets(ring, r):
@@ -30,8 +39,7 @@ def nummax_digit_subsets(ring, r):
     k-element index set I the indicator that exactly the inputs in I sit at
     the common maximum t while every other input stays below t.
     """
-    deltas = [formulas._delta_list(ring, i) for i in range(ring.n)]
-    lows = [formulas._lowpass_list(ring, i) for i in range(ring.n)]
+    deltas, lows = single_variable_pieces(ring)
     acc = ring.zero()
     for k in range(1, ring.n + 1):
         coeff = ring.field.digit(k, r)
@@ -43,6 +51,55 @@ def nummax_digit_subsets(ring, r):
                 for j in range(ring.n):
                     term = term * (deltas[j][t] if j in subset else lows[j][t])
                 acc = acc + term.scale(coeff)
+    return acc
+
+
+def nummax_digit_dp(ring, r):
+    """Digit r of the number of maximizing indices, by the e_k recurrence.
+
+    The form the trains of ``nummax_digit_general`` replaced, kept as their
+    reference: sum_t e_{p^r}(delta_t(x)) * prod_i L_{t+1}(x_i), with
+    e_0..e_{p^r} from the recurrence e_j += delta_t(x_m) * e_{j-1} over
+    full-table pieces, then the lowpass factors multiplied in one at a time.
+    """
+    n, p = ring.n, ring.p
+    k = bounded_power(p, r, n)
+    if k is None:
+        return ring.zero()
+    deltas, lows = single_variable_pieces(ring)
+    acc = ring.zero()
+    for t in range(p):
+        e = [ring.one()] + [ring.zero()] * k
+        for m in range(n):
+            for j in range(min(k, m + 1), 0, -1):
+                e[j] = e[j] + deltas[m][t] * e[j - 1]
+        term = e[k]
+        for low in lows:
+            term = term * low[t + 1]
+        acc = acc + term
+    return acc
+
+
+def argmax_digit_indicators(ring, r):
+    """Digit r of the least maximizing index as a sum of level indicators.
+
+    The form the trains of ``argmax_digit_general`` replaced, kept as their
+    reference: over each index i with a nonzero digit and each level t, the
+    product of full-table pieces delta_t(x_i) * prod_{j<i} L_t(x_j) *
+    prod_{j>i} L_{t+1}(x_j), scaled by digit_r(i).
+    """
+    deltas, lows = single_variable_pieces(ring)
+    acc = ring.zero()
+    for i in range(ring.n):
+        coeff = ring.field.digit(i, r)
+        if coeff == 0:
+            continue
+        for t in range(ring.p):
+            term = deltas[i][t]
+            for j in range(ring.n):
+                if j != i:
+                    term = term * lows[j][t if j < i else t + 1]
+            acc = acc + term.scale(coeff)
     return acc
 
 
@@ -436,6 +493,37 @@ class TestIsmaxNummax:
     def test_nummax_p2_single_one(self):
         f = nummax_p2(PolyRing(2, 5), 0)
         assert f.eval((0, 0, 1, 0, 0)) == 1
+
+
+class TestTrainForms:
+    """``nummax_digit_general`` and ``argmax_digit_general`` build one train
+    per level; the forms the trains replaced are their references."""
+
+    @pytest.mark.parametrize("p,n_max", [(2, 7), (3, 5), (5, 3), (7, 3)])
+    def test_match_the_replaced_forms(self, p, n_max):
+        for n in range(1, n_max + 1):
+            ring = PolyRing(p, n)
+            for r in (0, 1, 2):
+                assert nummax_digit_general(ring, r) == nummax_digit_dp(ring, r), (p, n, r)
+                assert (argmax_digit_general(ring, r)
+                        == argmax_digit_indicators(ring, r)), (p, n, r)
+
+    @pytest.mark.parametrize("name,p,n,r", [("nummax", 3, 10, 1), ("argmax", 3, 10, 1),
+                                            ("nummax", 2, 18, 2), ("argmax", 2, 18, 2)])
+    def test_peak_memory_stays_near_the_table(self, name, p, n, r):
+        # A train holds one table per live state, each at most a p-th of the
+        # result until the last axis; full-table pieces would cost one
+        # result per piece.
+        formulas._piece_rows(p)  # warm the cached rows
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            f = build_formula(name, p, n, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f.ring.size == p**n
+        assert peak - base <= 8 * f.ring.size, (peak - base) / f.ring.size
 
 
 class TestTwoBitIsmax:

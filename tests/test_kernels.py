@@ -12,6 +12,7 @@ packed into bytes, and the single-axis product on both sides of
 summed and reduced, is checked against a per-entry sum.
 """
 
+import itertools
 import random
 import sys
 
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fpminpoly.circuit import lower, run_all
-from fpminpoly.formulas import CATALOG, _delta_list, _lowpass_list, build_formula
+from fpminpoly.formulas import CATALOG, _piece_rows, build_formula
 from fpminpoly.oracle import (KINDS, FunctionSpec, argmax_digit_sem, argmin_digit_sem,
                               carry_sem, delta_basis_rows, interpolate, ismax_2bit_sem,
                               ismax_sem, max_sem, min_sem, nummax_digit_sem, point_at,
@@ -353,8 +354,9 @@ class TestSingleVariablePieces:
             lows = [ring.zero()]
             for t in range(p):
                 lows.append(lows[-1] + deltas[t])
-            assert _delta_list(ring, i) == deltas
-            assert _lowpass_list(ring, i) == lows
+            delta_rows, low_rows = _piece_rows(p)
+            assert [ring.univariate(i, row) for row in delta_rows] == deltas
+            assert [ring.univariate(i, row) for row in low_rows] == lows
 
 
 # -- products of one factor per input ----------------------------------------------
@@ -413,7 +415,7 @@ class TestTensor:
 
     #: Catalog entries whose closed forms are sums of tensors, scales and sums.
     TENSOR_FORMS = ("max", "max2", "min2", "argmax", "argmax0", "argmax2", "argmax2sel",
-                    "ismax", "ismax2", "nummax2", "carry")
+                    "ismax", "ismax2", "nummax", "nummax0", "nummax2", "carry")
 
     @pytest.mark.parametrize("name", TENSOR_FORMS)
     def test_forms_build_without_multiplying_in_their_ring(self, name, monkeypatch):
@@ -433,6 +435,108 @@ class TestTensor:
             rings.clear()
             build_formula(name, p, n, r)
             assert ring not in rings, (p, n, r)
+
+
+# -- tensor trains -------------------------------------------------------------------
+
+def train_cores(p, n, rng):
+    """Random cores with one start and one end state, 2 or 3 states after
+    axis 0, at most 3 between later axes and at most 27 paths in all.  Rows
+    are empty (one in eight), zero mod p (one in eight) or random, with
+    unreduced and negative entries that are rarely zero mod p, so few paths
+    vanish; at p >= 128 only axis 0 has full rows, which keeps the chained
+    reference on the pair loop."""
+    widths, paths = [1], 1
+    for _ in range(n - 1):
+        widths.append(rng.choice((2, 3) if paths == 1 else (1, 2, 3)) if paths <= 9 else 1)
+        paths *= widths[-1]
+    widths.append(1)
+
+    def entry():
+        return p * rng.randrange(-1, 2) + (rng.randrange(1, p) if rng.random() < 0.9 else 0)
+
+    def row(i):
+        kind = rng.randrange(8)
+        length = rng.randrange(1, p + 1) if p < 128 or i == 0 else rng.randrange(1, 4)
+        if kind == 0:
+            return ()
+        if kind == 1:
+            return tuple(p * rng.randrange(-1, 2) for _ in range(length))
+        return tuple(entry() for _ in range(length))
+
+    return [[[row(i) for _b in range(widths[i + 1])] for _a in range(widths[i])]
+            for i in range(n)]
+
+
+def reference_train(ring, cores):
+    """The sum over every state path of the chained univariate products."""
+    acc = ring.zero()
+    for path in itertools.product(*(range(len(core)) for core in cores[1:])):
+        states = (0, *path, 0)
+        term = ring.one()
+        for i, core in enumerate(cores):
+            term = term * ring.univariate(i, core[states[i]][states[i + 1]])
+        acc = acc + term
+    return acc
+
+
+class TestTrain:
+    @pytest.mark.parametrize("p,n", TENSOR_RINGS + [(3, 1), (131, 1)])
+    def test_matches_the_sum_over_state_paths(self, p, n):
+        ring = PolyRing(p, n)
+        rng = random.Random(f"train {p}/{n}")
+        for _ in range(4):
+            cores = train_cores(p, n, rng)
+            got = ring.train(cores)
+            assert got == reference_train(ring, cores), cores
+            assert type(got.coeffs) is (bytes if p < 128 else tuple)
+
+    def test_a_state_no_path_reaches_adds_nothing(self):
+        ring = PolyRing(3, 3)
+        # State 1 is never entered, so its rows never count.
+        cores = [[[(1, 2), ()]], [[(0, 1), ()], [(1,), (1,)]], [[(1, 1)], [(2, 0, 1)]]]
+        want = ring.tensor([(1, 2), (0, 1), (1, 1)])
+        assert ring.train(cores) == want
+        cores[0][0][0] = (3, -3)  # zero mod p
+        assert ring.train(cores) == ring.zero()
+
+    @pytest.mark.parametrize("p,n", [(3, 3), (131, 2)])
+    def test_refuses_malformed_cores(self, p, n):
+        ring = PolyRing(p, n)
+        one = [[(1,)]]
+        cases = [
+            ([one] * (n - 1), f"expected {n} cores, got {n - 1}"),
+            ([one] * (n + 1), f"expected {n} cores, got {n + 1}"),
+            ([[[(1,)], [(1,)]]] + [one] * (n - 1), "first core must leave one start state"),
+            ([one] * (n - 1) + [[[(1,), (1,)]]], "last core must enter one end state"),
+            ([[[(1,), (1,)]]] + [[[(1,)]] * 3] + [one] * (n - 2),
+             "core 1 takes 3 states, core 0 gives 2"),
+            ([[[(1,), (1,)]]] + [[[(1,)], [(1,), (1,)]]] + [one] * (n - 2),
+             "core 1 must give each state one row per next state"),
+            ([[[]]] + [one] * (n - 1), "core 0 must give each state one row per next state"),
+            ([[[(1,), (1,)]], [[], []]] + [one] * (n - 2),
+             "core 1 must give each state one row per next state"),
+            ([one] * (n - 1) + [[[(1,) * (p + 1)]]], "row longer than p"),
+        ]
+        for cores, message in cases:
+            with pytest.raises(ValueError, match=message):
+                ring.train(cores)
+
+    @pytest.mark.parametrize("name", ("argmax", "nummax", "nummax0"))
+    def test_train_forms_build_without_products_or_pieces(self, name, monkeypatch):
+        entry = CATALOG[name]
+        for p, n, r in entry.verify_grid:  # the cached one-variable rows are built here
+            build_formula(name, p, n, r)
+        calls = []
+        mul, univariate = Polynomial.__mul__, PolyRing.univariate
+        monkeypatch.setattr(Polynomial, "__mul__",
+                            lambda self, other: calls.append("*") or mul(self, other))
+        monkeypatch.setattr(PolyRing, "univariate", lambda self, i, row: (
+            calls.append("univariate") or univariate(self, i, row)))
+        r = 1 if entry.uses_r else 0
+        for p, n, r in entry.verify_grid + ((3, 8, r), (2, 12, 2 * r)):
+            build_formula(name, p, n, r)
+            assert not calls, (p, n, r, calls)
 
 
 # -- support records ---------------------------------------------------------------
