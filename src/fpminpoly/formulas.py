@@ -22,19 +22,23 @@ input, such as the all-below products B_t = prod_i L_t(x_i) of ``max`` and
 ``nummax`` digits are left-to-right counting automata, so each level is one
 ``PolyRing.train`` of those rows: rank 2 for the first input at the
 maximum, rank p^r + 1 for counting the inputs at it, read through Lucas's
-theorem.  Nothing is hand-expanded: even forms printed as long monomial
-lists are reproduced by machine from their factored shape.
+theorem.  The two-input forms are one train on two axes with one state per
+split point.  Only the forms written in elementary symmetric polynomials
+or as one printed product, ``max3``, ``min3``, ``max5`` and ``argmax3n3``,
+still multiply in their ring.  Nothing is hand-expanded: even forms printed
+as long monomial lists are reproduced by machine from their factored shape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 from typing import Callable, Sequence
 
 from .oracle import FunctionSpec, interpolate, point_at, tabulate
 from .polyring import (DEFAULT_MAX_TABLE_SIZE, Polynomial, PolyRing,
-                       RingMismatchError, bounded_power)
+                       RingMismatchError, apply_axis_transform, bounded_power)
 
 
 class FormulaParamError(ValueError):
@@ -59,7 +63,7 @@ def delta(p: int, t: int) -> Polynomial:
     """Indicator of x = t as the univariate 1 - (x - t)^(p-1)."""
     ring = PolyRing(p, 1, max_table_size=None)
     ring.field.check(t)
-    return 1 - (ring.variable(0) - t) ** (p - 1)
+    return ring.univariate(0, _piece_rows(p)[0][t])
 
 
 def lowpass(p: int, t: int) -> Polynomial:
@@ -70,22 +74,20 @@ def lowpass(p: int, t: int) -> Polynomial:
     """
     if not 0 <= t <= p:
         raise ValueError(f"lowpass threshold must lie in [0, {p}], got {t}")
-    ring = PolyRing(p, 1, max_table_size=None)
-    acc = ring.zero()
-    for k in range(t):
-        acc = acc + (1 - (ring.variable(0) - k) ** (p - 1))
-    return acc
+    return PolyRing(p, 1, max_table_size=None).univariate(0, _piece_rows(p)[1][t])
 
 
 @lru_cache(maxsize=None)
 def _piece_rows(p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """Coefficient rows of delta(p, t) for t < p and lowpass(p, t) for t <= p.
 
-    The lowpass rows are the running sums of the delta rows mod p, which is
-    what ``lowpass`` computes, with each delta built once instead of O(p)
-    times.
+    C(p-1, k) = (-1)^k mod p, so (x - t)^(p-1) = sum_k t^(p-1-k) x^k and the
+    delta row is 1 minus those powers of t (0^0 = 1).  The lowpass rows are
+    the running sums of the delta rows mod p: L_t is the sum of delta_k for
+    k < t.  O(p^2) entries, with no polynomial arithmetic.
     """
-    deltas = tuple(tuple(delta(p, t).coeffs) for t in range(p))
+    deltas = tuple(tuple(((k == 0) - pow(t, p - 1 - k, p)) % p for k in range(p))
+                   for t in range(p))
     lows = [(0,) * p]
     for row in deltas:
         lows.append(tuple((a + b) % p for a, b in zip(lows[-1], row)))
@@ -336,17 +338,20 @@ def argmax_extend_recursive(ring: PolyRing, r: int, prefix_poly: Polynomial) -> 
 
 # -- two-input forms for any p ---------------------------------------------------
 
-def _split_sum(ring: PolyRing, head: Sequence[Sequence[int]], splits: range,
-               weight: Callable[[int], int]) -> Polynomial:
-    """Sum over split points d of weight(d) * h_d(x_0) * F_{p-d}(x_1), where
-    ``head`` holds the rows h_d and F the falling factorials: one ``tensor``
-    per d, the weight folded into the x_0 row, added in order of d."""
-    tail = _factorial_rows(ring.p, False)
-    acc = ring.zero()
-    for d in splits:
-        w = weight(d)
-        acc = acc + ring.tensor([[w * c for c in head[d]], tail[ring.p - d]])
-    return acc
+def _split_sum(ring: PolyRing, terms: Sequence[tuple[Sequence[int], Sequence[int]]]
+               ) -> Polynomial:
+    """Sum of h(x_0) * g(x_1) over the row pairs (h, g) of ``terms``: one
+    ``train`` on the two axes with one state per pair."""
+    heads, tails = zip(*terms)
+    return ring.train([[heads], [(g,) for g in tails]])
+
+
+def _weighted_splits(p: int, head: Sequence[Sequence[int]], splits: range,
+                     weight: Callable[[int], int]) -> list:
+    """The pairs (weight(d) * h_d, F_{p-d}) for the split points d, where
+    ``head`` holds the rows h_d and F the falling factorials."""
+    tail = _factorial_rows(p, False)
+    return [([weight(d) * c for c in head[d]], tail[p - d]) for d in splits]
 
 
 def carry(ring: PolyRing) -> Polynomial:
@@ -358,8 +363,9 @@ def carry(ring: PolyRing) -> Polynomial:
     """
     _require_ring(ring, "carry", n=2)
     field = ring.field
-    return _split_sum(ring, _factorial_rows(ring.p, False), range(1, ring.p),
-                      lambda d: field.neg(field.inverse(d)) if d % 2 else field.inverse(d))
+    return _split_sum(ring, _weighted_splits(
+        ring.p, _factorial_rows(ring.p, False), range(1, ring.p),
+        lambda d: field.neg(field.inverse(d)) if d % 2 else field.inverse(d)))
 
 
 def argmax0_n2(ring: PolyRing) -> Polynomial:
@@ -370,8 +376,8 @@ def argmax0_n2(ring: PolyRing) -> Polynomial:
     factorials in x0 and falling factorials in x1.
     """
     _require_ring(ring, "argmax0_n2", n=2)
-    return _split_sum(ring, _factorial_rows(ring.p, True), range(1, ring.p),
-                      ring.field.inverse)
+    return _split_sum(ring, _weighted_splits(ring.p, _factorial_rows(ring.p, True),
+                                             range(1, ring.p), ring.field.inverse))
 
 
 def max_n2(ring: PolyRing) -> Polynomial:
@@ -379,17 +385,22 @@ def max_n2(ring: PolyRing) -> Polynomial:
 
     The endpoint terms of the selection sum collapse (via Wilson's theorem)
     into the two indicator corrections that close the expression:
-    x0 + (x0+1)^2 * delta_{p-1}(x1) + delta_0(x0) * x1^2.
+    (x1 - x0) * middle + x0 + (x0+1)^2 * delta_{p-1}(x1) + delta_0(x0) * x1^2,
+    where middle sums R_d(x0) F_{p-d}(x1) / d over 2 <= d <= p - 2.  Each
+    term is one pair of rows of a single ``_split_sum``: R_d has degree
+    d < p - 1 and F_{p-d} degree p - d < p - 1, so the factor x1 - x0 only
+    shifts their rows by one place, as x * F_{p-d}(x1) and -x * R_d(x0).
     """
     _require_ring(ring, "max_n2", n=2)
     p = ring.p
     if p == 2:
         raise FormulaParamError("two-input max over F_2 is max_p2; this form needs p >= 3")
-    x0, x1 = ring.variable(0), ring.variable(1)
-    middle = _split_sum(ring, _factorial_rows(p, True), range(2, p - 1), ring.field.inverse)
-    return ((x1 - x0) * middle + x0
-            + (x0 + 1) ** 2 * (1 - (x1 + 1) ** (p - 1))
-            + (1 - x0 ** (p - 1)) * x1**2)
+    deltas = _piece_rows(p)[0]
+    terms = [((0, 1), (1,)), ((1, 2, 1), deltas[p - 1]), (deltas[0], (0, 0, 1))]
+    for head, tail in _weighted_splits(p, _factorial_rows(p, True), range(2, p - 1),
+                                       ring.field.inverse):
+        terms += [(head, (0, *tail[:-1])), ((0, *(-c for c in head[:-1])), tail)]
+    return _split_sum(ring, terms)
 
 
 # -- ismax and nummax -------------------------------------------------------------
@@ -447,13 +458,13 @@ def ismax_p2(ring: PolyRing) -> Polynomial:
 
 def ismax_p3(ring: PolyRing) -> Polynomial:
     """ismax over F_3, y first:
-    -y^2 + y * (prod (1+x_i)^2 + prod (1-x_i^2) + 1) + prod (1-x_i^2)."""
+    -y^2 + y * (prod (1+x_i)^2 + prod (1-x_i^2) + 1) + prod (1-x_i^2),
+    written as (y - y^2) + y * prod (1+x_i)^2 + (1 + y) * prod (1-x_i^2)."""
     _require_ring(ring, "ismax_p3", p=3)
-    y = ring.variable(0)
     m = ring.n - 1
-    sq = ring.tensor([(1,)] + [_row(3, lambda x: (1 + x) ** 2)] * m)
-    zero_ind = ring.tensor([(1,)] + [_row(3, lambda x: 1 - x**2)] * m)
-    return -(y**2) + y * (sq + zero_ind + 1) + zero_ind
+    return (ring.univariate(0, (0, 1, -1))
+            + ring.tensor([(0, 1)] + [_row(3, lambda x: (1 + x) ** 2)] * m)
+            + ring.tensor([(1, 1)] + [_row(3, lambda x: 1 - x**2)] * m))
 
 
 def nummax_p2(ring: PolyRing, r: int) -> Polynomial:
@@ -482,16 +493,21 @@ def ismax_2bit_p2(ring: PolyRing) -> Polynomial:
     The variables come in bit pairs, ordered (y_1, y_0, x_{0,1}, x_{0,0},
     ...): the candidate's high bit, then low bit, then each input's high
     bit before its low bit.
+
+    The form is y1 y0 + y1 * both + (y1 + y0) * high + (y1 + 1) * all_zero,
+    where ``both`` is the product over inputs of (1 + x_{i,1} x_{i,0}) (no
+    input has both bits set), ``high`` the product of (1 + x_{i,1}) (no high
+    bit set) and ``all_zero`` that of (1 + x) over every input bit.  The
+    term y1 * both is one rank-2 ``train``: state 1 sits between a high bit
+    that is set and its low bit.  The other terms are ``tensor``s.
     """
     _require_ring(ring, "ismax_2bit_p2", p=2, paired=True)
-    y1, y0 = ring.variable(0), ring.variable(1)
-    plus = _row(2, lambda x: 1 + x)
-    both = ring.one()  # no input has high and low set
-    for i in range(2, ring.n, 2):
-        both = both * (1 + ring.variable(i) * ring.variable(i + 1))
-    high = ring.tensor([(1,), (1,)] + [plus, (1,)] * (ring.n // 2 - 1))  # no high bit set
-    all_zero = ring.tensor([(1,), (1,)] + [plus] * (ring.n - 2))  # every bit is zero
-    return y1 * y0 + y1 * both + (y1 + y0) * high + (y1 + 1) * all_zero
+    x, plus, k = (0, 1), (1, 1), ring.n // 2 - 1  # k inputs
+    return (ring.tensor([x, x] + [(1,)] * 2 * k)  # y1 y0
+            + ring.train([[[x]], [[(1,)]]] + [[[(1,), x]], [[(1,)], [x]]] * k)  # y1 * both
+            + ring.tensor([x, (1,)] + [plus, (1,)] * k)  # y1 * high
+            + ring.tensor([(1,), x] + [plus, (1,)] * k)  # y0 * high
+            + ring.tensor([plus, (1,)] + [plus] * 2 * k))  # (y1 + 1) * all_zero
 
 
 # -- duality -----------------------------------------------------------------------
@@ -501,12 +517,13 @@ def involution_conjugate(f: Polynomial) -> Polynomial:
 
     Substitutes p-1-x_i for every variable and reflects the output; this
     turns a max-type polynomial into the matching min-type one and swaps
-    argmax with argmin.
+    argmax with argmin.  The substitution is one axis transform: p-1-x is
+    -(1 + x), so x^e becomes sum_d (-1)^e C(e, d) x^d, of degree e <= p - 1.
     """
     ring = f.ring
-    top = ring.p - 1
-    subs = [top - ring.variable(i) for i in range(ring.n)]
-    return top - f.compose(subs)
+    p = ring.p
+    flip = [[(-1) ** e * comb(e, d) % p for e in range(p)] for d in range(p)]
+    return (p - 1) - Polynomial(ring, apply_axis_transform(f.coeffs, p, ring.n, flip))
 
 
 # -- catalog ------------------------------------------------------------------------

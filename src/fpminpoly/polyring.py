@@ -41,11 +41,11 @@ entry by a constant (or reduces it), and columns add as little-endian big
 ints, reduced before any byte can pass 255; on tuples and lists it runs
 comprehensions.  ``_round`` is the one slice-rotation round built on it.
 Axis transforms (``apply_axis_transform``), ``+``, ``-`` and ``scale``,
-products by a factor in a single variable (one p x p matrix on that axis),
 and ``PolyRing.train`` (a sum over the state paths of a small automaton of
 products of one single-variable factor per variable, contracted axis by
 axis; ``PolyRing.tensor`` is its one-state case, the outer product of the
-factors' coefficient rows) all call these on the stored tables.
+factors' coefficient rows) all call these on the stored tables.  ``*`` is
+one pair loop over the operands' nonzero terms.
 Exponents are read from per-axis digit planes (``PolyRing.digit_planes``),
 n * p^n bytes in all, built on first use.
 """
@@ -67,13 +67,6 @@ DEFAULT_MAX_TABLE_SIZE = 1 << 24
 #: A support record is kept only while it holds at most size >> _SUPPORT_SHIFT
 #: indices, which bounds its memory at a fraction of the table's.
 _SUPPORT_SHIFT = 4
-
-#: Products by a factor in a single variable run as one fiber matrix on
-#: that axis (``_univariate_product``) for tables of at least this many
-#: entries.  Below it the pair loop is faster: without this gate, ``*``
-#: took more than twice as long on the small tables of short catalog
-#: requests.
-LANE_MIN_SIZE = 512
 
 
 class RingMismatchError(ValueError):
@@ -165,13 +158,12 @@ def _combine(p: int, weights: Sequence[int], cols: Sequence[Sequence[int]]):
 def _round(data: Sequence[int], p: int, rows) -> Sequence[int]:
     """One slice-rotation round: map axis 0 of a stored table, move it to the top.
 
-    ``rows[new][old]`` is the fiber matrix for axis 0; None leaves the axis
-    as it is and only rotates.  The p columns ``data[e::p]`` (the sub-tables
-    with x0 = e) are combined row by row and concatenated.
+    ``rows[new][old]`` is the fiber matrix for axis 0.  The p columns
+    ``data[e::p]`` (the sub-tables with x0 = e) are combined row by row and
+    concatenated.
     """
     cols = [data[e::p] for e in range(p)]
-    if rows is not None:
-        cols = [_combine(p, row, cols) for row in rows]
+    cols = [_combine(p, row, cols) for row in rows]
     if isinstance(data, bytes):
         return b"".join(cols)
     return list(chain.from_iterable(cols))
@@ -557,13 +549,7 @@ class Polynomial:
         if len(a_idx) < len(b_idx):
             a, b, a_idx, b_idx = b, a, b_idx, a_idx
         # Few pairs touch few entries: collect them as the product's support.
-        # Past that bound a factor on a single axis is one fiber matrix,
-        # applied at a cost independent of the pair count.
         record = len(a_idx) * len(b_idx) <= ring.size >> _SUPPORT_SHIFT
-        if not record and ring.size >= LANE_MIN_SIZE:
-            axis = _single_axis(ring, b_idx)
-            if axis is not None:
-                return Polynomial(ring, _univariate_product(a, b, ring, axis))
         out = _scratch(ring.size, p)
         if p == 2:
             # Exponents are bits and x^2 = x, so indices combine by OR.
@@ -716,39 +702,6 @@ class Polynomial:
     def from_json(text: str,
                   max_table_size: int | None = DEFAULT_MAX_TABLE_SIZE) -> "Polynomial":
         return Polynomial.from_dict(json.loads(text), max_table_size=max_table_size)
-
-
-def _single_axis(ring: PolyRing, idx: Sequence[int]) -> int | None:
-    """The axis i when every index in ``idx`` (ascending) is e * p^i, else None."""
-    axis = ring.n - 1
-    top = idx[-1]
-    while axis and ring.strides[axis] > top:
-        axis -= 1
-    s = ring.strides[axis]
-    if all(k % s == 0 for k in idx):
-        return axis
-    return None
-
-
-def _univariate_product(a: Sequence[int], b: Sequence[int], ring: PolyRing,
-                        axis: int) -> Sequence[int]:
-    """The table a * u where b holds u(x_axis) = sum_e b[e * p^axis] x_axis^e.
-
-    Both are stored tables.  Multiplying by u acts on each fiber of ``axis``
-    alone, as the p x p matrix that sends x^d to sum_e u_e x^(d+e), folded
-    by x^p = x; the other axes are only rotated.
-    """
-    p, s = ring.p, ring.strides[axis]
-    rows = [[0] * p for _ in range(p)]
-    for e in range(p):
-        c = b[e * s]
-        if c:
-            for d in range(p):
-                k = d + e if d + e < p else d + e - (p - 1)
-                rows[k][d] += c
-    for i in range(ring.n):
-        a = _round(a, p, rows if i == axis else None)
-    return a
 
 
 def _with_support(ring: PolyRing, table: Sequence[int],

@@ -1,10 +1,11 @@
 import itertools
+import random
 import tracemalloc
 
 import pytest
 
 from fpminpoly import formulas
-from fpminpoly.ff import PrimeField
+from fpminpoly.ff import PrimeField, is_prime
 from fpminpoly.formulas import (CATALOG, FormulaParamError, argmax0_n2,
                                 argmax_block_recurrence, argmax_digit_general,
                                 argmax_extend_recursive, argmax_p2,
@@ -14,9 +15,10 @@ from fpminpoly.formulas import (CATALOG, FormulaParamError, argmax0_n2,
                                 max_general, max_n2, max_p2, max_p3, max_p5_n2,
                                 max_p5_n3, min_p2, min_p3, nummax_digit_general,
                                 nummax_p2, resolve_params, verify_formula)
-from fpminpoly.oracle import (FunctionSpec, TruthTable, carry_sem, interpolate,
-                              point_at, tabulate)
-from fpminpoly.polyring import PolyRing, RingMismatchError, SizeGuardError, bounded_power
+from fpminpoly.oracle import (FunctionSpec, TruthTable, carry_sem, delta_basis_rows,
+                              interpolate, point_at, tabulate)
+from fpminpoly.polyring import (Polynomial, PolyRing, RingMismatchError, SizeGuardError,
+                                bounded_power)
 
 
 def reference(kind, p, n, r=0):
@@ -103,6 +105,64 @@ def argmax_digit_indicators(ring, r):
     return acc
 
 
+def split_sum_tensors(ring, head, splits, weight):
+    """Sum over split points d of weight(d) * h_d(x_0) * F_{p-d}(x_1).
+
+    The form the train of ``_split_sum`` replaced, kept as its reference:
+    one ``tensor`` per split point, added in order of d.
+    """
+    tail = formulas._factorial_rows(ring.p, False)
+    acc = ring.zero()
+    for d in splits:
+        w = weight(d)
+        acc = acc + ring.tensor([[w * c for c in head[d]], tail[ring.p - d]])
+    return acc
+
+
+def carry_tensors(ring):
+    field = ring.field
+    return split_sum_tensors(ring, formulas._factorial_rows(ring.p, False), range(1, ring.p),
+                             lambda d: field.neg(field.inverse(d)) if d % 2 else field.inverse(d))
+
+
+def argmax0_tensors(ring):
+    return split_sum_tensors(ring, formulas._factorial_rows(ring.p, True), range(1, ring.p),
+                             ring.field.inverse)
+
+
+def max_n2_products(ring):
+    """Two-input max with ring products: the form ``max_n2``'s one train replaced."""
+    p = ring.p
+    x0, x1 = ring.variable(0), ring.variable(1)
+    middle = split_sum_tensors(ring, formulas._factorial_rows(p, True), range(2, p - 1),
+                               ring.field.inverse)
+    return ((x1 - x0) * middle + x0
+            + (x0 + 1) ** 2 * (1 - (x1 + 1) ** (p - 1))
+            + (1 - x0 ** (p - 1)) * x1**2)
+
+
+def ismax_p3_products(ring):
+    """ismax over F_3 with ring products: the form ``ismax_p3``'s tensors replaced."""
+    y = ring.variable(0)
+    m = ring.n - 1
+    sq = ring.tensor([(1,)] + [(1, 2, 1)] * m)  # prod (1 + x_i)^2
+    zero_ind = ring.tensor([(1,)] + [(1, 0, 2)] * m)  # prod (1 - x_i^2)
+    return -(y**2) + y * (sq + zero_ind + 1) + zero_ind
+
+
+def ismax_2bit_products(ring):
+    """Two-bit ismax with ring products: the form whose ``both`` loop
+    ``ismax_2bit_p2``'s rank-2 train replaced."""
+    y1, y0 = ring.variable(0), ring.variable(1)
+    plus = (1, 1)
+    both = ring.one()  # no input has high and low set
+    for i in range(2, ring.n, 2):
+        both = both * (1 + ring.variable(i) * ring.variable(i + 1))
+    high = ring.tensor([(1,), (1,)] + [plus, (1,)] * (ring.n // 2 - 1))  # no high bit set
+    all_zero = ring.tensor([(1,), (1,)] + [plus] * (ring.n - 2))  # every bit is zero
+    return y1 * y0 + y1 * both + (y1 + y0) * high + (y1 + 1) * all_zero
+
+
 class TestDeltaLowpass:
     def test_delta_p2_is_one_plus_x(self):
         ring = PolyRing(2, 1)
@@ -137,18 +197,28 @@ class TestDeltaLowpass:
             lowpass(3, 4)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_piece_rows_build_each_delta_once(p, monkeypatch):
-    """The lowpass rows are running sums of the delta rows, not ``lowpass`` calls."""
-    deltas = tuple(tuple(delta(p, t).coeffs) for t in range(p))
-    lows = tuple(tuple(lowpass(p, t).coeffs) for t in range(p + 1))
+@pytest.mark.parametrize("p", [p for p in range(2, 60) if is_prime(p)] + [257])
+def test_piece_rows_match_the_oracle_delta_basis(p, monkeypatch):
+    """The delta rows are the columns of the oracle's interpolation basis, a
+    separate convolution, and the lowpass rows their running sums; neither
+    the rows nor ``delta`` and ``lowpass`` multiply polynomials."""
 
-    def refuse(p, t):
-        raise AssertionError("_piece_rows called lowpass")
+    def refuse(*args):
+        raise AssertionError("a ring product built a piece row")
 
-    monkeypatch.setattr(formulas, "lowpass", refuse)
+    monkeypatch.setattr(Polynomial, "__mul__", refuse)
+    monkeypatch.setattr(Polynomial, "__pow__", refuse)
     formulas._piece_rows.cache_clear()
-    assert formulas._piece_rows(p) == (deltas, lows)
+    deltas, lows = formulas._piece_rows(p)
+    columns = tuple(zip(*delta_basis_rows(p)))
+    assert deltas == columns
+    running = (0,) * p
+    assert lows[0] == running
+    for t in range(p):
+        running = tuple((a + b) % p for a, b in zip(running, columns[t]))
+        assert lows[t + 1] == running
+        assert tuple(delta(p, t).coeffs) == columns[t]
+        assert tuple(lowpass(p, t + 1).coeffs) == running
 
 
 class TestMaxFamily:
@@ -414,6 +484,14 @@ class TestTwoInputForms:
         for t in range(7):
             assert f.eval((t, t)) == t
 
+    @pytest.mark.parametrize("p", [p for p in range(2, 32) if is_prime(p)])
+    def test_match_the_replaced_tensor_sums_and_products(self, p):
+        ring = PolyRing(p, 2)
+        assert carry(ring) == carry_tensors(ring)
+        assert argmax0_n2(ring) == argmax0_tensors(ring)
+        if p > 2:
+            assert max_n2(ring) == max_n2_products(ring)
+
     def test_max_n2_rejects_p2(self):
         with pytest.raises(FormulaParamError):
             max_n2(PolyRing(2, 2))
@@ -473,6 +551,11 @@ class TestIsmaxNummax:
         for n in range(1, 5):
             assert ismax_p3(PolyRing(3, n + 1)) == reference("ismax", 3, n)
 
+    def test_ismax_p3_matches_the_replaced_products(self):
+        for n in range(1, 8):
+            ring = PolyRing(3, n + 1)
+            assert ismax_p3(ring) == ismax_p3_products(ring), n
+
     def test_ismax_p3_all_zero(self):
         f = ismax_p3(PolyRing(3, 4))
         assert f.eval((0, 0, 0, 0)) == 1  # y = 0 against all-zero inputs
@@ -531,6 +614,11 @@ class TestTwoBitIsmax:
         for n in range(1, 5):
             assert ismax_2bit_p2(PolyRing(2, 2 * n + 2)) == reference("ismax_2bit", 2, n)
 
+    def test_matches_the_replaced_products(self):
+        for arity in range(2, 16, 2):
+            ring = PolyRing(2, arity)
+            assert ismax_2bit_p2(ring) == ismax_2bit_products(ring), arity
+
     def test_examples(self):
         f = ismax_2bit_p2(PolyRing(2, 6))
         # variable order (y1, y0, x01, x00, x11, x10)
@@ -545,6 +633,15 @@ class TestDualityAndMinimality:
             assert min_p2(PolyRing(2, n)) == involution_conjugate(max_p2(PolyRing(2, n)))
         for n in range(1, 5):
             assert min_p3(PolyRing(3, n)) == involution_conjugate(max_p3(PolyRing(3, n)))
+
+    @pytest.mark.parametrize("p,n", [(2, 6), (3, 4), (5, 3), (131, 1)])
+    def test_involution_conjugate_matches_composition(self, p, n):
+        ring = PolyRing(p, n)
+        rng = random.Random(f"{p}/{n}")
+        subs = [(p - 1) - ring.variable(i) for i in range(n)]
+        for _ in range(3):
+            f = ring.from_coeffs([rng.randrange(p) for _ in range(ring.size)])
+            assert involution_conjugate(f) == (p - 1) - f.compose(subs)
 
     def test_every_constructor_output_is_minimal_form(self):
         outputs = [

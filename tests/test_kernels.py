@@ -7,8 +7,7 @@ kept here verbatim so that any rewrite of the kernels in ``polyring`` and
 ``oracle`` is checked entry for entry.  Exponents and digits are decoded
 with ``oracle.point_at``, independently of the ring's digit planes.  The
 dense kernels are checked on both sides of p = 128, where tables stop being
-packed into bytes, and the single-axis product on both sides of
-``LANE_MIN_SIZE``.  ``_combine``, the one place where columns are scaled,
+packed into bytes.  ``_combine``, the one place where columns are scaled,
 summed and reduced, is checked against a per-entry sum.
 """
 
@@ -26,8 +25,8 @@ from fpminpoly.oracle import (KINDS, FunctionSpec, argmax_digit_sem, argmin_digi
                               ismax_sem, max_sem, min_sem, nummax_digit_sem, point_at,
                               tabulate)
 from fpminpoly import formulas, oracle, polyring
-from fpminpoly.polyring import (_SUPPORT_SHIFT, LANE_MIN_SIZE, Polynomial, PolyRing,
-                                _combine, _pack, apply_axis_transform, vandermonde_rows)
+from fpminpoly.polyring import (_SUPPORT_SHIFT, Polynomial, PolyRing, _combine, _pack,
+                                apply_axis_transform, vandermonde_rows)
 
 #: Largest arity per modulus that keeps p^n small enough for a quick test.
 MAX_ARITY = {2: 8, 3: 5, 5: 3, 7: 3, 11: 2, 13: 2}
@@ -240,18 +239,17 @@ class TestMultiply:
         assert f * g == reference_mul(f, g)
 
 
-#: Rings where a dense table times a univariate factor runs as a fiber matrix,
-#: on bytes and (p >= 128) on lists, plus rings below ``LANE_MIN_SIZE``.
+#: Rings for a dense table times a univariate factor, on bytes and (p >= 128)
+#: on lists, with 64 to 17161 entries.
 UNIVARIATE_RINGS = [(2, 9), (2, 10), (3, 6), (3, 7), (5, 4), (7, 4), (13, 3), (127, 2),
                     (2, 6), (3, 4), (5, 3), (131, 2)]
 
 
 class TestUnivariateProducts:
     @pytest.mark.parametrize("p,n", UNIVARIATE_RINGS)
-    def test_every_axis_matches_pair_loop(self, p, n, monkeypatch):
+    def test_every_axis_matches_pair_loop(self, p, n):
         rng = random.Random(f"{p}/{n}")
         ring = PolyRing(p, n)
-        products = record_calls(monkeypatch, "_univariate_product")
         # At p > 100 about 130 terms times a 20-term factor keep the reference
         # pair loop quick and still pass the record bound.
         density = 130 / ring.size if p > 100 else 0.7
@@ -266,18 +264,15 @@ class TestUnivariateProducts:
             assert got == reference_mul(dense, factor)
             assert got._nz is None
             assert factor * dense == reference_mul(factor, dense)
-        assert products == [packed_form(p)] * (2 * n if ring.size >= LANE_MIN_SIZE else 0)
 
     @pytest.mark.parametrize("p,n,axis", [(3, 6, 0), (3, 6, 5), (2, 10, 9)])
-    def test_multi_axis_factor_stays_on_pair_loop(self, p, n, axis, monkeypatch):
+    def test_multi_axis_factor_stays_on_pair_loop(self, p, n, axis):
         ring = PolyRing(p, n)
         rng = random.Random(axis)
         dense = ring.from_coeffs([rng.randrange(p) for _ in range(ring.size)])
         other = (axis + 1) % n
         factor = ring.univariate(axis, [1] * p) + ring.variable(other)
-        products = record_calls(monkeypatch, "_univariate_product")
         assert dense * factor == reference_mul(dense, factor)
-        assert not products
 
     def test_constant_operand_is_a_scale_keeping_the_record(self):
         ring = PolyRing(3, 6)
@@ -413,9 +408,10 @@ class TestTensor:
                     chained = chained * (x + m if rising else x - (m - 1))
                 assert ring.univariate(1, row) == chained, (rising, m)
 
-    #: Catalog entries whose closed forms are sums of tensors, scales and sums.
-    TENSOR_FORMS = ("max", "max2", "min2", "argmax", "argmax0", "argmax2", "argmax2sel",
-                    "ismax", "ismax2", "nummax", "nummax0", "nummax2", "carry")
+    #: Catalog entries whose closed forms are sums of tensors and trains, and scales.
+    TENSOR_FORMS = ("max", "max2", "min2", "maxn2", "argmax", "argmax0", "argmax2",
+                    "argmax2sel", "ismax", "ismax2", "ismax3", "ismax2bit", "nummax",
+                    "nummax0", "nummax2", "carry")
 
     @pytest.mark.parametrize("name", TENSOR_FORMS)
     def test_forms_build_without_multiplying_in_their_ring(self, name, monkeypatch):
@@ -710,7 +706,7 @@ class TestSupportRecords:
 # -- one stored table form ---------------------------------------------------------
 
 #: Rings on both sides of p = 128 where a dense operand times a univariate
-#: factor passes the record bound and runs as a fiber matrix.
+#: factor passes the record bound, so the product keeps no support record.
 FORM_RINGS = [(2, 10), (3, 6), (127, 2), (131, 2)]
 
 
@@ -727,24 +723,21 @@ def form_operands(ring):
 
 class TestOneTableForm:
     @pytest.mark.parametrize("p,n", FORM_RINGS)
-    def test_every_result_is_stored_packed(self, p, n, monkeypatch):
+    def test_every_result_is_stored_packed(self, p, n):
         ring = PolyRing(p, n)
         form = bytes if p < 128 else tuple
         dense, factor = form_operands(ring)
         x = ring.variable(0)
-        products = record_calls(monkeypatch, "_univariate_product")
         results = {
             "zero": ring.zero(), "constant": ring.constant(5), "variable": x,
             "monomial": ring.monomial((1,) * n, 3), "univariate": factor,
             "elementary_symmetric": ring.elementary_symmetric(2),
             "from_coeffs": dense, "embed": ring.embed(PolyRing(p, 1).variable(0) + 2),
             "+": dense + factor, "-": factor - dense, "scale": factor.scale(2),
-            "* (pair loop)": (x + 1) * factor, "**": (x + 2) ** 3,
+            "* (recorded)": (x + 1) * factor, "* (dense)": dense * factor,
+            "**": (x + 2) ** 3,
             "interpolate": interpolate(tabulate(FunctionSpec("max", p, n))),
         }
-        assert products == []
-        results["* (single axis)"] = dense * factor
-        assert products == [list if p >= 128 else bytes]
         for name, f in results.items():
             assert type(f.coeffs) is form, name
             assert len(f.coeffs) == ring.size, name
