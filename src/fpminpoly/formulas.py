@@ -23,10 +23,10 @@ input, such as the all-below products B_t = prod_i L_t(x_i) of ``max`` and
 ``PolyRing.train`` of those rows: rank 2 for the first input at the
 maximum, rank p^r + 1 for counting the inputs at it, read through Lucas's
 theorem.  The two-input forms are one train on two axes with one state per
-split point.  Only the forms written in elementary symmetric polynomials
-or as one printed product, ``max3``, ``min3``, ``max5`` and ``argmax3n3``,
-still multiply in their ring.  Nothing is hand-expanded: even forms printed
-as long monomial lists are reproduced by machine from their factored shape.
+split point.  Only ``max5`` and ``argmax3n3``, each printed for one small
+ring as a product, still multiply in their ring.  Nothing is hand-expanded:
+even forms printed as long monomial lists are reproduced by machine from
+their factored shape.
 """
 
 from __future__ import annotations
@@ -110,6 +110,14 @@ def _row(p: int, factor: Callable[[Polynomial], Polynomial]) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def _f3_rows() -> tuple[tuple[int, ...], ...]:
+    """Rows over F_3 of (1 + x)^2, 1 - x^2, x - x^2 and x^2, the indicators
+    of x < 2, x = 0, x = 2 and x != 0: the factors of the F_3 forms."""
+    return tuple(_row(3, factor) for factor in (lambda x: (1 + x) ** 2, lambda x: 1 - x**2,
+                                                 lambda x: x - x**2, lambda x: x**2))
+
+
+@lru_cache(maxsize=None)
 def _factorial_rows(p: int, rising: bool) -> tuple[tuple[int, ...], ...]:
     """Rows of the falling factorials x (x - 1) ... (x - m + 1), or of the
     rising ones (x + 1) (x + 2) ... (x + m) when ``rising``, for m = 0..p-1."""
@@ -146,26 +154,24 @@ def min_p2(ring: PolyRing) -> Polynomial:
 
 def max_p3(ring: PolyRing) -> Polynomial:
     """max over F_3 via elementary symmetric polynomials:
-    (e_0 + e_2 + e_4 + ...) * (e_0 + ... + e_n) - 1."""
+    (e_0 + e_2 + e_4 + ...) * (e_0 + ... + e_n) - 1.
+
+    The even sum is (prod (1+x_i) + prod (1-x_i)) / 2 and the full sum is
+    prod (1+x_i), so with 1/2 = 2 this is the two tensors
+    2 * prod (1+x_i)^2 + 2 * prod (1-x_i^2) - 1."""
     _require_ring(ring, "max_p3", p=3)
-    even = ring.zero()
-    for i in range(0, ring.n + 1, 2):
-        even = even + ring.elementary_symmetric(i)
-    full = ring.zero()
-    for i in range(ring.n + 1):
-        full = full + ring.elementary_symmetric(i)
-    return even * full - 1
+    below2, zero, _, _ = _f3_rows()
+    return (ring.tensor([below2] * ring.n) + ring.tensor([zero] * ring.n)).scale(2) - 1
 
 
 def min_p3(ring: PolyRing) -> Polynomial:
-    """min over F_3: e_n * (1 + sum_i (-1)^i e_i + e_n)."""
+    """min over F_3: e_n * (1 + sum_i (-1)^i e_i + e_n).
+
+    The alternating sum is prod (1-x_i) and e_n is prod x_i, so this is
+    the two tensors prod (x_i - x_i^2) + prod x_i^2."""
     _require_ring(ring, "min_p3", p=3)
-    n = ring.n
-    alt = ring.one()
-    for i in range(1, n + 1):
-        e = ring.elementary_symmetric(i)
-        alt = alt + (e if i % 2 == 0 else -e)
-    return ring.elementary_symmetric(n) * (alt + ring.elementary_symmetric(n))
+    _, _, two, nonzero = _f3_rows()
+    return ring.tensor([two] * ring.n) + ring.tensor([nonzero] * ring.n)
 
 
 def max_p5_n2(ring: PolyRing) -> Polynomial:
@@ -462,9 +468,10 @@ def ismax_p3(ring: PolyRing) -> Polynomial:
     written as (y - y^2) + y * prod (1+x_i)^2 + (1 + y) * prod (1-x_i^2)."""
     _require_ring(ring, "ismax_p3", p=3)
     m = ring.n - 1
+    below2, zero, _, _ = _f3_rows()
     return (ring.univariate(0, (0, 1, -1))
-            + ring.tensor([(0, 1)] + [_row(3, lambda x: (1 + x) ** 2)] * m)
-            + ring.tensor([(1, 1)] + [_row(3, lambda x: 1 - x**2)] * m))
+            + ring.tensor([(0, 1)] + [below2] * m)
+            + ring.tensor([(1, 1)] + [zero] * m))
 
 
 def nummax_p2(ring: PolyRing, r: int) -> Polynomial:

@@ -22,18 +22,6 @@ p >= 128, where the sum of two reduced entries can pass 255, a tuple of
 ints.  Tables filled entry by entry start from ``_scratch`` (a
 ``bytearray`` or a list) and are packed once.
 
-A polynomial may also carry a private record of its support: the ascending
-tuple of table indices whose coefficient is nonzero.  The small pieces the
-closed forms are built from (constants, variables, univariate rows,
-elementary symmetric polynomials) know theirs at construction; ``train``
-and ``tensor`` products keep none.  ``*`` uses it to visit only the
-nonzero terms instead of scanning the whole p^n table; ``+``, ``-``,
-``scale`` and negation pass it on to their results.  A record
-is kept only while it has at most ``size >> _SUPPORT_SHIFT`` entries (see
-``_with_support``): the indices are separate int objects, so recording the
-support of a dense table would cost several times the table's own memory.
-Equality, hashing and serialisation look at the coefficient table alone.
-
 The dense table work runs through one seam, with the standard library only.
 ``_combine`` is the one place where columns are scaled, summed and reduced
 mod p: on bytes ``bytes.translate`` with a 256-entry table scales every
@@ -45,7 +33,8 @@ and ``PolyRing.train`` (a sum over the state paths of a small automaton of
 products of one single-variable factor per variable, contracted axis by
 axis; ``PolyRing.tensor`` is its one-state case, the outer product of the
 factors' coefficient rows) all call these on the stored tables.  ``*`` is
-one pair loop over the operands' nonzero terms.
+one pair loop over the operands' nonzero terms, found by a scan of each
+table.
 Exponents are read from per-axis digit planes (``PolyRing.digit_planes``),
 n * p^n bytes in all, built on first use.
 """
@@ -63,10 +52,6 @@ from .ff import PrimeField
 #: verification are meant to stay desk-scale; raise explicitly if you know
 #: what you are doing.
 DEFAULT_MAX_TABLE_SIZE = 1 << 24
-
-#: A support record is kept only while it holds at most size >> _SUPPORT_SHIFT
-#: indices, which bounds its memory at a fraction of the table's.
-_SUPPORT_SHIFT = 4
 
 
 class RingMismatchError(ValueError):
@@ -271,28 +256,27 @@ class PolyRing:
     # -- constructors ------------------------------------------------------
 
     def zero(self) -> "Polynomial":
-        return _with_support(self, _scratch(self.size, self.p), ())
+        return Polynomial(self, _scratch(self.size, self.p))
 
     def one(self) -> "Polynomial":
         return self.constant(1)
 
     def constant(self, c: int) -> "Polynomial":
         table = _scratch(self.size, self.p)
-        table[0] = c = c % self.p
-        return _with_support(self, table, (0,) if c else ())
+        table[0] = c % self.p
+        return Polynomial(self, table)
 
     def variable(self, i: int) -> "Polynomial":
         if not 0 <= i < self.n:
             raise ValueError(f"variable index {i} out of range [0, {self.n})")
         table = _scratch(self.size, self.p)
         table[self.strides[i]] = 1
-        return _with_support(self, table, (self.strides[i],))
+        return Polynomial(self, table)
 
     def monomial(self, exps: Sequence[int], coeff: int = 1) -> "Polynomial":
         table = _scratch(self.size, self.p)
-        idx = self.index_of(exps)
-        table[idx] = c = coeff % self.p
-        return _with_support(self, table, (idx,) if c else ())
+        table[self.index_of(exps)] = coeff % self.p
+        return Polynomial(self, table)
 
     def univariate(self, i: int, coeffs: Sequence[int]) -> "Polynomial":
         """The polynomial sum_e coeffs[e] * x_i^e (len(coeffs) <= p)."""
@@ -304,8 +288,7 @@ class PolyRing:
         s = self.strides[i]
         for e, c in enumerate(coeffs):
             table[e * s] = c % self.p
-        return _with_support(self, table,
-                             tuple(e * s for e in range(len(coeffs)) if table[e * s]))
+        return Polynomial(self, table)
 
     def tensor(self, rows: Sequence[Sequence[int]]) -> "Polynomial":
         """The product prod_i u_i(x_i), where u_i = sum_e rows[i][e] * x_i^e.
@@ -333,7 +316,7 @@ class PolyRing:
         tables of the states that step into b, weighted by the e-th
         coefficients of their rows; the parts are joined in exponent order,
         as ``bytes`` below p = 128 and chained into a list above.  No ring
-        multiplication runs, and the result keeps no support record.
+        multiplication runs.
         """
         p, n = self.p, self.n
         if len(cores) != n:
@@ -378,12 +361,9 @@ class PolyRing:
         from itertools import combinations
 
         table = _scratch(self.size, self.p)
-        support = []
         for subset in combinations(range(self.n), i):
-            idx = sum(self.strides[j] for j in subset)
-            table[idx] = 1
-            support.append(idx)
-        return _with_support(self, table, tuple(sorted(support)))
+            table[sum(self.strides[j] for j in subset)] = 1
+        return Polynomial(self, table)
 
     def from_coeffs(self, coeffs: Iterable[int]) -> "Polynomial":
         """Validated construction from a full canonical coefficient table."""
@@ -419,21 +399,13 @@ class Polynomial:
 
     ``coeffs`` is the table in its stored form (``_pack``): ``bytes`` for
     p < 128, a tuple of ints otherwise; ``to_dict`` gives it as a list.
-
-    ``_nz`` is the optional support record: the ascending tuple of indices
-    whose coefficient is nonzero, or None when it is not known.  ``*``
-    reads it; ``+``, ``-`` and ``scale`` pass it on.  Only ``_with_support``
-    sets it, and only while it has at most ``ring.size >> _SUPPORT_SHIFT``
-    entries.  It never changes what a polynomial is: ``==``, ``hash``,
-    ``coeffs`` and ``to_dict`` ignore it.
     """
 
-    __slots__ = ("ring", "coeffs", "_nz")
+    __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring: PolyRing, coeffs: Sequence[int]):
         self.ring = ring
         self.coeffs = _pack(coeffs, ring.p)
-        self._nz: tuple[int, ...] | None = None
         if len(self.coeffs) != ring.size:
             raise ValueError("coefficient table length does not match the ring")
 
@@ -451,12 +423,6 @@ class Polynomial:
         if isinstance(other, int) and not isinstance(other, bool):
             return self.ring.constant(other)
         return None
-
-    def _indices(self):
-        """Nonzero indices: the support record, else a scan (not cached)."""
-        if self._nz is not None:
-            return self._nz
-        return list(compress(range(self.ring.size), self.coeffs))
 
     def __repr__(self) -> str:
         nnz = sum(1 for c in self.coeffs if c)
@@ -486,17 +452,9 @@ class Polynomial:
     # -- ring operations ----------------------------------------------------
 
     def _add(self, other: "Polynomial", sign: int) -> "Polynomial":
-        """self + sign * other for sign in {1, -1}.
-
-        The result keeps a support record when both operands had one: their
-        union, less the entries that cancelled.
-        """
+        """self + sign * other for sign in {1, -1}, as one ``_combine``."""
         ring = self._same_ring(other)
-        out = _combine(ring.p, (1, sign), (self.coeffs, other.coeffs))
-        nz = None
-        if self._nz is not None and other._nz is not None:
-            nz = tuple(k for k in sorted({*self._nz, *other._nz}) if out[k])
-        return _with_support(ring, out, nz)
+        return Polynomial(ring, _combine(ring.p, (1, sign), (self.coeffs, other.coeffs)))
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -527,8 +485,7 @@ class Polynomial:
             return self
         if c == 0:
             return self.ring.zero()
-        # c is a unit mod p, so the support record carries over unchanged.
-        return _with_support(self.ring, _combine(self.ring.p, (c,), (self.coeffs,)), self._nz)
+        return Polynomial(self.ring, _combine(self.ring.p, (c,), (self.coeffs,)))
 
     def __mul__(self, other):
         if isinstance(other, int) and not isinstance(other, bool):
@@ -536,29 +493,19 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         ring = self._same_ring(other)
-        if self._nz == (0,):
-            return other.scale(self.coeffs[0])
-        if other._nz == (0,):
-            return self.scale(other.coeffs[0])
         p = ring.p
         a, b = self.coeffs, other.coeffs
-        a_idx = self._indices()
-        b_idx = other._indices()
-        if not a_idx or not b_idx:
-            return ring.zero()
+        a_idx = list(compress(range(ring.size), a))
+        b_idx = list(compress(range(ring.size), b))
         if len(a_idx) < len(b_idx):
             a, b, a_idx, b_idx = b, a, b_idx, a_idx
-        # Few pairs touch few entries: collect them as the product's support.
-        record = len(a_idx) * len(b_idx) <= ring.size >> _SUPPORT_SHIFT
         out = _scratch(ring.size, p)
         if p == 2:
             # Exponents are bits and x^2 = x, so indices combine by OR.
             for j in b_idx:
                 for i in a_idx:
                     out[i | j] ^= 1
-            touched = {i | j for j in b_idx for i in a_idx} if record else None
         else:
-            touched = set() if record else None
             planes = ring.digit_planes()
             strides = ring.strides
             a_items = [(i, a[i]) for i in a_idx]
@@ -574,10 +521,7 @@ class Polynomial:
                         if plane[i] >= low:
                             k -= drop
                     out[k] = (out[k] + ca * cb) % p
-                    if touched is not None:
-                        touched.add(k)
-        return _with_support(ring, out, None if touched is None
-                             else tuple(k for k in sorted(touched) if out[k]))
+        return Polynomial(ring, out)
 
     def __rmul__(self, other):
         if isinstance(other, int) and not isinstance(other, bool):
@@ -702,21 +646,6 @@ class Polynomial:
     def from_json(text: str,
                   max_table_size: int | None = DEFAULT_MAX_TABLE_SIZE) -> "Polynomial":
         return Polynomial.from_dict(json.loads(text), max_table_size=max_table_size)
-
-
-def _with_support(ring: PolyRing, table: Sequence[int],
-                  nz: tuple[int, ...] | None) -> Polynomial:
-    """A polynomial on ``table`` that records ``nz`` as its support.
-
-    ``nz`` must be exactly the ascending nonzero indices of ``table``, or
-    None when they are not known.  The record is dropped when it has more
-    than ``ring.size >> _SUPPORT_SHIFT`` entries; that is the one place the
-    bound is applied.
-    """
-    f = Polynomial(ring, table)
-    if nz is not None and len(nz) <= ring.size >> _SUPPORT_SHIFT:
-        f._nz = nz
-    return f
 
 
 def format_terms(f: Polynomial) -> str:

@@ -141,6 +141,28 @@ def max_n2_products(ring):
             + (1 - x0 ** (p - 1)) * x1**2)
 
 
+def max_p3_symmetric(ring):
+    """max over F_3 as printed, (e_0 + e_2 + e_4 + ...) * (e_0 + ... + e_n) - 1:
+    the form ``max_p3``'s two tensors replaced."""
+    even = ring.zero()
+    for i in range(0, ring.n + 1, 2):
+        even = even + ring.elementary_symmetric(i)
+    full = ring.zero()
+    for i in range(ring.n + 1):
+        full = full + ring.elementary_symmetric(i)
+    return even * full - 1
+
+
+def min_p3_symmetric(ring):
+    """min over F_3 as printed, e_n * (1 + sum_i (-1)^i e_i + e_n): the form
+    ``min_p3``'s two tensors replaced."""
+    alt = ring.one()
+    for i in range(1, ring.n + 1):
+        e = ring.elementary_symmetric(i)
+        alt = alt + (e if i % 2 == 0 else -e)
+    return ring.elementary_symmetric(ring.n) * (alt + ring.elementary_symmetric(ring.n))
+
+
 def ismax_p3_products(ring):
     """ismax over F_3 with ring products: the form ``ismax_p3``'s tensors replaced."""
     y = ring.variable(0)
@@ -256,6 +278,12 @@ class TestMaxFamily:
         for n in range(1, 5):
             assert max_p3(PolyRing(3, n)) == reference("max", 3, n)
             assert min_p3(PolyRing(3, n)) == reference("min", 3, n)
+
+    def test_p3_forms_match_the_printed_symmetric_forms(self):
+        for n in range(1, 7):
+            ring = PolyRing(3, n)
+            assert max_p3(ring).coeffs == max_p3_symmetric(ring).coeffs, n
+            assert min_p3(ring).coeffs == min_p3_symmetric(ring).coeffs, n
 
     def test_min_p3_product_identity(self):
         # e_n (1 + sum (-1)^i e_i + e_n) is also prod x_i^2 + prod x_i(1-x_i)

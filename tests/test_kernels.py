@@ -25,8 +25,8 @@ from fpminpoly.oracle import (KINDS, FunctionSpec, argmax_digit_sem, argmin_digi
                               ismax_sem, max_sem, min_sem, nummax_digit_sem, point_at,
                               tabulate)
 from fpminpoly import formulas, oracle, polyring
-from fpminpoly.polyring import (_SUPPORT_SHIFT, Polynomial, PolyRing, _combine, _pack,
-                                apply_axis_transform, vandermonde_rows)
+from fpminpoly.polyring import (Polynomial, PolyRing, _combine, _pack, apply_axis_transform,
+                                vandermonde_rows)
 
 #: Largest arity per modulus that keeps p^n small enough for a quick test.
 MAX_ARITY = {2: 8, 3: 5, 5: 3, 7: 3, 11: 2, 13: 2}
@@ -251,7 +251,7 @@ class TestUnivariateProducts:
         rng = random.Random(f"{p}/{n}")
         ring = PolyRing(p, n)
         # At p > 100 about 130 terms times a 20-term factor keep the reference
-        # pair loop quick and still pass the record bound.
+        # pair loop quick.
         density = 130 / ring.size if p > 100 else 0.7
         for axis in range(n):
             table = [rng.randrange(1, p) if rng.random() < density else 0
@@ -262,7 +262,6 @@ class TestUnivariateProducts:
             factor = ring.univariate(axis, row)
             got = dense * factor
             assert got == reference_mul(dense, factor)
-            assert got._nz is None
             assert factor * dense == reference_mul(factor, dense)
 
     @pytest.mark.parametrize("p,n,axis", [(3, 6, 0), (3, 6, 5), (2, 10, 9)])
@@ -277,11 +276,10 @@ class TestUnivariateProducts:
     def test_constant_operand_is_a_scale_keeping_the_record(self):
         ring = PolyRing(3, 6)
         x = ring.univariate(2, (1, 0, 2))
-        assert (x * ring.constant(2))._nz == x._nz
         assert (ring.constant(2) * x) == x.scale(2)
         dense = ring.from_coeffs([(k * 7) % 3 for k in range(ring.size)])
         assert dense * ring.constant(2) == reference_mul(dense, ring.constant(2))
-        assert ring.constant(1) * dense is dense
+        assert ring.constant(1) * dense == dense
 
 
 #: Rings with dense tables packed into bytes, small and large, and at p >= 128.
@@ -331,12 +329,6 @@ class TestDigitPlanes:
             assert f.max_degree_per_variable() == tuple(
                 max((e[i] for e, _ in expected), default=0) for i in range(n))
             assert f.total_degree() == max((sum(e) for e, _ in expected), default=0)
-
-    def test_recorded_support_decodes_the_same(self):
-        ring = PolyRing(3, 5)
-        f = ring.univariate(3, (2, 0, 1)) + ring.monomial((1, 2, 0, 0, 1), 2)
-        assert f._nz is not None
-        assert f.support() == [(point_at(3, 5, k), c) for k, c in enumerate(f.coeffs) if c]
 
 
 class TestSingleVariablePieces:
@@ -409,9 +401,9 @@ class TestTensor:
                 assert ring.univariate(1, row) == chained, (rising, m)
 
     #: Catalog entries whose closed forms are sums of tensors and trains, and scales.
-    TENSOR_FORMS = ("max", "max2", "min2", "maxn2", "argmax", "argmax0", "argmax2",
-                    "argmax2sel", "ismax", "ismax2", "ismax3", "ismax2bit", "nummax",
-                    "nummax0", "nummax2", "carry")
+    TENSOR_FORMS = ("max", "max2", "min2", "max3", "min3", "maxn2", "argmax", "argmax0",
+                    "argmax2", "argmax2sel", "ismax", "ismax2", "ismax3", "ismax2bit",
+                    "nummax", "nummax0", "nummax2", "carry")
 
     @pytest.mark.parametrize("name", TENSOR_FORMS)
     def test_forms_build_without_multiplying_in_their_ring(self, name, monkeypatch):
@@ -535,28 +527,21 @@ class TestTrain:
             assert not calls, (p, n, r, calls)
 
 
-# -- support records ---------------------------------------------------------------
+# -- chains of ring operations ---------------------------------------------------------
 
 def reference_add(f, g, sign):
-    """f + sign * g over the whole table, ignoring any support record."""
+    """f + sign * g over the whole table."""
     p = f.ring.p
     return Polynomial(f.ring, [(a + sign * b) % p for a, b in zip(f.coeffs, g.coeffs)])
 
 
-def assert_support_invariant(f):
-    """A recorded support is exactly the nonzero indices, within the bound."""
-    if f._nz is not None:
-        assert f._nz == tuple(i for i, c in enumerate(f.coeffs) if c)
-        assert len(f._nz) <= f.ring.size >> _SUPPORT_SHIFT
-
-
-#: Rings with at least 16 entries, so that size >> 4 leaves room for records.
+#: Rings of 16 to 343 entries.
 CHAIN_RINGS = [(2, 4), (2, 6), (2, 8), (3, 3), (3, 5), (5, 2), (5, 3), (7, 2), (7, 3)]
 
 
 @st.composite
 def operand(draw, ring):
-    """A polynomial from a recording constructor or from a plain table."""
+    """A polynomial from a sparse constructor or from a plain table."""
     p, n = ring.p, ring.n
     kind = draw(st.sampled_from(["zero", "constant", "variable", "monomial", "binomial",
                                  "univariate", "symmetric", "dense", "sparse"]))
@@ -627,7 +612,7 @@ def apply_step(f, op, arg):
 
 
 def reference_step(f, op, arg):
-    """The same step on record-free copies, with the full-table loops."""
+    """The same step on fresh copies, with the full-table loops."""
     ring = f.ring
     if op == "square":
         return reference_mul(f, f)
@@ -645,74 +630,29 @@ def reference_step(f, op, arg):
 
 
 class TestSupportRecords:
+    """Chains of ring operations against the full-table loops."""
+
     @settings(max_examples=200, deadline=None)
     @given(expression_chain())
     def test_chains_match_full_table_loops(self, chain):
         ring, start, steps = chain
         got = start
         expected = Polynomial(ring, start.coeffs)
-        assert_support_invariant(got)
         for op, arg in steps:
-            if isinstance(arg, Polynomial):
-                assert_support_invariant(arg)
             got = apply_step(got, op, arg)
             expected = reference_step(expected, op, arg)
             assert got == expected
-            assert_support_invariant(got)
-
-    def test_constructors_record_their_support(self):
-        ring = PolyRing(3, 4)  # 81 entries: records of up to 5 indices
-        assert ring.zero()._nz == ()
-        assert ring.constant(3)._nz == ()
-        assert ring.constant(5)._nz == (0,)
-        assert ring.variable(2)._nz == (9,)
-        assert ring.monomial((1, 0, 2, 0), 4)._nz == (19,)
-        assert ring.univariate(1, (1, 0, 2))._nz == (0, 6)
-        assert ring.elementary_symmetric(1)._nz == (1, 3, 9, 27)
-        assert ring.elementary_symmetric(2)._nz is None  # 6 > 81 >> 4
-        assert ring.from_coeffs([1] + [0] * 80)._nz is None
-
-    def test_records_flow_through_operations_until_the_bound(self):
-        ring = PolyRing(2, 8)  # 256 entries: records of up to 16 indices
-        prod = ring.one()
-        for i in range(4):
-            prod = prod * (1 + ring.variable(i))
-        assert prod._nz == tuple(range(16))
-        assert (prod - 1)._nz == tuple(range(1, 16))
-        assert (prod * (1 + ring.variable(4)))._nz is None  # 32 terms
-        assert (-prod)._nz == prod._nz and prod.scale(3)._nz == prod._nz
-
-    def test_cancelled_terms_leave_the_record(self):
-        ring2 = PolyRing(2, 6)  # 64 entries: records of up to 4 indices
-        s = ring2.variable(0) + ring2.variable(1)
-        assert (s * s)._nz == (1, 2)  # the two x0*x1 terms cancel mod 2
-        assert (s + ring2.variable(1))._nz == (1,)
-        ring3 = PolyRing(3, 3)  # 27 entries: records of up to 1 index
-        x = ring3.variable(0)
-        assert ((x + 1) * (x + 2))._nz is None  # 4 pairs > 1
-        ring3 = PolyRing(3, 4)  # 81 entries: records of up to 5 indices
-        x = ring3.variable(0)
-        assert ((x + 1) * (x + 2))._nz == (0, 2)  # x^2 + 3x + 2 = x^2 + 2
-
-    def test_record_is_invisible_to_equality_and_serialisation(self):
-        ring = PolyRing(2, 5)
-        recorded = ring.variable(0) + 1
-        plain = ring.from_coeffs(recorded.coeffs)
-        assert recorded._nz is not None and plain._nz is None
-        assert recorded == plain and hash(recorded) == hash(plain)
-        assert recorded.to_dict() == plain.to_dict()
 
 
 # -- one stored table form ---------------------------------------------------------
 
-#: Rings on both sides of p = 128 where a dense operand times a univariate
-#: factor passes the record bound, so the product keeps no support record.
+#: Rings on both sides of p = 128, with 729 to 17161 entries.
 FORM_RINGS = [(2, 10), (3, 6), (127, 2), (131, 2)]
 
 
 def form_operands(ring):
-    """A dense polynomial (about 130 terms, no record) and a univariate factor
-    with a record whose pairs with it pass the record bound."""
+    """A dense polynomial (about 130 terms) and a univariate factor of up to
+    20 terms."""
     p = ring.p
     rng = random.Random(f"{p}/{ring.n}")
     dense = ring.from_coeffs([rng.randrange(1, p) if rng.random() < 130 / ring.size else 0
@@ -734,7 +674,7 @@ class TestOneTableForm:
             "elementary_symmetric": ring.elementary_symmetric(2),
             "from_coeffs": dense, "embed": ring.embed(PolyRing(p, 1).variable(0) + 2),
             "+": dense + factor, "-": factor - dense, "scale": factor.scale(2),
-            "* (recorded)": (x + 1) * factor, "* (dense)": dense * factor,
+            "* (sparse)": (x + 1) * factor, "* (dense)": dense * factor,
             "**": (x + 2) ** 3,
             "interpolate": interpolate(tabulate(FunctionSpec("max", p, n))),
         }
@@ -759,19 +699,6 @@ class TestOneTableForm:
         for f in (ring.zero(), factor, dense, dense + factor, dense * factor,
                   ring.from_coeffs(list(dense.coeffs))):
             assert sys.getsizeof(f.coeffs) < ring.size + 64
-
-    @pytest.mark.parametrize("p,n", [(3, 4), (131, 2)])
-    def test_add_sub_scale_combine_recorded_operands(self, p, n, monkeypatch):
-        ring = PolyRing(p, n)
-        x, y = ring.variable(0), ring.univariate(1, (0, 2, 1))
-        dense = ring.from_coeffs([k % p for k in range(ring.size)])
-        assert x._nz is not None and y._nz is not None and dense._nz is None
-        combined = record_calls(monkeypatch, "_combine")
-        for op in (lambda: x + y, lambda: x - y, lambda: y + dense, lambda: dense - x,
-                   lambda: x.scale(2), lambda: -y):
-            combined.clear()
-            op()
-            assert combined, "a recorded operand skipped _combine"
 
 
 # -- the fold against the per-point dispatch ---------------------------------------
