@@ -17,8 +17,9 @@ ring with :class:`FormulaParamError`.
 
 The forms for any p share their building blocks: the coefficient rows of
 the delta, lowpass and factorial pieces.  A product of one factor per
-input, such as the all-below products B_t = prod_i L_t(x_i) of ``max`` and
-``ismax``, is one ``PolyRing.tensor`` of such rows.  The ``argmax`` and
+input, such as the all-below products B_t = prod_i L_t(x_i) of ``ismax``,
+is one ``PolyRing.tensor`` of such rows; ``max`` sums its B_t as one
+``PolyRing.train`` with one state per threshold t.  The ``argmax`` and
 ``nummax`` digits are left-to-right counting automata, so each level is one
 ``PolyRing.train`` of those rows: rank 2 for the first input at the
 maximum, rank p^r + 1 for counting the inputs at it, read through Lucas's
@@ -38,7 +39,8 @@ from typing import Callable, Sequence
 
 from .oracle import FunctionSpec, interpolate, point_at, tabulate
 from .polyring import (DEFAULT_MAX_TABLE_SIZE, Polynomial, PolyRing,
-                       RingMismatchError, apply_axis_transform, bounded_power)
+                       RingMismatchError, apply_axis_transform, bounded_power,
+                       lagrange_rows)
 
 
 class FormulaParamError(ValueError):
@@ -81,13 +83,11 @@ def lowpass(p: int, t: int) -> Polynomial:
 def _piece_rows(p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """Coefficient rows of delta(p, t) for t < p and lowpass(p, t) for t <= p.
 
-    C(p-1, k) = (-1)^k mod p, so (x - t)^(p-1) = sum_k t^(p-1-k) x^k and the
-    delta row is 1 minus those powers of t (0^0 = 1).  The lowpass rows are
-    the running sums of the delta rows mod p: L_t is the sum of delta_k for
-    k < t.  O(p^2) entries, with no polynomial arithmetic.
+    The delta rows are the columns of ``lagrange_rows``.  The lowpass rows
+    are the running sums of the delta rows mod p: L_t is the sum of delta_k
+    for k < t.  O(p^2) entries, with no polynomial arithmetic.
     """
-    deltas = tuple(tuple(((k == 0) - pow(t, p - 1 - k, p)) % p for k in range(p))
-                   for t in range(p))
+    deltas = tuple(zip(*lagrange_rows(p)))
     lows = [(0,) * p]
     for row in deltas:
         lows.append(tuple((a + b) % p for a, b in zip(lows[-1], row)))
@@ -120,24 +120,35 @@ def _f3_rows() -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def _factorial_rows(p: int, rising: bool) -> tuple[tuple[int, ...], ...]:
     """Rows of the falling factorials x (x - 1) ... (x - m + 1), or of the
-    rising ones (x + 1) (x + 2) ... (x + m) when ``rising``, for m = 0..p-1."""
-    ring = PolyRing(p, 1, max_table_size=None)
-    x, prods = ring.variable(0), [ring.one()]
+    rising ones (x + 1) (x + 2) ... (x + m) when ``rising``, for m = 0..p-1.
+
+    Row m is row m - 1 times (x + c): shifted up one place, plus c times
+    itself.  Degree m - 1 < p - 1, so the shift drops only a zero.
+    """
+    rows = [(1,) + (0,) * (p - 1)]
     for m in range(1, p):
-        prods.append(prods[-1] * (x + m if rising else x - (m - 1)))
-    return tuple(tuple(f.coeffs) for f in prods)
+        c, row = (m if rising else 1 - m), rows[-1]
+        rows.append(tuple((prev + c * cur) % p for prev, cur in zip((0,) + row[:-1], row)))
+    return tuple(rows)
 
 
 # -- max and min ---------------------------------------------------------------
 
 def max_general(ring: PolyRing) -> Polynomial:
     """max of the ring's inputs for any prime p: sum over thresholds t >= 1
-    of the indicator that some input reaches t."""
-    lows = _piece_rows(ring.p)[1]
-    acc = ring.zero()
-    for t in range(1, ring.p):
-        acc = acc + (1 - ring.tensor([lows[t]] * ring.n))
-    return acc
+    of the indicator that some input reaches t.
+
+    That is (p - 1) - sum_t prod_i L_t(x_i), the all-below products summed
+    as one ``train`` of rank p - 1: the first core steps to state t by L_t,
+    each later core keeps state t by L_t, and the last one ends it there.
+    With one input the sum is the single row sum_t L_t.
+    """
+    p, n = ring.p, ring.n
+    lows = _piece_rows(p)[1][1:p]
+    if n == 1:
+        return (p - 1) - ring.univariate(0, [sum(col) for col in zip(*lows)])
+    keep = [[low if a == b else () for b in range(p - 1)] for a, low in enumerate(lows)]
+    return (p - 1) - ring.train([[lows]] + [keep] * (n - 2) + [[[low] for low in lows]])
 
 
 def max_p2(ring: PolyRing) -> Polynomial:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 import json
+from math import comb
 from typing import Callable, Hashable, Sequence
 
 from .ff import PrimeField
@@ -320,19 +321,14 @@ def delta_basis_rows(p: int) -> tuple[tuple[int, ...], ...]:
     """Row e, column a: the x^e coefficient of 1 - (x - a)^(p-1).
 
     These univariate indicator polynomials are the interpolation basis; the
-    expansion below is a plain coefficient convolution, independent of the
-    polynomial-ring multiplication it is later used to check.
+    expansion below is the plain binomial theorem, (x - a)^(p-1) =
+    sum_e C(p-1, e) (-a)^(p-1-e) x^e, independent of the polynomial-ring
+    operations and of ``polyring.lagrange_rows``, which it checks.  O(p^2).
     """
+    binomials = [comb(p - 1, e) % p for e in range(p)]
     cols = []
     for a in range(p):
-        power = [1]  # coefficients of (x - a)^k, built up by convolution
-        for _ in range(p - 1):
-            nxt = [0] * (len(power) + 1)
-            for i, c in enumerate(power):
-                nxt[i] = (nxt[i] + c * (-a)) % p
-                nxt[i + 1] = (nxt[i + 1] + c) % p
-            power = nxt
-        power += [0] * (p - len(power))
+        power = [b * pow(-a, p - 1 - e, p) % p for e, b in enumerate(binomials)]
         col = [(-c) % p for c in power]
         col[0] = (1 - power[0]) % p
         cols.append(col)

@@ -32,11 +32,16 @@ Axis transforms (``apply_axis_transform``), ``+``, ``-`` and ``scale``,
 and ``PolyRing.train`` (a sum over the state paths of a small automaton of
 products of one single-variable factor per variable, contracted axis by
 axis; ``PolyRing.tensor`` is its one-state case, the outer product of the
-factors' coefficient rows) all call these on the stored tables.  ``*`` is
-one pair loop over the operands' nonzero terms, found by a scan of each
-table.
-Exponents are read from per-axis digit planes (``PolyRing.digit_planes``),
-n * p^n bytes in all, built on first use.
+factors' coefficient rows) all call these on the stored tables.
+
+A canonical polynomial is its function, so the nonlinear operations run on
+value tables: ``*`` multiplies the operands' ``values()`` pointwise, ``**``
+raises each value to the power, and ``compose`` reads this polynomial's
+values at the points its substituents give.  ``lagrange_rows``, the inverse
+of ``vandermonde_rows``, then turns the values back into coefficients with
+one more axis transform.
+Exponents for ``support`` are read from per-axis digit planes
+(``PolyRing.digit_planes``), n * p^n bytes in all, built on first use.
 """
 
 from __future__ import annotations
@@ -66,6 +71,19 @@ class SizeGuardError(ValueError):
 def vandermonde_rows(p: int) -> tuple[tuple[int, ...], ...]:
     """Row a holds (a^0, a^1, ..., a^(p-1)) mod p; maps coefficients to values."""
     return tuple(tuple(pow(a, e, p) for e in range(p)) for a in range(p))
+
+
+@lru_cache(maxsize=None)
+def lagrange_rows(p: int) -> tuple[tuple[int, ...], ...]:
+    """Row k, column a: the x^k coefficient of 1 - (x - a)^(p-1), the
+    indicator of x = a; maps values to coefficients, inverting
+    ``vandermonde_rows``.
+
+    C(p-1, k) = (-1)^k mod p, so (x - a)^(p-1) = sum_k a^(p-1-k) x^k and
+    the entry is ((k == 0) - a^(p-1-k)) mod p, with 0^0 = 1.
+    """
+    return tuple(tuple(((k == 0) - pow(a, p - 1 - k, p)) % p for a in range(p))
+                 for k in range(p))
 
 
 @lru_cache(maxsize=None)
@@ -395,7 +413,11 @@ class Polynomial:
     """Immutable canonical polynomial: a ring plus its flat coefficient table.
 
     Supports +, -, * (with plain ints coerced to constants) and ** with
-    nonnegative integer exponents.  All results are canonical.
+    nonnegative integer exponents.  All results are canonical.  The ring is
+    the ring of functions F_p^n -> F_p, so + and - and scaling work on the
+    coefficients, while *, ** and ``compose`` work on the functions: on
+    ``values()``, pointwise, with the result interpolated back through
+    ``lagrange_rows``.
 
     ``coeffs`` is the table in its stored form (``_pack``): ``bytes`` for
     p < 128, a tuple of ints otherwise; ``to_dict`` gives it as a list.
@@ -494,34 +516,7 @@ class Polynomial:
             return NotImplemented
         ring = self._same_ring(other)
         p = ring.p
-        a, b = self.coeffs, other.coeffs
-        a_idx = list(compress(range(ring.size), a))
-        b_idx = list(compress(range(ring.size), b))
-        if len(a_idx) < len(b_idx):
-            a, b, a_idx, b_idx = b, a, b_idx, a_idx
-        out = _scratch(ring.size, p)
-        if p == 2:
-            # Exponents are bits and x^2 = x, so indices combine by OR.
-            for j in b_idx:
-                for i in a_idx:
-                    out[i | j] ^= 1
-        else:
-            planes = ring.digit_planes()
-            strides = ring.strides
-            a_items = [(i, a[i]) for i in a_idx]
-            for j in b_idx:
-                cb = b[j]
-                # Digit sums d1 + d2 >= p fold to d1 + d2 - (p-1) since
-                # x^(p+k) = x^(k+1); only nonzero digits of j can overflow.
-                carries = [(plane, p - plane[j], (p - 1) * s)
-                           for plane, s in zip(planes, strides) if plane[j]]
-                for i, ca in a_items:
-                    k = i + j
-                    for plane, low, drop in carries:
-                        if plane[i] >= low:
-                            k -= drop
-                    out[k] = (out[k] + ca * cb) % p
-        return Polynomial(ring, out)
+        return _from_values(ring, [a * b % p for a, b in zip(self.values(), other.values())])
 
     def __rmul__(self, other):
         if isinstance(other, int) and not isinstance(other, bool):
@@ -529,17 +524,12 @@ class Polynomial:
         return NotImplemented
 
     def __pow__(self, e: int) -> "Polynomial":
+        """The e-th power of every value, interpolated (0^0 = 1)."""
         if not isinstance(e, int) or e < 0:
             raise ValueError("polynomial exponent must be a nonnegative int")
-        result = self.ring.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        p = self.ring.p
+        powers = [pow(v, e, p) for v in range(p)]
+        return _from_values(self.ring, [powers[v] for v in self.values()])
 
     # -- evaluation ---------------------------------------------------------
 
@@ -575,9 +565,12 @@ class Polynomial:
     def compose(self, subs: Sequence["Polynomial"]) -> "Polynomial":
         """Substitute subs[i] for x_i; result lives in the ring of the subs.
 
-        All substituents must share one ring with the same modulus p.  The
-        result is canonical, hence equal to the unique minimal-degree
-        polynomial of the composed function.
+        All substituents must share one ring with the same modulus p.  At
+        each point of that ring the substituents' values give the index
+        sum_i subs[i](point) * p^i of a point of this ring, and the result
+        takes this polynomial's value there: one gather from ``values()``,
+        interpolated back.  The result is canonical, hence equal to the
+        unique minimal-degree polynomial of the composed function.
         """
         ring = self.ring
         if len(subs) != ring.n:
@@ -589,21 +582,11 @@ class Polynomial:
         if target.p != ring.p:
             raise RingMismatchError(
                 f"cannot substitute mod-{target.p} polynomials into a mod-{ring.p} one")
-        max_deg = self.max_degree_per_variable()
-        powers: list[list[Polynomial]] = []
-        for i, s in enumerate(subs):
-            row = [target.one()]
-            for _ in range(max_deg[i]):
-                row.append(row[-1] * s)
-            powers.append(row)
-        acc = target.zero()
-        for exps, c in self.support():
-            term = target.constant(c)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * powers[i][e]
-            acc = acc + term
-        return acc
+        index = [0] * target.size
+        for sub, stride in zip(subs, ring.strides):
+            index = [i + v * stride for i, v in zip(index, sub.values())]
+        values = self.values()
+        return _from_values(target, [values[i] for i in index])
 
     # -- inspection ---------------------------------------------------------
 
@@ -646,6 +629,11 @@ class Polynomial:
     def from_json(text: str,
                   max_table_size: int | None = DEFAULT_MAX_TABLE_SIZE) -> "Polynomial":
         return Polynomial.from_dict(json.loads(text), max_table_size=max_table_size)
+
+
+def _from_values(ring: PolyRing, values: Sequence[int]) -> Polynomial:
+    """The polynomial of ``ring`` with the given value at every point."""
+    return Polynomial(ring, apply_axis_transform(values, ring.p, ring.n, lagrange_rows(ring.p)))
 
 
 def format_terms(f: Polynomial) -> str:

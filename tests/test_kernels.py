@@ -4,7 +4,11 @@ The references below are the plain fiber loop for the axis transform, the
 plain pair loop for multiplication, the full-table ``zip`` loops for
 addition and subtraction and the per-point kind dispatch of the semantics,
 kept here verbatim so that any rewrite of the kernels in ``polyring`` and
-``oracle`` is checked entry for entry.  Exponents and digits are decoded
+``oracle`` is checked entry for entry.  ``pair_loop_mul`` and
+``power_table_compose`` are ``*`` and ``compose`` worked on coefficients:
+the pair loop over nonzero terms and substitution by power tables.  They
+check the value-table ``*``, ``**`` and ``compose``, and are the quick
+references for chained products.  Exponents and digits are decoded
 with ``oracle.point_at``, independently of the ring's digit planes.  The
 dense kernels are checked on both sides of p = 128, where tables stop being
 packed into bytes.  ``_combine``, the one place where columns are scaled,
@@ -12,6 +16,8 @@ summed and reduced, is checked against a per-entry sum.
 """
 
 import itertools
+from itertools import compress
+import operator
 import random
 import sys
 
@@ -25,8 +31,8 @@ from fpminpoly.oracle import (KINDS, FunctionSpec, argmax_digit_sem, argmin_digi
                               ismax_sem, max_sem, min_sem, nummax_digit_sem, point_at,
                               tabulate)
 from fpminpoly import formulas, oracle, polyring
-from fpminpoly.polyring import (Polynomial, PolyRing, _combine, _pack, apply_axis_transform,
-                                vandermonde_rows)
+from fpminpoly.polyring import (Polynomial, PolyRing, _combine, _pack, _scratch,
+                                apply_axis_transform, lagrange_rows, vandermonde_rows)
 
 #: Largest arity per modulus that keeps p^n small enough for a quick test.
 MAX_ARITY = {2: 8, 3: 5, 5: 3, 7: 3, 11: 2, 13: 2}
@@ -71,6 +77,62 @@ def reference_mul(f, g):
                 k += d * w
             out[k] = (out[k] + ca * cb) % p
     return Polynomial(ring, out)
+
+
+def pair_loop_mul(f, g):
+    """The pair loop over the operands' nonzero terms, with exponents read
+    from the digit planes: carries per digit, or OR of the indices at p = 2."""
+    ring = f._same_ring(g)
+    p = ring.p
+    a, b = f.coeffs, g.coeffs
+    a_idx = list(compress(range(ring.size), a))
+    b_idx = list(compress(range(ring.size), b))
+    if len(a_idx) < len(b_idx):
+        a, b, a_idx, b_idx = b, a, b_idx, a_idx
+    out = _scratch(ring.size, p)
+    if p == 2:
+        # Exponents are bits and x^2 = x, so indices combine by OR.
+        for j in b_idx:
+            for i in a_idx:
+                out[i | j] ^= 1
+    else:
+        planes = ring.digit_planes()
+        strides = ring.strides
+        a_items = [(i, a[i]) for i in a_idx]
+        for j in b_idx:
+            cb = b[j]
+            # Digit sums d1 + d2 >= p fold to d1 + d2 - (p-1) since
+            # x^(p+k) = x^(k+1); only nonzero digits of j can overflow.
+            carries = [(plane, p - plane[j], (p - 1) * s)
+                       for plane, s in zip(planes, strides) if plane[j]]
+            for i, ca in a_items:
+                k = i + j
+                for plane, low, drop in carries:
+                    if plane[i] >= low:
+                        k -= drop
+                out[k] = (out[k] + ca * cb) % p
+    return Polynomial(ring, out)
+
+
+def power_table_compose(f, subs):
+    """Substitution by power tables: the powers of each substituent up to
+    the variable's degree, multiplied per term with ``pair_loop_mul``."""
+    target = subs[0].ring
+    max_deg = f.max_degree_per_variable()
+    powers = []
+    for i, s in enumerate(subs):
+        row = [target.one()]
+        for _ in range(max_deg[i]):
+            row.append(pair_loop_mul(row[-1], s))
+        powers.append(row)
+    acc = target.zero()
+    for exps, c in f.support():
+        term = target.constant(c)
+        for i, e in enumerate(exps):
+            if e:
+                term = pair_loop_mul(term, powers[i][e])
+        acc = acc + term
+    return acc
 
 
 @st.composite
@@ -375,7 +437,7 @@ class TestTensor:
         for rows in tensor_row_sets(p, n):
             want = ring.one()
             for i, row in enumerate(rows):
-                want = want * ring.univariate(i, row)
+                want = pair_loop_mul(want, ring.univariate(i, row))
             got = ring.tensor(rows)
             assert got == want, rows
             assert type(got.coeffs) is type(want.coeffs) is (bytes if p < 128 else tuple)
@@ -397,7 +459,7 @@ class TestTensor:
             chained = ring.one()
             for m, row in enumerate(formulas._factorial_rows(p, rising)):
                 if m:
-                    chained = chained * (x + m if rising else x - (m - 1))
+                    chained = pair_loop_mul(chained, x + m if rising else x - (m - 1))
                 assert ring.univariate(1, row) == chained, (rising, m)
 
     #: Catalog entries whose closed forms are sums of tensors and trains, and scales.
@@ -463,7 +525,7 @@ def reference_train(ring, cores):
         states = (0, *path, 0)
         term = ring.one()
         for i, core in enumerate(cores):
-            term = term * ring.univariate(i, core[states[i]][states[i + 1]])
+            term = pair_loop_mul(term, ring.univariate(i, core[states[i]][states[i + 1]]))
         acc = acc + term
     return acc
 
@@ -642,6 +704,84 @@ class TestSupportRecords:
             got = apply_step(got, op, arg)
             expected = reference_step(expected, op, arg)
             assert got == expected
+
+
+# -- products, powers and substitution on value tables -----------------------------
+
+#: Largest arity per modulus: both sides of p = 128, and p = 2.
+VALUE_ARITY = {2: 4, 3: 3, 5: 2, 7: 1, 127: 1, 131: 1}
+
+
+@st.composite
+def value_operand(draw, ring, max_terms):
+    """``operand`` for small p; at most ``max_terms`` random terms at p = 127
+    and 131, which keeps the pair-loop references quick there."""
+    if ring.p < 100:
+        return draw(operand(ring))
+    table = [0] * ring.size
+    for pos in draw(st.lists(st.integers(0, ring.size - 1), max_size=max_terms)):
+        table[pos] = draw(st.integers(1, ring.p - 1))
+    return ring.from_coeffs(table)
+
+
+@st.composite
+def power_case(draw):
+    p = draw(st.sampled_from(sorted(VALUE_ARITY)))
+    ring = PolyRing(p, draw(st.integers(1, VALUE_ARITY[p])))
+    return draw(value_operand(ring, 3)), draw(st.integers(0, 2 * p))
+
+
+@st.composite
+def compose_case(draw):
+    """f and one substituent per variable, in a ring with one variable
+    fewer, as many or one more.  At p = 131 one of the two rings has one
+    variable and the other one or two, so both a smaller and a larger ring
+    of 17161 entries come up."""
+    p = draw(st.sampled_from(sorted(VALUE_ARITY)))
+    n = draw(st.integers(1, VALUE_ARITY[p] + (p == 131)))
+    m = draw(st.sampled_from([k for k in (n - 1, n, n + 1)
+                              if 1 <= k <= VALUE_ARITY[p] + 1 and (p != 131 or n + k <= 3)]))
+    f = draw(value_operand(PolyRing(p, n), 3))
+    target = PolyRing(p, m)
+    # Two terms at most at large p: every power of a binomial stays short.
+    return f, [draw(value_operand(target, 2)) for _ in range(n)]
+
+
+class TestValueTableOperations:
+    """``**`` and ``compose`` against the pair loop; ``lagrange_rows`` against
+    ``vandermonde_rows``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(power_case())
+    @example((PolyRing(2, 1).zero(), 0))
+    @example((PolyRing(3, 2).zero(), 6))
+    @example((PolyRing(131, 1).variable(0) + 5, 262))
+    @example((PolyRing(127, 1).monomial((126,), 3), 127))
+    def test_power_matches_chained_pair_loop(self, case):
+        f, e = case
+        want = f.ring.one()
+        for _ in range(e):
+            want = pair_loop_mul(want, f)
+        got = f ** e
+        assert got == want
+        assert type(got.coeffs) is (bytes if f.ring.p < 128 else tuple)
+
+    @settings(max_examples=40, deadline=None)
+    @given(compose_case())
+    def test_compose_matches_power_tables(self, case):
+        f, subs = case
+        got = f.compose(subs)
+        assert got == power_table_compose(f, subs)
+        assert got.ring == subs[0].ring
+
+    @pytest.mark.parametrize("p", [q for q in range(2, 60) if all(q % d for d in range(2, q))]
+                             + [131, 257])
+    def test_lagrange_rows_invert_vandermonde_rows(self, p):
+        lagrange, vandermonde = lagrange_rows(p), vandermonde_rows(p)
+        columns = list(zip(*vandermonde))
+        identity = [[int(k == e) for e in range(p)] for k in range(p)]
+        assert [[sum(map(operator.mul, row, col)) % p for col in columns]
+                for row in lagrange] == identity
 
 
 # -- one stored table form ---------------------------------------------------------
