@@ -19,7 +19,9 @@ where a, b are indices of earlier gates.
 form chosen by p alone: an int of p^n bits for p = 2, ``bytes`` of p^n
 residues for 2 < p < 16 (each binary gate is one ``bytes.translate`` of the
 lane pair codes a*p + b, which fit in a byte as p^2 <= 256), and a list of
-p^n ints for p >= 16.
+p^n ints for p >= 16.  The p = 2 bit packing is ``polyring``'s, the one the
+p = 2 axis transforms use: input i's wire is the mask of the points with
+bit i of their index set, and the output is unpacked to ``bytes``.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from operator import add, and_, mul, sub, xor
 from typing import Sequence
 
 from .ff import PrimeField
-from .polyring import (DEFAULT_MAX_TABLE_SIZE, Polynomial, SizeGuardError, _pack,
-                       _scale_table, bounded_power)
+from .polyring import (DEFAULT_MAX_TABLE_SIZE, Polynomial, SizeGuardError, _bit_mask,
+                       _from_bits, _pack, _scale_table, bounded_power)
 
 STRATEGIES = ("naive_monomial", "nested_horner")
 
@@ -512,10 +514,6 @@ def _last_uses(circuit: Circuit) -> list[int]:
     return last
 
 
-#: Byte map of a p = 2 output's binary digits, in ASCII, to the values 0 and 1.
-_BITS = bytes.maketrans(b"01", b"\x00\x01")
-
-
 @lru_cache(maxsize=None)
 def _pair_table(p: int, op: str) -> bytes:
     """The byte map a*p + b -> (a op b) mod p for residues a, b; 256 entries.
@@ -539,17 +537,9 @@ def _wire_form(p: int, size: int):
     """
     if p == 2:
         full = (1 << size) - 1
-
-        def source(i):
-            s = 1 << i
-            chunk = ((1 << s) - 1) << s
-            return chunk * (full // ((1 << (2 * s)) - 1)) if 2 * s <= size else chunk
-
-        def unpack(w):
-            return format(w, "b").zfill(size)[::-1].encode().translate(_BITS)
-
-        return (source, lambda c: full if c else 0, lambda c, w: w if c else 0,
-                {"add": xor, "sub": xor, "mul": and_}, unpack)
+        return (lambda i: _bit_mask(size, i) << (1 << i), lambda c: full if c else 0,
+                lambda c, w: w if c else 0, {"add": xor, "sub": xor, "mul": and_},
+                lambda w: _from_bits(w, size))
 
     def period(i):
         """Input i's values over one period of p^(i+1) points."""
@@ -590,7 +580,10 @@ def run_all(circuit: Circuit) -> Sequence[int]:
     Gate semantics are identical to :func:`run`; the whole domain is just
     carried through each gate at once, in a wire form chosen by p alone
     (``_wire_form``): one big int of p^n bits for p = 2 (add is xor, mul is
-    and), which keeps exhaustive checks at arity 14 quick; ``bytes`` of p^n
+    and; the bit packing is shared with ``polyring``: input i's wire is
+    ``polyring._bit_mask`` shifted by 2^i, built from byte patterns in
+    linear time, and ``polyring._from_bits`` unpacks the output), which
+    keeps exhaustive checks near the table cap quick; ``bytes`` of p^n
     residues for 2 < p < 16, where a gate is one big-int pair code a*p + b
     (bounded by p^2 <= 256) and one ``bytes.translate``; a list of p^n ints
     for p >= 16.  Each wire's values are dropped right after the last gate

@@ -27,12 +27,20 @@ The dense table work runs through one seam, with the standard library only.
 mod p: on bytes ``bytes.translate`` with a 256-entry table scales every
 entry by a constant (or reduces it), and columns add as little-endian big
 ints, reduced before any byte can pass 255; on tuples and lists it runs
-comprehensions.  ``_round`` is the one slice-rotation round built on it.
-Axis transforms (``apply_axis_transform``), ``+``, ``-`` and ``scale``,
-and ``PolyRing.train`` (a sum over the state paths of a small automaton of
-products of one single-variable factor per variable, contracted axis by
-axis; ``PolyRing.tensor`` is its one-state case, the outer product of the
-factors' coefficient rows) all call these on the stored tables.
+comprehensions.  ``+``, ``-`` and ``scale``, and ``PolyRing.train`` (a sum
+over the state paths of a small automaton of products of one
+single-variable factor per variable, contracted axis by axis;
+``PolyRing.tensor`` is its one-state case, the outer product of the
+factors' coefficient rows) call it on the stored tables.
+
+Axis transforms (``apply_axis_transform``, behind ``values()``,
+``oracle.interpolate`` and the value-table operations) take one of two
+paths, picked from p alone.  For p = 2 the table is read as one int of
+2^n bits and each axis is one masked shift-and-xor step on it; the masks
+and the packing to and from bits (``_bit_mask``, ``_to_bits``,
+``_from_bits``) are shared with ``circuit.run_all``'s p = 2 wires.  For
+every other p, ``_round`` is the one slice-rotation round: ``_combine``
+on bytes, one dot product per fiber on tuples.
 
 A canonical polynomial is its function, so the nonlinear operations run on
 value tables: ``*`` multiplies the operands' ``values()`` pointwise, ``**``
@@ -49,6 +57,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain, compress, zip_longest
 import json
+from operator import mul
 from typing import Iterable, Sequence
 
 from .ff import PrimeField
@@ -163,13 +172,56 @@ def _round(data: Sequence[int], p: int, rows) -> Sequence[int]:
 
     ``rows[new][old]`` is the fiber matrix for axis 0.  The p columns
     ``data[e::p]`` (the sub-tables with x0 = e) are combined row by row and
-    concatenated.
+    concatenated: on bytes by ``_combine``, on tuples and lists as one dot
+    product of the reduced row with each fiber (the k-th entries of the
+    columns), into a list.
     """
     cols = [data[e::p] for e in range(p)]
-    cols = [_combine(p, row, cols) for row in rows]
     if isinstance(data, bytes):
-        return b"".join(cols)
-    return list(chain.from_iterable(cols))
+        return b"".join([_combine(p, row, cols) for row in rows])
+    fibers = list(zip(*cols))
+    out: list[int] = []
+    for row in rows:
+        row = [m % p for m in row]
+        out += [sum(map(mul, row, fiber)) % p for fiber in fibers]
+    return out
+
+
+#: Byte maps between the entries 0 and 1 of a p = 2 table and the ASCII
+#: digits of its bits.
+_ASCII = bytes.maketrans(b"\x00\x01", b"01")
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _to_bits(table: bytes) -> int:
+    """A p = 2 table of ``bytes`` as one int, entry i as bit i.
+
+    Parsing in base 2 is linear and exempt from the int/str digit limit.
+    """
+    return int(table.translate(_ASCII)[::-1], 2)
+
+
+def _from_bits(w: int, size: int) -> bytes:
+    """Bits 0 to size - 1 of ``w`` as a p = 2 table of ``bytes``."""
+    return format(w, "b").zfill(size)[::-1].encode().translate(_BITS)
+
+
+def _bit_mask(size: int, i: int) -> int:
+    """The bits j < size with bit i of j clear, for 2^(i+1) <= size.
+
+    From the least significant bit up, runs of s = 2^i ones and s zeros,
+    read from a repeated byte pattern: 0x55, 0x33 or 0x0f for s < 8, else
+    s/8 bytes of 0xff and s/8 of 0x00.  No big-int division, which would
+    be quadratic.
+    """
+    s = 1 << i
+    if s >= 8:
+        pattern = b"\xff" * (s // 8) + bytes(s // 8)
+    else:
+        pattern = (b"\x55", b"\x33", b"\x0f")[i]
+        if size < 8:
+            return pattern[0] & ((1 << size) - 1)
+    return int.from_bytes(pattern * (size // (8 * len(pattern))), "little")
 
 
 def apply_axis_transform(table: Sequence[int], p: int, n: int, matrix) -> Sequence[int]:
@@ -177,14 +229,35 @@ def apply_axis_transform(table: Sequence[int], p: int, n: int, matrix) -> Sequen
 
     ``table`` is any sequence of canonical residues in [0, p) and is left
     as it is; ``matrix[new][old]`` gives the linear map used on each
-    length-p fiber.  The result is in the stored form (``_pack``: bytes for
-    p < 128, a tuple for larger p), which is also the form the n rounds of
-    ``_round`` run on, so a stored table goes in without a copy.  Each
-    round transforms axis 0 and moves it to the most significant place, so
-    after n rounds every axis is transformed and the original order is
-    back.  Cost O(n * p^(n+1)).
+    length-p fiber, with any ints as entries.  The result is in the stored
+    form (``_pack``: bytes for p < 128, a tuple for larger p).
+
+    For p = 2 the table becomes one int of bits (``_to_bits``), and axis i
+    (stride s = 2^i) is one shift-and-xor step on it.  With the matrix
+    [[a, b], [c, d]] reduced mod 2 and m the bits whose index has bit i
+    clear (``_bit_mask``, made per axis and dropped), lo = w & m and
+    hi = (w >> s) & m are the two halves of every fiber, and the new word
+    is (a*lo ^ b*hi) | (c*lo ^ d*hi) << s.  With ``vandermonde_rows(2)``
+    this is the binary Möbius transform.  Cost O(n * 2^n) bit operations.
+
+    Every other p runs n rounds of ``_round`` on the stored form, so a
+    stored table goes in without a copy.  Each round transforms axis 0 and
+    moves it to the most significant place, so after n rounds every axis
+    is transformed and the original order is back.  Cost O(n * p^(n+1)).
     """
     data = _pack(table, p)
+    if p == 2:
+        (a, b), (c, d) = matrix
+        a, b, c, d = a % 2, b % 2, c % 2, d % 2
+        size = len(data)
+        w = _to_bits(data)
+        for i in range(n):
+            s = 1 << i
+            mask = _bit_mask(size, i)
+            lo, hi = w & mask, (w >> s) & mask
+            # x and y is 0 * y or 1 * y here, without copying y.
+            w = ((a and lo) ^ (b and hi)) | (((c and lo) ^ (d and hi)) << s)
+        return _from_bits(w, size)
     for _axis in range(n):
         data = _round(data, p, matrix)
     return _pack(data, p)
@@ -556,8 +629,9 @@ class Polynomial:
         """Values at every point of F_p^n in mixed-radix order, stored like ``coeffs``.
 
         Computed by applying the univariate evaluation matrix along each
-        axis with ``apply_axis_transform`` (slice rotation, on packed bytes
-        for p < 128); O(n * p^(n+1)) instead of p^n separate Horner passes.
+        axis with ``apply_axis_transform`` (shift-and-xor steps on one int
+        of bits for p = 2, slice rotation otherwise); O(n * p^(n+1))
+        instead of p^n separate Horner passes.
         """
         return apply_axis_transform(self.coeffs, self.ring.p, self.ring.n,
                                     vandermonde_rows(self.ring.p))

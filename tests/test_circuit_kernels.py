@@ -14,7 +14,8 @@ the same as from the old validator itself where that rule does not apply;
 every lowered circuit must agree with ``Polynomial.eval`` and ``values()``;
 and ``run_all`` must return the list loop's values, in the stored form
 (``polyring._pack``), on random circuits, the catalog grids and the
-benchmark's circuit cases.
+benchmark's circuit cases.  At p = 2 each input wire must be bit i of the
+point index, up to 2^17 points.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -490,3 +491,11 @@ class TestRunAllAgainstReference:
         assert tuple(values) == tuple(run(circ, point_at(circ.p, circ.n_inputs, idx))
                                       for idx in range(circ.p ** circ.n_inputs))
         assert all(type(v) is int for v in values)
+
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_p2_input_wires_are_the_index_bits(self, n):
+        # Built from polyring's bit masks; each must be bit i of the point index.
+        size = 2 ** n
+        for i in range(n):
+            got = run_all(Circuit(2, n, (("input", i),), 0))
+            assert got == bytes(k >> i & 1 for k in range(size)), i

@@ -12,7 +12,9 @@ references for chained products.  Exponents and digits are decoded
 with ``oracle.point_at``, independently of the ring's digit planes.  The
 dense kernels are checked on both sides of p = 128, where tables stop being
 packed into bytes.  ``_combine``, the one place where columns are scaled,
-summed and reduced, is checked against a per-entry sum.
+summed and reduced, is checked against a per-entry sum.  At p = 2, where
+the axis transform runs on one int of bits, it is also checked against
+chained ``_round`` calls, for every 2x2 matrix up to 2^20 entries.
 """
 
 import itertools
@@ -231,10 +233,33 @@ class TestAxisTransformAcrossTheCrossover:
                       "random": random_matrix(rng, p)}[which]
         expected = list(values)
         reference_axis_transform(expected, p, n, matrix)
-        rounds = record_calls(monkeypatch, "_round")
+        # p = 2 runs on one int of bits, one mask per axis; every other p
+        # runs one ``_round`` per axis on the stored form.
+        rounds = record_calls(monkeypatch, "_bit_mask" if p == 2 else "_round")
         got = apply_axis_transform(values, p, n, matrix)
         assert list(got) == expected
-        assert rounds == [packed_form(p)] * n
+        assert rounds == [int if p == 2 else packed_form(p)] * n
+
+
+#: Every 2x2 matrix over F_2, then matrices with unreduced and negative entries.
+BIT_MATRICES = [((a, b), (c, d)) for a, b, c, d in itertools.product(range(2), repeat=4)] + [
+    ((3, -1), (-2, 5)), ((-4, 7), (9, -9)), ((2, -2), (-3, 4))]
+
+
+class TestBitPlaneTransform:
+    """At p = 2 the shift-and-xor steps on one int against chained ``_round``s."""
+
+    @pytest.mark.parametrize("matrix", BIT_MATRICES)
+    def test_matches_chained_rounds(self, matrix):
+        # From a list, so that n = 0 checks that the table comes back packed.
+        rng = random.Random(str(matrix))
+        for n in range(21):
+            table = rng.randbytes(2 ** n).translate(bytes([0, 1] * 128))
+            expected = table
+            for _axis in range(n):
+                expected = polyring._round(expected, 2, matrix)
+            got = apply_axis_transform(list(table), 2, n, matrix)
+            assert type(got) is bytes and got == expected, n
 
 
 def reference_combine(p, weights, cols):
