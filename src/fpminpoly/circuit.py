@@ -15,6 +15,13 @@ Gates are plain tuples::
 
 where a, b are indices of earlier gates.
 
+``lower`` builds the unshared circuit of a strategy and
+``eliminate_common_subexpressions`` shares its identical gates.  ``stats``
+takes neither path: ``_lower_shared`` runs the same strategy code on a
+builder that hash-conses each gate under CSE's key as it is emitted, so it
+builds only the shared circuit, and it counts the unshared circuit's mul,
+add and scale gates as they are emitted instead of building them.
+
 ``run_all`` carries all p^n points through each gate at once, in a wire
 form chosen by p alone: an int of p^n bits for p = 2, ``bytes`` of p^n
 residues for 2 < p < 16 (each binary gate is one ``bytes.translate`` of the
@@ -214,7 +221,9 @@ class CircuitBuilder:
     Folding keeps lowered circuits honest about the depth model: products
     with known constants become scale gates, and units/zeros disappear
     instead of inflating counts.  Deliberately no structural sharing of
-    compound gates; that is the job of the separate CSE pass.
+    compound gates; that is the job of the separate CSE pass.  ``stats``
+    lowers into ``_SharingBuilder`` instead, which shares every gate as it
+    is emitted and counts the gates this builder would emit.
     """
 
     def __init__(self, p: int, n_inputs: int):
@@ -333,6 +342,10 @@ class CircuitBuilder:
 
         return go(k)
 
+    def _lower_block(self, p: int, block: Sequence[int], nvars: int) -> int:
+        """``_lower_by_variable`` of one slice; ``_SharingBuilder`` memoises it."""
+        return _lower_by_variable(self, p, block, nvars)
+
     def finish(self, output: int) -> Circuit:
         """Drop gates unreachable from the output and renumber in order.
 
@@ -372,13 +385,74 @@ class CircuitBuilder:
         return Circuit(self.p, self.n_inputs, tuple(kept), remap[output])
 
 
+class _SharingBuilder(CircuitBuilder):
+    """A builder that emits each distinct gate once, and counts the
+    compound gates that ``CircuitBuilder`` would emit for the same calls.
+
+    ``_emit`` hash-conses every gate under the key of
+    ``eliminate_common_subexpressions`` (``mul`` and ``add`` operands
+    sorted, ``sub`` and ``scale`` as they are), so a lowering run on this
+    builder gives, gate for gate, the CSE'd circuit of the same lowering
+    run on ``CircuitBuilder``.  ``counts`` tallies every mul, add, sub and
+    scale emission, shared or not: these are the compound gates of that
+    unshared circuit, all of them live (only folded leaf consts die).
+    ``power`` and the nested Horner slices (``_lower_block``) are memoised
+    with the counts their first call emitted, so a repeat costs one lookup
+    and still counts in full.  Memory stays O(shared gates) plus one key
+    per distinct slice.
+    """
+
+    def __init__(self, p: int, n_inputs: int):
+        super().__init__(p, n_inputs)
+        self.counts = dict.fromkeys(("mul", "add", "sub", "scale"), 0)
+        self._refs: dict[tuple, int] = {}
+        self._powers: dict[tuple, tuple] = {}
+        self._blocks: dict[tuple, tuple] = {}
+
+    def _emit(self, gate: tuple, const_value: int | None = None) -> int:
+        op = gate[0]
+        if op in self.counts:
+            self.counts[op] += 1
+            if (op == "mul" or op == "add") and gate[1] > gate[2]:
+                gate = (op, gate[2], gate[1])
+        ref = self._refs.get(gate)
+        if ref is None:
+            ref = self._refs[gate] = super()._emit(gate, const_value)
+        return ref
+
+    def _memoised(self, memo: dict, key: tuple, build, *args) -> int:
+        """``build(*args)``'s wire, built once per key; a repeat adds the
+        counts of the first build again."""
+        counts = self.counts
+        hit = memo.get(key)
+        if hit is None:
+            before = dict(counts)
+            ref = build(*args)
+            memo[key] = hit = (ref, tuple((op, emitted - before[op])
+                                          for op, emitted in counts.items()
+                                          if emitted != before[op]))
+        else:
+            for op, emitted in hit[1]:
+                counts[op] += emitted
+        return hit[0]
+
+    def power(self, ref: int, k: int) -> int:
+        if k == 1:
+            return ref
+        return self._memoised(self._powers, (ref, k), CircuitBuilder.power, self, ref, k)
+
+    def _lower_block(self, p: int, block: Sequence[int], nvars: int) -> int:
+        return self._memoised(self._blocks, (block, nvars), _lower_by_variable,
+                              self, p, block, nvars)
+
+
 def _lower_by_variable(b: CircuitBuilder, p: int, coeffs: Sequence[int], nvars: int) -> int:
     """Split off the most significant variable and recurse on its slices.
 
     Each slice g_e multiplies x^e (powers built by halving, at depth
     ceil(log2 e)); the pieces are then summed.  Constant slices fold into
     scale gates, so a univariate never pays wire-times-wire depth for its
-    coefficients.
+    coefficients.  Each slice is lowered through ``b._lower_block``.
     """
     if nvars == 0:
         return b.const(coeffs[0])
@@ -388,12 +462,39 @@ def _lower_by_variable(b: CircuitBuilder, p: int, coeffs: Sequence[int], nvars: 
         block = coeffs[e * stride:(e + 1) * stride]
         if not any(block):
             continue
-        sub = _lower_by_variable(b, p, block, nvars - 1)
+        sub = b._lower_block(p, block, nvars - 1)
         if e == 0:
             pieces.append(sub)
         else:
             pieces.append(b.mul(sub, b.power(b.input(nvars - 1), e)))
     return b.sum(pieces)
+
+
+def _naive_monomial(b: CircuitBuilder, f: Polynomial) -> int:
+    """One scaled product of powers per nonzero term, summed."""
+    terms = []
+    for exps, c in f.support():
+        factors = [b.power(b.input(i), e) for i, e in enumerate(exps) if e]
+        if factors:
+            terms.append(b.scale(c, b.product(factors)))
+        else:
+            terms.append(b.const(c))
+    return b.sum(terms)
+
+
+def _nested_horner(b: CircuitBuilder, f: Polynomial) -> int:
+    return _lower_by_variable(b, f.ring.p, f.coeffs, f.ring.n)
+
+
+_LOWERINGS = {"naive_monomial": _naive_monomial, "nested_horner": _nested_horner}
+
+
+def _lowering(strategy: str):
+    """The lowering function of a strategy name."""
+    lowering = _LOWERINGS.get(strategy)
+    if lowering is None:
+        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    return lowering
 
 
 def lower(f: Polynomial, strategy: str = "nested_horner") -> Circuit:
@@ -405,22 +506,24 @@ def lower(f: Polynomial, strategy: str = "nested_horner") -> Circuit:
     happens here: factored shapes must be reflected in the polynomial's
     construction, not recovered by the lowerer.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    ring = f.ring
-    b = CircuitBuilder(ring.p, ring.n)
-    if strategy == "naive_monomial":
-        terms = []
-        for exps, c in f.support():
-            factors = [b.power(b.input(i), e) for i, e in enumerate(exps) if e]
-            if factors:
-                terms.append(b.scale(c, b.product(factors)))
-            else:
-                terms.append(b.const(c))
-        out = b.sum(terms)
-    else:
-        out = _lower_by_variable(b, ring.p, f.coeffs, ring.n)
-    return b.finish(out)
+    lowering = _lowering(strategy)
+    b = CircuitBuilder(f.ring.p, f.ring.n)
+    return b.finish(lowering(b, f))
+
+
+def _lower_shared(f: Polynomial, strategy: str) -> tuple[Circuit, tuple[int, int, int]]:
+    """``eliminate_common_subexpressions(lower(f, strategy))``, and the mul,
+    add (add and sub) and scale counts of ``lower(f, strategy)``, without
+    building that unshared circuit or running CSE.
+
+    The unshared circuit's input and const gates are those of the shared
+    one, and its depth is the shared depth, since CSE changes neither.
+    """
+    lowering = _lowering(strategy)
+    b = _SharingBuilder(f.ring.p, f.ring.n)
+    shared = b.finish(lowering(b, f))
+    counts = b.counts
+    return shared, (counts["mul"], counts["add"] + counts["sub"], counts["scale"])
 
 
 def eliminate_common_subexpressions(circuit: Circuit) -> Circuit:

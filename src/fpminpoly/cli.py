@@ -24,7 +24,9 @@ import sys
 import tempfile
 from typing import Sequence
 
-from .circuit import STRATEGIES, cost, eliminate_common_subexpressions, lower, run
+# eliminate_common_subexpressions is unused here; perfbench/tracer.py rebinds it by name.
+from .circuit import (STRATEGIES, _lower_shared, cost, eliminate_common_subexpressions,
+                      lower, run)
 # first_mismatch is unused here; perfbench/tracer.py rebinds cli.first_mismatch by name.
 from .formulas import (CATALOG, FormulaParamError, build_formula, first_mismatch,
                        resolve_params, verify_formula)
@@ -188,9 +190,8 @@ def cmd_eval(args) -> int:
         raise FormulaParamError(f"could not parse --point {args.point!r}")
     value = poly.eval(point)
     if args.circuit:
-        circ = lower(poly, args.strategy or "nested_horner")
-        if args.cse:
-            circ = eliminate_common_subexpressions(circ)
+        strategy = args.strategy or "nested_horner"
+        circ = _lower_shared(poly, strategy)[0] if args.cse else lower(poly, strategy)
         via_circuit = run(circ, point)
         if via_circuit != value:
             print(f"fpminpoly: mismatch: circuit evaluation disagrees with the "
@@ -200,17 +201,31 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_stats(args) -> int:
-    cap = _table_size_cap(args)
-    poly = _build_requested(args, cap)
+def _stats_rows(poly: Polynomial) -> list[dict]:
+    """Per strategy, the cost rows of ``lower`` without and with CSE.
+
+    Both come from the shared lowering: the cse=true row is its circuit's
+    cost, and the cse=false row its count of the unshared circuit's mul,
+    add and scale gates, at the shared depth, with the shared input and
+    const gates added to the gate count.
+    """
     rows = []
     for strategy in STRATEGIES:
-        base = lower(poly, strategy)
-        for use_cse in (False, True):
-            circ = eliminate_common_subexpressions(base) if use_cse else base
-            report = cost(circ)
-            rows.append({"strategy": strategy, "cse": use_cse,
-                         "gates": len(circ.gates), **report.to_dict()})
+        shared, (muls, adds, scales) = _lower_shared(poly, strategy)
+        report = cost(shared)
+        leaves = (len(shared.gates) - report.mul_count - report.add_count
+                  - report.scale_count)
+        rows.append({"strategy": strategy, "cse": False,
+                     "gates": muls + adds + scales + leaves, **report.to_dict(),
+                     "mul_count": muls, "add_count": adds, "scale_count": scales})
+        rows.append({"strategy": strategy, "cse": True,
+                     "gates": len(shared.gates), **report.to_dict()})
+    return rows
+
+
+def cmd_stats(args) -> int:
+    cap = _table_size_cap(args)
+    rows = _stats_rows(_build_requested(args, cap))
     if args.format == "json":
         _emit(args, _dump_json(rows))
     else:

@@ -11,7 +11,10 @@ random malformed gate lists must get the same verdict and message as from
 the old validator extended with the rule that gate references, input
 indices and the output are ints (checked just before each range test), and
 the same as from the old validator itself where that rule does not apply;
-every lowered circuit must agree with ``Polynomial.eval`` and ``values()``;
+the shared lowering behind ``stats`` must give, gate for gate, the CSE'd
+plain lowering, and ``stats``' rows must equal the cost reports of the
+plain and the CSE'd circuits; every lowered circuit must agree with
+``Polynomial.eval`` and ``values()``;
 and ``run_all`` must return the list loop's values, in the stored form
 (``polyring._pack``), on random circuits, the catalog grids and the
 benchmark's circuit cases.  At p = 2 each input wire must be bit i of the
@@ -22,8 +25,9 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from fpminpoly import circuit as circuit_module
-from fpminpoly.circuit import (STRATEGIES, Circuit, CircuitBuilder, CostReport, cost,
-                               eliminate_common_subexpressions, lower, run, run_all)
+from fpminpoly.circuit import (STRATEGIES, Circuit, CircuitBuilder, CostReport, _lower_shared,
+                               cost, eliminate_common_subexpressions, lower, run, run_all)
+from fpminpoly.cli import _stats_rows
 from fpminpoly.ff import PrimeField
 from fpminpoly.formulas import CATALOG, build_formula
 from fpminpoly.oracle import point_at
@@ -330,6 +334,47 @@ class TestLoweringAgainstReference:
         assert circ.output == len(circ.gates) - 1
         mid = new.finish(3)
         assert (mid.gates, mid.output) == old.finish(3)
+
+
+def unshared_stats_rows(f):
+    """``stats``' rows the long way: ``lower``, then CSE, then ``cost``."""
+    rows = []
+    for strategy in STRATEGIES:
+        base = lower(f, strategy)
+        for use_cse, circ in ((False, base), (True, eliminate_common_subexpressions(base))):
+            rows.append({"strategy": strategy, "cse": use_cse, "gates": len(circ.gates),
+                         **cost(circ).to_dict()})
+    return rows
+
+
+def assert_shared_lowering_matches(f):
+    """The stats rows equal the long way's, and each shared circuit is,
+    gate for gate, the CSE'd circuit of the plain lowering."""
+    assert _stats_rows(f) == unshared_stats_rows(f)
+    for strategy in STRATEGIES:
+        shared, _counts = _lower_shared(f, strategy)
+        assert shared == eliminate_common_subexpressions(lower(f, strategy)), strategy
+
+
+class TestSharedLoweringAgainstCSE:
+    @settings(max_examples=150, deadline=None)
+    @given(polynomials())
+    def test_random_polynomials(self, f):
+        assert_shared_lowering_matches(f)
+
+    def test_catalog_grids(self):
+        for name, entry in sorted(CATALOG.items()):
+            for p, n, r in entry.verify_grid:
+                assert_shared_lowering_matches(build_formula(name, p, n, r))
+
+    @pytest.mark.parametrize("case", CIRCUIT_CASES, ids=lambda case: "-".join(map(str, case)))
+    def test_circuit_stats_cases(self, case):
+        assert_shared_lowering_matches(build_formula(*case))
+
+    def test_max_p3_n15_nested_horner(self):
+        # Too large to lower unshared; the memoised slices build it directly.
+        shared, _counts = _lower_shared(build_formula("max", 3, 15), "nested_horner")
+        assert len(shared.gates) == 247
 
 
 #: Field values for the malformed gate lists: mostly small ints, some out of

@@ -6,7 +6,8 @@ import sys
 import pytest
 
 import fpminpoly
-from fpminpoly import cli
+from fpminpoly import circuit, cli
+from fpminpoly.circuit import STRATEGIES, eliminate_common_subexpressions, lower
 from fpminpoly.cli import (EXIT_MISMATCH, EXIT_OK, EXIT_SIZE_GUARD, EXIT_USAGE,
                            main)
 from fpminpoly.formulas import CATALOG, build_formula
@@ -16,6 +17,10 @@ from fpminpoly.polyring import Polynomial
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the shared lowering must not call lower or CSE")
 
 
 class TestGen:
@@ -255,6 +260,27 @@ class TestEval:
         assert "circuit evaluation disagrees" in captured.err
         assert "1 vs 2" in captured.err
 
+    def test_circuit_cse_takes_the_shared_lowering(self, monkeypatch, capsys):
+        f = build_formula("max", 3, 10)
+        horner = eliminate_common_subexpressions(lower(f, "nested_horner"))
+        for owner in (circuit, cli):
+            monkeypatch.setattr(owner, "lower", _refuse)
+            monkeypatch.setattr(owner, "eliminate_common_subexpressions", _refuse)
+        ran = []
+        run = cli.run
+        monkeypatch.setattr(cli, "run", lambda circ, point: ran.append(circ) or run(circ, point))
+        argv = ("eval", "--func", "max", "--p", "3", "--n", "10",
+                "--point", "0,2,1,0,0,1,2,0,1,0", "--circuit", "--cse")
+        for strategy in STRATEGIES:
+            assert run_cli(*argv, "--strategy", strategy) == EXIT_OK
+            assert capsys.readouterr().out == "2\n"
+        assert ran[1] == horner
+        monkeypatch.setattr(cli, "run", lambda circ, point: 1)
+        assert run_cli(*argv) == EXIT_MISMATCH
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "circuit evaluation disagrees with the polynomial: 1 vs 2" in captured.err
+
     def test_value_out_of_range(self):
         assert run_cli("eval", "--func", "max", "--p", "3", "--n", "2",
                        "--point", "1,5") == EXIT_USAGE
@@ -299,6 +325,21 @@ class TestStats:
         assert out[0].split() == ["strategy", "cse", "muls", "adds", "scales",
                                   "depth", "gates"]
         assert len(out) == 5
+
+    def test_rows_come_without_lower_or_cse(self, monkeypatch, capsys):
+        for owner in (circuit, cli):
+            monkeypatch.setattr(owner, "lower", _refuse)
+            monkeypatch.setattr(owner, "eliminate_common_subexpressions", _refuse)
+        assert run_cli("stats", "--func", "max", "--p", "3", "--n", "4") == EXIT_OK
+        assert capsys.readouterr().out == (
+            '[{"add_count":71,"cse":false,"gates":320,"mul_count":220,"mul_depth":3,'
+            '"scale_count":25,"strategy":"naive_monomial"},'
+            '{"add_count":71,"cse":true,"gates":172,"mul_count":72,"mul_depth":3,'
+            '"scale_count":25,"strategy":"naive_monomial"},'
+            '{"add_count":71,"cse":false,"gates":158,"mul_count":62,"mul_depth":4,'
+            '"scale_count":19,"strategy":"nested_horner"},'
+            '{"add_count":24,"cse":true,"gates":49,"mul_count":17,"mul_depth":4,'
+            '"scale_count":2,"strategy":"nested_horner"}]\n')
 
 
 class TestList:
