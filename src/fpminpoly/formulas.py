@@ -39,8 +39,8 @@ from typing import Callable, Sequence
 
 from .oracle import FunctionSpec, interpolate, point_at, tabulate
 from .polyring import (DEFAULT_MAX_TABLE_SIZE, Polynomial, PolyRing,
-                       RingMismatchError, apply_axis_transform, bounded_power,
-                       lagrange_rows)
+                       RingMismatchError, _transformed, bounded_power,
+                       first_mismatch, lagrange_rows)
 
 
 class FormulaParamError(ValueError):
@@ -541,7 +541,7 @@ def involution_conjugate(f: Polynomial) -> Polynomial:
     ring = f.ring
     p = ring.p
     flip = [[(-1) ** e * comb(e, d) % p for e in range(p)] for d in range(p)]
-    return (p - 1) - Polynomial(ring, apply_axis_transform(f.coeffs, p, ring.n, flip))
+    return (p - 1) - _transformed(f, flip)
 
 
 # -- catalog ------------------------------------------------------------------------
@@ -758,22 +758,6 @@ def build_formula(name: str, p: int | None = None, n: int | None = None,
     return entry.build(ring, r)
 
 
-def first_mismatch(a: Sequence[int], b: Sequence[int]) -> int | None:
-    """Index of the first disagreement between two value tables, else None.
-
-    Equal tables, the common case, are settled by one ``==``; only tables
-    that differ are scanned index by index.
-    """
-    if len(a) != len(b):
-        raise ValueError("cannot compare value tables of different sizes")
-    if a == b:
-        return None
-    for i in range(len(a)):
-        if a[i] != b[i]:
-            return i
-    return None
-
-
 def verify_formula(name: str, p: int | None = None, n: int | None = None,
                    r: int | None = None, *,
                    max_table_size: int | None = DEFAULT_MAX_TABLE_SIZE,
@@ -796,8 +780,9 @@ def verify_formula(name: str, p: int | None = None, n: int | None = None,
         raise FormulaParamError(
             f"candidate polynomial lives in {poly.ring}, "
             f"but {name} needs {reference.ring}")
-    closed_values = poly.values()
-    mismatch = first_mismatch(closed_values, table.values)
+    # Both value tables in stored form: words at p = 2, so the truth table
+    # is converted once, when it is made, and the closed form never.
+    mismatch = first_mismatch(poly._values(), table._stored)
     report = {
         "formula": name,
         "p": p,
@@ -810,7 +795,7 @@ def verify_formula(name: str, p: int | None = None, n: int | None = None,
     if mismatch is not None:
         report["mismatch_point"] = list(point_at(p, spec.arity, mismatch))
         report["expected"] = table.values[mismatch]
-        report["got"] = closed_values[mismatch]
+        report["got"] = poly.values()[mismatch]
     report["status"] = ("pass" if report["coefficient_match"] and report["function_match"]
                         else "mismatch")
     return report

@@ -19,7 +19,7 @@ check for every closed form in :mod:`fpminpoly.formulas`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 import json
@@ -28,7 +28,8 @@ from typing import Callable, Hashable, Sequence
 
 from .ff import PrimeField
 from .polyring import (DEFAULT_MAX_TABLE_SIZE, Polynomial, PolyRing, SizeGuardError,
-                       _checked, apply_axis_transform, bounded_power)
+                       _checked, _polynomial, _store, apply_axis_transform,
+                       bounded_power)
 
 #: Function kinds understood by tabulate() and the CLI.
 KINDS = ("max", "min", "argmax_digit", "argmin_digit", "ismax", "nummax_digit",
@@ -130,13 +131,17 @@ class TruthTable:
 
     Entry i is the value at ``point_at(p, arity, i)``; the point order
     matches polynomial coefficient order, so tables and coefficient tables
-    are transforms of one another.  ``values`` is checked and stored like
+    are transforms of one another.  ``values`` is checked and packed like
     ``Polynomial.coeffs``, so a list, a tuple or ``bytes`` give equal tables.
+    ``_stored`` is the same table in a polynomial's stored form (at p = 2
+    the word of bits, made here once; otherwise ``values`` itself), which
+    ``interpolate`` and ``verify_formula``'s value comparison read.
     """
 
     p: int
     arity: int
     values: Sequence[int]
+    _stored: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         PrimeField(self.p)
@@ -147,6 +152,7 @@ class TruthTable:
                 f"truth table needs p^arity = {self.p}^{self.arity} values, "
                 f"got {len(self.values)}")
         object.__setattr__(self, "values", _checked(self.values, self.p))
+        object.__setattr__(self, "_stored", _store(self.values, self.p))
 
     def to_dict(self) -> dict:
         return {"p": self.p, "arity": self.arity, "values": list(self.values)}
@@ -344,5 +350,5 @@ def interpolate(table: TruthTable,
     O(n * p^(n+1)) instead of the literal O(p^(2n)) summation.
     """
     ring = PolyRing(table.p, table.arity, max_table_size=max_table_size)
-    return Polynomial(ring, apply_axis_transform(table.values, table.p, table.arity,
-                                                 delta_basis_rows(table.p)))
+    return _polynomial(ring, apply_axis_transform(table._stored, table.p, table.arity,
+                                                  delta_basis_rows(table.p)))

@@ -15,39 +15,48 @@ canonical representative agreeing with a given function is unique, which is
 why coefficient equality of two canonical polynomials is the same thing as
 equality as functions.
 
-Every p^n table (coefficients, ``values()``, truth tables, ``run_all``) is
-stored in one form, picked from p alone by ``_pack``: for p < 128 the
-canonical residues are packed into ``bytes``, one entry per byte; for
-p >= 128, where the sum of two reduced entries can pass 255, a tuple of
-ints.  Tables filled entry by entry start from ``_scratch`` (a
-``bytearray`` or a list) and are packed once.
+Every p^n table seen from outside (``coeffs``, ``values()``, truth tables,
+``run_all``) is in one packed form, picked from p alone by ``_pack``: for
+p < 128 the canonical residues are packed into ``bytes``, one entry per
+byte; for p >= 128, where the sum of two reduced entries can pass 255, a
+tuple of ints.
+
+Inside, a polynomial keeps its table in a stored form (``_store``), also
+picked from p alone.  At p = 2 it is one int of 2^n bits, entry i as bit i
+(the word; ``_to_bits`` and ``_from_bits`` convert), and ``coeffs`` is
+decoded from it on first use and kept.  For every other p it is the packed
+form itself.  Only this module reads the word: ``oracle`` and ``formulas``
+pass stored tables between its functions (``TruthTable`` keeps the stored
+form of its values next to them, ``Polynomial._values`` gives a
+polynomial's values in it, ``first_mismatch`` compares two of them).
 
 The dense table work runs through one seam, with the standard library only.
 ``_combine`` is the one place where columns are scaled, summed and reduced
-mod p: on bytes ``bytes.translate`` with a 256-entry table scales every
-entry by a constant (or reduces it), and columns add as little-endian big
-ints, reduced before any byte can pass 255; on tuples and lists it runs
-comprehensions.  ``+``, ``-`` and ``scale``, and ``PolyRing.train`` (a sum
+mod p: on words the columns of odd weight are xored; on bytes
+``bytes.translate`` with a 256-entry table scales every entry by a constant
+(or reduces it), and columns add as little-endian big ints, reduced before
+any byte can pass 255; on tuples and lists it runs comprehensions.
+``_join`` lays tables side by side: words by shift-or, bytes and tuples by
+concatenation.  ``+``, ``-`` and ``scale``, and ``PolyRing.train`` (a sum
 over the state paths of a small automaton of products of one
 single-variable factor per variable, contracted axis by axis;
 ``PolyRing.tensor`` is its one-state case, the outer product of the
-factors' coefficient rows) call it on the stored tables.
+factors' coefficient rows) call them on the stored tables.
 
 Axis transforms (``apply_axis_transform``, behind ``values()``,
 ``oracle.interpolate`` and the value-table operations) take one of two
-paths, picked from p alone.  For p = 2 the table is read as one int of
-2^n bits and each axis is one masked shift-and-xor step on it; the masks
-and the packing to and from bits (``_bit_mask``, ``_to_bits``,
-``_from_bits``) are shared with ``circuit.run_all``'s p = 2 wires.  For
-every other p, ``_round`` is the one slice-rotation round: ``_combine``
-on bytes, one dot product per fiber on tuples.
+paths, picked from p alone.  At p = 2 each axis is one masked shift-and-xor
+step on the word; the masks (``_bit_mask``) and the packing to and from
+bits are shared with ``circuit.run_all``'s p = 2 wires.  For every other p,
+``_round`` is the one slice-rotation round: ``_combine`` on bytes, one dot
+product per fiber on tuples.
 
 A canonical polynomial is its function, so the nonlinear operations run on
-value tables: ``*`` multiplies the operands' ``values()`` pointwise, ``**``
-raises each value to the power, and ``compose`` reads this polynomial's
-values at the points its substituents give.  ``lagrange_rows``, the inverse
-of ``vandermonde_rows``, then turns the values back into coefficients with
-one more axis transform.
+value tables: ``*`` multiplies the operands' values pointwise (an ``&`` of
+words at p = 2), ``**`` raises each value to the power, and ``compose``
+reads this polynomial's values at the points its substituents give.
+``lagrange_rows``, the inverse of ``vandermonde_rows``, then turns the
+values back into coefficients with one more axis transform.
 Exponents for ``support`` are read from per-axis digit planes
 (``PolyRing.digit_planes``), n * p^n bytes in all, built on first use.
 """
@@ -105,7 +114,7 @@ def _scale_table(p: int, m: int) -> bytes:
 
 
 def _pack(table: Sequence[int], p: int) -> Sequence[int]:
-    """A table's stored form, chosen by p alone.
+    """A table's packed form, chosen by p alone.
 
     For p < 128 the canonical entries are packed into ``bytes``, one entry
     per byte; for p >= 128 two reduced entries can sum past 255, so the
@@ -125,21 +134,39 @@ def _checked(table: Sequence[int], p: int) -> Sequence[int]:
     return _pack(table, p)
 
 
+def _store(table: Sequence[int], p: int):
+    """A canonical table in a polynomial's stored form, chosen by p alone:
+    the word of bits (``_to_bits``) at p = 2, else the packed form.
+
+    Every entry must already lie in [0, p) (``_checked`` makes sure at the
+    API edges): ``_to_bits`` would misread any other byte.
+    """
+    return _to_bits(_pack(table, 2)) if p == 2 else _pack(table, p)
+
+
 def _scratch(size: int, p: int):
     """A zero table to fill entry by entry, then ``_pack``: a ``bytearray``
     for p < 128, else a list."""
     return bytearray(size) if p < 128 else [0] * size
 
 
-def _combine(p: int, weights: Sequence[int], cols: Sequence[Sequence[int]]):
-    """The column sum_e weights[e] * cols[e] mod p: bytes from bytes, else a list.
+def _combine(p: int, weights: Sequence[int], cols):
+    """The column sum_e weights[e] * cols[e] mod p: a word from words, bytes
+    from bytes, else a list.
 
     Weights are any ints; they are reduced here and zero ones are skipped.
-    The columns hold canonical residues and share one length.  Packed
-    columns are scaled with ``bytes.translate``, summed as little-endian
-    ints and reduced with the mod-p table before any lane can pass 255; tuple
-    and list columns are combined with comprehensions.
+    The columns hold canonical residues and share one length.  Words (p = 2)
+    are xored where the weight is odd.  Packed columns are scaled with
+    ``bytes.translate``, summed as little-endian ints and reduced with the
+    mod-p table before any lane can pass 255; tuple and list columns are
+    combined with comprehensions.
     """
+    if type(cols[0]) is int:
+        word = 0
+        for m, col in zip(weights, cols):
+            if m % 2:
+                word ^= col
+        return word
     width = len(cols[0])
     if not isinstance(cols[0], bytes):
         acc = None
@@ -165,6 +192,22 @@ def _combine(p: int, weights: Sequence[int], cols: Sequence[Sequence[int]]):
     if held == 1:  # a single term, already reduced
         return term
     return acc.to_bytes(width, "little").translate(reduce)
+
+
+def _join(parts: list, width: int, count: int, p: int):
+    """``count`` tables of ``width`` entries side by side in stored form:
+    ``parts`` in order, then zero tables.
+
+    Words join by shift-or, bytes by concatenation and lists or tuples
+    into one tuple.
+    """
+    if p == 2:
+        word = 0
+        for k, part in enumerate(parts):
+            word |= part << (k * width)
+        return word
+    parts.append(_scratch(width * (count - len(parts)), p))
+    return b"".join(parts) if p < 128 else tuple(chain.from_iterable(parts))
 
 
 def _round(data: Sequence[int], p: int, rows) -> Sequence[int]:
@@ -224,18 +267,20 @@ def _bit_mask(size: int, i: int) -> int:
     return int.from_bytes(pattern * (size // (8 * len(pattern))), "little")
 
 
-def apply_axis_transform(table: Sequence[int], p: int, n: int, matrix) -> Sequence[int]:
+def apply_axis_transform(table, p: int, n: int, matrix):
     """A p x p matrix applied along every axis of a flat mixed-radix table.
 
-    ``table`` is any sequence of canonical residues in [0, p) and is left
-    as it is; ``matrix[new][old]`` gives the linear map used on each
-    length-p fiber, with any ints as entries.  The result is in the stored
-    form (``_pack``: bytes for p < 128, a tuple for larger p).
+    ``table`` is a table in stored form (``_store``) or any sequence of
+    canonical residues in [0, p), and is left as it is; ``matrix[new][old]``
+    gives the linear map used on each length-p fiber, with any ints as
+    entries.  A stored table gives a stored table; any other sequence gives
+    the packed form (``_pack``: bytes for p < 128, a tuple for larger p).
+    The two differ only at p = 2, where the stored form is the word.
 
-    For p = 2 the table becomes one int of bits (``_to_bits``), and axis i
-    (stride s = 2^i) is one shift-and-xor step on it.  With the matrix
-    [[a, b], [c, d]] reduced mod 2 and m the bits whose index has bit i
-    clear (``_bit_mask``, made per axis and dropped), lo = w & m and
+    For p = 2 the table is read as one int of bits (a sequence through
+    ``_to_bits``), and axis i (stride s = 2^i) is one shift-and-xor step on
+    it.  With the matrix [[a, b], [c, d]] reduced mod 2 and m the bits
+    whose index has bit i clear (``_bit_mask``, made per axis and dropped), lo = w & m and
     hi = (w >> s) & m are the two halves of every fiber, and the new word
     is (a*lo ^ b*hi) | (c*lo ^ d*hi) << s.  With ``vandermonde_rows(2)``
     this is the binary Möbius transform.  Cost O(n * 2^n) bit operations.
@@ -245,19 +290,19 @@ def apply_axis_transform(table: Sequence[int], p: int, n: int, matrix) -> Sequen
     moves it to the most significant place, so after n rounds every axis
     is transformed and the original order is back.  Cost O(n * p^(n+1)).
     """
-    data = _pack(table, p)
     if p == 2:
         (a, b), (c, d) = matrix
         a, b, c, d = a % 2, b % 2, c % 2, d % 2
-        size = len(data)
-        w = _to_bits(data)
+        size = 1 << n
+        w = table if type(table) is int else _to_bits(_pack(table, 2))
         for i in range(n):
             s = 1 << i
             mask = _bit_mask(size, i)
             lo, hi = w & mask, (w >> s) & mask
             # x and y is 0 * y or 1 * y here, without copying y.
             w = ((a and lo) ^ (b and hi)) | (((c and lo) ^ (d and hi)) << s)
-        return _from_bits(w, size)
+        return w if type(table) is int else _from_bits(w, size)
+    data = _pack(table, p)
     for _axis in range(n):
         data = _round(data, p, matrix)
     return _pack(data, p)
@@ -346,28 +391,41 @@ class PolyRing:
 
     # -- constructors ------------------------------------------------------
 
+    def _sparse(self, entries: Iterable[tuple[int, int]]) -> "Polynomial":
+        """The polynomial with coefficient c mod p at index i for each
+        (i, c) in ``entries`` (distinct indices) and 0 elsewhere.
+
+        At p = 2 the bits are set in a little-endian byte buffer of 2^n / 8
+        bytes, read as the word at the end; otherwise in a ``_scratch``
+        table.
+        """
+        p = self.p
+        if p == 2:
+            bits = bytearray((self.size + 7) // 8)
+            for i, c in entries:
+                bits[i >> 3] |= (c % 2) << (i & 7)
+            return _polynomial(self, int.from_bytes(bits, "little"))
+        table = _scratch(self.size, p)
+        for i, c in entries:
+            table[i] = c % p
+        return _polynomial(self, _pack(table, p))
+
     def zero(self) -> "Polynomial":
-        return Polynomial(self, _scratch(self.size, self.p))
+        return self._sparse(())
 
     def one(self) -> "Polynomial":
         return self.constant(1)
 
     def constant(self, c: int) -> "Polynomial":
-        table = _scratch(self.size, self.p)
-        table[0] = c % self.p
-        return Polynomial(self, table)
+        return self._sparse([(0, c)])
 
     def variable(self, i: int) -> "Polynomial":
         if not 0 <= i < self.n:
             raise ValueError(f"variable index {i} out of range [0, {self.n})")
-        table = _scratch(self.size, self.p)
-        table[self.strides[i]] = 1
-        return Polynomial(self, table)
+        return self._sparse([(self.strides[i], 1)])
 
     def monomial(self, exps: Sequence[int], coeff: int = 1) -> "Polynomial":
-        table = _scratch(self.size, self.p)
-        table[self.index_of(exps)] = coeff % self.p
-        return Polynomial(self, table)
+        return self._sparse([(self.index_of(exps), coeff)])
 
     def univariate(self, i: int, coeffs: Sequence[int]) -> "Polynomial":
         """The polynomial sum_e coeffs[e] * x_i^e (len(coeffs) <= p)."""
@@ -375,11 +433,8 @@ class PolyRing:
             raise ValueError(f"variable index {i} out of range [0, {self.n})")
         if len(coeffs) > self.p:
             raise ValueError("univariate coefficient row longer than p")
-        table = _scratch(self.size, self.p)
         s = self.strides[i]
-        for e, c in enumerate(coeffs):
-            table[e * s] = c % self.p
-        return Polynomial(self, table)
+        return self._sparse((e * s, c) for e, c in enumerate(coeffs))
 
     def tensor(self, rows: Sequence[Sequence[int]]) -> "Polynomial":
         """The product prod_i u_i(x_i), where u_i = sum_e rows[i][e] * x_i^e.
@@ -405,14 +460,15 @@ class PolyRing:
         x_0..x_{i-1} per state that some path reaches.  Per state b and
         exponent e, the table over x_0..x_i is one ``_combine`` of the
         tables of the states that step into b, weighted by the e-th
-        coefficients of their rows; the parts are joined in exponent order,
-        as ``bytes`` below p = 128 and chained into a list above.  No ring
+        coefficients of their rows; ``_join`` lays the parts side by side in
+        exponent order.  At p = 2 the tables are words: each part is an xor
+        of state words and the two parts join as lo | hi << 2^i.  No ring
         multiplication runs.
         """
         p, n = self.p, self.n
         if len(cores) != n:
             raise ValueError(f"expected {n} cores, got {len(cores)}")
-        tables = [_pack((1,), p)]  # None: no path reaches the state
+        tables = [_store((1,), p)]  # None: no path reaches the state
         for i, core in enumerate(cores):
             if len(core) != len(tables):
                 raise ValueError(
@@ -440,10 +496,9 @@ class PolyRing:
                     continue
                 parts = [_combine(p, weights, cols)
                          for weights in zip_longest(*rows, fillvalue=0)]
-                parts.append(_scratch(len(cols[0]) * (p - len(parts)), p))
-                nxt.append(b"".join(parts) if p < 128 else list(chain.from_iterable(parts)))
+                nxt.append(_join(parts, self.strides[i], p, p))
             tables = nxt
-        return self.zero() if tables[0] is None else Polynomial(self, tables[0])
+        return self.zero() if tables[0] is None else _polynomial(self, tables[0])
 
     def elementary_symmetric(self, i: int) -> "Polynomial":
         """e_i: the sum of all i-fold products of distinct variables; e_0 = 1."""
@@ -451,10 +506,8 @@ class PolyRing:
             raise ValueError(f"elementary symmetric index {i} out of range [0, {self.n}]")
         from itertools import combinations
 
-        table = _scratch(self.size, self.p)
-        for subset in combinations(range(self.n), i):
-            table[sum(self.strides[j] for j in subset)] = 1
-        return Polynomial(self, table)
+        return self._sparse((sum(self.strides[j] for j in subset), 1)
+                            for subset in combinations(range(self.n), i))
 
     def from_coeffs(self, coeffs: Iterable[int]) -> "Polynomial":
         """Validated construction from a full canonical coefficient table."""
@@ -463,13 +516,14 @@ class PolyRing:
             raise ValueError(
                 f"coefficient table must have p^n = {self.size} entries, "
                 f"got {len(table)}")
-        return Polynomial(self, _checked(table, self.p))
+        return _polynomial(self, _store(_checked(table, self.p), self.p))
 
     def embed(self, f: "Polynomial") -> "Polynomial":
         """Reinterpret a polynomial on fewer variables inside this ring.
 
         With x0 least significant, indices below p^(f.n) keep their meaning,
-        so the table is copied into the low slice unchanged.
+        so the table is copied into the low slice unchanged (at p = 2 the
+        word is the same).
         """
         if f.ring.p != self.p:
             raise RingMismatchError(
@@ -477,9 +531,8 @@ class PolyRing:
         if f.ring.n > self.n:
             raise RingMismatchError(
                 f"cannot embed {f.ring.n} variables into a ring with {self.n}")
-        table = _scratch(self.size, self.p)
-        table[: f.ring.size] = f.coeffs
-        return Polynomial(self, table)
+        width = f.ring.size
+        return _polynomial(self, _join([f._stored], width, self.size // width, self.p))
 
 
 class Polynomial:
@@ -492,17 +545,34 @@ class Polynomial:
     ``values()``, pointwise, with the result interpolated back through
     ``lagrange_rows``.
 
-    ``coeffs`` is the table in its stored form (``_pack``): ``bytes`` for
+    ``coeffs`` is the table in its packed form (``_pack``): ``bytes`` for
     p < 128, a tuple of ints otherwise; ``to_dict`` gives it as a list.
+    The table is kept in its stored form (``_store``).  At p = 2 that is
+    one int of 2^n bits, entry i as bit i: ``+`` and ``-`` are xor,
+    ``scale`` is the identity or zero, ``==``, ``hash`` and ``bool`` read
+    the int, and ``coeffs`` is decoded on first use and kept.
+
+    The constructor checks every entry, as ``PolyRing.from_coeffs`` does;
+    the library's own results take the unchecked ``_polynomial``.
     """
 
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ("ring", "_stored", "_coeffs")
 
     def __init__(self, ring: PolyRing, coeffs: Sequence[int]):
-        self.ring = ring
-        self.coeffs = _pack(coeffs, ring.p)
-        if len(self.coeffs) != ring.size:
+        table = _checked(coeffs if type(coeffs) is bytes else list(coeffs), ring.p)
+        if len(table) != ring.size:
             raise ValueError("coefficient table length does not match the ring")
+        self.ring = ring
+        self._stored = _store(table, ring.p)
+        self._coeffs = table
+
+    @property
+    def coeffs(self) -> Sequence[int]:
+        """The coefficient table, packed (``_pack``); at p = 2 decoded from
+        the word on first use and kept, as the polynomial never changes."""
+        if self._coeffs is None:
+            self._coeffs = _from_bits(self._stored, self.ring.size)
+        return self._coeffs
 
     # -- plumbing ----------------------------------------------------------
 
@@ -520,19 +590,20 @@ class Polynomial:
         return None
 
     def __repr__(self) -> str:
-        nnz = sum(1 for c in self.coeffs if c)
+        nnz = (self._stored.bit_count() if self.ring.p == 2
+               else len(self._stored) - self._stored.count(0))
         return f"Polynomial(p={self.ring.p}, n={self.ring.n}, terms={nnz})"
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.ring == other.ring and self.coeffs == other.coeffs
+        return self.ring == other.ring and self._stored == other._stored
 
     def __hash__(self) -> int:
-        return hash((self.ring, self.coeffs))
+        return hash((self.ring, self._stored))
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return bool(self._stored) if self.ring.p == 2 else any(self._stored)
 
     def support(self) -> list[tuple[tuple[int, ...], int]]:
         """Nonzero terms as (exponent vector, coefficient), index-ordered.
@@ -549,7 +620,7 @@ class Polynomial:
     def _add(self, other: "Polynomial", sign: int) -> "Polynomial":
         """self + sign * other for sign in {1, -1}, as one ``_combine``."""
         ring = self._same_ring(other)
-        return Polynomial(ring, _combine(ring.p, (1, sign), (self.coeffs, other.coeffs)))
+        return _polynomial(ring, _combine(ring.p, (1, sign), (self._stored, other._stored)))
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -580,7 +651,7 @@ class Polynomial:
             return self
         if c == 0:
             return self.ring.zero()
-        return Polynomial(self.ring, _combine(self.ring.p, (c,), (self.coeffs,)))
+        return _polynomial(self.ring, _combine(self.ring.p, (c,), (self._stored,)))
 
     def __mul__(self, other):
         if isinstance(other, int) and not isinstance(other, bool):
@@ -589,7 +660,8 @@ class Polynomial:
             return NotImplemented
         ring = self._same_ring(other)
         p = ring.p
-        return _from_values(ring, [a * b % p for a, b in zip(self.values(), other.values())])
+        a, b = self._values(), other._values()
+        return _from_values(ring, a & b if p == 2 else [x * y % p for x, y in zip(a, b)])
 
     def __rmul__(self, other):
         if isinstance(other, int) and not isinstance(other, bool):
@@ -597,10 +669,16 @@ class Polynomial:
         return NotImplemented
 
     def __pow__(self, e: int) -> "Polynomial":
-        """The e-th power of every value, interpolated (0^0 = 1)."""
+        """The e-th power of every value, interpolated (0^0 = 1).
+
+        At p = 2 every value is 0 or 1, so f ** e is f for e >= 1 and 1 for
+        e = 0, with no transform.
+        """
         if not isinstance(e, int) or e < 0:
             raise ValueError("polynomial exponent must be a nonnegative int")
         p = self.ring.p
+        if p == 2:
+            return self if e else self.ring.one()
         powers = [pow(v, e, p) for v in range(p)]
         return _from_values(self.ring, [powers[v] for v in self.values()])
 
@@ -626,14 +704,19 @@ class Polynomial:
         return table[0]
 
     def values(self) -> Sequence[int]:
-        """Values at every point of F_p^n in mixed-radix order, stored like ``coeffs``.
+        """Values at every point of F_p^n in mixed-radix order, packed like ``coeffs``.
 
         Computed by applying the univariate evaluation matrix along each
-        axis with ``apply_axis_transform`` (shift-and-xor steps on one int
-        of bits for p = 2, slice rotation otherwise); O(n * p^(n+1))
-        instead of p^n separate Horner passes.
+        axis with ``apply_axis_transform`` (shift-and-xor steps on the word
+        for p = 2, slice rotation otherwise); O(n * p^(n+1)) instead of p^n
+        separate Horner passes.
         """
-        return apply_axis_transform(self.coeffs, self.ring.p, self.ring.n,
+        values = self._values()
+        return _from_bits(values, self.ring.size) if self.ring.p == 2 else values
+
+    def _values(self):
+        """``values()`` in the stored form: the word of values at p = 2."""
+        return apply_axis_transform(self._stored, self.ring.p, self.ring.n,
                                     vandermonde_rows(self.ring.p))
 
     def compose(self, subs: Sequence["Polynomial"]) -> "Polynomial":
@@ -660,7 +743,7 @@ class Polynomial:
         for sub, stride in zip(subs, ring.strides):
             index = [i + v * stride for i, v in zip(index, sub.values())]
         values = self.values()
-        return _from_values(target, [values[i] for i in index])
+        return _from_values(target, _store([values[i] for i in index], ring.p))
 
     # -- inspection ---------------------------------------------------------
 
@@ -705,9 +788,52 @@ class Polynomial:
         return Polynomial.from_dict(json.loads(text), max_table_size=max_table_size)
 
 
-def _from_values(ring: PolyRing, values: Sequence[int]) -> Polynomial:
-    """The polynomial of ``ring`` with the given value at every point."""
-    return Polynomial(ring, apply_axis_transform(values, ring.p, ring.n, lagrange_rows(ring.p)))
+def _polynomial(ring: PolyRing, table) -> Polynomial:
+    """The polynomial of ``ring`` with a table already in stored form
+    (``_store``), unchecked: the path of every result the library builds.
+
+    A list (``_combine``'s working form for p >= 128) is packed here.
+    """
+    if type(table) is list:
+        table = tuple(table)
+    f = object.__new__(Polynomial)
+    f.ring, f._stored = ring, table
+    f._coeffs = None if ring.p == 2 else table
+    return f
+
+
+def _transformed(f: Polynomial, matrix) -> Polynomial:
+    """The polynomial whose coefficient table is f's with ``matrix`` applied
+    along every axis (``apply_axis_transform`` on the stored table)."""
+    ring = f.ring
+    return _polynomial(ring, apply_axis_transform(f._stored, ring.p, ring.n, matrix))
+
+
+def _from_values(ring: PolyRing, values) -> Polynomial:
+    """The polynomial of ``ring`` with the given values, in stored form, at
+    every point."""
+    return _polynomial(ring, apply_axis_transform(values, ring.p, ring.n, lagrange_rows(ring.p)))
+
+
+def first_mismatch(a, b) -> int | None:
+    """Index of the first disagreement between two value tables, else None.
+
+    The tables are two stored tables or two sequences.  Equal tables, the
+    common case, are settled by one ``==``.  Two words (p = 2) differ first
+    at the lowest set bit of their xor; other tables that differ are
+    scanned index by index.
+    """
+    if type(a) is int and type(b) is int:
+        diff = a ^ b
+        return (diff & -diff).bit_length() - 1 if diff else None
+    if len(a) != len(b):
+        raise ValueError("cannot compare value tables of different sizes")
+    if a == b:
+        return None
+    for i in range(len(a)):
+        if a[i] != b[i]:
+            return i
+    return None
 
 
 def format_terms(f: Polynomial) -> str:

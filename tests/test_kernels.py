@@ -14,7 +14,11 @@ dense kernels are checked on both sides of p = 128, where tables stop being
 packed into bytes.  ``_combine``, the one place where columns are scaled,
 summed and reduced, is checked against a per-entry sum.  At p = 2, where
 the axis transform runs on one int of bits, it is also checked against
-chained ``_round`` calls, for every 2x2 matrix up to 2^20 entries.
+chained ``_round`` calls, for every 2x2 matrix up to 2^20 entries.  There
+polynomials store their tables as one int of bits too, so every ring
+operation, ``values``, ``interpolate``, ``==``, ``hash`` and ``verify``'s
+first mismatch are checked against byte tables (the byte ``train`` and
+``+``, kept below, and chained byte ``_round``s) for n = 1 to 20.
 """
 
 import itertools
@@ -27,11 +31,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fpminpoly.circuit import lower, run_all
-from fpminpoly.formulas import CATALOG, _piece_rows, build_formula
-from fpminpoly.oracle import (KINDS, FunctionSpec, argmax_digit_sem, argmin_digit_sem,
-                              carry_sem, delta_basis_rows, interpolate, ismax_2bit_sem,
-                              ismax_sem, max_sem, min_sem, nummax_digit_sem, point_at,
-                              tabulate)
+from fpminpoly.formulas import CATALOG, _piece_rows, build_formula, verify_formula
+from fpminpoly.oracle import (KINDS, FunctionSpec, TruthTable, argmax_digit_sem,
+                              argmin_digit_sem, carry_sem, delta_basis_rows, interpolate,
+                              ismax_2bit_sem, ismax_sem, max_sem, min_sem, nummax_digit_sem,
+                              point_at, tabulate)
 from fpminpoly import formulas, oracle, polyring
 from fpminpoly.polyring import (Polynomial, PolyRing, _combine, _pack, _scratch,
                                 apply_axis_transform, lagrange_rows, vandermonde_rows)
@@ -378,6 +382,7 @@ class TestDenseAddSubScale:
     def test_match_full_table_loops(self, p, n, monkeypatch):
         rng = random.Random(f"{p}/{n}")
         ring = PolyRing(p, n)
+        # p = 2 combines words of bits (xor); every other p the stored form.
         combined = record_calls(monkeypatch, "_combine")
         for fill in ("random", "max"):
             if fill == "max":
@@ -392,7 +397,7 @@ class TestDenseAddSubScale:
             assert -f == reference_add(ring.from_coeffs([0] * ring.size), f, -1)
             for c in (2, p - 1, p + 3, -2):
                 assert f.scale(c) == Polynomial(ring, [(x * c) % p for x in a])
-        assert combined and set(combined) == {packed_form(p)}
+        assert combined and set(combined) == {int if p == 2 else packed_form(p)}
 
 
 class TestDigitPlanes:
@@ -944,3 +949,262 @@ class TestTabulate:
         assert given == [bytes]
         points = (point_at(17, 4, i) for i in range(17 ** 4))
         assert table.values == bytes(reference_evaluate(spec, point) for point in points)
+
+
+# -- the p = 2 word store against byte tables -------------------------------------------
+
+#: Every arity the p = 2 differential tests run at.
+BIT_ARITIES = range(1, 21)
+
+
+def random_bits(rng, size):
+    """A random p = 2 table of ``bytes``."""
+    return rng.randbytes(size).translate(bytes([0, 1] * 128))
+
+
+def byte_rounds(table, n, matrix):
+    """``apply_axis_transform`` at p = 2 as n chained byte ``_round``s."""
+    table = bytes(table)
+    for _axis in range(n):
+        table = polyring._round(table, 2, matrix)
+    return table
+
+
+def byte_add(a, b, sign):
+    """The byte ``+``: one ``_combine`` of two byte tables."""
+    return _combine(2, (1, sign), (a, b))
+
+
+def byte_train(n, cores):
+    """The byte ``train``: per state and exponent one ``_combine`` of byte
+    tables, the parts joined as ``bytes`` and padded with zero bytes."""
+    tables = [b"\1"]
+    for core in cores:
+        nxt = []
+        for b in range(len(core[0])):
+            rows, cols = [], []
+            for steps, table in zip(core, tables):
+                if steps[b] and table is not None:
+                    rows.append(steps[b])
+                    cols.append(table)
+            if not rows:
+                nxt.append(None)
+                continue
+            parts = [_combine(2, weights, cols)
+                     for weights in itertools.zip_longest(*rows, fillvalue=0)]
+            parts.append(bytes(len(cols[0]) * (2 - len(parts))))
+            nxt.append(b"".join(parts))
+        tables = nxt
+    return bytes(2 ** n) if tables[0] is None else tables[0]
+
+
+def byte_product(a, b):
+    """Entry-wise product of two p = 2 byte tables: an AND of their lanes."""
+    size = len(a)
+    return (int.from_bytes(a, "little") & int.from_bytes(b, "little")).to_bytes(size, "little")
+
+
+def byte_scan(candidate, spec):
+    """verify_formula's mismatch fields by the byte path: the candidate's
+    values by chained ``_round``s, scanned index by index."""
+    table = tabulate(spec).values
+    values = byte_rounds(candidate.coeffs, spec.arity, vandermonde_rows(2))
+    for i in range(len(table)):
+        if values[i] != table[i]:
+            return list(point_at(2, spec.arity, i)), table[i], values[i]
+    return None
+
+
+def check_bit_store(f, want):
+    """``f`` holds the p = 2 table ``want`` (bytes): as ``coeffs``, under
+    ``==``, ``hash`` and ``bool``, and in ``repr``.  The hash is taken
+    before ``coeffs`` is first read and compared with tables built from
+    bytes and (small ones) from lists."""
+    ring = f.ring
+    before = hash(f)
+    assert type(f.coeffs) is bytes and f.coeffs == want
+    same = [Polynomial(ring, want)]
+    if ring.size <= 4096:
+        same += [ring.from_coeffs(list(want)), Polynomial(ring, list(want))]
+    assert all(f == g and g == f for g in same)
+    assert len({before, hash(f), *map(hash, same)}) == 1
+    assert bool(f) == any(want) == all(bool(g) for g in same)
+    assert repr(f) == f"Polynomial(p=2, n={ring.n}, terms={want.count(1)})"
+
+
+class TestBitStore:
+    """At p = 2 a polynomial keeps its table as one int of bits.  Every
+    operation is checked against the byte tables: the byte ``train`` and
+    ``+`` (``_combine`` on bytes), chained byte ``_round``s for the axis
+    transforms, and for small tables the per-entry sum, the pair loop and
+    ``reference_axis_transform``."""
+
+    @pytest.mark.parametrize("n", BIT_ARITIES)
+    def test_constructors(self, n):
+        rng = random.Random(f"bit constructors {n}")
+        ring, size = PolyRing(2, n), 2 ** n
+
+        def table(entries):
+            out = bytearray(size)
+            for i, c in entries:
+                out[i] = c % 2
+            return bytes(out)
+
+        assert type(ring.zero()._stored) is int  # the word, not bytes
+        check_bit_store(ring.zero(), bytes(size))
+        for c in (0, 1, 2, -1, -3):
+            check_bit_store(ring.constant(c), table([(0, c)]))
+        for i in {0, n - 1, rng.randrange(n)}:
+            check_bit_store(ring.variable(i), table([(2 ** i, 1)]))
+        for coeff in (1, 3, -1, 2):
+            exps = [rng.randrange(2) for _ in range(n)]
+            check_bit_store(ring.monomial(exps, coeff),
+                            table([(sum(e << k for k, e in enumerate(exps)), coeff)]))
+        for row in ((), (1,), (0, 1), (1, 1), (3, -1), (-2, 5)):
+            i = rng.randrange(n)
+            check_bit_store(ring.univariate(i, row),
+                            table([(e * 2 ** i, c) for e, c in enumerate(row)]))
+        dense = random_bits(rng, size)
+        check_bit_store(ring.from_coeffs(dense), dense)
+        if n <= 12:
+            check_bit_store(ring.from_coeffs(list(dense)), dense)
+        m = rng.randint(1, n)
+        small = random_bits(rng, 2 ** m)
+        check_bit_store(ring.embed(PolyRing(2, m).from_coeffs(small)),
+                        small + bytes(size - 2 ** m))
+        for k in ({0, 1, n, rng.randint(0, n)} if n <= 12 else {0, 1, 2, n}):
+            want = table([(sum(1 << j for j in subset), 1)
+                          for subset in itertools.combinations(range(n), k)])
+            if n <= 12:
+                assert want == bytes(int(i.bit_count() == k) for i in range(size))
+            check_bit_store(ring.elementary_symmetric(k), want)
+
+    @pytest.mark.parametrize("n", BIT_ARITIES)
+    def test_add_sub_neg_scale(self, n):
+        rng = random.Random(f"bit add {n}")
+        ring = PolyRing(2, n)
+        a, b = random_bits(rng, 2 ** n), random_bits(rng, 2 ** n)
+        f, g = Polynomial(ring, a), Polynomial(ring, b)
+        check_bit_store(f + g, byte_add(a, b, 1))
+        check_bit_store(f - g, byte_add(a, b, -1))
+        check_bit_store(g - f, byte_add(b, a, -1))
+        check_bit_store(f + f, bytes(2 ** n))
+        check_bit_store(-f, byte_add(bytes(2 ** n), a, -1))
+        check_bit_store(1 - f, byte_add(b"\1" + bytes(2 ** n - 1), a, -1))
+        for c in (0, 1, 2, -1, -3):
+            check_bit_store(f.scale(c), _combine(2, (c,), (a,)))
+            check_bit_store(c * f, _combine(2, (c,), (a,)))
+        if n <= 12:
+            assert list((f + g).coeffs) == reference_combine(2, (1, 1), (a, b))
+            assert list((f - g).coeffs) == reference_combine(2, (1, -1), (a, b))
+
+    @pytest.mark.parametrize("n", BIT_ARITIES)
+    def test_train_and_tensor(self, n):
+        rng = random.Random(f"bit train {n}")
+        ring = PolyRing(2, n)
+        for _ in range(3):
+            cores = train_cores(2, n, rng)
+            check_bit_store(ring.train(cores), byte_train(n, cores))
+        rows = [rng.choice(((), (1,), (0, 1), (1, 1), (3, -2), (-1,))) for _ in range(n)]
+        check_bit_store(ring.tensor(rows), byte_train(n, [[[row]] for row in rows]))
+        if n > 1:  # state 1 is never entered: the rows out of it add nothing
+            cores = ([[[(1, 1), ()]]] + [[[(1, -1), ()], [(1,), (0, 1)]]] * (n - 2)
+                     + [[[(3, 1)], [(1,)]]])
+            check_bit_store(ring.train(cores), byte_train(n, cores))
+
+    @pytest.mark.parametrize("n", BIT_ARITIES)
+    def test_values_and_interpolate(self, n):
+        rng = random.Random(f"bit values {n}")
+        ring = PolyRing(2, n)
+        a = random_bits(rng, 2 ** n)
+        f = Polynomial(ring, a)
+        values = f.values()
+        assert type(values) is bytes and values == byte_rounds(a, n, vandermonde_rows(2))
+        interpolated = interpolate(TruthTable(2, n, a))
+        check_bit_store(interpolated, byte_rounds(a, n, delta_basis_rows(2)))
+        if n <= 10:
+            expected = list(a)
+            reference_axis_transform(expected, 2, n, vandermonde_rows(2))
+            assert list(values) == expected
+
+    @pytest.mark.parametrize("n", BIT_ARITIES)
+    def test_products_and_powers(self, n):
+        rng = random.Random(f"bit products {n}")
+        ring = PolyRing(2, n)
+        a, b = random_bits(rng, 2 ** n), random_bits(rng, 2 ** n)
+        f, g = Polynomial(ring, a), Polynomial(ring, b)
+        want = byte_rounds(byte_product(byte_rounds(a, n, vandermonde_rows(2)),
+                                        byte_rounds(b, n, vandermonde_rows(2))),
+                           n, lagrange_rows(2))
+        check_bit_store(f * g, want)
+        check_bit_store(g * f, want)
+        check_bit_store(f ** 0, b"\1" + bytes(2 ** n - 1))
+        for e in (1, 2, 5):
+            check_bit_store(f ** e, a)
+        if n <= 6:
+            sparse = ring.from_coeffs(a[:3] + bytes(2 ** n - len(a[:3])))
+            assert f * sparse == pair_loop_mul(f, sparse)
+            assert f * g == pair_loop_mul(f, g)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_compose(self, n):
+        rng = random.Random(f"bit compose {n}")
+        f = PolyRing(2, n).from_coeffs(random_bits(rng, 2 ** n))
+        target = PolyRing(2, rng.randint(1, n))
+        subs = [target.from_coeffs(random_bits(rng, target.size)) for _ in range(n)]
+        index = [sum(v << i for i, v in enumerate(point))
+                 for point in zip(*(byte_rounds(s.coeffs, target.n, vandermonde_rows(2))
+                                    for s in subs))]
+        values = byte_rounds(f.coeffs, n, vandermonde_rows(2))
+        check_bit_store(f.compose(subs), byte_rounds(bytes(values[i] for i in index),
+                                                     target.n, lagrange_rows(2)))
+        if n <= 4:
+            assert f.compose(subs) == power_table_compose(f, subs)
+
+
+#: Every p = 2 verify_grid entry, then the dense-p2 benchmark cases.
+P2_CASES = list(dict.fromkeys(
+    [(name, p, n, r) for name, entry in CATALOG.items() for p, n, r in entry.verify_grid
+     if p == 2] + [case for case in DENSE_CASES if case[1] == 2]))
+
+
+class TestBitStoreOnTheCatalog:
+    @pytest.mark.parametrize("name,p,n,r", P2_CASES)
+    def test_closed_forms_match_byte_interpolation(self, name, p, n, r):
+        spec = CATALOG[name].spec_of(p, n, r)
+        f = build_formula(name, p, n, r)
+        want = byte_rounds(tabulate(spec).values, spec.arity, delta_basis_rows(2))
+        assert type(f.coeffs) is bytes and f.coeffs == want
+
+    @pytest.mark.parametrize("name,p,n,r", [case for case in P2_CASES if case[2] >= 4][::5]
+                             + [case for case in DENSE_CASES if case[1] == 2])
+    def test_mismatch_matches_byte_scan(self, name, p, n, r):
+        spec = CATALOG[name].spec_of(p, n, r)
+        coeffs = build_formula(name, p, n, r).coeffs
+        size = len(coeffs)
+        for bit in (0, size // 2 + 3, size - 1):
+            broken = bytearray(coeffs)
+            broken[bit] ^= 1
+            candidate = PolyRing(2, spec.arity).from_coeffs(broken)
+            report = verify_formula(name, p, n, r, candidate=candidate)
+            assert report["status"] == "mismatch" and not report["coefficient_match"]
+            point, expected, got = byte_scan(candidate, spec)
+            assert (report["mismatch_point"], report["expected"], report["got"]) == (
+                point, expected, got), bit
+
+    @pytest.mark.parametrize("name,p,n,r", [("max2", 2, 12, 0), ("argmax2", 2, 12, 1)])
+    def test_verify_converts_only_the_truth_table(self, name, p, n, r, monkeypatch):
+        """The closed form and the comparisons stay words: one full-size
+        conversion to bits (the truth table's) and none back."""
+        sizes = []
+        for fn in ("_to_bits", "_from_bits"):
+            original = getattr(polyring, fn)
+
+            def recorded(*args, fn=fn, original=original):
+                sizes.append((fn, len(args[0]) if fn == "_to_bits" else args[1]))
+                return original(*args)
+
+            monkeypatch.setattr(polyring, fn, recorded)
+        report = verify_formula(name, p, n, r)
+        assert report["status"] == "pass"
+        assert [s for s in sizes if s[1] == 2 ** n] == [("_to_bits", 2 ** n)]

@@ -59,6 +59,26 @@ class TestConstructors:
         assert ring.from_coeffs(b"\0\1\2") == ring.from_coeffs((0, 1, 2))
         assert PolyRing(131, 1).from_coeffs(bytes(131)).coeffs == (0,) * 131
 
+    def test_public_constructor_validates(self):
+        # A table that is not canonical is refused, naming the entry, before
+        # it can be stored (at p = 2 as a word of bits).
+        cases = [(PolyRing(3, 1), [5, 0, 0], r"field element 5 out of range \[0, 3\)"),
+                 (PolyRing(2, 1), [2, 0], r"field element 2 out of range \[0, 2\)"),
+                 (PolyRing(3, 1), [-1, 0, 0], r"field element -1 out of range \[0, 3\)"),
+                 (PolyRing(2, 2), b"\0\1\0\x30", r"field element 48 out of range \[0, 2\)"),
+                 (PolyRing(2, 1), [0, True], "must be an int, got True"),
+                 (PolyRing(2, 1), [0, 1, 0], "length does not match the ring")]
+        for ring, coeffs, message in cases:
+            with pytest.raises(ValueError, match=message):
+                Polynomial(ring, coeffs)
+        for p, n in ((2, 3), (3, 2), (131, 1)):
+            ring = PolyRing(p, n)
+            table = [(7 * i + 3) % p for i in range(ring.size)]
+            f = Polynomial(ring, table)
+            assert f == ring.from_coeffs(table) == Polynomial(ring, iter(table))
+            assert list(f.coeffs) == table and list(f.values()) == list(
+                ring.from_coeffs(table).values())
+
     def test_size_guard(self):
         with pytest.raises(SizeGuardError):
             PolyRing(2, 25)  # 2^25 > 2^24 default cap
