@@ -27,8 +27,8 @@ form chosen by p alone: an int of p^n bits for p = 2, ``bytes`` of p^n
 residues for 2 < p < 16 (each binary gate is one ``bytes.translate`` of the
 lane pair codes a*p + b, which fit in a byte as p^2 <= 256), and a list of
 p^n ints for p >= 16.  The p = 2 bit packing is ``polyring``'s, the one the
-p = 2 axis transforms use: input i's wire is the mask of the points with
-bit i of their index set, and the output is unpacked to ``bytes``.
+p = 2 axis transforms use: input i's wire is an axis mask shifted up, and
+the output is unpacked to ``bytes``.  Other inputs are digit planes.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from operator import add, and_, mul, sub, xor
 from typing import Sequence
 
 from .ff import PrimeField
-from .polyring import (DEFAULT_MAX_TABLE_SIZE, Polynomial, SizeGuardError, _bit_mask,
-                       _from_bits, _pack, _scale_table, bounded_power)
+from .polyring import (DEFAULT_MAX_TABLE_SIZE, Polynomial, SizeGuardError, _axis_masks,
+                       _digit_plane, _from_bits, _pack, _scale_table, bounded_power)
 
 STRATEGIES = ("naive_monomial", "nested_horner")
 
@@ -389,16 +389,16 @@ class _SharingBuilder(CircuitBuilder):
     """A builder that emits each distinct gate once, and counts the
     compound gates that ``CircuitBuilder`` would emit for the same calls.
 
-    ``_emit`` hash-conses every gate under the key of
-    ``eliminate_common_subexpressions`` (``mul`` and ``add`` operands
-    sorted, ``sub`` and ``scale`` as they are), so a lowering run on this
-    builder gives, gate for gate, the CSE'd circuit of the same lowering
-    run on ``CircuitBuilder``.  ``counts`` tallies every mul, add, sub and
-    scale emission, shared or not: these are the compound gates of that
-    unshared circuit, all of them live (only folded leaf consts die).
-    ``power`` and the nested Horner slices (``_lower_block``) are memoised
-    with the counts their first call emitted, so a repeat costs one lookup
-    and still counts in full.  Memory stays O(shared gates) plus one key
+    ``_emit`` hash-conses every gate under CSE's key (``mul`` and ``add``
+    operands sorted, ``sub`` and ``scale`` as they are; CSE replays gates
+    through it), so a lowering run on this builder gives, gate for gate,
+    the CSE'd circuit of the same lowering run on ``CircuitBuilder``.
+    ``counts`` tallies every mul, add, sub and scale emission, shared or
+    not: these are the compound gates of that unshared circuit, all of
+    them live (only folded leaf consts die).  ``power`` and the nested
+    Horner slices (``_lower_block``) are memoised with the counts their
+    first call emitted, so a repeat costs one lookup and still counts in
+    full.  Memory stays O(shared gates) plus one key
     per distinct slice.
     """
 
@@ -529,25 +529,20 @@ def _lower_shared(f: Polynomial, strategy: str) -> tuple[Circuit, tuple[int, int
 def eliminate_common_subexpressions(circuit: Circuit) -> Circuit:
     """Merge structurally identical gates (commutative operands sorted).
 
-    Value-numbering in one forward pass; the result computes the same
+    Value-numbering in one forward pass: each gate, renumbered, is replayed
+    through ``_SharingBuilder._emit``.  The result computes the same
     function with never more gates, and applying it twice changes nothing.
     """
-    seen: dict[tuple, int] = {}
+    b = _SharingBuilder(circuit.p, circuit.n_inputs)
     remap: list[int] = []
     for gate in circuit.gates:
         op = gate[0]
-        if op == "mul" or op == "add":
-            a, c = remap[gate[1]], remap[gate[2]]
-            key = (op, a, c) if a <= c else (op, c, a)
-        elif op == "sub":
-            key = (op, remap[gate[1]], remap[gate[2]])
+        if op == "mul" or op == "add" or op == "sub":
+            gate = (op, remap[gate[1]], remap[gate[2]])
         elif op == "scale":
-            key = (op, gate[1], remap[gate[2]])
-        else:
-            key = gate
-        # A new key gets the next index, so ``seen`` lists the kept gates in order.
-        remap.append(seen.setdefault(key, len(seen)))
-    return Circuit(circuit.p, circuit.n_inputs, tuple(seen), remap[circuit.output])
+            gate = (op, gate[1], remap[gate[2]])
+        remap.append(b._emit(gate))
+    return Circuit(circuit.p, circuit.n_inputs, tuple(b._gates), remap[circuit.output])
 
 
 def cost(circuit: Circuit) -> CostReport:
@@ -628,32 +623,38 @@ def _pair_table(p: int, op: str) -> bytes:
     return bytes([fn(a, b) % p for a in range(p) for b in range(p)] + [0] * (256 - p * p))
 
 
+def _input_wires(p: int, n: int, size: int, wanted):
+    """``(i, wire)`` for each input i in ``wanted``: x_i at all p^n points.
+
+    At p = 2 the axis mask of i (from one sweep of ``_axis_masks``) shifted
+    up by 2^i; otherwise ``_digit_plane``, as a list for p >= 16.
+    """
+    if p == 2:
+        for i, mask in zip(range(n - 1, -1, -1), _axis_masks(n)):
+            if i in wanted:
+                yield i, mask << (1 << i)
+        return
+    for i in wanted:
+        plane = _digit_plane(p, size, p ** i)
+        yield i, plane if p < 16 else list(plane)
+
+
 def _wire_form(p: int, size: int):
     """The gate kernels of ``run_all``'s wire form for p, at ``size`` points.
 
-    Returns ``(source, const, scale, binary, unpack)``: ``source(i)`` and
-    ``const(c)`` make the wires of input i and of a constant,
-    ``scale(c, w)`` and ``binary[op](w, v)`` apply a gate, and
-    ``unpack(w)`` gives a sequence of ints.  On byte lanes a binary gate
+    Returns ``(const, scale, binary, unpack)``: ``const(c)`` makes the wire
+    of a constant, ``scale(c, w)`` and ``binary[op](w, v)`` apply a gate,
+    and ``unpack(w)`` gives a sequence of ints.  On byte lanes a binary gate
     forms W*p + V of the two wires read as little-endian ints; each lane
     then holds a*p + b <= p^2 - 1 < 256, so no lane carries into the next.
     """
     if p == 2:
         full = (1 << size) - 1
-        return (lambda i: _bit_mask(size, i) << (1 << i), lambda c: full if c else 0,
-                lambda c, w: w if c else 0, {"add": xor, "sub": xor, "mul": and_},
-                lambda w: _from_bits(w, size))
-
-    def period(i):
-        """Input i's values over one period of p^(i+1) points."""
-        return [v for v in range(p) for _ in range(p ** i)]
+        return (lambda c: full if c else 0, lambda c, w: w if c else 0,
+                {"add": xor, "sub": xor, "mul": and_}, lambda w: _from_bits(w, size))
 
     if p < 16:
         from_bytes = int.from_bytes
-
-        def source(i):
-            digits = period(i)
-            return bytes(digits) * (size // len(digits))
 
         def pair(op):
             table = _pair_table(p, op)
@@ -663,15 +664,10 @@ def _wire_form(p: int, size: int):
                 return code.to_bytes(size, "little").translate(table)
             return gate
 
-        return (source, lambda c: bytes((c,)) * size,
-                lambda c, w: w.translate(_scale_table(p, c)),
+        return (lambda c: bytes((c,)) * size, lambda c, w: w.translate(_scale_table(p, c)),
                 {op: pair(op) for op in ("add", "sub", "mul")}, lambda w: w)
 
-    def source(i):
-        digits = period(i)
-        return digits * (size // len(digits))
-
-    return (source, lambda c: [c] * size, lambda c, w: [(c * x) % p for x in w],
+    return (lambda c: [c] * size, lambda c, w: [(c * x) % p for x in w],
             {"add": lambda w, v: [(x + y) % p for x, y in zip(w, v)],
              "sub": lambda w, v: [(x - y) % p for x, y in zip(w, v)],
              "mul": lambda w, v: [(x * y) % p for x, y in zip(w, v)]}, lambda w: w)
@@ -683,16 +679,16 @@ def run_all(circuit: Circuit) -> Sequence[int]:
     Gate semantics are identical to :func:`run`; the whole domain is just
     carried through each gate at once, in a wire form chosen by p alone
     (``_wire_form``): one big int of p^n bits for p = 2 (add is xor, mul is
-    and; the bit packing is shared with ``polyring``: input i's wire is
-    ``polyring._bit_mask`` shifted by 2^i, built from byte patterns in
-    linear time, and ``polyring._from_bits`` unpacks the output), which
-    keeps exhaustive checks near the table cap quick; ``bytes`` of p^n
-    residues for 2 < p < 16, where a gate is one big-int pair code a*p + b
-    (bounded by p^2 <= 256) and one ``bytes.translate``; a list of p^n ints
-    for p >= 16.  Each wire's values are dropped right after the last gate
-    that reads them, so only live wires are held, p^n bytes each for
-    2 < p < 16.  Raises ``SizeGuardError`` before allocating anything when
-    p^n exceeds the default table cap.
+    and; the bit packing is shared with ``polyring``, whose ``_from_bits``
+    unpacks the output), which keeps exhaustive checks near the table cap
+    quick; ``bytes`` of p^n residues for 2 < p < 16, where a gate is one
+    big-int pair code a*p + b (bounded by p^2 <= 256) and one
+    ``bytes.translate``; a list of p^n ints for p >= 16.  The input wires
+    the circuit reads are made first (``_input_wires``); each wire's values
+    are dropped right after the last gate that reads them, so only live
+    wires are held, p^n bytes each for 2 < p < 16.  Raises
+    ``SizeGuardError`` before allocating anything when p^n exceeds the
+    default table cap.
     """
     p, n = circuit.p, circuit.n_inputs
     size = bounded_power(p, n, DEFAULT_MAX_TABLE_SIZE)
@@ -702,12 +698,18 @@ def run_all(circuit: Circuit) -> Sequence[int]:
             f"{DEFAULT_MAX_TABLE_SIZE} entries")
     last = _last_uses(circuit)
     gates = circuit.gates
-    source, const, scale, binary, unpack = _wire_form(p, size)
+    const, scale, binary, unpack = _wire_form(p, size)
     wires: list = [None] * len(gates)
+    readers: dict[int, list[int]] = {}  # input index -> its input gates
+    for idx, gate in enumerate(gates):
+        if gate[0] == "input":
+            readers.setdefault(gate[1], []).append(idx)
+    for i, wire in _input_wires(p, n, size, readers):
+        for idx in readers[i]:
+            wires[idx] = wire
     for idx, gate in enumerate(gates):
         op = gate[0]
         if op == "input":
-            wires[idx] = source(gate[1])
             continue
         if op == "const":
             wires[idx] = const(gate[1])

@@ -46,10 +46,11 @@ factors' coefficient rows) call them on the stored tables.
 Axis transforms (``apply_axis_transform``, behind ``values()``,
 ``oracle.interpolate`` and the value-table operations) take one of two
 paths, picked from p alone.  At p = 2 each axis is one masked shift-and-xor
-step on the word; the masks (``_bit_mask``) and the packing to and from
-bits are shared with ``circuit.run_all``'s p = 2 wires.  For every other p,
-``_round`` is the one slice-rotation round: ``_combine`` on bytes, one dot
-product per fiber on tuples.
+step on the word; the masks (``_axis_masks``, each made from the last) and
+the packing to and from bits are shared with ``circuit.run_all``'s p = 2
+wires.  For every other p, ``_round`` is the one slice-rotation round:
+``_combine`` on bytes, one dot product per fiber on tuples.  ``eval`` runs
+one ``_combine`` per variable.
 
 A canonical polynomial is its function, so the nonlinear operations run on
 value tables: ``*`` multiplies the operands' values pointwise (an ``&`` of
@@ -58,7 +59,7 @@ reads this polynomial's values at the points its substituents give.
 ``lagrange_rows``, the inverse of ``vandermonde_rows``, then turns the
 values back into coefficients with one more axis transform.
 Exponents for ``support`` are read from per-axis digit planes
-(``PolyRing.digit_planes``), n * p^n bytes in all, built on first use.
+(``_digit_plane``, also ``run_all``'s p >= 3 inputs), built on first use.
 """
 
 from __future__ import annotations
@@ -249,22 +250,31 @@ def _from_bits(w: int, size: int) -> bytes:
     return format(w, "b").zfill(size)[::-1].encode().translate(_BITS)
 
 
-def _bit_mask(size: int, i: int) -> int:
-    """The bits j < size with bit i of j clear, for 2^(i+1) <= size.
-
-    From the least significant bit up, runs of s = 2^i ones and s zeros,
-    read from a repeated byte pattern: 0x55, 0x33 or 0x0f for s < 8, else
-    s/8 bytes of 0xff and s/8 of 0x00.  No big-int division, which would
-    be quadratic.
+def _axis_masks(n: int):
+    """For i = n-1 down to 0, the mask m_i of the bits j < 2^n with bit i
+    of j clear: first the low half of the word, then by halving the runs,
+    m_(i-1) = m_i ^ (m_i << 2^(i-1)).  O(n * 2^n) bit operations in all.
     """
-    s = 1 << i
-    if s >= 8:
-        pattern = b"\xff" * (s // 8) + bytes(s // 8)
+    if n:
+        mask = (1 << (1 << (n - 1))) - 1
+        yield mask
+        for i in range(n - 1, 0, -1):
+            mask ^= mask << (1 << (i - 1))
+            yield mask
+
+
+def _digit_plane(p: int, size: int, stride: int) -> Sequence[int]:
+    """Digit ``log_p(stride)`` of every index below ``size``: a run of each
+    digit, ``stride`` long, repeated.  ``bytes`` when p <= 256, else an
+    ``array('H')``, as a digit then does not fit a byte.
+    """
+    if p <= 256:
+        run = b"".join(bytes((d,)) * stride for d in range(p))
     else:
-        pattern = (b"\x55", b"\x33", b"\x0f")[i]
-        if size < 8:
-            return pattern[0] & ((1 << size) - 1)
-    return int.from_bytes(pattern * (size // (8 * len(pattern))), "little")
+        from array import array  # only here: the import costs set-up time
+
+        run = array("H", [d for d in range(p) for _ in range(stride)])
+    return run * (size // (stride * p))
 
 
 def apply_axis_transform(table, p: int, n: int, matrix):
@@ -280,10 +290,11 @@ def apply_axis_transform(table, p: int, n: int, matrix):
     For p = 2 the table is read as one int of bits (a sequence through
     ``_to_bits``), and axis i (stride s = 2^i) is one shift-and-xor step on
     it.  With the matrix [[a, b], [c, d]] reduced mod 2 and m the bits
-    whose index has bit i clear (``_bit_mask``, made per axis and dropped), lo = w & m and
-    hi = (w >> s) & m are the two halves of every fiber, and the new word
-    is (a*lo ^ b*hi) | (c*lo ^ d*hi) << s.  With ``vandermonde_rows(2)``
-    this is the binary Möbius transform.  Cost O(n * 2^n) bit operations.
+    whose index has bit i clear, lo = w & m and hi = (w >> s) & m are the
+    two halves of every fiber, and the new word is
+    (a*lo ^ b*hi) | (c*lo ^ d*hi) << s.  The axes commute, so they run from
+    the top, in ``_axis_masks``' order.  With ``vandermonde_rows(2)`` this
+    is the binary Möbius transform.  Cost O(n * 2^n) bit operations.
 
     Every other p runs n rounds of ``_round`` on the stored form, so a
     stored table goes in without a copy.  Each round transforms axis 0 and
@@ -293,15 +304,13 @@ def apply_axis_transform(table, p: int, n: int, matrix):
     if p == 2:
         (a, b), (c, d) = matrix
         a, b, c, d = a % 2, b % 2, c % 2, d % 2
-        size = 1 << n
         w = table if type(table) is int else _to_bits(_pack(table, 2))
-        for i in range(n):
+        for i, mask in zip(range(n - 1, -1, -1), _axis_masks(n)):
             s = 1 << i
-            mask = _bit_mask(size, i)
             lo, hi = w & mask, (w >> s) & mask
             # x and y is 0 * y or 1 * y here, without copying y.
             w = ((a and lo) ^ (b and hi)) | (((c and lo) ^ (d and hi)) << s)
-        return w if type(table) is int else _from_bits(w, size)
+        return w if type(table) is int else _from_bits(w, 1 << n)
     data = _pack(table, p)
     for _axis in range(n):
         data = _round(data, p, matrix)
@@ -358,25 +367,10 @@ class PolyRing:
     def digit_planes(self) -> tuple[Sequence[int], ...]:
         """Plane i holds digit i (the exponent of x_i) of every table index.
 
-        Built once on first use: one ``bytes`` plane per axis, n * p^n
-        bytes in all, or an ``array('H')`` when p > 256 and a digit does
-        not fit a byte.  Each plane is one run of every digit, p^i entries
-        long apiece, repeated up to the table size.
+        Built once on first use by ``_digit_plane``, n * p^n entries in all.
         """
         if self._planes is None:
-            p, size = self.p, self.size
-            planes = []
-            for s in self.strides:
-                if p <= 256:
-                    run = b"".join(bytes((d,)) * s for d in range(p))
-                else:
-                    from array import array  # only here: the import costs set-up time
-
-                    run = array("H")
-                    for d in range(p):
-                        run += array("H", (d,)) * s
-                planes.append(run * (size // (s * p)))
-            self._planes = tuple(planes)
+            self._planes = tuple(_digit_plane(self.p, self.size, s) for s in self.strides)
         return self._planes
 
     def index_of(self, exps: Sequence[int]) -> int:
@@ -510,13 +504,8 @@ class PolyRing:
                             for subset in combinations(range(self.n), i))
 
     def from_coeffs(self, coeffs: Iterable[int]) -> "Polynomial":
-        """Validated construction from a full canonical coefficient table."""
-        table = list(coeffs)
-        if len(table) != self.size:
-            raise ValueError(
-                f"coefficient table must have p^n = {self.size} entries, "
-                f"got {len(table)}")
-        return _polynomial(self, _store(_checked(table, self.p), self.p))
+        """``Polynomial(self, coeffs)``: checked construction from a full table."""
+        return Polynomial(self, coeffs)
 
     def embed(self, f: "Polynomial") -> "Polynomial":
         """Reinterpret a polynomial on fewer variables inside this ring.
@@ -552,16 +541,18 @@ class Polynomial:
     ``scale`` is the identity or zero, ``==``, ``hash`` and ``bool`` read
     the int, and ``coeffs`` is decoded on first use and kept.
 
-    The constructor checks every entry, as ``PolyRing.from_coeffs`` does;
-    the library's own results take the unchecked ``_polynomial``.
+    The constructor (also ``PolyRing.from_coeffs``) checks the length, then
+    every entry; the library's own results take the unchecked ``_polynomial``.
     """
 
     __slots__ = ("ring", "_stored", "_coeffs")
 
-    def __init__(self, ring: PolyRing, coeffs: Sequence[int]):
-        table = _checked(coeffs if type(coeffs) is bytes else list(coeffs), ring.p)
+    def __init__(self, ring: PolyRing, coeffs: Iterable[int]):
+        table = coeffs if type(coeffs) is bytes else list(coeffs)
         if len(table) != ring.size:
-            raise ValueError("coefficient table length does not match the ring")
+            raise ValueError(f"coefficient table length does not match the ring: "
+                             f"p^n = {ring.size} entries, got {len(table)}")
+        table = _checked(table, ring.p)
         self.ring = ring
         self._stored = _store(table, ring.p)
         self._coeffs = table
@@ -685,23 +676,25 @@ class Polynomial:
     # -- evaluation ---------------------------------------------------------
 
     def eval(self, point: Sequence[int]) -> int:
-        """Value at one point, by iterated Horner over the variables."""
+        """Value at one point, read from the stored table.
+
+        For each variable x_i from the last, the p blocks along it (the
+        low and high half of the word at p = 2) are summed by ``_combine``,
+        weighted by x_i^0, ..., x_i^(p-1), leaving a table without x_i.
+        """
         ring = self.ring
         p = ring.p
         if len(point) != ring.n:
             raise ValueError(f"expected a point of arity {ring.n}, got {len(point)}")
         for v in point:
             ring.field.check(v)
-        table: Sequence[int] = self.coeffs
+        table = self._stored
         for i in range(ring.n - 1, -1, -1):
-            s = ring.strides[i]
-            x = point[i]
-            acc = list(table[(p - 1) * s: p * s])
-            for e in range(p - 2, -1, -1):
-                block = table[e * s: (e + 1) * s]
-                acc = [(v * x + b) % p for v, b in zip(acc, block)]
-            table = acc
-        return table[0]
+            s, x = ring.strides[i], point[i]
+            blocks = ([table & ((1 << s) - 1), table >> s] if p == 2
+                      else [table[e * s:(e + 1) * s] for e in range(p)])
+            table = _combine(p, [pow(x, e, p) for e in range(p)], blocks)
+        return table if p == 2 else table[0]
 
     def values(self) -> Sequence[int]:
         """Values at every point of F_p^n in mixed-radix order, packed like ``coeffs``.

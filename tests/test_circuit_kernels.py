@@ -17,8 +17,9 @@ plain and the CSE'd circuits; every lowered circuit must agree with
 ``Polynomial.eval`` and ``values()``;
 and ``run_all`` must return the list loop's values, in the stored form
 (``polyring._pack``), on random circuits, the catalog grids and the
-benchmark's circuit cases.  At p = 2 each input wire must be bit i of the
-point index, up to 2^17 points.
+benchmark's circuit cases.  Each input wire must be digit i of the point
+index, as ``point_at`` decodes it: at p = 2 up to 2^17 points, and at
+p = 3, 5, 13, 17 and 131.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -508,6 +509,13 @@ EDGE_CIRCUITS = (
 )
 
 
+#: Input wires at p = 2 up to 2^17 points, on byte lanes, on lists and past
+#: p = 128, where values are tuples.
+INPUT_WIRE_RINGS = ([(2, n) for n in range(1, 18)] + [(3, n) for n in range(1, 10)]
+                    + [(5, n) for n in range(1, 7)] + [(13, n) for n in range(1, 5)]
+                    + [(17, n) for n in range(1, 4)] + [(131, 1), (131, 2)])
+
+
 class TestRunAllAgainstReference:
     def test_catalog_grids_on_byte_lanes(self):
         for name, entry in sorted(CATALOG.items()):
@@ -537,10 +545,12 @@ class TestRunAllAgainstReference:
                                       for idx in range(circ.p ** circ.n_inputs))
         assert all(type(v) is int for v in values)
 
-    @pytest.mark.parametrize("n", range(1, 18))
-    def test_p2_input_wires_are_the_index_bits(self, n):
-        # Built from polyring's bit masks; each must be bit i of the point index.
-        size = 2 ** n
+    @pytest.mark.parametrize("p,n", INPUT_WIRE_RINGS,
+                             ids=[str(n) if p == 2 else f"{p}^{n}" for p, n in INPUT_WIRE_RINGS])
+    def test_p2_input_wires_are_the_index_bits(self, p, n):
+        # Built from polyring's axis masks at p = 2 and its digit planes
+        # otherwise; each must be digit i of the point index.
+        points = [point_at(p, n, k) for k in range(p ** n)]
         for i in range(n):
-            got = run_all(Circuit(2, n, (("input", i),), 0))
-            assert got == bytes(k >> i & 1 for k in range(size)), i
+            got = run_all(Circuit(p, n, (("input", i),), 0))
+            assert got == _pack([point[i] for point in points], p), i

@@ -18,7 +18,10 @@ chained ``_round`` calls, for every 2x2 matrix up to 2^20 entries.  There
 polynomials store their tables as one int of bits too, so every ring
 operation, ``values``, ``interpolate``, ``==``, ``hash`` and ``verify``'s
 first mismatch are checked against byte tables (the byte ``train`` and
-``+``, kept below, and chained byte ``_round``s) for n = 1 to 20.
+``+``, kept below, and chained byte ``_round``s) for n = 1 to 20.  The
+p = 2 axis masks are checked against masks read from repeated byte
+patterns for n = 0 to 20, and ``eval`` against the list Horner loop over
+the decoded coefficients, at p = 2, 3, 5, 7, 131 and 257.
 """
 
 import itertools
@@ -26,6 +29,7 @@ from itertools import compress
 import operator
 import random
 import sys
+from types import GeneratorType
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -237,17 +241,43 @@ class TestAxisTransformAcrossTheCrossover:
                       "random": random_matrix(rng, p)}[which]
         expected = list(values)
         reference_axis_transform(expected, p, n, matrix)
-        # p = 2 runs on one int of bits, one mask per axis; every other p
-        # runs one ``_round`` per axis on the stored form.
-        rounds = record_calls(monkeypatch, "_bit_mask" if p == 2 else "_round")
+        # p = 2 runs on one int of bits, its masks from one ``_axis_masks``
+        # sweep per transform; every other p runs one ``_round`` per axis
+        # on the stored form.
+        rounds = record_calls(monkeypatch, "_axis_masks" if p == 2 else "_round")
         got = apply_axis_transform(values, p, n, matrix)
         assert list(got) == expected
-        assert rounds == [int if p == 2 else packed_form(p)] * n
+        assert rounds == ([GeneratorType] if p == 2 else [packed_form(p)] * n)
 
 
 #: Every 2x2 matrix over F_2, then matrices with unreduced and negative entries.
 BIT_MATRICES = [((a, b), (c, d)) for a, b, c, d in itertools.product(range(2), repeat=4)] + [
     ((3, -1), (-2, 5)), ((-4, 7), (9, -9)), ((2, -2), (-3, 4))]
+
+
+def reference_bit_mask(size, i):
+    """The bits j < size with bit i of j clear, for 2^(i+1) <= size.
+
+    From the least significant bit up, runs of s = 2^i ones and s zeros,
+    read from a repeated byte pattern: 0x55, 0x33 or 0x0f for s < 8, else
+    s/8 bytes of 0xff and s/8 of 0x00.
+    """
+    s = 1 << i
+    if s >= 8:
+        pattern = b"\xff" * (s // 8) + bytes(s // 8)
+    else:
+        pattern = (b"\x55", b"\x33", b"\x0f")[i]
+        if size < 8:
+            return pattern[0] & ((1 << size) - 1)
+    return int.from_bytes(pattern * (size // (8 * len(pattern))), "little")
+
+
+class TestAxisMasks:
+    def test_match_byte_pattern_masks(self):
+        # From the top axis down, each mask made from the one before.
+        for n in range(21):
+            expected = [reference_bit_mask(2 ** n, i) for i in range(n - 1, -1, -1)]
+            assert list(polyring._axis_masks(n)) == expected, n
 
 
 class TestBitPlaneTransform:
@@ -398,6 +428,47 @@ class TestDenseAddSubScale:
             for c in (2, p - 1, p + 3, -2):
                 assert f.scale(c) == Polynomial(ring, [(x * c) % p for x in a])
         assert combined and set(combined) == {int if p == 2 else packed_form(p)}
+
+
+def reference_eval(f, point):
+    """Iterated Horner over the variables on lists, from the last variable."""
+    ring = f.ring
+    p = ring.p
+    table = f.coeffs
+    for i in range(ring.n - 1, -1, -1):
+        s = ring.strides[i]
+        x = point[i]
+        acc = list(table[(p - 1) * s: p * s])
+        for e in range(p - 2, -1, -1):
+            block = table[e * s: (e + 1) * s]
+            acc = [(v * x + b) % p for v, b in zip(acc, block)]
+        table = acc
+    return table[0]
+
+
+#: Rings for ``eval``: n = 1 for each modulus, byte lanes, p = 2 words up
+#: to 2^17 and tuples at p = 131 and 257.
+EVAL_RINGS = [(2, 1), (2, 2), (2, 9), (2, 17), (3, 1), (3, 5), (3, 9), (5, 1), (5, 5),
+              (7, 1), (7, 4), (131, 1), (131, 2), (257, 1), (257, 2)]
+
+
+class TestEval:
+    @pytest.mark.parametrize("p,n", EVAL_RINGS)
+    def test_matches_list_horner(self, p, n, monkeypatch):
+        rng = random.Random(f"eval/{p}/{n}")
+        ring = PolyRing(p, n)
+        dense = ring.from_coeffs([rng.randrange(p) for _ in range(ring.size)])
+        sparse = ring.from_coeffs([rng.randrange(1, p) if rng.random() < 0.05 else 0
+                                   for _ in range(ring.size)])
+        polys = [dense, sparse, ring.zero(), ring.one(), ring.constant(p - 1),
+                 dense + sparse]
+        points = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(12)]
+        points += [(0,) * n, (p - 1,) * n]
+        decoded = record_calls(monkeypatch, "_from_bits")
+        got = [[f.eval(point) for point in points] for f in polys]
+        # Read from the stored table: a p = 2 word is never decoded.
+        assert decoded == []
+        assert got == [[reference_eval(f, point) for point in points] for f in polys]
 
 
 class TestDigitPlanes:
