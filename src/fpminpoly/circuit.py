@@ -389,16 +389,16 @@ class _SharingBuilder(CircuitBuilder):
     """A builder that emits each distinct gate once, and counts the
     compound gates that ``CircuitBuilder`` would emit for the same calls.
 
-    ``_emit`` hash-conses every gate under CSE's key (``mul`` and ``add``
-    operands sorted, ``sub`` and ``scale`` as they are; CSE replays gates
-    through it), so a lowering run on this builder gives, gate for gate,
-    the CSE'd circuit of the same lowering run on ``CircuitBuilder``.
-    ``counts`` tallies every mul, add, sub and scale emission, shared or
-    not: these are the compound gates of that unshared circuit, all of
-    them live (only folded leaf consts die).  ``power`` and the nested
-    Horner slices (``_lower_block``) are memoised with the counts their
-    first call emitted, so a repeat costs one lookup and still counts in
-    full.  Memory stays O(shared gates) plus one key
+    ``_emit`` counts each gate, then ``_share`` hash-conses it under CSE's
+    key (``mul`` and ``add`` operands sorted, ``sub`` and ``scale`` as they
+    are; CSE replays gates through ``_share`` alone), so a lowering run on
+    this builder gives, gate for gate, the CSE'd circuit of the same
+    lowering run on ``CircuitBuilder``.  ``counts`` tallies every mul, add,
+    sub and scale emission, shared or not: these are the compound gates of
+    that unshared circuit, all of them live (only folded leaf consts die).
+    ``power`` and the nested Horner slices (``_lower_block``) are memoised
+    with the counts their first call emitted, so a repeat costs one lookup
+    and still counts in full.  Memory stays O(shared gates) plus one key
     per distinct slice.
     """
 
@@ -413,11 +413,18 @@ class _SharingBuilder(CircuitBuilder):
         op = gate[0]
         if op in self.counts:
             self.counts[op] += 1
-            if (op == "mul" or op == "add") and gate[1] > gate[2]:
-                gate = (op, gate[2], gate[1])
+        return self._share(gate, const_value)
+
+    def _share(self, gate: tuple, const_value: int | None = None) -> int:
+        """The wire of ``gate`` under CSE's key, appended the first time."""
+        op = gate[0]
+        if (op == "mul" or op == "add") and gate[1] > gate[2]:
+            gate = (op, gate[2], gate[1])
         ref = self._refs.get(gate)
         if ref is None:
-            ref = self._refs[gate] = super()._emit(gate, const_value)
+            ref = self._refs[gate] = len(self._gates)
+            self._gates.append(gate)
+            self._const_of.append(const_value)
         return ref
 
     def _memoised(self, memo: dict, key: tuple, build, *args) -> int:
@@ -530,10 +537,12 @@ def eliminate_common_subexpressions(circuit: Circuit) -> Circuit:
     """Merge structurally identical gates (commutative operands sorted).
 
     Value-numbering in one forward pass: each gate, renumbered, is replayed
-    through ``_SharingBuilder._emit``.  The result computes the same
-    function with never more gates, and applying it twice changes nothing.
+    through ``_SharingBuilder._share``, with no op counts.  The result
+    computes the same function with never more gates, and applying it twice
+    changes nothing.
     """
     b = _SharingBuilder(circuit.p, circuit.n_inputs)
+    share = b._share
     remap: list[int] = []
     for gate in circuit.gates:
         op = gate[0]
@@ -541,7 +550,7 @@ def eliminate_common_subexpressions(circuit: Circuit) -> Circuit:
             gate = (op, remap[gate[1]], remap[gate[2]])
         elif op == "scale":
             gate = (op, gate[1], remap[gate[2]])
-        remap.append(b._emit(gate))
+        remap.append(share(gate))
     return Circuit(circuit.p, circuit.n_inputs, tuple(b._gates), remap[circuit.output])
 
 

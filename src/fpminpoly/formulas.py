@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 
 from .oracle import FunctionSpec, interpolate, point_at, tabulate
 from .polyring import (DEFAULT_MAX_TABLE_SIZE, Polynomial, PolyRing,
-                       RingMismatchError, _transformed, bounded_power,
+                       RingMismatchError, _stored_entry, _transformed, bounded_power,
                        first_mismatch, lagrange_rows)
 
 
@@ -780,9 +780,11 @@ def verify_formula(name: str, p: int | None = None, n: int | None = None,
         raise FormulaParamError(
             f"candidate polynomial lives in {poly.ring}, "
             f"but {name} needs {reference.ring}")
-    # Both value tables in stored form: words at p = 2, so the truth table
-    # is converted once, when it is made, and the closed form never.
-    mismatch = first_mismatch(poly._values(), table._stored)
+    # Both value tables in stored form: words at p = 2 and planes at p = 3,
+    # so the truth table is converted once, when it is made, and the closed
+    # form never.  A mismatching entry is read from the compared table.
+    values = poly._values()
+    mismatch = first_mismatch(values, table._stored)
     report = {
         "formula": name,
         "p": p,
@@ -795,7 +797,7 @@ def verify_formula(name: str, p: int | None = None, n: int | None = None,
     if mismatch is not None:
         report["mismatch_point"] = list(point_at(p, spec.arity, mismatch))
         report["expected"] = table.values[mismatch]
-        report["got"] = poly.values()[mismatch]
+        report["got"] = _stored_entry(values, p, mismatch)
     report["status"] = ("pass" if report["coefficient_match"] and report["function_match"]
                         else "mismatch")
     return report

@@ -133,8 +133,9 @@ class TruthTable:
     matches polynomial coefficient order, so tables and coefficient tables
     are transforms of one another.  ``values`` is checked and packed like
     ``Polynomial.coeffs``, so a list, a tuple or ``bytes`` give equal tables.
-    ``_stored`` is the same table in a polynomial's stored form (at p = 2
-    the word of bits, made here once; otherwise ``values`` itself), which
+    ``_stored`` is the same table in a polynomial's stored form, from
+    ``polyring._store`` once, when the table is made (at p = 2 the word of
+    bits, at p = 3 the pair of planes; otherwise ``values`` itself), which
     ``interpolate`` and ``verify_formula``'s value comparison read.
     """
 

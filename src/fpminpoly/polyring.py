@@ -22,39 +22,48 @@ byte; for p >= 128, where the sum of two reduced entries can pass 255, a
 tuple of ints.
 
 Inside, a polynomial keeps its table in a stored form (``_store``), also
-picked from p alone.  At p = 2 it is one int of 2^n bits, entry i as bit i
-(the word; ``_to_bits`` and ``_from_bits`` convert), and ``coeffs`` is
-decoded from it on first use and kept.  For every other p it is the packed
-form itself.  Only this module reads the word: ``oracle`` and ``formulas``
-pass stored tables between its functions (``TruthTable`` keeps the stored
-form of its values next to them, ``Polynomial._values`` gives a
-polynomial's values in it, ``first_mismatch`` compares two of them).
+picked from p alone.  At p = 2 and p = 3 the table is bit sliced: at p = 2
+it is one int of 2^n bits, entry i as bit i (the word); at p = 3 a pair of
+ints of 3^n bits, the entries equal to 1 and the entries equal to 2 (the
+planes).  ``_to_bits`` reads one of these ints from ``bytes`` and
+``_unstore`` decodes a stored table back to ``bytes``; ``coeffs`` is decoded
+on first use and kept.  For every other p the stored form is the packed form
+itself.  No other stored table is a tuple of two, so a pair is always
+planes.  Only this module reads the bits: ``oracle`` and ``formulas`` pass
+stored tables between its functions (``TruthTable`` keeps the stored form of
+its values next to them, ``Polynomial._values`` gives a polynomial's values
+in it, ``first_mismatch`` compares two of them and ``_stored_entry`` reads one
+entry).
 
 The dense table work runs through one seam, with the standard library only.
 ``_combine`` is the one place where columns are scaled, summed and reduced
-mod p: on words the columns of odd weight are xored; on bytes
-``bytes.translate`` with a 256-entry table scales every entry by a constant
-(or reduces it), and columns add as little-endian big ints, reduced before
-any byte can pass 255; on tuples and lists it runs comprehensions.
-``_join`` lays tables side by side: words by shift-or, bytes and tuples by
-concatenation.  ``+``, ``-`` and ``scale``, and ``PolyRing.train`` (a sum
-over the state paths of a small automaton of products of one
-single-variable factor per variable, contracted axis by axis;
-``PolyRing.tensor`` is its one-state case, the outer product of the
+mod p.  On words the columns of odd weight are xored.  On planes weight 0
+skips a column, weight 1 keeps it, weight 2 swaps its two planes, and two
+columns add in six bitwise operations (Kawahara, Aoki & Takagi, Pairing
+2008).  On bytes ``bytes.translate`` with a 256-entry table scales every
+entry by a constant (or reduces it), and columns add as little-endian big
+ints, reduced before any byte can pass 255; on tuples and lists it runs
+comprehensions.  ``_join`` lays tables side by side: words and each plane by
+shift-or, bytes and tuples by concatenation.  ``+``, ``-`` and ``scale``,
+and ``PolyRing.train`` (a sum over the state paths of a small automaton of
+products of one single-variable factor per variable, contracted axis by
+axis; ``PolyRing.tensor`` is its one-state case, the outer product of the
 factors' coefficient rows) call them on the stored tables.
 
 Axis transforms (``apply_axis_transform``, behind ``values()``,
-``oracle.interpolate`` and the value-table operations) take one of two
+``oracle.interpolate`` and the value-table operations) take one of three
 paths, picked from p alone.  At p = 2 each axis is one masked shift-and-xor
-step on the word; the masks (``_axis_masks``, each made from the last) and
-the packing to and from bits are shared with ``circuit.run_all``'s p = 2
-wires.  For every other p, ``_round`` is the one slice-rotation round:
-``_combine`` on bytes, one dot product per fiber on tuples.  ``eval`` runs
-one ``_combine`` per variable.
+step on the word.  At p = 3 each axis is three masked shifts of the planes
+(``_bit_blocks``), one ``_combine`` per matrix row and one ``_join``.  The
+masks (``_axis_masks``, each made from the last) and the packing to and
+from bits are shared with ``circuit.run_all``'s p = 2 wires.  For every
+other p, ``_round`` is the one slice-rotation round: ``_combine`` on bytes,
+one dot product per fiber on tuples.  ``eval`` runs one ``_combine`` per
+variable.
 
 A canonical polynomial is its function, so the nonlinear operations run on
-value tables: ``*`` multiplies the operands' values pointwise (an ``&`` of
-words at p = 2), ``**`` raises each value to the power, and ``compose``
+value tables: ``*`` multiplies the operands' values pointwise (bitwise on
+words and planes), ``**`` raises each value to the power, and ``compose``
 reads this polynomial's values at the points its substituents give.
 ``lagrange_rows``, the inverse of ``vandermonde_rows``, then turns the
 values back into coefficients with one more axis transform.
@@ -137,12 +146,41 @@ def _checked(table: Sequence[int], p: int) -> Sequence[int]:
 
 def _store(table: Sequence[int], p: int):
     """A canonical table in a polynomial's stored form, chosen by p alone:
-    the word of bits (``_to_bits``) at p = 2, else the packed form.
+    the word of bits (``_to_bits``) at p = 2, the pair of planes (the bits
+    of the entries equal to 1, then of those equal to 2) at p = 3, else the
+    packed form.
 
     Every entry must already lie in [0, p) (``_checked`` makes sure at the
-    API edges): ``_to_bits`` would misread any other byte.
+    API edges): ``_to_bits`` reads any other byte as 0.
     """
-    return _to_bits(_pack(table, 2)) if p == 2 else _pack(table, p)
+    packed = _pack(table, p)
+    if p == 2:
+        return _to_bits(packed)
+    if p == 3:
+        return _to_bits(packed, 1), _to_bits(packed, 2)
+    return packed
+
+
+def _unstore(stored, p: int, size: int) -> Sequence[int]:
+    """A stored table of ``size`` entries in packed form, inverting
+    ``_store``: words and planes are decoded to ``bytes``."""
+    if p == 2:
+        return _from_bits(stored, size)
+    if p == 3:
+        ones, twos = stored
+        return (int.from_bytes(_from_bits(ones, size), "little")
+                + (int.from_bytes(_from_bits(twos, size), "little") << 1)
+                ).to_bytes(size, "little")
+    return stored
+
+
+def _stored_entry(stored, p: int, i: int) -> int:
+    """Entry i of a stored table, read in place."""
+    if p == 2:
+        return (stored >> i) & 1
+    if p == 3:
+        return ((stored[0] >> i) & 1) | (((stored[1] >> i) & 1) << 1)
+    return stored[i]
 
 
 def _scratch(size: int, p: int):
@@ -152,12 +190,15 @@ def _scratch(size: int, p: int):
 
 
 def _combine(p: int, weights: Sequence[int], cols):
-    """The column sum_e weights[e] * cols[e] mod p: a word from words, bytes
-    from bytes, else a list.
+    """The column sum_e weights[e] * cols[e] mod p: a word from words,
+    planes from planes, bytes from bytes, else a list.
 
     Weights are any ints; they are reduced here and zero ones are skipped.
     The columns hold canonical residues and share one length.  Words (p = 2)
-    are xored where the weight is odd.  Packed columns are scaled with
+    are xored where the weight is odd.  Planes (p = 3) are kept where the
+    weight is 1 and swapped where it is 2, since 2 * 1 = 2 and 2 * 2 = 1;
+    with a = (a1, a2) and b = (b1, b2), t = (a1 | b2) ^ (a2 | b1) and
+    a + b = ((a2 | b2) ^ t, (a1 | b1) ^ t).  Packed columns are scaled with
     ``bytes.translate``, summed as little-endian ints and reduced with the
     mod-p table before any lane can pass 255; tuple and list columns are
     combined with comprehensions.
@@ -168,6 +209,19 @@ def _combine(p: int, weights: Sequence[int], cols):
             if m % 2:
                 word ^= col
         return word
+    if p == 3 and type(cols[0]) is tuple:
+        acc = None
+        for m, col in zip(weights, cols):
+            m %= 3
+            if not m:
+                continue
+            b1, b2 = col if m == 1 else col[::-1]
+            if acc is None:
+                acc = a1, a2 = b1, b2
+            else:
+                t = (a1 | b2) ^ (a2 | b1)
+                a1, a2 = (a2 | b2) ^ t, (a1 | b1) ^ t
+        return (0, 0) if acc is None else (a1, a2)
     width = len(cols[0])
     if not isinstance(cols[0], bytes):
         acc = None
@@ -199,14 +253,20 @@ def _join(parts: list, width: int, count: int, p: int):
     """``count`` tables of ``width`` entries side by side in stored form:
     ``parts`` in order, then zero tables.
 
-    Words join by shift-or, bytes by concatenation and lists or tuples
-    into one tuple.
+    Words and each of the two planes join by shift-or, bytes by
+    concatenation and lists or tuples into one tuple.
     """
     if p == 2:
         word = 0
         for k, part in enumerate(parts):
             word |= part << (k * width)
         return word
+    if p == 3:
+        ones = twos = 0
+        for k, (one, two) in enumerate(parts):
+            ones |= one << (k * width)
+            twos |= two << (k * width)
+        return ones, twos
     parts.append(_scratch(width * (count - len(parts)), p))
     return b"".join(parts) if p < 128 else tuple(chain.from_iterable(parts))
 
@@ -231,18 +291,20 @@ def _round(data: Sequence[int], p: int, rows) -> Sequence[int]:
     return out
 
 
-#: Byte maps between the entries 0 and 1 of a p = 2 table and the ASCII
-#: digits of its bits.
-_ASCII = bytes.maketrans(b"\x00\x01", b"01")
+#: Byte maps from the entries of a table to the ASCII digits of the bit
+#: plane of value v (v -> "1", every other byte -> "0"), for v = 1 and 2;
+#: and from the ASCII digits back to the entries 0 and 1.
+_ASCII = {v: bytes(48 + (b == v) for b in range(256)) for v in (1, 2)}
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _to_bits(table: bytes) -> int:
-    """A p = 2 table of ``bytes`` as one int, entry i as bit i.
+def _to_bits(table: bytes, v: int = 1) -> int:
+    """The entries of a ``bytes`` table equal to v as one int, entry i as
+    bit i: a p = 2 table's word, or one of a p = 3 table's planes.
 
     Parsing in base 2 is linear and exempt from the int/str digit limit.
     """
-    return int(table.translate(_ASCII)[::-1], 2)
+    return int(table.translate(_ASCII[v])[::-1], 2)
 
 
 def _from_bits(w: int, size: int) -> bytes:
@@ -250,17 +312,41 @@ def _from_bits(w: int, size: int) -> bytes:
     return format(w, "b").zfill(size)[::-1].encode().translate(_BITS)
 
 
-def _axis_masks(n: int):
-    """For i = n-1 down to 0, the mask m_i of the bits j < 2^n with bit i
-    of j clear: first the low half of the word, then by halving the runs,
-    m_(i-1) = m_i ^ (m_i << 2^(i-1)).  O(n * 2^n) bit operations in all.
+def _axis_masks(n: int, p: int = 2):
+    """For i = n-1 down to 0, the mask m_i of the bits j < p^n (p = 2 or 3)
+    whose index j has digit i equal to 0: runs of p^i ones, period p^(i+1).
+
+    The first is the low 1/p of the word, and each next one is made from
+    the last, with t = p^(i-1).  At p = 2 the runs halve,
+    m_(i-1) = m_i ^ (m_i << t).  At p = 3, y = m_i & (m_i >> 2t) keeps the
+    first t bits of every run, and m_(i-1) = y | y << 3t | y << 6t.
+    O(n * p^n) bit operations in all.
     """
     if n:
-        mask = (1 << (1 << (n - 1))) - 1
+        mask = (1 << p ** (n - 1)) - 1
         yield mask
         for i in range(n - 1, 0, -1):
-            mask ^= mask << (1 << (i - 1))
+            t = p ** (i - 1)
+            if p == 2:
+                mask ^= mask << t
+            else:
+                mask &= mask >> 2 * t
+                mask |= (mask << 3 * t) | (mask << 6 * t)
             yield mask
+
+
+def _bit_blocks(table, p: int, stride: int, mask: int) -> list:
+    """The p columns (table >> e * stride) & mask, e < p, of a word (p = 2)
+    or of each plane of a pair (p = 3).
+
+    With m_i of ``_axis_masks`` and stride p^i, column e is the sub-table
+    with digit i equal to e, still in place; with mask 2^stride - 1 and a
+    table of p * stride entries, the blocks of the top axis.
+    """
+    if p == 2:
+        return [table & mask, (table >> stride) & mask]
+    return [tuple((plane >> k) & mask for plane in table)
+            for k in range(0, 3 * stride, stride)]
 
 
 def _digit_plane(p: int, size: int, stride: int) -> Sequence[int]:
@@ -285,16 +371,20 @@ def apply_axis_transform(table, p: int, n: int, matrix):
     gives the linear map used on each length-p fiber, with any ints as
     entries.  A stored table gives a stored table; any other sequence gives
     the packed form (``_pack``: bytes for p < 128, a tuple for larger p).
-    The two differ only at p = 2, where the stored form is the word.
+    The two differ only at p = 2 and p = 3, where the stored form is bit
+    sliced, and a sequence is stored first (``_store``) and decoded last.
 
-    For p = 2 the table is read as one int of bits (a sequence through
-    ``_to_bits``), and axis i (stride s = 2^i) is one shift-and-xor step on
-    it.  With the matrix [[a, b], [c, d]] reduced mod 2 and m the bits
+    For p = 2, axis i (stride s = 2^i) is one shift-and-xor step on the
+    word.  With the matrix [[a, b], [c, d]] reduced mod 2 and m the bits
     whose index has bit i clear, lo = w & m and hi = (w >> s) & m are the
     two halves of every fiber, and the new word is
-    (a*lo ^ b*hi) | (c*lo ^ d*hi) << s.  The axes commute, so they run from
-    the top, in ``_axis_masks``' order.  With ``vandermonde_rows(2)`` this
-    is the binary Möbius transform.  Cost O(n * 2^n) bit operations.
+    (a*lo ^ b*hi) | (c*lo ^ d*hi) << s.  With ``vandermonde_rows(2)`` this
+    is the binary Möbius transform.  For p = 3, axis i (stride s = 3^i)
+    pulls the three sub-tables with digit i equal to 0, 1 and 2 out of the
+    planes with three masked shifts (``_bit_blocks``), combines them once
+    per matrix row (``_combine``) and shifts the results back into place
+    (``_join``).  The axes commute, so both run from the top, in
+    ``_axis_masks``' order.  Cost O(n * p^n) bit operations.
 
     Every other p runs n rounds of ``_round`` on the stored form, so a
     stored table goes in without a copy.  Each round transforms axis 0 and
@@ -304,13 +394,21 @@ def apply_axis_transform(table, p: int, n: int, matrix):
     if p == 2:
         (a, b), (c, d) = matrix
         a, b, c, d = a % 2, b % 2, c % 2, d % 2
-        w = table if type(table) is int else _to_bits(_pack(table, 2))
+        w = table if type(table) is int else _store(table, 2)
         for i, mask in zip(range(n - 1, -1, -1), _axis_masks(n)):
             s = 1 << i
             lo, hi = w & mask, (w >> s) & mask
             # x and y is 0 * y or 1 * y here, without copying y.
             w = ((a and lo) ^ (b and hi)) | (((c and lo) ^ (d and hi)) << s)
         return w if type(table) is int else _from_bits(w, 1 << n)
+    if p == 3:
+        stored = type(table) is tuple and len(table) == 2
+        planes = table if stored else _store(table, 3)
+        for i, mask in zip(range(n - 1, -1, -1), _axis_masks(n, 3)):
+            s = 3 ** i
+            cols = _bit_blocks(planes, 3, s, mask)
+            planes = _join([_combine(3, row, cols) for row in matrix], s, 3, 3)
+        return planes if stored else _unstore(planes, 3, 3 ** n)
     data = _pack(table, p)
     for _axis in range(n):
         data = _round(data, p, matrix)
@@ -389,16 +487,21 @@ class PolyRing:
         """The polynomial with coefficient c mod p at index i for each
         (i, c) in ``entries`` (distinct indices) and 0 elsewhere.
 
-        At p = 2 the bits are set in a little-endian byte buffer of 2^n / 8
-        bytes, read as the word at the end; otherwise in a ``_scratch``
-        table.
+        At p = 2 and p = 3 each nonzero entry c sets bit i of plane c - 1:
+        a little-endian byte buffer per plane, as long as the highest such
+        index needs (one byte for a constant), read as the word or the
+        planes at the end.  Otherwise the entries are set in a
+        ``_scratch`` table.
         """
         p = self.p
-        if p == 2:
-            bits = bytearray((self.size + 7) // 8)
+        if p < 4:
+            entries = [(i, c % p) for i, c in entries if c % p]
+            width = max((i for i, _ in entries), default=0) // 8 + 1
+            planes = [bytearray(width) for _ in range(p - 1)]
             for i, c in entries:
-                bits[i >> 3] |= (c % 2) << (i & 7)
-            return _polynomial(self, int.from_bytes(bits, "little"))
+                planes[c - 1][i >> 3] |= 1 << (i & 7)
+            words = tuple(int.from_bytes(plane, "little") for plane in planes)
+            return _polynomial(self, words[0] if p == 2 else words)
         table = _scratch(self.size, p)
         for i, c in entries:
             table[i] = c % p
@@ -456,8 +559,8 @@ class PolyRing:
         tables of the states that step into b, weighted by the e-th
         coefficients of their rows; ``_join`` lays the parts side by side in
         exponent order.  At p = 2 the tables are words: each part is an xor
-        of state words and the two parts join as lo | hi << 2^i.  No ring
-        multiplication runs.
+        of state words and the two parts join as lo | hi << 2^i; at p = 3
+        they are planes.  No ring multiplication runs.
         """
         p, n = self.p, self.n
         if len(cores) != n:
@@ -511,8 +614,8 @@ class PolyRing:
         """Reinterpret a polynomial on fewer variables inside this ring.
 
         With x0 least significant, indices below p^(f.n) keep their meaning,
-        so the table is copied into the low slice unchanged (at p = 2 the
-        word is the same).
+        so the table is copied into the low slice unchanged (at p = 2 and
+        p = 3 the word or the planes are the same).
         """
         if f.ring.p != self.p:
             raise RingMismatchError(
@@ -537,9 +640,12 @@ class Polynomial:
     ``coeffs`` is the table in its packed form (``_pack``): ``bytes`` for
     p < 128, a tuple of ints otherwise; ``to_dict`` gives it as a list.
     The table is kept in its stored form (``_store``).  At p = 2 that is
-    one int of 2^n bits, entry i as bit i: ``+`` and ``-`` are xor,
-    ``scale`` is the identity or zero, ``==``, ``hash`` and ``bool`` read
-    the int, and ``coeffs`` is decoded on first use and kept.
+    one int of 2^n bits, entry i as bit i: ``+`` and ``-`` are xor and
+    ``scale`` is the identity or zero.  At p = 3 it is two ints of 3^n
+    bits, the entries equal to 1 and those equal to 2: ``+`` is six bitwise
+    operations, ``-`` and ``scale`` by 2 swap the planes.  At both, ``==``,
+    ``hash``, ``bool``, ``repr``, ``eval``, ``*`` and ``**`` read the bits,
+    and ``coeffs`` is decoded on first use and kept.
 
     The constructor (also ``PolyRing.from_coeffs``) checks the length, then
     every entry; the library's own results take the unchecked ``_polynomial``.
@@ -559,10 +665,11 @@ class Polynomial:
 
     @property
     def coeffs(self) -> Sequence[int]:
-        """The coefficient table, packed (``_pack``); at p = 2 decoded from
-        the word on first use and kept, as the polynomial never changes."""
+        """The coefficient table, packed (``_pack``); at p = 2 and p = 3
+        decoded from the bits on first use and kept, as the polynomial never
+        changes."""
         if self._coeffs is None:
-            self._coeffs = _from_bits(self._stored, self.ring.size)
+            self._coeffs = _unstore(self._stored, self.ring.p, self.ring.size)
         return self._coeffs
 
     # -- plumbing ----------------------------------------------------------
@@ -581,8 +688,9 @@ class Polynomial:
         return None
 
     def __repr__(self) -> str:
-        nnz = (self._stored.bit_count() if self.ring.p == 2
-               else len(self._stored) - self._stored.count(0))
+        p, table = self.ring.p, self._stored
+        nnz = (table.bit_count() if p == 2 else (table[0] | table[1]).bit_count() if p == 3
+               else len(table) - table.count(0))
         return f"Polynomial(p={self.ring.p}, n={self.ring.n}, terms={nnz})"
 
     def __eq__(self, other: object) -> bool:
@@ -652,7 +760,12 @@ class Polynomial:
         ring = self._same_ring(other)
         p = ring.p
         a, b = self._values(), other._values()
-        return _from_values(ring, a & b if p == 2 else [x * y % p for x, y in zip(a, b)])
+        if p == 2:
+            return _from_values(ring, a & b)
+        if p == 3:  # 1 * 1 = 2 * 2 = 1 and 1 * 2 = 2
+            (a1, a2), (b1, b2) = a, b
+            return _from_values(ring, ((a1 & b1) | (a2 & b2), (a1 & b2) | (a2 & b1)))
+        return _from_values(ring, [x * y % p for x, y in zip(a, b)])
 
     def __rmul__(self, other):
         if isinstance(other, int) and not isinstance(other, bool):
@@ -662,14 +775,20 @@ class Polynomial:
     def __pow__(self, e: int) -> "Polynomial":
         """The e-th power of every value, interpolated (0^0 = 1).
 
-        At p = 2 every value is 0 or 1, so f ** e is f for e >= 1 and 1 for
-        e = 0, with no transform.
+        At p = 2 and p = 3 every value v has v^p = v, so f ** 0 is 1 and
+        f ** e is f for odd e, with no transform; at p = 3 an even e >= 2
+        gives v^2, 1 wherever v is not 0: the union of the value planes.
         """
         if not isinstance(e, int) or e < 0:
             raise ValueError("polynomial exponent must be a nonnegative int")
         p = self.ring.p
-        if p == 2:
-            return self if e else self.ring.one()
+        if p < 4:
+            if not e:
+                return self.ring.one()
+            if p == 2 or e % 2:
+                return self
+            ones, twos = self._values()
+            return _from_values(self.ring, (ones | twos, 0))
         powers = [pow(v, e, p) for v in range(p)]
         return _from_values(self.ring, [powers[v] for v in self.values()])
 
@@ -678,9 +797,10 @@ class Polynomial:
     def eval(self, point: Sequence[int]) -> int:
         """Value at one point, read from the stored table.
 
-        For each variable x_i from the last, the p blocks along it (the
-        low and high half of the word at p = 2) are summed by ``_combine``,
-        weighted by x_i^0, ..., x_i^(p-1), leaving a table without x_i.
+        For each variable x_i from the last, the p blocks along it (masked
+        shifts of the word or the planes at p = 2 and p = 3, ``_bit_blocks``)
+        are summed by ``_combine``, weighted by x_i^0, ..., x_i^(p-1),
+        leaving a table without x_i.
         """
         ring = self.ring
         p = ring.p
@@ -691,24 +811,24 @@ class Polynomial:
         table = self._stored
         for i in range(ring.n - 1, -1, -1):
             s, x = ring.strides[i], point[i]
-            blocks = ([table & ((1 << s) - 1), table >> s] if p == 2
+            blocks = (_bit_blocks(table, p, s, (1 << s) - 1) if p < 4
                       else [table[e * s:(e + 1) * s] for e in range(p)])
             table = _combine(p, [pow(x, e, p) for e in range(p)], blocks)
-        return table if p == 2 else table[0]
+        return _stored_entry(table, p, 0)
 
     def values(self) -> Sequence[int]:
         """Values at every point of F_p^n in mixed-radix order, packed like ``coeffs``.
 
         Computed by applying the univariate evaluation matrix along each
-        axis with ``apply_axis_transform`` (shift-and-xor steps on the word
-        for p = 2, slice rotation otherwise); O(n * p^(n+1)) instead of p^n
-        separate Horner passes.
+        axis with ``apply_axis_transform`` (masked shifts of the word or the
+        planes for p = 2 and p = 3, slice rotation otherwise);
+        O(n * p^(n+1)) instead of p^n separate Horner passes.
         """
-        values = self._values()
-        return _from_bits(values, self.ring.size) if self.ring.p == 2 else values
+        return _unstore(self._values(), self.ring.p, self.ring.size)
 
     def _values(self):
-        """``values()`` in the stored form: the word of values at p = 2."""
+        """``values()`` in the stored form: the word of values at p = 2, the
+        planes at p = 3."""
         return apply_axis_transform(self._stored, self.ring.p, self.ring.n,
                                     vandermonde_rows(self.ring.p))
 
@@ -791,7 +911,7 @@ def _polynomial(ring: PolyRing, table) -> Polynomial:
         table = tuple(table)
     f = object.__new__(Polynomial)
     f.ring, f._stored = ring, table
-    f._coeffs = None if ring.p == 2 else table
+    f._coeffs = None if ring.p < 4 else table
     return f
 
 
@@ -809,20 +929,28 @@ def _from_values(ring: PolyRing, values) -> Polynomial:
 
 
 def first_mismatch(a, b) -> int | None:
-    """Index of the first disagreement between two value tables, else None.
+    """Index of the first disagreement between two stored value tables of
+    one ring, else None.
 
-    The tables are two stored tables or two sequences.  Equal tables, the
-    common case, are settled by one ``==``.  Two words (p = 2) differ first
-    at the lowest set bit of their xor; other tables that differ are
-    scanned index by index.
+    Two words (p = 2) differ first at the lowest set bit of their xor, two
+    pairs of planes (p = 3) at that of (a1 ^ b1) | (a2 ^ b2), and two
+    ``bytes`` tables at that of their xor as little-endian ints, divided by
+    8.  Equal tables, the common case, are settled by one ``==``; tuples
+    (p >= 128) that differ are scanned index by index.
     """
-    if type(a) is int and type(b) is int:
+    if type(a) is int:
         diff = a ^ b
+        return (diff & -diff).bit_length() - 1 if diff else None
+    if type(a) is tuple and len(a) == 2:
+        diff = (a[0] ^ b[0]) | (a[1] ^ b[1])
         return (diff & -diff).bit_length() - 1 if diff else None
     if len(a) != len(b):
         raise ValueError("cannot compare value tables of different sizes")
     if a == b:
         return None
+    if type(a) is bytes:
+        diff = int.from_bytes(a, "little") ^ int.from_bytes(b, "little")
+        return ((diff & -diff).bit_length() - 1) // 8
     for i in range(len(a)):
         if a[i] != b[i]:
             return i

@@ -21,7 +21,13 @@ first mismatch are checked against byte tables (the byte ``train`` and
 ``+``, kept below, and chained byte ``_round``s) for n = 1 to 20.  The
 p = 2 axis masks are checked against masks read from repeated byte
 patterns for n = 0 to 20, and ``eval`` against the list Horner loop over
-the decoded coefficients, at p = 2, 3, 5, 7, 131 and 257.
+the decoded coefficients, at p = 2, 3, 5, 7, 131 and 257.  At p = 3
+polynomials store their tables as two ints of bits, and the plane kernels
+(``_combine``, ``_join``, the axis masks and transforms, ``first_mismatch``
+and ``eval``) and every ring operation are checked the same way against
+byte tables for n = 0 (or 1) to 12.  ``verify``'s mismatch reports at
+p = 2, 3 and 5 are checked against a byte scan, with one transform of
+the candidate.
 """
 
 import itertools
@@ -241,13 +247,13 @@ class TestAxisTransformAcrossTheCrossover:
                       "random": random_matrix(rng, p)}[which]
         expected = list(values)
         reference_axis_transform(expected, p, n, matrix)
-        # p = 2 runs on one int of bits, its masks from one ``_axis_masks``
+        # p = 2 and p = 3 run on bits, their masks from one ``_axis_masks``
         # sweep per transform; every other p runs one ``_round`` per axis
         # on the stored form.
-        rounds = record_calls(monkeypatch, "_axis_masks" if p == 2 else "_round")
+        rounds = record_calls(monkeypatch, "_axis_masks" if p < 4 else "_round")
         got = apply_axis_transform(values, p, n, matrix)
         assert list(got) == expected
-        assert rounds == ([GeneratorType] if p == 2 else [packed_form(p)] * n)
+        assert rounds == ([GeneratorType] if p < 4 else [packed_form(p)] * n)
 
 
 #: Every 2x2 matrix over F_2, then matrices with unreduced and negative entries.
@@ -412,7 +418,8 @@ class TestDenseAddSubScale:
     def test_match_full_table_loops(self, p, n, monkeypatch):
         rng = random.Random(f"{p}/{n}")
         ring = PolyRing(p, n)
-        # p = 2 combines words of bits (xor); every other p the stored form.
+        # p = 2 combines words of bits (xor), p = 3 pairs of planes; every
+        # other p the stored form.
         combined = record_calls(monkeypatch, "_combine")
         for fill in ("random", "max"):
             if fill == "max":
@@ -427,7 +434,8 @@ class TestDenseAddSubScale:
             assert -f == reference_add(ring.from_coeffs([0] * ring.size), f, -1)
             for c in (2, p - 1, p + 3, -2):
                 assert f.scale(c) == Polynomial(ring, [(x * c) % p for x in a])
-        assert combined and set(combined) == {int if p == 2 else packed_form(p)}
+        assert combined and set(combined) == {
+            int if p == 2 else tuple if p == 3 else packed_form(p)}
 
 
 def reference_eval(f, point):
@@ -1034,19 +1042,20 @@ def random_bits(rng, size):
 
 
 def byte_rounds(table, n, matrix):
-    """``apply_axis_transform`` at p = 2 as n chained byte ``_round``s."""
+    """``apply_axis_transform`` at p = len(matrix) < 128 as n chained byte
+    ``_round``s."""
     table = bytes(table)
     for _axis in range(n):
-        table = polyring._round(table, 2, matrix)
+        table = polyring._round(table, len(matrix), matrix)
     return table
 
 
-def byte_add(a, b, sign):
+def byte_add(a, b, sign, p=2):
     """The byte ``+``: one ``_combine`` of two byte tables."""
-    return _combine(2, (1, sign), (a, b))
+    return _combine(p, (1, sign), (a, b))
 
 
-def byte_train(n, cores):
+def byte_train(n, cores, p=2):
     """The byte ``train``: per state and exponent one ``_combine`` of byte
     tables, the parts joined as ``bytes`` and padded with zero bytes."""
     tables = [b"\1"]
@@ -1061,12 +1070,12 @@ def byte_train(n, cores):
             if not rows:
                 nxt.append(None)
                 continue
-            parts = [_combine(2, weights, cols)
+            parts = [_combine(p, weights, cols)
                      for weights in itertools.zip_longest(*rows, fillvalue=0)]
-            parts.append(bytes(len(cols[0]) * (2 - len(parts))))
+            parts.append(bytes(len(cols[0]) * (p - len(parts))))
             nxt.append(b"".join(parts))
         tables = nxt
-    return bytes(2 ** n) if tables[0] is None else tables[0]
+    return bytes(p ** n) if tables[0] is None else tables[0]
 
 
 def byte_product(a, b):
@@ -1079,10 +1088,10 @@ def byte_scan(candidate, spec):
     """verify_formula's mismatch fields by the byte path: the candidate's
     values by chained ``_round``s, scanned index by index."""
     table = tabulate(spec).values
-    values = byte_rounds(candidate.coeffs, spec.arity, vandermonde_rows(2))
+    values = byte_rounds(candidate.coeffs, spec.arity, vandermonde_rows(spec.p))
     for i in range(len(table)):
         if values[i] != table[i]:
-            return list(point_at(2, spec.arity, i)), table[i], values[i]
+            return list(point_at(spec.p, spec.arity, i)), table[i], values[i]
     return None
 
 
@@ -1263,10 +1272,12 @@ class TestBitStoreOnTheCatalog:
             assert (report["mismatch_point"], report["expected"], report["got"]) == (
                 point, expected, got), bit
 
-    @pytest.mark.parametrize("name,p,n,r", [("max2", 2, 12, 0), ("argmax2", 2, 12, 1)])
+    @pytest.mark.parametrize("name,p,n,r", [("max2", 2, 12, 0), ("argmax2", 2, 12, 1),
+                                            ("max", 3, 8, 0), ("argmax", 3, 7, 1)])
     def test_verify_converts_only_the_truth_table(self, name, p, n, r, monkeypatch):
-        """The closed form and the comparisons stay words: one full-size
-        conversion to bits (the truth table's) and none back."""
+        """The closed form and the comparisons stay words or planes: one
+        full-size conversion to bits per plane (the truth table's) and none
+        back."""
         sizes = []
         for fn in ("_to_bits", "_from_bits"):
             original = getattr(polyring, fn)
@@ -1278,4 +1289,339 @@ class TestBitStoreOnTheCatalog:
             monkeypatch.setattr(polyring, fn, recorded)
         report = verify_formula(name, p, n, r)
         assert report["status"] == "pass"
-        assert [s for s in sizes if s[1] == 2 ** n] == [("_to_bits", 2 ** n)]
+        assert [s for s in sizes if s[1] == p ** n] == [("_to_bits", p ** n)] * (p - 1)
+
+
+# -- the p = 3 plane store against byte tables ------------------------------------------
+
+#: Every arity the p = 3 differential tests run at, up to 3^12 = 531,441 entries.
+PLANE_ARITIES = range(13)
+
+#: Arities at which the per-entry references (lists, the fiber and pair loops) run.
+SMALL_PLANES = 5
+
+
+def random_trits(rng, size):
+    """A random p = 3 table of ``bytes``."""
+    return bytes(rng.choices(range(3), k=size))
+
+
+def plane_matrices(rng):
+    """The evaluation and interpolation matrices, and matrices with
+    unreduced and negative entries."""
+    return [vandermonde_rows(3), delta_basis_rows(3), lagrange_rows(3),
+            random_matrix(rng, 3), ((4, -1, 7), (-5, 2, 0), (3, 6, -3))]
+
+
+def planes(table):
+    """A p = 3 table as its pair of planes, entry by entry: bit i of plane
+    v - 1 is set where entry i is v."""
+    return tuple(sum(1 << i for i, x in enumerate(table) if x == v) for v in (1, 2))
+
+
+def reference_trit_mask(n, i):
+    """The bits j < 3^n whose index has digit i equal to 0, by ``point_at``."""
+    return sum(1 << j for j in range(3 ** n) if point_at(3, n, j)[i] == 0)
+
+
+def check_plane_store(f, want):
+    """``f`` holds the p = 3 table ``want`` (bytes): as two disjoint planes,
+    as ``coeffs``, under ``==``, ``hash`` and ``bool``, and in ``repr``.
+    The hash is taken before ``coeffs`` is first read and compared with
+    tables built from bytes and (small ones) from lists."""
+    ring = f.ring
+    before = hash(f)
+    ones, twos = f._stored
+    assert type(ones) is int and type(twos) is int and not ones & twos
+    assert type(f.coeffs) is bytes and f.coeffs == want
+    same = [Polynomial(ring, want)]
+    if ring.size <= 3 ** 7:
+        same += [ring.from_coeffs(list(want)), Polynomial(ring, list(want))]
+    assert all(f == g and g == f for g in same)
+    assert len({before, hash(f), *map(hash, same)}) == 1
+    assert bool(f) == any(want) == all(bool(g) for g in same)
+    assert repr(f) == f"Polynomial(p=3, n={ring.n}, terms={len(want) - want.count(0)})"
+
+
+class TestPlaneKernels:
+    """At p = 3 the table kernels on pairs of planes against the byte path
+    (``_combine`` and ``_join`` on bytes, chained byte ``_round``s) and, for
+    small tables, the per-entry sum and the fiber loop."""
+
+    @pytest.mark.parametrize("n", PLANE_ARITIES)
+    def test_store_and_unstore(self, n):
+        rng = random.Random(f"plane store {n}")
+        table = random_trits(rng, 3 ** n)
+        stored = polyring._store(table, 3)
+        if n <= SMALL_PLANES:
+            assert stored == planes(table)
+        assert polyring._store(list(table), 3) == stored
+        assert polyring._unstore(stored, 3, 3 ** n) == table
+        step = 3 ** n // 7 + 1
+        assert [polyring._stored_entry(stored, 3, i)
+                for i in range(0, 3 ** n, step)] == list(table[::step])
+
+    @pytest.mark.parametrize("n", PLANE_ARITIES)
+    def test_combine(self, n):
+        rng = random.Random(f"plane combine {n}")
+        size = 3 ** n
+        for count in (1, 2, 3, 5):
+            cols = [random_trits(rng, size) for _ in range(count)]
+            for weights in ([rng.randrange(-7, 8) for _ in range(count)], [0] * count,
+                            [3, -3, 6, 0, 9][:count], [2, -1, 5, 4, -4][:count]):
+                got = _combine(3, weights, [polyring._store(col, 3) for col in cols])
+                assert type(got) is tuple
+                want = _combine(3, weights, cols)
+                assert polyring._unstore(got, 3, size) == want
+                if n <= SMALL_PLANES:
+                    assert list(want) == reference_combine(3, weights, cols)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_join(self, n):
+        rng = random.Random(f"plane join {n}")
+        width = 3 ** (n - 1)
+        for count in (1, 2, 3):
+            parts = [random_trits(rng, width) for _ in range(count)]
+            got = polyring._join([polyring._store(part, 3) for part in parts], width, 3, 3)
+            want = b"".join(parts) + bytes(width * (3 - count))
+            assert polyring._unstore(got, 3, 3 * width) == want
+
+    def test_axis_masks(self):
+        # From the top axis down, each mask made from the one before.
+        for n in range(9):
+            expected = [reference_trit_mask(n, i) for i in range(n - 1, -1, -1)]
+            assert list(polyring._axis_masks(n, 3)) == expected, n
+
+    @pytest.mark.parametrize("n", PLANE_ARITIES)
+    def test_axis_transform(self, n):
+        rng = random.Random(f"plane transform {n}")
+        table = random_trits(rng, 3 ** n)
+        stored = polyring._store(table, 3)
+        for matrix in plane_matrices(rng):
+            want = byte_rounds(table, n, matrix)
+            got = apply_axis_transform(stored, 3, n, matrix)
+            assert type(got) is tuple and polyring._unstore(got, 3, 3 ** n) == want
+            # A sequence goes in and comes back packed.
+            assert apply_axis_transform(table, 3, n, matrix) == want
+            if n <= SMALL_PLANES:
+                assert apply_axis_transform(list(table), 3, n, matrix) == want
+                expected = list(table)
+                reference_axis_transform(expected, 3, n, matrix)
+                assert list(want) == expected
+        assert stored == polyring._store(table, 3)
+
+    @pytest.mark.parametrize("n", PLANE_ARITIES)
+    def test_first_mismatch(self, n):
+        rng = random.Random(f"plane mismatch {n}")
+        size = 3 ** n
+        a = random_trits(rng, size)
+        assert polyring.first_mismatch(polyring._store(a, 3), polyring._store(a, 3)) is None
+        assert polyring.first_mismatch(a, bytes(a)) is None
+        for i in sorted({0, size // 2, size - 1}):
+            for shift in (1, 2):
+                broken = bytearray(a)
+                broken[i] = (broken[i] + shift) % 3
+                if i + 1 < size:  # a later mismatch too
+                    broken[-1] = (broken[-1] + 1) % 3
+                b = bytes(broken)
+                scan = next(k for k in range(size) if a[k] != b[k])
+                assert scan == i
+                assert polyring.first_mismatch(polyring._store(a, 3), polyring._store(b, 3)) == i
+                assert polyring.first_mismatch(a, b) == i
+                if n <= SMALL_PLANES:
+                    assert polyring.first_mismatch(tuple(a), tuple(b)) == i
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_eval(self, n):
+        rng = random.Random(f"plane eval {n}")
+        ring = PolyRing(3, n)
+        a = random_trits(rng, ring.size)
+        values = byte_rounds(a, n, vandermonde_rows(3))
+        points = [tuple(rng.randrange(3) for _ in range(n)) for _ in range(6)]
+        points += [(0,) * n, (2,) * n]
+        for f in (ring.from_coeffs(a), ring.zero(), ring.constant(2), ring.variable(n - 1)):
+            want = values if f.coeffs == a else byte_rounds(f.coeffs, n, vandermonde_rows(3))
+            for point in points:
+                index = sum(x * 3 ** i for i, x in enumerate(point))
+                assert f.eval(point) == want[index], (point, f)
+                if n <= SMALL_PLANES:
+                    assert f.eval(point) == reference_eval(f, point)
+
+
+class TestPlaneStore:
+    """At p = 3 a polynomial keeps its table as two ints of bits.  Every
+    operation is checked against the byte tables: the byte ``train`` and
+    ``+`` (``_combine`` on bytes), chained byte ``_round``s for the axis
+    transforms, and for small tables the pair loop."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_constructors(self, n):
+        rng = random.Random(f"plane constructors {n}")
+        ring, size = PolyRing(3, n), 3 ** n
+
+        def table(entries):
+            out = bytearray(size)
+            for i, c in entries:
+                out[i] = c % 3
+            return bytes(out)
+
+        check_plane_store(ring.zero(), bytes(size))
+        for c in (0, 1, 2, -1, 5, -3):
+            check_plane_store(ring.constant(c), table([(0, c)]))
+        for i in {0, n - 1, rng.randrange(n)}:
+            check_plane_store(ring.variable(i), table([(3 ** i, 1)]))
+        for coeff in (1, 2, 4, -1):
+            exps = [rng.randrange(3) for _ in range(n)]
+            check_plane_store(ring.monomial(exps, coeff),
+                              table([(sum(e * 3 ** k for k, e in enumerate(exps)), coeff)]))
+        for row in ((), (1,), (0, 2), (1, 1, 1), (3, -1, 5), (-2, 0, 4)):
+            i = rng.randrange(n)
+            check_plane_store(ring.univariate(i, row),
+                              table([(e * 3 ** i, c) for e, c in enumerate(row)]))
+        dense = random_trits(rng, size)
+        check_plane_store(ring.from_coeffs(dense), dense)
+        m = rng.randint(1, n)
+        small = random_trits(rng, 3 ** m)
+        check_plane_store(ring.embed(PolyRing(3, m).from_coeffs(small)),
+                          small + bytes(size - 3 ** m))
+        for k in ({0, 1, n} if n > 8 else set(range(n + 1))):
+            want = table([(sum(3 ** j for j in subset), 1)
+                          for subset in itertools.combinations(range(n), k)])
+            check_plane_store(ring.elementary_symmetric(k), want)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_add_sub_neg_scale(self, n):
+        rng = random.Random(f"plane add {n}")
+        ring, size = PolyRing(3, n), 3 ** n
+        a, b = random_trits(rng, size), random_trits(rng, size)
+        f, g = Polynomial(ring, a), Polynomial(ring, b)
+        check_plane_store(f + g, byte_add(a, b, 1, 3))
+        check_plane_store(f - g, byte_add(a, b, -1, 3))
+        check_plane_store(g - f, byte_add(b, a, -1, 3))
+        check_plane_store(f + f + f, bytes(size))
+        check_plane_store(-f, byte_add(bytes(size), a, -1, 3))
+        check_plane_store(1 - f, byte_add(b"\1" + bytes(size - 1), a, -1, 3))
+        for c in (0, 1, 2, -1, 4, -3):
+            check_plane_store(f.scale(c), _combine(3, (c,), (a,)))
+            check_plane_store(c * f, _combine(3, (c,), (a,)))
+        if n <= SMALL_PLANES:
+            assert list((f + g).coeffs) == reference_combine(3, (1, 1), (a, b))
+            assert list((f - g).coeffs) == reference_combine(3, (1, -1), (a, b))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_train_and_tensor(self, n):
+        rng = random.Random(f"plane train {n}")
+        ring = PolyRing(3, n)
+        for _ in range(3):
+            cores = train_cores(3, n, rng)
+            check_plane_store(ring.train(cores), byte_train(n, cores, 3))
+        rows = [rng.choice(((), (1,), (0, 1), (1, 1, 2), (3, -2, 4), (-1,))) for _ in range(n)]
+        check_plane_store(ring.tensor(rows), byte_train(n, [[[row]] for row in rows], 3))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_values_and_interpolate(self, n):
+        rng = random.Random(f"plane values {n}")
+        ring = PolyRing(3, n)
+        a = random_trits(rng, 3 ** n)
+        f = Polynomial(ring, a)
+        values = f.values()
+        assert type(values) is bytes and values == byte_rounds(a, n, vandermonde_rows(3))
+        interpolated = interpolate(TruthTable(3, n, a))
+        check_plane_store(interpolated, byte_rounds(a, n, delta_basis_rows(3)))
+        assert interpolate(TruthTable(3, n, values)) == f
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_products_and_powers(self, n):
+        rng = random.Random(f"plane products {n}")
+        ring = PolyRing(3, n)
+        a, b = random_trits(rng, 3 ** n), random_trits(rng, 3 ** n)
+        f, g = Polynomial(ring, a), Polynomial(ring, b)
+        va, vb = (byte_rounds(t, n, vandermonde_rows(3)) for t in (a, b))
+        want = byte_rounds(bytes(x * y % 3 for x, y in zip(va, vb)), n, lagrange_rows(3))
+        check_plane_store(f * g, want)
+        check_plane_store(g * f, want)
+        for e in range(7):
+            check_plane_store(f ** e, byte_rounds(bytes(pow(v, e, 3) for v in va), n,
+                                                  lagrange_rows(3)))
+        if n <= 4:
+            sparse = ring.from_coeffs(a[:3] + bytes(3 ** n - len(a[:3])))
+            assert f * sparse == pair_loop_mul(f, sparse)
+            assert f * g == pair_loop_mul(f, g)
+            assert f ** 2 == pair_loop_mul(f, f)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_compose(self, n):
+        rng = random.Random(f"plane compose {n}")
+        f = PolyRing(3, n).from_coeffs(random_trits(rng, 3 ** n))
+        target = PolyRing(3, rng.randint(1, n))
+        subs = [target.from_coeffs(random_trits(rng, target.size)) for _ in range(n)]
+        index = [sum(v * 3 ** i for i, v in enumerate(point))
+                 for point in zip(*(byte_rounds(s.coeffs, target.n, vandermonde_rows(3))
+                                    for s in subs))]
+        values = byte_rounds(f.coeffs, n, vandermonde_rows(3))
+        check_plane_store(f.compose(subs), byte_rounds(bytes(values[i] for i in index),
+                                                       target.n, lagrange_rows(3)))
+        if n <= 3:
+            assert f.compose(subs) == power_table_compose(f, subs)
+
+
+#: Every p = 3 verify_grid entry, then the dense-p3 benchmark cases.
+P3_CASES = list(dict.fromkeys(
+    [(name, p, n, r) for name, entry in CATALOG.items() for p, n, r in entry.verify_grid
+     if p == 3] + [case for case in DENSE_CASES if case[1] == 3]))
+
+
+class TestPlaneStoreOnTheCatalog:
+    @pytest.mark.parametrize("name,p,n,r", P3_CASES)
+    def test_closed_forms_match_byte_interpolation(self, name, p, n, r):
+        spec = CATALOG[name].spec_of(p, n, r)
+        f = build_formula(name, p, n, r)
+        before = hash(f)
+        want = byte_rounds(tabulate(spec).values, spec.arity, delta_basis_rows(3))
+        assert type(f.coeffs) is bytes and f.coeffs == want
+        g = PolyRing(3, spec.arity).from_coeffs(f.coeffs)
+        assert f == g and g == f and hash(g) == hash(f) == before
+        assert g.values() == f.values() == tabulate(spec).values
+
+
+#: Cases at p = 2, 3 and 5, from the grid to the dense benchmark sizes.
+MISMATCH_CASES = [("max2", 2, 10, 0), ("argmax2", 2, 9, 1), ("max", 3, 2, 0),
+                  ("argmax", 3, 6, 1), ("nummax", 3, 7, 1), ("max", 3, 9, 0),
+                  ("maxn2", 5, 2, 0), ("max", 5, 4, 0), ("max5", 5, 3, 0)]
+
+
+class TestVerifyMismatchReports:
+    @pytest.mark.parametrize("name,p,n,r", MISMATCH_CASES)
+    def test_reports_match_byte_scan_with_one_transform(self, name, p, n, r, monkeypatch):
+        """Candidates broken at the first, a middle and the last coefficient
+        report the point, expected and got of the byte scan, and the
+        candidate is transformed once: the compared table gives ``got``."""
+        spec = CATALOG[name].spec_of(p, n, r)
+        coeffs = build_formula(name, p, n, r).coeffs
+        size = len(coeffs)
+        transforms = []
+        original = polyring.apply_axis_transform
+
+        def counted(*args):
+            transforms.append(args[1:3])
+            return original(*args)
+
+        for i in (0, size // 2 + 1, size - 1):
+            for shift in range(1, p):
+                broken = bytearray(coeffs)
+                broken[i] = (broken[i] + shift) % p
+                candidate = PolyRing(p, spec.arity).from_coeffs(broken)
+                transforms.clear()
+                # The candidate's values go through polyring's binding, the
+                # truth table's interpolation through oracle's.
+                monkeypatch.setattr(polyring, "apply_axis_transform", counted)
+                report = verify_formula(name, p, n, r, candidate=candidate)
+                monkeypatch.undo()
+                assert transforms == [(p, spec.arity)]
+                assert report["status"] == "mismatch" and not report["coefficient_match"]
+                assert not report["function_match"]
+                point, expected, got = byte_scan(candidate, spec)
+                assert (report["mismatch_point"], report["expected"], report["got"]) == (
+                    point, expected, got), (i, shift)
+                assert type(report["got"]) is int and got == candidate.values()[
+                    sum(x * p ** k for k, x in enumerate(point))]
