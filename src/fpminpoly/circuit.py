@@ -22,27 +22,24 @@ builder that hash-conses each gate under CSE's key as it is emitted, so it
 builds only the shared circuit, and it counts the unshared circuit's mul,
 add and scale gates as they are emitted instead of building them.
 
-``run_all`` carries all p^n points through each gate at once, in a wire
-form chosen by p alone: an int of p^n bits for p = 2, ``bytes`` of p^n
-residues for 2 < p < 16 (each binary gate is one ``bytes.translate`` of the
-lane pair codes a*p + b, which fit in a byte as p^2 <= 256), and a list of
-p^n ints for p >= 16.  The p = 2 bit packing is ``polyring``'s, the one the
-p = 2 axis transforms use: input i's wire is an axis mask shifted up, and
-the output is unpacked to ``bytes``.  Other inputs are digit planes.
+``run_all`` carries all p^n points through each gate at once, each wire a
+table in ``polyring``'s stored form (``polyring._store``): an int of p^n
+bits at p = 2, two such planes at p = 3, ``bytes`` for p < 128 and a tuple
+above.  ``polyring`` also supplies the input and constant tables and runs
+every gate: const, add, sub and scale are its column combine and mul is
+its entrywise product, the one behind ``Polynomial.__mul__``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import compress
 import json
-from operator import add, and_, mul, sub, xor
 from typing import Sequence
 
 from .ff import PrimeField
-from .polyring import (DEFAULT_MAX_TABLE_SIZE, Polynomial, SizeGuardError, _axis_masks,
-                       _digit_plane, _from_bits, _pack, _scale_table, bounded_power)
+from .polyring import (DEFAULT_MAX_TABLE_SIZE, Polynomial, SizeGuardError, _combine,
+                       _input_values, _ones, _product, _unstore, bounded_power)
 
 STRATEGIES = ("naive_monomial", "nested_horner")
 
@@ -621,83 +618,22 @@ def _last_uses(circuit: Circuit) -> list[int]:
     return last
 
 
-@lru_cache(maxsize=None)
-def _pair_table(p: int, op: str) -> bytes:
-    """The byte map a*p + b -> (a op b) mod p for residues a, b; 256 entries.
-
-    Used for 2 < p < 16, where the pair code a*p + b is at most p^2 - 1 and
-    fits in a byte.  Codes past p^2 - 1 never occur and map to 0.
-    """
-    fn = {"add": add, "sub": sub, "mul": mul}[op]
-    return bytes([fn(a, b) % p for a in range(p) for b in range(p)] + [0] * (256 - p * p))
-
-
-def _input_wires(p: int, n: int, size: int, wanted):
-    """``(i, wire)`` for each input i in ``wanted``: x_i at all p^n points.
-
-    At p = 2 the axis mask of i (from one sweep of ``_axis_masks``) shifted
-    up by 2^i; otherwise ``_digit_plane``, as a list for p >= 16.
-    """
-    if p == 2:
-        for i, mask in zip(range(n - 1, -1, -1), _axis_masks(n)):
-            if i in wanted:
-                yield i, mask << (1 << i)
-        return
-    for i in wanted:
-        plane = _digit_plane(p, size, p ** i)
-        yield i, plane if p < 16 else list(plane)
-
-
-def _wire_form(p: int, size: int):
-    """The gate kernels of ``run_all``'s wire form for p, at ``size`` points.
-
-    Returns ``(const, scale, binary, unpack)``: ``const(c)`` makes the wire
-    of a constant, ``scale(c, w)`` and ``binary[op](w, v)`` apply a gate,
-    and ``unpack(w)`` gives a sequence of ints.  On byte lanes a binary gate
-    forms W*p + V of the two wires read as little-endian ints; each lane
-    then holds a*p + b <= p^2 - 1 < 256, so no lane carries into the next.
-    """
-    if p == 2:
-        full = (1 << size) - 1
-        return (lambda c: full if c else 0, lambda c, w: w if c else 0,
-                {"add": xor, "sub": xor, "mul": and_}, lambda w: _from_bits(w, size))
-
-    if p < 16:
-        from_bytes = int.from_bytes
-
-        def pair(op):
-            table = _pair_table(p, op)
-
-            def gate(w, v):
-                code = from_bytes(w, "little") * p + from_bytes(v, "little")
-                return code.to_bytes(size, "little").translate(table)
-            return gate
-
-        return (lambda c: bytes((c,)) * size, lambda c, w: w.translate(_scale_table(p, c)),
-                {op: pair(op) for op in ("add", "sub", "mul")}, lambda w: w)
-
-    return (lambda c: [c] * size, lambda c, w: [(c * x) % p for x in w],
-            {"add": lambda w, v: [(x + y) % p for x, y in zip(w, v)],
-             "sub": lambda w, v: [(x - y) % p for x, y in zip(w, v)],
-             "mul": lambda w, v: [(x * y) % p for x, y in zip(w, v)]}, lambda w: w)
-
-
 def run_all(circuit: Circuit) -> Sequence[int]:
     """Values at every point of F_p^n, in the form of ``Polynomial.values()``.
 
     Gate semantics are identical to :func:`run`; the whole domain is just
-    carried through each gate at once, in a wire form chosen by p alone
-    (``_wire_form``): one big int of p^n bits for p = 2 (add is xor, mul is
-    and; the bit packing is shared with ``polyring``, whose ``_from_bits``
-    unpacks the output), which keeps exhaustive checks near the table cap
-    quick; ``bytes`` of p^n residues for 2 < p < 16, where a gate is one
-    big-int pair code a*p + b (bounded by p^2 <= 256) and one
-    ``bytes.translate``; a list of p^n ints for p >= 16.  The input wires
-    the circuit reads are made first (``_input_wires``); each wire's values
-    are dropped right after the last gate that reads them, so only live
-    wires are held, p^n bytes each for 2 < p < 16.  Raises
-    ``SizeGuardError`` before allocating anything when p^n exceeds the
-    default table cap.
+    carried through each gate at once, as a table in the stored form of a
+    ``Polynomial`` (``polyring._store``): one int of p^n bits at p = 2, two
+    at p = 3 (the entries equal to 1 and to 2), ``bytes`` of p^n residues
+    for 3 < p < 128 and a tuple (or ``_combine``'s list) above.  The input
+    wires the circuit reads come first (``_input_values``), and constants
+    scale the all-ones table (``_ones``); const, add, sub and scale gates
+    are one ``_combine`` each and mul gates one ``_product``.  Each wire is
+    dropped right after the last gate that reads it, so only live wires are
+    held: about p^n / 8 bytes each at p = 2, twice that at p = 3 and p^n
+    bytes for 3 < p < 128.  The output wire is decoded by ``_unstore``.
+    Raises ``SizeGuardError`` before allocating anything when p^n exceeds
+    the default table cap.
     """
     p, n = circuit.p, circuit.n_inputs
     size = bounded_power(p, n, DEFAULT_MAX_TABLE_SIZE)
@@ -707,30 +643,31 @@ def run_all(circuit: Circuit) -> Sequence[int]:
             f"{DEFAULT_MAX_TABLE_SIZE} entries")
     last = _last_uses(circuit)
     gates = circuit.gates
-    const, scale, binary, unpack = _wire_form(p, size)
     wires: list = [None] * len(gates)
     readers: dict[int, list[int]] = {}  # input index -> its input gates
     for idx, gate in enumerate(gates):
         if gate[0] == "input":
             readers.setdefault(gate[1], []).append(idx)
-    for i, wire in _input_wires(p, n, size, readers):
+    for i, wire in _input_values(p, n, readers):
         for idx in readers[i]:
             wires[idx] = wire
+    one = _ones(p, size)
     for idx, gate in enumerate(gates):
         op = gate[0]
         if op == "input":
             continue
         if op == "const":
-            wires[idx] = const(gate[1])
+            wires[idx] = _combine(p, (gate[1],), (one,))
             continue
         b = gate[2]
         if op == "scale":
-            wires[idx] = scale(gate[1], wires[b])
+            wires[idx] = _combine(p, (gate[1],), (wires[b],))
         else:
             a = gate[1]
-            wires[idx] = binary[op](wires[a], wires[b])
+            wires[idx] = (_product(p, wires[a], wires[b]) if op == "mul" else
+                          _combine(p, (1, 1 if op == "add" else -1), (wires[a], wires[b])))
             if last[a] == idx:
                 wires[a] = None
         if last[b] == idx:
             wires[b] = None
-    return _pack(unpack(wires[circuit.output]), p)
+    return _unstore(wires[circuit.output], p, size)

@@ -16,10 +16,10 @@ why coefficient equality of two canonical polynomials is the same thing as
 equality as functions.
 
 Every p^n table seen from outside (``coeffs``, ``values()``, truth tables,
-``run_all``) is in one packed form, picked from p alone by ``_pack``: for
-p < 128 the canonical residues are packed into ``bytes``, one entry per
-byte; for p >= 128, where the sum of two reduced entries can pass 255, a
-tuple of ints.
+the result of ``circuit.run_all``) is in one packed form, picked from p
+alone by ``_pack``: for p < 128 the canonical residues are packed into
+``bytes``, one entry per byte; for p >= 128, where the sum of two reduced
+entries can pass 255, a tuple of ints.
 
 Inside, a polynomial keeps its table in a stored form (``_store``), also
 picked from p alone.  At p = 2 and p = 3 the table is bit sliced: at p = 2
@@ -33,12 +33,15 @@ planes.  Only this module reads the bits: ``oracle`` and ``formulas`` pass
 stored tables between its functions (``TruthTable`` keeps the stored form of
 its values next to them, ``Polynomial._values`` gives a polynomial's values
 in it, ``first_mismatch`` compares two of them and ``_stored_entry`` reads one
-entry).
+entry), and ``circuit.run_all`` carries one per wire: ``_input_values`` and
+``_ones`` make its input and constant tables, its gates are ``_combine`` and
+``_product`` calls and ``_unstore`` decodes its output.
 
 The dense table work runs through one seam, with the standard library only.
 ``_combine`` is the one place where columns are scaled, summed and reduced
-mod p.  On words the columns of odd weight are xored.  On planes weight 0
-skips a column, weight 1 keeps it, weight 2 swaps its two planes, and two
+mod p, and ``_product`` the one place where two tables are multiplied entry
+by entry.  On words the columns of odd weight are xored.  On planes weight
+0 skips a column, weight 1 keeps it, weight 2 swaps its two planes, and two
 columns add in six bitwise operations (Kawahara, Aoki & Takagi, Pairing
 2008).  On bytes ``bytes.translate`` with a 256-entry table scales every
 entry by a constant (or reduces it), and columns add as little-endian big
@@ -55,20 +58,20 @@ Axis transforms (``apply_axis_transform``, behind ``values()``,
 paths, picked from p alone.  At p = 2 each axis is one masked shift-and-xor
 step on the word.  At p = 3 each axis is three masked shifts of the planes
 (``_bit_blocks``), one ``_combine`` per matrix row and one ``_join``.  The
-masks (``_axis_masks``, each made from the last) and the packing to and
-from bits are shared with ``circuit.run_all``'s p = 2 wires.  For every
+masks (``_axis_masks``, each made from the last) also give the input tables
+of ``circuit.run_all`` at p = 2 and p = 3 (``_input_values``).  For every
 other p, ``_round`` is the one slice-rotation round: ``_combine`` on bytes,
 one dot product per fiber on tuples.  ``eval`` runs one ``_combine`` per
 variable.
 
 A canonical polynomial is its function, so the nonlinear operations run on
-value tables: ``*`` multiplies the operands' values pointwise (bitwise on
-words and planes), ``**`` raises each value to the power, and ``compose``
-reads this polynomial's values at the points its substituents give.
+value tables: ``*`` multiplies the operands' values pointwise (``_product``),
+``**`` raises each value to the power, and ``compose`` reads this
+polynomial's values at the points its substituents give.
 ``lagrange_rows``, the inverse of ``vandermonde_rows``, then turns the
 values back into coefficients with one more axis transform.
 Exponents for ``support`` are read from per-axis digit planes
-(``_digit_plane``, also ``run_all``'s p >= 3 inputs), built on first use.
+(``_digit_plane``, also ``run_all``'s inputs for p > 3), built on first use.
 """
 
 from __future__ import annotations
@@ -163,7 +166,8 @@ def _store(table: Sequence[int], p: int):
 
 def _unstore(stored, p: int, size: int) -> Sequence[int]:
     """A stored table of ``size`` entries in packed form, inverting
-    ``_store``: words and planes are decoded to ``bytes``."""
+    ``_store``: words and planes are decoded to ``bytes``, and a list
+    (``_combine``'s working form for p >= 128) is packed."""
     if p == 2:
         return _from_bits(stored, size)
     if p == 3:
@@ -171,7 +175,7 @@ def _unstore(stored, p: int, size: int) -> Sequence[int]:
         return (int.from_bytes(_from_bits(ones, size), "little")
                 + (int.from_bytes(_from_bits(twos, size), "little") << 1)
                 ).to_bytes(size, "little")
-    return stored
+    return _pack(stored, p)
 
 
 def _stored_entry(stored, p: int, i: int) -> int:
@@ -207,7 +211,7 @@ def _combine(p: int, weights: Sequence[int], cols):
         word = 0
         for m, col in zip(weights, cols):
             if m % 2:
-                word ^= col
+                word = word ^ col if word else col  # no copy of the first column
         return word
     if p == 3 and type(cols[0]) is tuple:
         acc = None
@@ -247,6 +251,36 @@ def _combine(p: int, weights: Sequence[int], cols):
     if held == 1:  # a single term, already reduced
         return term
     return acc.to_bytes(width, "little").translate(reduce)
+
+
+@lru_cache(maxsize=None)
+def _product_table(p: int) -> bytes:
+    """The byte map a*p + b -> a*b mod p for residues a, b, for 3 < p < 16,
+    where the pair code a*p + b is at most p^2 - 1 and fits in a byte.
+    Codes past p^2 - 1 never occur and map to 0."""
+    return bytes([a * b % p for a in range(p) for b in range(p)] + [0] * (256 - p * p))
+
+
+def _product(p: int, a, b):
+    """The entrywise product a * b mod p of two stored tables of one size,
+    in stored form.
+
+    Words (p = 2) are anded.  On planes (p = 3) 1 * 1 = 2 * 2 = 1 and
+    1 * 2 = 2, six bitwise operations.  For 3 < p < 16 the ``bytes`` are
+    read as little-endian ints and each lane of A*p + B holds the pair code
+    a*p + b <= p^2 - 1 < 256, so no lane carries into the next, and one
+    ``bytes.translate`` (``_product_table``) maps the codes to products.
+    Larger p take one comprehension, packed (``_pack``).
+    """
+    if p == 2:
+        return a & b
+    if p == 3:
+        (a1, a2), (b1, b2) = a, b
+        return (a1 & b1) | (a2 & b2), (a1 & b2) | (a2 & b1)
+    if p < 16:
+        code = int.from_bytes(a, "little") * p + int.from_bytes(b, "little")
+        return code.to_bytes(len(a), "little").translate(_product_table(p))
+    return _pack([x * y % p for x, y in zip(a, b)], p)
 
 
 def _join(parts: list, width: int, count: int, p: int):
@@ -361,6 +395,33 @@ def _digit_plane(p: int, size: int, stride: int) -> Sequence[int]:
 
         run = array("H", [d for d in range(p) for _ in range(stride)])
     return run * (size // (stride * p))
+
+
+def _ones(p: int, size: int):
+    """The stored table of ``size`` entries equal to 1, built directly:
+    every bit of the word at p = 2 or of the first plane at p = 3."""
+    if p < 4:
+        word = (1 << size) - 1
+        return word if p == 2 else (word, 0)
+    return _pack(b"\x01" * size, p)
+
+
+def _input_values(p: int, n: int, wanted):
+    """``(i, table)`` for each i < n in ``wanted``: the stored table of x_i
+    at every point of F_p^n, digit i of each index.
+
+    At p = 2 and p = 3 plane v - 1 holds the indices whose digit i is v,
+    m_i << v * p^i with m_i from one sweep of ``_axis_masks``; for larger p
+    it is the packed ``_digit_plane``.
+    """
+    if p < 4:
+        for i, mask in zip(range(n - 1, -1, -1), _axis_masks(n, p)):
+            if i in wanted:
+                planes = tuple(mask << v * p ** i for v in range(1, p))
+                yield i, planes[0] if p == 2 else planes
+        return
+    for i in wanted:
+        yield i, _pack(_digit_plane(p, p ** n, p ** i), p)
 
 
 def apply_axis_transform(table, p: int, n: int, matrix):
@@ -758,14 +819,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         ring = self._same_ring(other)
-        p = ring.p
-        a, b = self._values(), other._values()
-        if p == 2:
-            return _from_values(ring, a & b)
-        if p == 3:  # 1 * 1 = 2 * 2 = 1 and 1 * 2 = 2
-            (a1, a2), (b1, b2) = a, b
-            return _from_values(ring, ((a1 & b1) | (a2 & b2), (a1 & b2) | (a2 & b1)))
-        return _from_values(ring, [x * y % p for x, y in zip(a, b)])
+        return _from_values(ring, _product(ring.p, self._values(), other._values()))
 
     def __rmul__(self, other):
         if isinstance(other, int) and not isinstance(other, bool):

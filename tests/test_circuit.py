@@ -107,11 +107,11 @@ class TestRunAll:
             assert run_all(lower(f, strategy)) == f.values()
 
     def test_size_guard_fires_before_any_table(self, monkeypatch):
-        # Past the 2^24 cap in each wire form: without the guard the p = 2
-        # path would ask for a 2^40-bit mask, the byte lanes for 3^16 bytes
-        # and the list path for 17^6 ints.  Everything after the guard is
-        # made to fail loudly instead, so a missing guard cannot allocate
-        # anything here.
+        # Past the 2^24 cap in each stored form: without the guard the p = 2
+        # path would ask for a 2^40-bit mask, the p = 3 planes for 3^16-bit
+        # masks and the bytes path for 17^6 bytes.  Everything after the
+        # guard is made to fail loudly instead, so a missing guard cannot
+        # allocate anything here.
         def reached(_circuit):
             raise AssertionError("run_all went past its size guard")
 

@@ -4,9 +4,10 @@ The references below are the set-and-stack ``finish``, the builder's
 memoised ``power``, its ``mul``-per-pair ``product``, the validator with a
 separate argument helper, the value-numbering CSE and the ``max``-based
 ``cost``, kept here as they were written before the single-pass rewrite of
-``circuit``, and ``run_all``'s loop from before its byte lanes: one list of
-p^n ints per wire and one comprehension per gate.  Random polynomials must
-lower to the same gate tuples, outputs and cost reports through both;
+``circuit``, and ``run_all``'s loop from before it ran on stored tables: one
+list of p^n ints per wire and one comprehension per gate.  Random
+polynomials must lower to the same gate tuples, outputs and cost reports
+through both;
 random malformed gate lists must get the same verdict and message as from
 the old validator extended with the rule that gate references, input
 indices and the output are ints (checked just before each range test), and
@@ -15,11 +16,11 @@ the shared lowering behind ``stats`` must give, gate for gate, the CSE'd
 plain lowering, and ``stats``' rows must equal the cost reports of the
 plain and the CSE'd circuits; every lowered circuit must agree with
 ``Polynomial.eval`` and ``values()``;
-and ``run_all`` must return the list loop's values, in the stored form
-(``polyring._pack``), on random circuits, the catalog grids and the
-benchmark's circuit cases.  Each input wire must be digit i of the point
-index, as ``point_at`` decodes it: at p = 2 up to 2^17 points, and at
-p = 3, 5, 13, 17 and 131.
+and ``run_all`` must return the list loop's values, in the packed form
+(``polyring._pack``), on random circuits, the catalog grids at every
+modulus and the benchmark's circuit cases.  Each input wire must be digit
+i of the point index, as ``point_at`` decodes it: at p = 2 up to 2^17
+points, and at p = 3, 5, 13, 17, 131, 257 and 263.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -38,8 +39,10 @@ from fpminpoly.polyring import PolyRing, _pack
 MAX_ARITY = {2: 6, 3: 3, 5: 2, 7: 2}
 
 #: Largest arity per modulus of the random circuits: MAX_ARITY plus the two
-#: largest byte-lane primes and the first prime past them, on lists.
-RUN_ARITY = {**MAX_ARITY, 11: 2, 13: 2, 17: 2}
+#: largest primes whose products are pair codes, the first prime past them,
+#: whose products are a comprehension, and two primes past 128, where tables
+#: are tuples.
+RUN_ARITY = {**MAX_ARITY, 11: 2, 13: 2, 17: 2, 131: 1, 257: 1}
 
 #: The circuit-stats benchmark cases (func, p, n, r).
 CIRCUIT_CASES = (("max2", 2, 14, 0), ("argmax2", 2, 14, 1), ("max", 3, 6, 0),
@@ -494,9 +497,11 @@ def _lowered(f):
         yield eliminate_common_subexpressions(base)
 
 
-#: Hand-made circuits at the edges of the wire forms: no inputs (one point),
-#: an input as the output, scale by 0, and p = 2 outputs of all zeros (whose
-#: binary digits are the single "0") and all ones.
+#: Hand-made circuits at the edges of the stored forms: no inputs (one point),
+#: an input as the output, scale by 0, p = 2 outputs of all zeros (whose
+#: binary digits are the single "0") and all ones, and every binary gate on
+#: the input tables past p = 128, where an unpacked bytes digit plane (at
+#: 131) would carry between byte lanes.
 EDGE_CIRCUITS = (
     *(Circuit(p, 0, (("const", p - 1),), 0) for p in (2, 3, 17)),
     *(Circuit(p, 0, (("const", 1), ("scale", 0, 0), ("add", 0, 1)), 2) for p in (2, 3, 17)),
@@ -506,21 +511,30 @@ EDGE_CIRCUITS = (
     Circuit(2, 5, (("input", 3), ("input", 0), ("mul", 0, 1), ("add", 2, 2)), 3),
     Circuit(2, 5, (("const", 1), ("input", 4), ("scale", 1, 0)), 2),
     Circuit(2, 4, (("input", 1), ("const", 1), ("add", 0, 1), ("add", 0, 2)), 3),
+    *(Circuit(p, 1, (("input", 0), ("add", 0, 0), ("mul", 1, 0), ("sub", 2, 1)), 3)
+      for p in (131, 257)),
 )
 
 
-#: Input wires at p = 2 up to 2^17 points, on byte lanes, on lists and past
-#: p = 128, where values are tuples.
+#: Input wires at p = 2 up to 2^17 points, on the planes at p = 3, on bytes
+#: and past p = 128, where values are tuples: from a bytes digit plane up to
+#: p = 256 and from an ``array('H')`` one above.
 INPUT_WIRE_RINGS = ([(2, n) for n in range(1, 18)] + [(3, n) for n in range(1, 10)]
                     + [(5, n) for n in range(1, 7)] + [(13, n) for n in range(1, 5)]
-                    + [(17, n) for n in range(1, 4)] + [(131, 1), (131, 2)])
+                    + [(17, n) for n in range(1, 4)] + [(131, 1), (131, 2)]
+                    + [(257, 1), (257, 2), (263, 1), (263, 2)])
+
+
+#: Every modulus on the catalog grids.
+GRID_MODULI = sorted({p for entry in CATALOG.values() for p, _, _ in entry.verify_grid})
 
 
 class TestRunAllAgainstReference:
-    def test_catalog_grids_on_byte_lanes(self):
+    @pytest.mark.parametrize("modulus", GRID_MODULI)
+    def test_catalog_grids(self, modulus):
         for name, entry in sorted(CATALOG.items()):
             for p, n, r in entry.verify_grid:
-                if 2 < p < 16:
+                if p == modulus:
                     f = build_formula(name, p, n, r)
                     for circ in _lowered(f):
                         assert run_all(circ) == reference_run_all(circ), (name, p, n, r)
@@ -548,8 +562,8 @@ class TestRunAllAgainstReference:
     @pytest.mark.parametrize("p,n", INPUT_WIRE_RINGS,
                              ids=[str(n) if p == 2 else f"{p}^{n}" for p, n in INPUT_WIRE_RINGS])
     def test_p2_input_wires_are_the_index_bits(self, p, n):
-        # Built from polyring's axis masks at p = 2 and its digit planes
-        # otherwise; each must be digit i of the point index.
+        # Built from polyring's axis masks at p = 2 and p = 3 and its digit
+        # planes otherwise; each must be digit i of the point index.
         points = [point_at(p, n, k) for k in range(p ** n)]
         for i in range(n):
             got = run_all(Circuit(p, n, (("input", i),), 0))

@@ -12,7 +12,9 @@ references for chained products.  Exponents and digits are decoded
 with ``oracle.point_at``, independently of the ring's digit planes.  The
 dense kernels are checked on both sides of p = 128, where tables stop being
 packed into bytes.  ``_combine``, the one place where columns are scaled,
-summed and reduced, is checked against a per-entry sum.  At p = 2, where
+summed and reduced, is checked against a per-entry sum, and ``_product``,
+the entrywise product behind ``*`` and ``run_all``'s mul gates, against
+``x * y % p`` on every stored form.  At p = 2, where
 the axis transform runs on one int of bits, it is also checked against
 chained ``_round`` calls, for every 2x2 matrix up to 2^20 entries.  There
 polynomials store their tables as one int of bits too, so every ring
@@ -345,6 +347,25 @@ class TestCombine:
             weights = [p - 1] * count
             got = _combine(p, weights, [_pack(col, p) for col in cols])
             assert list(got) == reference_combine(p, weights, cols)
+
+
+class TestProduct:
+    @pytest.mark.parametrize("p", [2, 3, 5, 13, 17, 127, 131, 257])
+    def test_matches_entrywise_products_in_stored_form(self, p):
+        """``_product`` on words (p = 2), planes (p = 3), pair codes
+        (5, 13), bytes (17, 127) and tuples (131, 257), for zero, all-(p-1)
+        and random tables, at lengths on both sides of a byte of bits."""
+        rng = random.Random(f"product {p}")
+        for size in (1, 7, 9, 300):
+            tables = [[0] * size, [p - 1] * size,
+                      *([rng.randrange(p) for _ in range(size)] for _ in range(3))]
+            for a, b in itertools.product(tables, repeat=2):
+                sa, sb = polyring._store(a, p), polyring._store(b, p)
+                got = polyring._product(p, sa, sb)
+                assert type(got) is type(sa)
+                if p == 3:
+                    assert len(got) == 2 and all(type(plane) is int for plane in got)
+                assert list(polyring._unstore(got, p, size)) == [x * y % p for x, y in zip(a, b)]
 
 
 class TestMultiply:
@@ -931,9 +952,10 @@ class TestOneTableForm:
             assert type(f.coeffs) is form, name
             assert len(f.coeffs) == ring.size, name
 
-    @pytest.mark.parametrize("p", [2, 3, 13, 17, 127, 131])
+    @pytest.mark.parametrize("p", [2, 3, 5, 13, 17, 127, 131, 257])
     def test_value_tables_share_the_stored_form(self, p):
-        # Both sides of run_all's wire boundary at 16 and of _pack's at 128.
+        # Both sides of the stored form's boundaries at 4 (bits to bytes) and
+        # at 128 (bytes to tuples), and of _product's pair codes at 16.
         n = 2 if p < 20 else 1
         f = build_formula("max", p, n)
         table = tabulate(FunctionSpec("max", p, n)).values
