@@ -781,8 +781,8 @@ def verify_formula(name: str, p: int | None = None, n: int | None = None,
             f"candidate polynomial lives in {poly.ring}, "
             f"but {name} needs {reference.ring}")
     # Both value tables in stored form: words at p = 2 and planes at p = 3,
-    # so the truth table is converted once, when it is made, and the closed
-    # form never.  A mismatching entry is read from the compared table.
+    # which ``tabulate`` builds directly, so neither table is converted.  A
+    # mismatching entry is read from the compared tables.
     values = poly._values()
     mismatch = first_mismatch(values, table._stored)
     report = {
@@ -790,13 +790,13 @@ def verify_formula(name: str, p: int | None = None, n: int | None = None,
         "p": p,
         "n": n,
         "r": r,
-        "points_checked": len(table.values),
+        "points_checked": p ** spec.arity,
         "coefficient_match": poly == reference,
         "function_match": mismatch is None,
     }
     if mismatch is not None:
         report["mismatch_point"] = list(point_at(p, spec.arity, mismatch))
-        report["expected"] = table.values[mismatch]
+        report["expected"] = _stored_entry(table._stored, p, mismatch)
         report["got"] = _stored_entry(values, p, mismatch)
     report["status"] = ("pass" if report["coefficient_match"] and report["function_match"]
                         else "mismatch")

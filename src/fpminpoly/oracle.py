@@ -8,7 +8,11 @@ definition in its plainest form, one input list at a time: the reference.
 over x0, x1, ... (a running maximum, a best value with its first index),
 and that fold is the one path by which values are computed: ``evaluate``
 runs it over one point, ``tabulate`` over the full truth table, stepping
-once per distinct state and axis instead of once per point.
+once per distinct state and axis instead of once per point.  At p = 2 and
+p = 3 ``tabulate`` keeps, per live state, one int whose bits mark the points
+in that state, and the last axis ORs these into one int per value: the bit
+planes of the ring's stored form, built with no ring operation and no table
+of bytes.
 ``interpolate`` turns any truth table into the unique canonical polynomial
 agreeing with it everywhere.
 
@@ -19,7 +23,7 @@ check for every closed form in :mod:`fpminpoly.formulas`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from itertools import chain
 import json
@@ -28,8 +32,8 @@ from typing import Callable, Hashable, Sequence
 
 from .ff import PrimeField
 from .polyring import (DEFAULT_MAX_TABLE_SIZE, Polynomial, PolyRing, SizeGuardError,
-                       _checked, _polynomial, _store, apply_axis_transform,
-                       bounded_power)
+                       _checked, _planes_stored, _polynomial, _store, _unstore,
+                       apply_axis_transform, bounded_power)
 
 #: Function kinds understood by tabulate() and the CLI.
 KINDS = ("max", "min", "argmax_digit", "argmin_digit", "ismax", "nummax_digit",
@@ -125,7 +129,6 @@ def point_at(p: int, arity: int, index: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class TruthTable:
     """A total function F_p^arity -> F_p as a flat value array.
 
@@ -133,27 +136,69 @@ class TruthTable:
     matches polynomial coefficient order, so tables and coefficient tables
     are transforms of one another.  ``values`` is checked and packed like
     ``Polynomial.coeffs``, so a list, a tuple or ``bytes`` give equal tables.
-    ``_stored`` is the same table in a polynomial's stored form, from
-    ``polyring._store`` once, when the table is made (at p = 2 the word of
-    bits, at p = 3 the pair of planes; otherwise ``values`` itself), which
-    ``interpolate`` and ``verify_formula``'s value comparison read.
+    ``_stored`` is the same table in a polynomial's stored form (at p = 2
+    the word of bits, at p = 3 the pair of planes; otherwise ``values``
+    itself), which ``interpolate`` and ``verify_formula`` read.  A table
+    given its values stores them once, with ``polyring._store``; ``tabulate``
+    at p = 2 and p = 3 makes the stored form itself (``_from_stored``), and
+    ``values`` is then decoded on first use and kept, as ``coeffs`` is.
+
+    Immutable, and equal, hashed and printed as the dataclass of ``p``,
+    ``arity`` and ``values`` it stands for.
     """
 
-    p: int
-    arity: int
-    values: Sequence[int]
-    _stored: object = field(init=False, repr=False, compare=False)
+    __slots__ = ("p", "arity", "_values", "_stored")
 
-    def __post_init__(self):
-        PrimeField(self.p)
-        if not isinstance(self.arity, int) or isinstance(self.arity, bool) or self.arity < 0:
-            raise ValueError(f"arity must be a nonnegative int, got {self.arity!r}")
-        if bounded_power(self.p, self.arity, len(self.values)) != len(self.values):
+    def __init__(self, p: int, arity: int, values: Sequence[int]):
+        PrimeField(p)
+        if not isinstance(arity, int) or isinstance(arity, bool) or arity < 0:
+            raise ValueError(f"arity must be a nonnegative int, got {arity!r}")
+        if bounded_power(p, arity, len(values)) != len(values):
             raise ValueError(
-                f"truth table needs p^arity = {self.p}^{self.arity} values, "
-                f"got {len(self.values)}")
-        object.__setattr__(self, "values", _checked(self.values, self.p))
-        object.__setattr__(self, "_stored", _store(self.values, self.p))
+                f"truth table needs p^arity = {p}^{arity} values, got {len(values)}")
+        values = _checked(values, p)
+        self._fill(p, arity, values, _store(values, p))
+
+    @classmethod
+    def _from_stored(cls, p: int, arity: int, stored) -> "TruthTable":
+        """The table of a stored form the library made, unchecked."""
+        table = object.__new__(cls)
+        table._fill(p, arity, None, stored)
+        return table
+
+    def _fill(self, p, arity, values, stored):
+        for name, value in zip(self.__slots__, (p, arity, values, stored)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def values(self) -> Sequence[int]:
+        """The values, packed (``_pack``)."""
+        if self._values is None:
+            object.__setattr__(self, "_values",
+                               _unstore(self._stored, self.p, self.p ** self.arity))
+        return self._values
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return TruthTable, (self.p, self.arity, self.values)
+
+    def __eq__(self, other: object) -> bool:
+        # The stored form is one-to-one with the values for a given p and arity.
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.arity, self._stored) == (other.p, other.arity, other._stored)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.arity, self.values))
+
+    def __repr__(self) -> str:
+        return (f"{self.__class__.__qualname__}(p={self.p!r}, arity={self.arity!r}, "
+                f"values={self.values!r})")
 
     def to_dict(self) -> dict:
         return {"p": self.p, "arity": self.arity, "values": list(self.values)}
@@ -281,11 +326,13 @@ def tabulate(spec: FunctionSpec,
              max_table_size: int | None = DEFAULT_MAX_TABLE_SIZE) -> TruthTable:
     """The fold of ``spec`` run over every input point, one axis at a time.
 
-    The table of state ids starts as the one start state and grows p-fold
-    per axis, x0 least significant.  Per axis, ``step`` runs once per
-    (distinct state, x); the new states are interned, so ``argmax`` at
-    p = 2, n = 16 meets at most 2 * 16 states, never 65,536 points.  The
-    last axis maps ids straight to values through ``finish``.
+    Per axis, ``step`` runs once per (distinct state, x), so ``argmax`` at
+    p = 2, n = 16 meets at most 2 * 16 states, never 65,536 points, and the
+    last axis maps states straight to values through ``finish``.  At p = 2
+    and p = 3 the table is built in its stored form (``_fold_planes``); for
+    larger p as a table of state ids (``_grow``) that starts as the one
+    start state and grows p-fold per axis, x0 least significant, with the
+    new states interned.
     """
     p, arity = spec.p, spec.arity
     if max_table_size is not None and bounded_power(p, arity, max_table_size) is None:
@@ -293,8 +340,10 @@ def tabulate(spec: FunctionSpec,
             f"truth table size p^arity = {p}^{arity} exceeds the cap of "
             f"{max_table_size} entries")
     start, step, finish = spec.fold()
-    states, table = [start], b"\0"
     last = arity - 1
+    if p < 4:
+        return TruthTable._from_stored(p, arity, _fold_planes(p, last, start, step, finish))
+    states, table = [start], b"\0"
     for axis in range(last):
         interned = {}
         rows = [[interned.setdefault(step(s, axis, x), len(interned)) for s in states]
@@ -303,6 +352,37 @@ def tabulate(spec: FunctionSpec,
         table = _grow(table, rows, len(states))
     table = _grow(table, ([finish(step(s, last, x)) for s in states] for x in range(p)), p)
     return TruthTable(p, arity, table)
+
+
+def _fold_planes(p: int, last: int, start, step, finish):
+    """The fold over axes 0 to ``last`` at p = 2 or p = 3, in stored form.
+
+    Each live state keeps one int, its indicator: bit j is set when point j
+    (of the axes so far) ends in that state.  Axis k, of width w = p^k,
+    moves the bits of state s at x to ``step(s, k, x)``, shifted by x * w.
+    The last axis ORs them into the plane of their value instead, checked as
+    ``_checked`` checks a table, so its states' indicators are never made.
+    """
+    live = {start: 1}
+    for axis in range(last):
+        width, grown = p ** axis, {}
+        for x in range(p):
+            shift = x * width
+            for s, bits in live.items():
+                t = step(s, axis, x)
+                old = grown.get(t)
+                grown[t] = bits << shift if old is None else old | bits << shift
+        live = grown
+    width, planes = p ** last, [0] * (p - 1)
+    for x in range(p):
+        shift = x * width
+        for s, bits in live.items():
+            v = finish(step(s, last, x))
+            if not (type(v) is int and 0 <= v < p):
+                PrimeField(p).check(v)
+            if v:
+                planes[v - 1] |= bits << shift
+    return _planes_stored(planes, p)
 
 
 def _grow(table, rows, bound: int):

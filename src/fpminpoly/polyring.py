@@ -25,17 +25,21 @@ Inside, a polynomial keeps its table in a stored form (``_store``), also
 picked from p alone.  At p = 2 and p = 3 the table is bit sliced: at p = 2
 it is one int of 2^n bits, entry i as bit i (the word); at p = 3 a pair of
 ints of 3^n bits, the entries equal to 1 and the entries equal to 2 (the
-planes).  ``_to_bits`` reads one of these ints from ``bytes`` and
-``_unstore`` decodes a stored table back to ``bytes``; ``coeffs`` is decoded
-on first use and kept.  For every other p the stored form is the packed form
-itself.  No other stored table is a tuple of two, so a pair is always
-planes.  Only this module reads the bits: ``oracle`` and ``formulas`` pass
-stored tables between its functions (``TruthTable`` keeps the stored form of
-its values next to them, ``Polynomial._values`` gives a polynomial's values
-in it, ``first_mismatch`` compares two of them and ``_stored_entry`` reads one
-entry), and ``circuit.run_all`` carries one per wire: ``_input_values`` and
-``_ones`` make its input and constant tables, its gates are ``_combine`` and
-``_product`` calls and ``_unstore`` decodes its output.
+planes).  ``_to_bits`` reads one of these ints from ``bytes``,
+``_planes_stored`` lays out ints of bits made elsewhere, one per nonzero
+value, and ``_unstore`` decodes a stored table back to ``bytes``;
+``coeffs`` is decoded on first use and kept.  For every other p the stored
+form is the packed form itself.  No other stored table is a tuple of two,
+so a pair is always planes.  Only this module knows the layout: ``oracle``
+and ``formulas`` pass stored tables between its functions (``TruthTable``
+keeps its values in stored form, ``tabulate`` at p = 2 and p = 3 builds the
+value planes and hands them to ``_planes_stored``, and the values are
+decoded by ``_unstore`` only when read; ``Polynomial._values`` gives a
+polynomial's values in stored form, ``first_mismatch`` compares two of them
+and ``_stored_entry`` reads one entry), and ``circuit.run_all`` carries one
+per wire: ``_input_values`` and ``_ones`` make its input and constant
+tables, its gates are ``_combine`` and ``_product`` calls and ``_unstore``
+decodes its output.
 
 The dense table work runs through one seam, with the standard library only.
 ``_combine`` is the one place where columns are scaled, summed and reduced
@@ -162,6 +166,13 @@ def _store(table: Sequence[int], p: int):
     if p == 3:
         return _to_bits(packed, 1), _to_bits(packed, 2)
     return packed
+
+
+def _planes_stored(planes: Sequence[int], p: int):
+    """The stored form of a p = 2 or p = 3 table given as its value planes:
+    ``planes[v - 1]`` holds bit i where entry i equals v, for v < p, and no
+    bit is set in two planes.  The word at p = 2, the pair at p = 3."""
+    return planes[0] if p == 2 else (planes[0], planes[1])
 
 
 def _unstore(stored, p: int, size: int) -> Sequence[int]:

@@ -1015,24 +1015,37 @@ DENSE_CASES = (("max", 3, 9, 0), ("argmax", 3, 9, 0), ("nummax0", 3, 9, 0), ("ma
 PAST_BYTE_SPECS = (FunctionSpec("ismax", 17, 2), FunctionSpec("argmax_digit", 131, 2, 1),
                    FunctionSpec("max", 257, 2))
 
+#: Folds at the edges of the p = 2 and p = 3 plane path: arity 1, ismax with
+#: its y input, the 32 states of ismax_2bit at n = 7, carry at p = 3 and the
+#: digit kinds with many states.
+EDGE_FOLD_SPECS = (FunctionSpec("max", 2, 1), FunctionSpec("argmax_digit", 3, 1, 0),
+                   FunctionSpec("ismax", 2, 1), FunctionSpec("ismax", 3, 5),
+                   FunctionSpec("ismax_2bit", 2, 7), FunctionSpec("carry", 3, 2),
+                   FunctionSpec("argmax_digit", 2, 16, 2), FunctionSpec("nummax_digit", 3, 7, 1))
+
 
 def differential_specs(kind):
     """Small specs, every catalog ``verify_grid`` spec, the dense benchmark
-    cases and the past-one-byte specs of this kind, each once."""
+    cases, the past-one-byte specs and the plane-path edge specs of this
+    kind, each once."""
     catalog = [entry.spec_of(p, n, r)
                for entry in CATALOG.values() for p, n, r in entry.verify_grid]
     dense = [CATALOG[name].spec_of(p, n, r) for name, p, n, r in DENSE_CASES]
-    specs = [*small_specs(kind), *catalog, *dense, *PAST_BYTE_SPECS]
+    specs = [*small_specs(kind), *catalog, *dense, *PAST_BYTE_SPECS, *EDGE_FOLD_SPECS]
     return [spec for spec in dict.fromkeys(specs) if spec.kind == kind]
 
 
 class TestTabulate:
     @pytest.mark.parametrize("kind", KINDS)
     def test_matches_per_point_dispatch(self, kind):
+        # At p = 2 and p = 3 the table is built in stored form and its values
+        # decoded from it; elsewhere the stored form is the values.
         for spec in differential_specs(kind):
             points = [point_at(spec.p, spec.arity, i) for i in range(spec.p ** spec.arity)]
             expected = tuple(reference_evaluate(spec, point) for point in points)
-            assert tabulate(spec).values == _pack(expected, spec.p), spec
+            table = tabulate(spec)
+            assert table.values == _pack(expected, spec.p), spec
+            assert table._stored == polyring._store(expected, spec.p), spec
             assert tuple(spec.evaluate(point) for point in points) == expected, spec
 
     def test_tuple_id_table_ends_as_bytes(self, monkeypatch):
@@ -1050,6 +1063,58 @@ class TestTabulate:
         assert given == [bytes]
         points = (point_at(17, 4, i) for i in range(17 ** 4))
         assert table.values == bytes(reference_evaluate(spec, point) for point in points)
+
+    @pytest.mark.parametrize("spec", [*EDGE_FOLD_SPECS, FunctionSpec("max", 5, 3)], ids=repr)
+    def test_fold_runs_once_per_state_x_and_axis(self, spec, monkeypatch):
+        calls = {"step": [], "finish": []}
+        fold = FunctionSpec.fold
+
+        def counted(self):
+            start, step, finish = fold(self)
+
+            def counted_step(s, k, x):
+                calls["step"].append((k, s, x))
+                return step(s, k, x)
+
+            def counted_finish(s):
+                calls["finish"].append(s)
+                return finish(s)
+
+            return start, counted_step, counted_finish
+
+        monkeypatch.setattr(FunctionSpec, "fold", counted)
+        tabulate(spec)
+        steps, last = calls["step"], spec.arity - 1
+        assert len(set(steps)) == len(steps)
+        assert len(calls["finish"]) == sum(k == last for k, _, _ in steps)
+        start, step, _ = fold(spec)
+        states = {start}
+        for k in range(spec.arity):  # every reachable (state, x), once per axis
+            assert {(s, x) for j, s, x in steps if j == k} == {
+                (s, x) for s in states for x in range(spec.p)}, k
+            states = {step(s, k, x) for s in states for x in range(spec.p)}
+
+    @pytest.mark.parametrize("p,bad,message", [
+        (3, 3, "field element 3 out of range [0, 3)"),
+        (3, True, "field element must be an int, got True"),
+        (3, 1.0, "field element must be an int, got 1.0"),
+        (3, -1, "field element -1 out of range [0, 3)"),
+        (2, 2, "field element 2 out of range [0, 2)"),
+        (2, True, "field element must be an int, got True")])
+    def test_noncanonical_finish_is_refused(self, p, bad, message, monkeypatch):
+        fold = FunctionSpec.fold
+
+        def broken(self):
+            start, step, finish = fold(self)
+            return start, step, lambda s: bad if finish(s) else 0
+
+        monkeypatch.setattr(FunctionSpec, "fold", broken)
+        with pytest.raises(ValueError) as refused:
+            tabulate(FunctionSpec("max", p, 3))
+        assert str(refused.value) == message
+        with pytest.raises(ValueError) as listed:
+            TruthTable(p, 1, [0, bad] + [0] * (p - 2))
+        assert str(listed.value) == message
 
 
 # -- the p = 2 word store against byte tables -------------------------------------------
@@ -1295,11 +1360,16 @@ class TestBitStoreOnTheCatalog:
                 point, expected, got), bit
 
     @pytest.mark.parametrize("name,p,n,r", [("max2", 2, 12, 0), ("argmax2", 2, 12, 1),
-                                            ("max", 3, 8, 0), ("argmax", 3, 7, 1)])
-    def test_verify_converts_only_the_truth_table(self, name, p, n, r, monkeypatch):
-        """The closed form and the comparisons stay words or planes: one
-        full-size conversion to bits per plane (the truth table's) and none
-        back."""
+                                            ("ismax2bit", 2, 5, 0), ("max", 3, 8, 0),
+                                            ("argmax", 3, 7, 1), ("nummax", 3, 7, 1)])
+    def test_verify_converts_no_table(self, name, p, n, r, monkeypatch):
+        """The truth table is built as words or planes, and the closed form
+        and the comparisons stay so: in a passing verify and in a mismatch
+        report, nothing is converted to or from bits but one-variable rows."""
+        ring = PolyRing(p, CATALOG[name].spec_of(p, n, r).arity)
+        broken = bytearray(build_formula(name, p, n, r).coeffs)
+        broken[ring.size // 3] = (broken[ring.size // 3] + 1) % p
+        candidate = ring.from_coeffs(broken)
         sizes = []
         for fn in ("_to_bits", "_from_bits"):
             original = getattr(polyring, fn)
@@ -1309,9 +1379,10 @@ class TestBitStoreOnTheCatalog:
                 return original(*args)
 
             monkeypatch.setattr(polyring, fn, recorded)
-        report = verify_formula(name, p, n, r)
-        assert report["status"] == "pass"
-        assert [s for s in sizes if s[1] == p ** n] == [("_to_bits", p ** n)] * (p - 1)
+        assert verify_formula(name, p, n, r)["status"] == "pass"
+        report = verify_formula(name, p, n, r, candidate=candidate)
+        assert report["status"] == "mismatch" and report["points_checked"] == ring.size
+        assert [s for s in sizes if s[1] > p] == []
 
 
 # -- the p = 3 plane store against byte tables ------------------------------------------

@@ -1,10 +1,14 @@
+import copy
+from dataclasses import FrozenInstanceError
 import itertools
+import pickle
 import random
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fpminpoly import oracle
 from fpminpoly.ff import PrimeField
 from fpminpoly.oracle import (FunctionSpec, TruthTable, argmax_digit_sem,
                               argmax_sem, argmin_sem, carry_sem, interpolate,
@@ -196,8 +200,10 @@ class TestTabulate:
             tabulate(FunctionSpec("max", 2, 30000000, 0), max_table_size=100)
 
     @pytest.mark.parametrize("spec", [FunctionSpec("max", 1021, 2),
-                                      FunctionSpec("argmax_digit", 2, 20, 1)],
-                             ids=["tuple-path", "bytes-path"])
+                                      FunctionSpec("argmax_digit", 5, 8, 1),
+                                      FunctionSpec("argmax_digit", 2, 20, 1),
+                                      FunctionSpec("argmax_digit", 3, 12, 1)],
+                             ids=["tuple-path", "bytes-path", "word-path", "plane-path"])
     def test_peak_memory_stays_near_the_table(self, spec):
         # The fold's rows and id tables are small beside the result; building
         # every row of the last axis at once would double the peak.
@@ -209,21 +215,95 @@ class TestTabulate:
             size, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(table.values) == spec.p ** spec.arity
-        if type(table.values) is tuple:
+        entries = spec.p ** spec.arity
+        assert len(table.values) == entries
+        if spec.p < 4:
+            # Built as planes: the result is p - 1 bits an entry, and the
+            # indicators of the live fold states (at most p * n of them here,
+            # each at most a p-th of the table) are held beside it.  Decoding
+            # the values would take a byte an entry more.
+            assert peak - base <= 2 * entries, (size - base, peak - base)
+        elif type(table.values) is tuple:
             assert peak - base <= 1.25 * (size - base), (size - base, peak - base)
         else:
             # A bytes result is 8x smaller than a tuple of it, and the previous
-            # axis's id table (half the result at p = 2) is held beside it: the
+            # axis's id table (a p-th of the result) is held beside it: the
             # peak stays within a tuple result's 8 bytes an entry and within
             # 3x the packed result.
-            assert peak - base <= 8 * len(table.values), (size - base, peak - base)
+            assert peak - base <= 8 * entries, (size - base, peak - base)
             assert peak - base <= 3 * (size - base), (size - base, peak - base)
 
     def test_huge_digit_index_is_zero_without_exponentiating(self):
         t = tabulate(FunctionSpec("argmax_digit", 3, 2, 10**12))
         assert set(t.values) == {0}
         assert nummax_digit_sem((1, 1, 1), 10**12, 3) == 0
+
+
+class TestLazyTruthTable:
+    """At p = 2 and p = 3 ``tabulate`` makes the stored form and ``values``
+    is decoded from it on first use: nothing visible may differ from a
+    table given its values."""
+
+    SPECS = [FunctionSpec("max", 2, 5), FunctionSpec("argmax_digit", 3, 4, 1),
+             FunctionSpec("ismax", 3, 2), FunctionSpec("ismax_2bit", 2, 2),
+             FunctionSpec("carry", 3, 2), FunctionSpec("max", 5, 3)]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=repr)
+    def test_tabulated_table_is_the_table_of_its_values(self, spec):
+        made = tabulate(spec)
+        given = TruthTable(spec.p, spec.arity, list(made.values))
+        fresh = tabulate(spec)  # nothing read yet
+        assert fresh == given and given == fresh and not fresh != given
+        assert hash(tabulate(spec)) == hash(given)
+        assert repr(tabulate(spec)) == repr(given)
+        assert tabulate(spec).to_json() == given.to_json()
+        assert tabulate(spec).to_dict() == given.to_dict()
+        assert TruthTable.from_json(tabulate(spec).to_json()) == tabulate(spec)
+        assert interpolate(tabulate(spec)) == interpolate(given)
+
+    def test_repr_and_hash_are_the_dataclass_ones(self):
+        t = tabulate(FunctionSpec("max", 3, 1))
+        assert repr(t) == "TruthTable(p=3, arity=1, values=b'\\x00\\x01\\x02')"
+        assert hash(t) == hash((3, 1, b"\x00\x01\x02"))
+
+    def test_tables_differing_in_p_arity_or_values_differ(self):
+        t = tabulate(FunctionSpec("max", 2, 2))
+        assert t != tabulate(FunctionSpec("min", 2, 2))
+        assert t != TruthTable(2, 1, (0, 1)) and t != TruthTable(3, 2, [0] * 9)
+        assert t != (2, 2, t.values) and t != object()
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_values_are_decoded_once_and_kept(self, p, monkeypatch):
+        calls = []
+        original = oracle._unstore
+
+        def recorded(*args):
+            calls.append(args[1:])
+            return original(*args)
+
+        monkeypatch.setattr(oracle, "_unstore", recorded)
+        t = tabulate(FunctionSpec("argmax_digit", p, 6, 1))
+        assert t == tabulate(FunctionSpec("argmax_digit", p, 6, 1)) and calls == []
+        first = t.values
+        assert t.values is first and calls == [(p, p ** 6)]
+        hash(t), repr(t), t.to_json()
+        assert calls == [(p, p ** 6)]
+        assert TruthTable(p, 6, first).values is not None and calls == [(p, p ** 6)]
+
+    def test_table_is_immutable(self):
+        t = tabulate(FunctionSpec("max", 2, 3))
+        for name in ("p", "arity", "values", "_stored"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(t, name, 0)
+            with pytest.raises(FrozenInstanceError):
+                delattr(t, name)
+        assert t == TruthTable(2, 3, (0,) + (1,) * 7)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=repr)
+    def test_copies_and_pickles_are_equal(self, spec):
+        t = tabulate(spec)
+        for other in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert other == t and hash(other) == hash(t) and other.values == t.values
 
 
 class TestInterpolate:
