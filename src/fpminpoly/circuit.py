@@ -23,11 +23,11 @@ builds only the shared circuit, and it counts the unshared circuit's mul,
 add and scale gates as they are emitted instead of building them.
 
 ``run_all`` carries all p^n points through each gate at once, each wire a
-table in ``polyring``'s stored form (``polyring._store``): an int of p^n
-bits at p = 2, two such planes at p = 3, ``bytes`` for p < 128 and a tuple
-above.  ``polyring`` also supplies the input and constant tables and runs
-every gate: const, add, sub and scale are its column combine and mul is
-its entrywise product, the one behind ``Polynomial.__mul__``.
+table in ``polyring``'s stored form (``polyring._store``): p - 1 value
+planes, ints of p^n bits, at p = 2 and p = 3, ``bytes`` for p < 128 and a
+tuple above.  ``polyring`` also supplies the input and constant tables
+and runs every gate: const, add, sub and scale are its column combine and
+mul is its entrywise product, the one behind ``Polynomial.__mul__``.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ from typing import Sequence
 
 from .ff import PrimeField
 from .polyring import (DEFAULT_MAX_TABLE_SIZE, Polynomial, SizeGuardError, _combine,
-                       _input_values, _ones, _product, _unstore, bounded_power)
+                       _input_values, _load_json, _ones, _product, _unstore,
+                       bounded_power)
 
 STRATEGIES = ("naive_monomial", "nested_horner")
 
@@ -190,7 +191,7 @@ class Circuit:
 
     @staticmethod
     def from_json(text: str) -> "Circuit":
-        return Circuit.from_dict(json.loads(text))
+        return Circuit.from_dict(_load_json(text, "circuit"))
 
 
 @dataclass(frozen=True)
@@ -623,15 +624,16 @@ def run_all(circuit: Circuit) -> Sequence[int]:
 
     Gate semantics are identical to :func:`run`; the whole domain is just
     carried through each gate at once, as a table in the stored form of a
-    ``Polynomial`` (``polyring._store``): one int of p^n bits at p = 2, two
-    at p = 3 (the entries equal to 1 and to 2), ``bytes`` of p^n residues
-    for 3 < p < 128 and a tuple (or ``_combine``'s list) above.  The input
-    wires the circuit reads come first (``_input_values``), and constants
-    scale the all-ones table (``_ones``); const, add, sub and scale gates
-    are one ``_combine`` each and mul gates one ``_product``.  Each wire is
-    dropped right after the last gate that reads it, so only live wires are
-    held: about p^n / 8 bytes each at p = 2, twice that at p = 3 and p^n
-    bytes for 3 < p < 128.  The output wire is decoded by ``_unstore``.
+    ``Polynomial`` (``polyring._store``): at p = 2 and p = 3 a tuple of
+    p - 1 value planes, ints of p^n bits (plane v - 1 the entries equal to
+    v), ``bytes`` of p^n residues for 3 < p < 128 and a tuple (or
+    ``_combine``'s list) above.  The input wires the circuit reads come
+    first (``_input_values``), and constants scale the all-ones table
+    (``_ones``); const, add, sub and scale gates are one ``_combine`` each
+    and mul gates one ``_product``.  Each wire is dropped right after the
+    last gate that reads it, so only live wires are held: about p^n / 8
+    bytes each at p = 2, twice that at p = 3 and p^n bytes for
+    3 < p < 128.  The output wire is decoded by ``_unstore``.
     Raises ``SizeGuardError`` before allocating anything when p^n exceeds
     the default table cap.
     """

@@ -780,11 +780,11 @@ def verify_formula(name: str, p: int | None = None, n: int | None = None,
         raise FormulaParamError(
             f"candidate polynomial lives in {poly.ring}, "
             f"but {name} needs {reference.ring}")
-    # Both value tables in stored form: words at p = 2 and planes at p = 3,
+    # Both value tables in stored form, value planes at p = 2 and p = 3,
     # which ``tabulate`` builds directly, so neither table is converted.  A
     # mismatching entry is read from the compared tables.
     values = poly._values()
-    mismatch = first_mismatch(values, table._stored)
+    mismatch = first_mismatch(values, table._stored, p)
     report = {
         "formula": name,
         "p": p,

@@ -10,9 +10,9 @@ and that fold is the one path by which values are computed: ``evaluate``
 runs it over one point, ``tabulate`` over the full truth table, stepping
 once per distinct state and axis instead of once per point.  At p = 2 and
 p = 3 ``tabulate`` keeps, per live state, one int whose bits mark the points
-in that state, and the last axis ORs these into one int per value: the bit
-planes of the ring's stored form, built with no ring operation and no table
-of bytes.
+in that state, and the last axis ORs these into one int per nonzero value:
+the value planes of the ring's stored form, built with no ring operation
+and no table of bytes.
 ``interpolate`` turns any truth table into the unique canonical polynomial
 agreeing with it everywhere.
 
@@ -32,7 +32,7 @@ from typing import Callable, Hashable, Sequence
 
 from .ff import PrimeField
 from .polyring import (DEFAULT_MAX_TABLE_SIZE, Polynomial, PolyRing, SizeGuardError,
-                       _checked, _planes_stored, _polynomial, _store, _unstore,
+                       _checked, _load_json, _polynomial, _store, _unstore,
                        apply_axis_transform, bounded_power)
 
 #: Function kinds understood by tabulate() and the CLI.
@@ -137,7 +137,7 @@ class TruthTable:
     are transforms of one another.  ``values`` is checked and packed like
     ``Polynomial.coeffs``, so a list, a tuple or ``bytes`` give equal tables.
     ``_stored`` is the same table in a polynomial's stored form (at p = 2
-    the word of bits, at p = 3 the pair of planes; otherwise ``values``
+    and p = 3 the tuple of p - 1 value planes; otherwise ``values``
     itself), which ``interpolate`` and ``verify_formula`` read.  A table
     given its values stores them once, with ``polyring._store``; ``tabulate``
     at p = 2 and p = 3 makes the stored form itself (``_from_stored``), and
@@ -215,7 +215,7 @@ class TruthTable:
 
     @staticmethod
     def from_json(text: str) -> "TruthTable":
-        return TruthTable.from_dict(json.loads(text))
+        return TruthTable.from_dict(_load_json(text, "truth table"))
 
 
 @dataclass(frozen=True)
@@ -382,7 +382,7 @@ def _fold_planes(p: int, last: int, start, step, finish):
                 PrimeField(p).check(v)
             if v:
                 planes[v - 1] |= bits << shift
-    return _planes_stored(planes, p)
+    return tuple(planes)
 
 
 def _grow(table, rows, bound: int):

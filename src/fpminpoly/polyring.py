@@ -22,35 +22,33 @@ alone by ``_pack``: for p < 128 the canonical residues are packed into
 entries can pass 255, a tuple of ints.
 
 Inside, a polynomial keeps its table in a stored form (``_store``), also
-picked from p alone.  At p = 2 and p = 3 the table is bit sliced: at p = 2
-it is one int of 2^n bits, entry i as bit i (the word); at p = 3 a pair of
-ints of 3^n bits, the entries equal to 1 and the entries equal to 2 (the
-planes).  ``_to_bits`` reads one of these ints from ``bytes``,
-``_planes_stored`` lays out ints of bits made elsewhere, one per nonzero
-value, and ``_unstore`` decodes a stored table back to ``bytes``;
-``coeffs`` is decoded on first use and kept.  For every other p the stored
-form is the packed form itself.  No other stored table is a tuple of two,
-so a pair is always planes.  Only this module knows the layout: ``oracle``
-and ``formulas`` pass stored tables between its functions (``TruthTable``
-keeps its values in stored form, ``tabulate`` at p = 2 and p = 3 builds the
-value planes and hands them to ``_planes_stored``, and the values are
-decoded by ``_unstore`` only when read; ``Polynomial._values`` gives a
-polynomial's values in stored form, ``first_mismatch`` compares two of them
-and ``_stored_entry`` reads one entry), and ``circuit.run_all`` carries one
-per wire: ``_input_values`` and ``_ones`` make its input and constant
-tables, its gates are ``_combine`` and ``_product`` calls and ``_unstore``
-decodes its output.
+picked from p alone.  At p = 2 and p = 3 the table is bit sliced into a
+tuple of p - 1 value planes: plane v - 1 is an int of p^n bits with bit i
+set exactly where entry i equals v, so p = 2 keeps one plane and p = 3 is
+``(ones, twos)``.  ``_to_bits`` reads one plane from ``bytes`` and
+``_unstore`` decodes a stored table back to ``bytes``; ``coeffs`` is
+decoded on first use and kept.  For every other p the stored form is the
+packed form itself.  Only this module knows the layout: ``oracle`` and
+``formulas`` pass stored tables between its functions (``TruthTable``
+keeps its values in stored form, ``tabulate`` at p = 2 and p = 3 builds
+the value planes itself, and the values are decoded by ``_unstore`` only
+when read; ``Polynomial._values`` gives a polynomial's values in stored
+form, ``first_mismatch`` compares two of them and ``_stored_entry`` reads
+one entry), and ``circuit.run_all`` carries one per wire:
+``_input_values`` and ``_ones`` make its input and constant tables, its
+gates are ``_combine`` and ``_product`` calls and ``_unstore`` decodes its
+output.
 
 The dense table work runs through one seam, with the standard library only.
 ``_combine`` is the one place where columns are scaled, summed and reduced
 mod p, and ``_product`` the one place where two tables are multiplied entry
-by entry.  On words the columns of odd weight are xored.  On planes weight
-0 skips a column, weight 1 keeps it, weight 2 swaps its two planes, and two
-columns add in six bitwise operations (Kawahara, Aoki & Takagi, Pairing
+by entry.  On value planes weight 0 skips a column, weight 1 keeps it and
+weight 2 (p = 3) swaps its two planes; two columns add as one xor at p = 2
+and in six bitwise operations at p = 3 (Kawahara, Aoki & Takagi, Pairing
 2008).  On bytes ``bytes.translate`` with a 256-entry table scales every
 entry by a constant (or reduces it), and columns add as little-endian big
 ints, reduced before any byte can pass 255; on tuples and lists it runs
-comprehensions.  ``_join`` lays tables side by side: words and each plane by
+comprehensions.  ``_join`` lays tables side by side: each value plane by
 shift-or, bytes and tuples by concatenation.  ``+``, ``-`` and ``scale``,
 and ``PolyRing.train`` (a sum over the state paths of a small automaton of
 products of one single-variable factor per variable, contracted axis by
@@ -59,8 +57,9 @@ factors' coefficient rows) call them on the stored tables.
 
 Axis transforms (``apply_axis_transform``, behind ``values()``,
 ``oracle.interpolate`` and the value-table operations) take one of three
-paths, picked from p alone.  At p = 2 each axis is one masked shift-and-xor
-step on the word.  At p = 3 each axis is three masked shifts of the planes
+paths, picked from p alone.  At p = 2 and p = 3 one sweep of axis masks
+walks the value planes: at p = 2 each axis is one masked shift-and-xor
+step on the one plane, at p = 3 three masked shifts of the planes
 (``_bit_blocks``), one ``_combine`` per matrix row and one ``_join``.  The
 masks (``_axis_masks``, each made from the last) also give the input tables
 of ``circuit.run_all`` at p = 2 and p = 3 (``_input_values``).  For every
@@ -153,48 +152,37 @@ def _checked(table: Sequence[int], p: int) -> Sequence[int]:
 
 def _store(table: Sequence[int], p: int):
     """A canonical table in a polynomial's stored form, chosen by p alone:
-    the word of bits (``_to_bits``) at p = 2, the pair of planes (the bits
-    of the entries equal to 1, then of those equal to 2) at p = 3, else the
-    packed form.
+    at p = 2 and p = 3 the tuple of its p - 1 value planes (``_to_bits``),
+    plane v - 1 the bits of the entries equal to v; else the packed form.
 
     Every entry must already lie in [0, p) (``_checked`` makes sure at the
     API edges): ``_to_bits`` reads any other byte as 0.
     """
     packed = _pack(table, p)
-    if p == 2:
-        return _to_bits(packed)
-    if p == 3:
-        return _to_bits(packed, 1), _to_bits(packed, 2)
+    if p < 4:
+        return tuple(_to_bits(packed, v) for v in range(1, p))
     return packed
-
-
-def _planes_stored(planes: Sequence[int], p: int):
-    """The stored form of a p = 2 or p = 3 table given as its value planes:
-    ``planes[v - 1]`` holds bit i where entry i equals v, for v < p, and no
-    bit is set in two planes.  The word at p = 2, the pair at p = 3."""
-    return planes[0] if p == 2 else (planes[0], planes[1])
 
 
 def _unstore(stored, p: int, size: int) -> Sequence[int]:
     """A stored table of ``size`` entries in packed form, inverting
-    ``_store``: words and planes are decoded to ``bytes``, and a list
+    ``_store``: value planes are decoded to ``bytes``, the first as it is
+    and each later plane v - 1 added in as v times its bits, and a list
     (``_combine``'s working form for p >= 128) is packed."""
-    if p == 2:
-        return _from_bits(stored, size)
-    if p == 3:
-        ones, twos = stored
-        return (int.from_bytes(_from_bits(ones, size), "little")
-                + (int.from_bytes(_from_bits(twos, size), "little") << 1)
-                ).to_bytes(size, "little")
+    if p < 4:
+        table = _from_bits(stored[0], size)
+        for v, plane in enumerate(stored[1:], 2):
+            table = (int.from_bytes(table, "little")
+                     + v * int.from_bytes(_from_bits(plane, size), "little")
+                     ).to_bytes(size, "little")
+        return table
     return _pack(stored, p)
 
 
 def _stored_entry(stored, p: int, i: int) -> int:
     """Entry i of a stored table, read in place."""
-    if p == 2:
-        return (stored >> i) & 1
-    if p == 3:
-        return ((stored[0] >> i) & 1) | (((stored[1] >> i) & 1) << 1)
+    if p < 4:
+        return sum(v for v, plane in enumerate(stored, 1) if (plane >> i) & 1)
     return stored[i]
 
 
@@ -205,38 +193,37 @@ def _scratch(size: int, p: int):
 
 
 def _combine(p: int, weights: Sequence[int], cols):
-    """The column sum_e weights[e] * cols[e] mod p: a word from words,
-    planes from planes, bytes from bytes, else a list.
+    """The column sum_e weights[e] * cols[e] mod p: value planes from value
+    planes, bytes from bytes, else a list.
 
     Weights are any ints; they are reduced here and zero ones are skipped.
-    The columns hold canonical residues and share one length.  Words (p = 2)
-    are xored where the weight is odd.  Planes (p = 3) are kept where the
-    weight is 1 and swapped where it is 2, since 2 * 1 = 2 and 2 * 2 = 1;
+    The columns hold canonical residues and share one length.  Value planes
+    (p = 2 and p = 3) are kept where the weight is 1 and reversed where it
+    is 2, which at p = 3 swaps them, since 2 * 1 = 2 and 2 * 2 = 1.  Only
+    the add step depends on p: at p = 2 the one planes are xored; at p = 3,
     with a = (a1, a2) and b = (b1, b2), t = (a1 | b2) ^ (a2 | b1) and
     a + b = ((a2 | b2) ^ t, (a1 | b1) ^ t).  Packed columns are scaled with
     ``bytes.translate``, summed as little-endian ints and reduced with the
     mod-p table before any lane can pass 255; tuple and list columns are
     combined with comprehensions.
     """
-    if type(cols[0]) is int:
-        word = 0
-        for m, col in zip(weights, cols):
-            if m % 2:
-                word = word ^ col if word else col  # no copy of the first column
-        return word
-    if p == 3 and type(cols[0]) is tuple:
+    if p < 4 and type(cols[0]) is tuple:
         acc = None
         for m, col in zip(weights, cols):
-            m %= 3
+            m %= p
             if not m:
                 continue
-            b1, b2 = col if m == 1 else col[::-1]
+            if m == 2:
+                col = col[::-1]
             if acc is None:
-                acc = a1, a2 = b1, b2
+                acc = col  # no copy of the first column
+            elif p == 2:
+                acc = (acc[0] ^ col[0],)
             else:
+                (a1, a2), (b1, b2) = acc, col
                 t = (a1 | b2) ^ (a2 | b1)
-                a1, a2 = (a2 | b2) ^ t, (a1 | b1) ^ t
-        return (0, 0) if acc is None else (a1, a2)
+                acc = (a2 | b2) ^ t, (a1 | b1) ^ t
+        return (0,) * (p - 1) if acc is None else acc
     width = len(cols[0])
     if not isinstance(cols[0], bytes):
         acc = None
@@ -276,15 +263,15 @@ def _product(p: int, a, b):
     """The entrywise product a * b mod p of two stored tables of one size,
     in stored form.
 
-    Words (p = 2) are anded.  On planes (p = 3) 1 * 1 = 2 * 2 = 1 and
-    1 * 2 = 2, six bitwise operations.  For 3 < p < 16 the ``bytes`` are
+    At p = 2 the one value planes are anded.  At p = 3 1 * 1 = 2 * 2 = 1
+    and 1 * 2 = 2, six bitwise operations on the planes.  For 3 < p < 16 the ``bytes`` are
     read as little-endian ints and each lane of A*p + B holds the pair code
     a*p + b <= p^2 - 1 < 256, so no lane carries into the next, and one
     ``bytes.translate`` (``_product_table``) maps the codes to products.
     Larger p take one comprehension, packed (``_pack``).
     """
     if p == 2:
-        return a & b
+        return (a[0] & b[0],)
     if p == 3:
         (a1, a2), (b1, b2) = a, b
         return (a1 & b1) | (a2 & b2), (a1 & b2) | (a2 & b1)
@@ -296,22 +283,18 @@ def _product(p: int, a, b):
 
 def _join(parts: list, width: int, count: int, p: int):
     """``count`` tables of ``width`` entries side by side in stored form:
-    ``parts`` in order, then zero tables.
+    ``parts`` (at least one) in order, then zero tables.
 
-    Words and each of the two planes join by shift-or, bytes by
-    concatenation and lists or tuples into one tuple.
+    Each value plane joins by shift-or, bytes by concatenation and lists
+    or tuples into one tuple.
     """
-    if p == 2:
-        word = 0
-        for k, part in enumerate(parts):
-            word |= part << (k * width)
-        return word
-    if p == 3:
-        ones = twos = 0
-        for k, (one, two) in enumerate(parts):
-            ones |= one << (k * width)
-            twos |= two << (k * width)
-        return ones, twos
+    if p < 4:
+        planes, shift = list(parts[0]), width
+        for part in parts[1:]:
+            for v, plane in enumerate(part):
+                planes[v] |= plane << shift
+            shift += width
+        return tuple(planes)
     parts.append(_scratch(width * (count - len(parts)), p))
     return b"".join(parts) if p < 128 else tuple(chain.from_iterable(parts))
 
@@ -343,9 +326,9 @@ _ASCII = {v: bytes(48 + (b == v) for b in range(256)) for v in (1, 2)}
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _to_bits(table: bytes, v: int = 1) -> int:
+def _to_bits(table: bytes, v: int) -> int:
     """The entries of a ``bytes`` table equal to v as one int, entry i as
-    bit i: a p = 2 table's word, or one of a p = 3 table's planes.
+    bit i: value plane v - 1 of a p = 2 or p = 3 table.
 
     Parsing in base 2 is linear and exempt from the int/str digit limit.
     """
@@ -361,7 +344,7 @@ def _axis_masks(n: int, p: int = 2):
     """For i = n-1 down to 0, the mask m_i of the bits j < p^n (p = 2 or 3)
     whose index j has digit i equal to 0: runs of p^i ones, period p^(i+1).
 
-    The first is the low 1/p of the word, and each next one is made from
+    The first is the low 1/p of the table, and each next one is made from
     the last, with t = p^(i-1).  At p = 2 the runs halve,
     m_(i-1) = m_i ^ (m_i << t).  At p = 3, y = m_i & (m_i >> 2t) keeps the
     first t bits of every run, and m_(i-1) = y | y << 3t | y << 6t.
@@ -381,17 +364,15 @@ def _axis_masks(n: int, p: int = 2):
 
 
 def _bit_blocks(table, p: int, stride: int, mask: int) -> list:
-    """The p columns (table >> e * stride) & mask, e < p, of a word (p = 2)
-    or of each plane of a pair (p = 3).
+    """The p columns (plane >> e * stride) & mask, e < p, of each value
+    plane of a p = 2 or p = 3 table.
 
     With m_i of ``_axis_masks`` and stride p^i, column e is the sub-table
     with digit i equal to e, still in place; with mask 2^stride - 1 and a
     table of p * stride entries, the blocks of the top axis.
     """
-    if p == 2:
-        return [table & mask, (table >> stride) & mask]
     return [tuple((plane >> k) & mask for plane in table)
-            for k in range(0, 3 * stride, stride)]
+            for k in range(0, p * stride, stride)]
 
 
 def _digit_plane(p: int, size: int, stride: int) -> Sequence[int]:
@@ -410,10 +391,9 @@ def _digit_plane(p: int, size: int, stride: int) -> Sequence[int]:
 
 def _ones(p: int, size: int):
     """The stored table of ``size`` entries equal to 1, built directly:
-    every bit of the word at p = 2 or of the first plane at p = 3."""
+    every bit of the first value plane at p = 2 and p = 3."""
     if p < 4:
-        word = (1 << size) - 1
-        return word if p == 2 else (word, 0)
+        return ((1 << size) - 1,) + (0,) * (p - 2)
     return _pack(b"\x01" * size, p)
 
 
@@ -428,8 +408,7 @@ def _input_values(p: int, n: int, wanted):
     if p < 4:
         for i, mask in zip(range(n - 1, -1, -1), _axis_masks(n, p)):
             if i in wanted:
-                planes = tuple(mask << v * p ** i for v in range(1, p))
-                yield i, planes[0] if p == 2 else planes
+                yield i, tuple(mask << v * p ** i for v in range(1, p))
         return
     for i in wanted:
         yield i, _pack(_digit_plane(p, p ** n, p ** i), p)
@@ -443,48 +422,60 @@ def apply_axis_transform(table, p: int, n: int, matrix):
     gives the linear map used on each length-p fiber, with any ints as
     entries.  A stored table gives a stored table; any other sequence gives
     the packed form (``_pack``: bytes for p < 128, a tuple for larger p).
-    The two differ only at p = 2 and p = 3, where the stored form is bit
-    sliced, and a sequence is stored first (``_store``) and decoded last.
+    The two differ only at p = 2 and p = 3, where the stored form is the
+    tuple of p - 1 value planes, and a sequence is stored first (``_store``)
+    and decoded last.  A sequence has p^n >= p entries, so a tuple of p - 1
+    is the stored form; only at p = 2 and n = 0 is a one-entry tuple both,
+    and it is then taken as stored (the transform of no axis is the
+    identity).
 
-    For p = 2, axis i (stride s = 2^i) is one shift-and-xor step on the
-    word.  With the matrix [[a, b], [c, d]] reduced mod 2 and m the bits
-    whose index has bit i clear, lo = w & m and hi = (w >> s) & m are the
-    two halves of every fiber, and the new word is
-    (a*lo ^ b*hi) | (c*lo ^ d*hi) << s.  With ``vandermonde_rows(2)`` this
-    is the binary Möbius transform.  For p = 3, axis i (stride s = 3^i)
-    pulls the three sub-tables with digit i equal to 0, 1 and 2 out of the
-    planes with three masked shifts (``_bit_blocks``), combines them once
-    per matrix row (``_combine``) and shifts the results back into place
-    (``_join``).  The axes commute, so both run from the top, in
-    ``_axis_masks``' order.  Cost O(n * p^n) bit operations.
+    At p = 2 and p = 3 the axes are walked from the top, in
+    ``_axis_masks``' order; they commute.  At p = 2, axis i (stride
+    s = 2^i) is one shift-and-xor step on the one plane w.  With the matrix
+    [[a, b], [c, d]] reduced mod 2 and m the bits whose index has bit i
+    clear, lo = w & m and hi = (w >> s) & m are the two halves of every
+    fiber, and the new plane is (a*lo ^ b*hi) | (c*lo ^ d*hi) << s.  With
+    ``vandermonde_rows(2)`` this is the binary Möbius transform.  At p = 3,
+    axis i (stride s = 3^i) pulls the three sub-tables with digit i equal
+    to 0, 1 and 2 out of the planes with three masked shifts
+    (``_bit_blocks``), combines them once per matrix row (``_combine``) and
+    shifts the results back into place (``_join``).  Cost O(n * p^n) bit
+    operations.
 
     Every other p runs n rounds of ``_round`` on the stored form, so a
     stored table goes in without a copy.  Each round transforms axis 0 and
     moves it to the most significant place, so after n rounds every axis
     is transformed and the original order is back.  Cost O(n * p^(n+1)).
     """
-    if p == 2:
-        (a, b), (c, d) = matrix
-        a, b, c, d = a % 2, b % 2, c % 2, d % 2
-        w = table if type(table) is int else _store(table, 2)
-        for i, mask in zip(range(n - 1, -1, -1), _axis_masks(n)):
-            s = 1 << i
-            lo, hi = w & mask, (w >> s) & mask
-            # x and y is 0 * y or 1 * y here, without copying y.
-            w = ((a and lo) ^ (b and hi)) | (((c and lo) ^ (d and hi)) << s)
-        return w if type(table) is int else _from_bits(w, 1 << n)
-    if p == 3:
-        stored = type(table) is tuple and len(table) == 2
-        planes = table if stored else _store(table, 3)
-        for i, mask in zip(range(n - 1, -1, -1), _axis_masks(n, 3)):
-            s = 3 ** i
-            cols = _bit_blocks(planes, 3, s, mask)
-            planes = _join([_combine(3, row, cols) for row in matrix], s, 3, 3)
-        return planes if stored else _unstore(planes, 3, 3 ** n)
+    if p < 4:
+        stored = type(table) is tuple and len(table) == p - 1
+        planes = table if stored else _store(table, p)
+        if p == 2:
+            (a, b), (c, d) = matrix
+            a, b, c, d = a % 2, b % 2, c % 2, d % 2
+        for i, mask in zip(range(n - 1, -1, -1), _axis_masks(n, p)):
+            s = p ** i
+            if p == 2:
+                lo, hi = planes[0] & mask, (planes[0] >> s) & mask
+                # x and y is 0 * y or 1 * y here, without copying y.
+                planes = (((a and lo) ^ (b and hi)) | (((c and lo) ^ (d and hi)) << s),)
+            else:
+                cols = _bit_blocks(planes, p, s, mask)
+                planes = _join([_combine(p, row, cols) for row in matrix], s, p, p)
+        return planes if stored else _unstore(planes, p, p ** n)
     data = _pack(table, p)
     for _axis in range(n):
         data = _round(data, p, matrix)
     return _pack(data, p)
+
+
+def _load_json(text: str, record: str):
+    """``json.loads`` of a record, refusing input nested past the parser's
+    recursion limit as a ``ValueError`` like any other malformed record."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"malformed {record} record: nesting too deep") from None
 
 
 def bounded_power(p: int, n: int, bound: int) -> int | None:
@@ -559,10 +550,10 @@ class PolyRing:
         """The polynomial with coefficient c mod p at index i for each
         (i, c) in ``entries`` (distinct indices) and 0 elsewhere.
 
-        At p = 2 and p = 3 each nonzero entry c sets bit i of plane c - 1:
-        a little-endian byte buffer per plane, as long as the highest such
-        index needs (one byte for a constant), read as the word or the
-        planes at the end.  Otherwise the entries are set in a
+        At p = 2 and p = 3 each nonzero entry c sets bit i of value plane
+        c - 1: a little-endian byte buffer per plane, as long as the highest
+        such index needs (one byte for a constant), read as ints at the
+        end.  Otherwise the entries are set in a
         ``_scratch`` table.
         """
         p = self.p
@@ -572,8 +563,7 @@ class PolyRing:
             planes = [bytearray(width) for _ in range(p - 1)]
             for i, c in entries:
                 planes[c - 1][i >> 3] |= 1 << (i & 7)
-            words = tuple(int.from_bytes(plane, "little") for plane in planes)
-            return _polynomial(self, words[0] if p == 2 else words)
+            return _polynomial(self, tuple(int.from_bytes(plane, "little") for plane in planes))
         table = _scratch(self.size, p)
         for i, c in entries:
             table[i] = c % p
@@ -630,9 +620,9 @@ class PolyRing:
         exponent e, the table over x_0..x_i is one ``_combine`` of the
         tables of the states that step into b, weighted by the e-th
         coefficients of their rows; ``_join`` lays the parts side by side in
-        exponent order.  At p = 2 the tables are words: each part is an xor
-        of state words and the two parts join as lo | hi << 2^i; at p = 3
-        they are planes.  No ring multiplication runs.
+        exponent order.  At p = 2 and p = 3 the tables are value planes:
+        at p = 2 each part is an xor of the states' one planes and the two
+        parts join as lo | hi << 2^i.  No ring multiplication runs.
         """
         p, n = self.p, self.n
         if len(cores) != n:
@@ -687,7 +677,7 @@ class PolyRing:
 
         With x0 least significant, indices below p^(f.n) keep their meaning,
         so the table is copied into the low slice unchanged (at p = 2 and
-        p = 3 the word or the planes are the same).
+        p = 3 the value planes are the same ints).
         """
         if f.ring.p != self.p:
             raise RingMismatchError(
@@ -711,13 +701,13 @@ class Polynomial:
 
     ``coeffs`` is the table in its packed form (``_pack``): ``bytes`` for
     p < 128, a tuple of ints otherwise; ``to_dict`` gives it as a list.
-    The table is kept in its stored form (``_store``).  At p = 2 that is
-    one int of 2^n bits, entry i as bit i: ``+`` and ``-`` are xor and
-    ``scale`` is the identity or zero.  At p = 3 it is two ints of 3^n
-    bits, the entries equal to 1 and those equal to 2: ``+`` is six bitwise
-    operations, ``-`` and ``scale`` by 2 swap the planes.  At both, ``==``,
-    ``hash``, ``bool``, ``repr``, ``eval``, ``*`` and ``**`` read the bits,
-    and ``coeffs`` is decoded on first use and kept.
+    The table is kept in its stored form (``_store``).  At p = 2 and p = 3
+    that is p - 1 value planes, ints of p^n bits, plane v - 1 holding the
+    entries equal to v.  At p = 2 ``+`` and ``-`` are an xor of the one
+    planes and ``scale`` is the identity or zero; at p = 3 ``+`` is six
+    bitwise operations, and ``-`` and ``scale`` by 2 swap the planes.  At
+    both, ``==``, ``hash``, ``bool``, ``repr``, ``eval``, ``*`` and ``**``
+    read the bits, and ``coeffs`` is decoded on first use and kept.
 
     The constructor (also ``PolyRing.from_coeffs``) checks the length, then
     every entry; the library's own results take the unchecked ``_polynomial``.
@@ -760,8 +750,8 @@ class Polynomial:
         return None
 
     def __repr__(self) -> str:
-        p, table = self.ring.p, self._stored
-        nnz = (table.bit_count() if p == 2 else (table[0] | table[1]).bit_count() if p == 3
+        table = self._stored
+        nnz = (sum(plane.bit_count() for plane in table) if self.ring.p < 4
                else len(table) - table.count(0))
         return f"Polynomial(p={self.ring.p}, n={self.ring.n}, terms={nnz})"
 
@@ -774,7 +764,7 @@ class Polynomial:
         return hash((self.ring, self._stored))
 
     def __bool__(self) -> bool:
-        return bool(self._stored) if self.ring.p == 2 else any(self._stored)
+        return any(self._stored)
 
     def support(self) -> list[tuple[tuple[int, ...], int]]:
         """Nonzero terms as (exponent vector, coefficient), index-ordered.
@@ -863,7 +853,7 @@ class Polynomial:
         """Value at one point, read from the stored table.
 
         For each variable x_i from the last, the p blocks along it (masked
-        shifts of the word or the planes at p = 2 and p = 3, ``_bit_blocks``)
+        shifts of the value planes at p = 2 and p = 3, ``_bit_blocks``)
         are summed by ``_combine``, weighted by x_i^0, ..., x_i^(p-1),
         leaving a table without x_i.
         """
@@ -885,15 +875,15 @@ class Polynomial:
         """Values at every point of F_p^n in mixed-radix order, packed like ``coeffs``.
 
         Computed by applying the univariate evaluation matrix along each
-        axis with ``apply_axis_transform`` (masked shifts of the word or the
+        axis with ``apply_axis_transform`` (masked shifts of the value
         planes for p = 2 and p = 3, slice rotation otherwise);
         O(n * p^(n+1)) instead of p^n separate Horner passes.
         """
         return _unstore(self._values(), self.ring.p, self.ring.size)
 
     def _values(self):
-        """``values()`` in the stored form: the word of values at p = 2, the
-        planes at p = 3."""
+        """``values()`` in the stored form: the value planes of the values
+        at p = 2 and p = 3."""
         return apply_axis_transform(self._stored, self.ring.p, self.ring.n,
                                     vandermonde_rows(self.ring.p))
 
@@ -963,7 +953,8 @@ class Polynomial:
     @staticmethod
     def from_json(text: str,
                   max_table_size: int | None = DEFAULT_MAX_TABLE_SIZE) -> "Polynomial":
-        return Polynomial.from_dict(json.loads(text), max_table_size=max_table_size)
+        return Polynomial.from_dict(_load_json(text, "polynomial"),
+                                    max_table_size=max_table_size)
 
 
 def _polynomial(ring: PolyRing, table) -> Polynomial:
@@ -993,21 +984,22 @@ def _from_values(ring: PolyRing, values) -> Polynomial:
     return _polynomial(ring, apply_axis_transform(values, ring.p, ring.n, lagrange_rows(ring.p)))
 
 
-def first_mismatch(a, b) -> int | None:
-    """Index of the first disagreement between two stored value tables of
-    one ring, else None.
+def first_mismatch(a, b, p: int) -> int | None:
+    """Index of the first disagreement between two value tables of one
+    ring over F_p, each stored or packed, else None.
 
-    Two words (p = 2) differ first at the lowest set bit of their xor, two
-    pairs of planes (p = 3) at that of (a1 ^ b1) | (a2 ^ b2), and two
-    ``bytes`` tables at that of their xor as little-endian ints, divided by
-    8.  Equal tables, the common case, are settled by one ``==``; tuples
-    (p >= 128) that differ are scanned index by index.
+    Two tuples of p - 1 value planes (p = 2 and p = 3) differ first at the
+    lowest set bit of the or of their planes' xors, and two ``bytes``
+    tables at that of their xor as little-endian ints, divided by 8.  A
+    packed table has p^n entries, so it is taken for planes only at p = 2
+    and n = 0, where its one entry is its one plane.  Equal tables, the
+    common case, are settled by one ``==``; tuples (p >= 128) that differ
+    are scanned index by index.
     """
-    if type(a) is int:
-        diff = a ^ b
-        return (diff & -diff).bit_length() - 1 if diff else None
-    if type(a) is tuple and len(a) == 2:
-        diff = (a[0] ^ b[0]) | (a[1] ^ b[1])
+    if p < 4 and type(a) is tuple and len(a) == p - 1:
+        diff = 0
+        for x, y in zip(a, b):
+            diff |= x ^ y
         return (diff & -diff).bit_length() - 1 if diff else None
     if len(a) != len(b):
         raise ValueError("cannot compare value tables of different sizes")

@@ -423,6 +423,20 @@ class TestEnvGuard:
         assert "nonnegative" in capsys.readouterr().err
 
 
+class TestDeepNesting:
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--func", "max", "--p", "3", "--n", "2", "--file"),
+        ("gen", "--func", "max", "--p", "3", "--n", "2", "--table"),
+    ], ids=["verify_file", "gen_table"])
+    def test_is_a_usage_error_on_one_line(self, argv, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000)
+        assert run_cli(*argv, str(deep)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("fpminpoly: error: ") and err.count("\n") == 1
+        assert "nesting too deep" in err
+
+
 class TestImports:
     def test_cli_import_stays_stdlib_only(self):
         # numpy alone would add about 0.3 s and 14 MiB to every process start.

@@ -14,22 +14,22 @@ dense kernels are checked on both sides of p = 128, where tables stop being
 packed into bytes.  ``_combine``, the one place where columns are scaled,
 summed and reduced, is checked against a per-entry sum, and ``_product``,
 the entrywise product behind ``*`` and ``run_all``'s mul gates, against
-``x * y % p`` on every stored form.  At p = 2, where
-the axis transform runs on one int of bits, it is also checked against
-chained ``_round`` calls, for every 2x2 matrix up to 2^20 entries.  There
-polynomials store their tables as one int of bits too, so every ring
+``x * y % p`` on every stored form.  At p = 2 and p = 3 polynomials
+store their tables as p - 1 value planes, ints of p^n bits.  At p = 2 the
+axis transform, one shift-and-xor step per axis on the one plane, is
+checked against chained ``_round`` calls for every 2x2 matrix up to 2^20
+entries, and the axis masks against masks read from repeated byte
+patterns for n = 0 to 20.  At p = 3 the plane kernels (``_combine``,
+``_join``, the axis masks and transforms, ``first_mismatch`` and ``eval``)
+are checked against byte tables for n = 0 to 12.  At both, every ring
 operation, ``values``, ``interpolate``, ``==``, ``hash`` and ``verify``'s
 first mismatch are checked against byte tables (the byte ``train`` and
-``+``, kept below, and chained byte ``_round``s) for n = 1 to 20.  The
-p = 2 axis masks are checked against masks read from repeated byte
-patterns for n = 0 to 20, and ``eval`` against the list Horner loop over
-the decoded coefficients, at p = 2, 3, 5, 7, 131 and 257.  At p = 3
-polynomials store their tables as two ints of bits, and the plane kernels
-(``_combine``, ``_join``, the axis masks and transforms, ``first_mismatch``
-and ``eval``) and every ring operation are checked the same way against
-byte tables for n = 0 (or 1) to 12.  ``verify``'s mismatch reports at
-p = 2, 3 and 5 are checked against a byte scan, with one transform of
-the candidate.
+``+``, kept below, and chained byte ``_round``s) for n = 1 to 20 at p = 2
+and 1 to 12 at p = 3, and ``first_mismatch`` on one-entry tables at
+p = 2, 3, 5 and 131.  ``eval`` is checked against the list Horner loop
+over the decoded coefficients, at p = 2, 3, 5, 7, 131 and 257.
+``verify``'s mismatch reports at p = 2, 3 and 5 are checked against a
+byte scan, with one transform of the candidate.
 """
 
 import itertools
@@ -352,7 +352,7 @@ class TestCombine:
 class TestProduct:
     @pytest.mark.parametrize("p", [2, 3, 5, 13, 17, 127, 131, 257])
     def test_matches_entrywise_products_in_stored_form(self, p):
-        """``_product`` on words (p = 2), planes (p = 3), pair codes
+        """``_product`` on value planes (p = 2 and 3), pair codes
         (5, 13), bytes (17, 127) and tuples (131, 257), for zero, all-(p-1)
         and random tables, at lengths on both sides of a byte of bits."""
         rng = random.Random(f"product {p}")
@@ -363,8 +363,8 @@ class TestProduct:
                 sa, sb = polyring._store(a, p), polyring._store(b, p)
                 got = polyring._product(p, sa, sb)
                 assert type(got) is type(sa)
-                if p == 3:
-                    assert len(got) == 2 and all(type(plane) is int for plane in got)
+                if p < 4:
+                    assert len(got) == p - 1 and all(type(plane) is int for plane in got)
                 assert list(polyring._unstore(got, p, size)) == [x * y % p for x, y in zip(a, b)]
 
 
@@ -439,8 +439,8 @@ class TestDenseAddSubScale:
     def test_match_full_table_loops(self, p, n, monkeypatch):
         rng = random.Random(f"{p}/{n}")
         ring = PolyRing(p, n)
-        # p = 2 combines words of bits (xor), p = 3 pairs of planes; every
-        # other p the stored form.
+        # p = 2 and p = 3 combine tuples of p - 1 value planes; every other
+        # p the stored form.
         combined = record_calls(monkeypatch, "_combine")
         for fill in ("random", "max"):
             if fill == "max":
@@ -456,7 +456,7 @@ class TestDenseAddSubScale:
             for c in (2, p - 1, p + 3, -2):
                 assert f.scale(c) == Polynomial(ring, [(x * c) % p for x in a])
         assert combined and set(combined) == {
-            int if p == 2 else tuple if p == 3 else packed_form(p)}
+            tuple if p < 4 else packed_form(p)}
 
 
 def reference_eval(f, point):
@@ -1117,15 +1117,47 @@ class TestTabulate:
         assert str(listed.value) == message
 
 
-# -- the p = 2 word store against byte tables -------------------------------------------
+# -- the value-plane stores against byte tables ------------------------------------------
 
 #: Every arity the p = 2 differential tests run at.
 BIT_ARITIES = range(1, 21)
+
+#: Every arity the p = 3 differential tests run at, up to 3^12 = 531,441 entries.
+PLANE_ARITIES = range(13)
+
+#: Arities at which the per-entry references of the p = 3 kernels run.
+SMALL_PLANES = 5
+
+#: Tables up to this size are also built from lists and checked against the
+#: per-entry references: n <= 12 at p = 2, n <= 7 at p = 3.
+LIST_SIZE = 4096
 
 
 def random_bits(rng, size):
     """A random p = 2 table of ``bytes``."""
     return rng.randbytes(size).translate(bytes([0, 1] * 128))
+
+
+def random_trits(rng, size):
+    """A random p = 3 table of ``bytes``."""
+    return bytes(rng.choices(range(3), k=size))
+
+
+#: Per field of the store tests: the name in their seeds, a random table, and
+#: the univariate and tensor rows they build (at most p coefficients each).
+FIELD_NAMES = {2: "bit", 3: "plane"}
+RANDOM_TABLES = {2: random_bits, 3: random_trits}
+UNIVARIATE_ROWS = {2: ((), (1,), (0, 1), (1, 1), (3, -1), (-2, 5)),
+                   3: ((), (1,), (0, 2), (1, 1, 1), (3, -1, 5), (-2, 0, 4))}
+TENSOR_ROWS = {2: ((), (1,), (0, 1), (1, 1), (3, -2), (-1,)),
+               3: ((), (1,), (0, 1), (1, 1, 2), (3, -2, 4), (-1,))}
+
+#: The rings of the store tests: every arity of ``BIT_ARITIES`` at p = 2 and
+#: of ``PLANE_ARITIES`` at p = 3, from one variable up.
+STORE_CASES = [(2, n) for n in BIT_ARITIES] + [(3, n) for n in PLANE_ARITIES if n]
+
+#: The rings of the substitution tests.
+COMPOSE_CASES = [(2, n) for n in range(1, 11)] + [(3, n) for n in range(1, 8)]
 
 
 def byte_rounds(table, n, matrix):
@@ -1137,12 +1169,12 @@ def byte_rounds(table, n, matrix):
     return table
 
 
-def byte_add(a, b, sign, p=2):
+def byte_add(a, b, sign, p):
     """The byte ``+``: one ``_combine`` of two byte tables."""
     return _combine(p, (1, sign), (a, b))
 
 
-def byte_train(n, cores, p=2):
+def byte_train(n, cores, p):
     """The byte ``train``: per state and exponent one ``_combine`` of byte
     tables, the parts joined as ``bytes`` and padded with zero bytes."""
     tables = [b"\1"]
@@ -1165,10 +1197,12 @@ def byte_train(n, cores, p=2):
     return bytes(p ** n) if tables[0] is None else tables[0]
 
 
-def byte_product(a, b):
-    """Entry-wise product of two p = 2 byte tables: an AND of their lanes."""
-    size = len(a)
-    return (int.from_bytes(a, "little") & int.from_bytes(b, "little")).to_bytes(size, "little")
+def byte_product(a, b, p):
+    """Entry-wise product of two byte tables: at p = 2 an AND of their lanes."""
+    if p == 2:
+        size = len(a)
+        return (int.from_bytes(a, "little") & int.from_bytes(b, "little")).to_bytes(size, "little")
+    return bytes(x * y % p for x, y in zip(a, b))
 
 
 def byte_scan(candidate, spec):
@@ -1180,223 +1214,6 @@ def byte_scan(candidate, spec):
         if values[i] != table[i]:
             return list(point_at(spec.p, spec.arity, i)), table[i], values[i]
     return None
-
-
-def check_bit_store(f, want):
-    """``f`` holds the p = 2 table ``want`` (bytes): as ``coeffs``, under
-    ``==``, ``hash`` and ``bool``, and in ``repr``.  The hash is taken
-    before ``coeffs`` is first read and compared with tables built from
-    bytes and (small ones) from lists."""
-    ring = f.ring
-    before = hash(f)
-    assert type(f.coeffs) is bytes and f.coeffs == want
-    same = [Polynomial(ring, want)]
-    if ring.size <= 4096:
-        same += [ring.from_coeffs(list(want)), Polynomial(ring, list(want))]
-    assert all(f == g and g == f for g in same)
-    assert len({before, hash(f), *map(hash, same)}) == 1
-    assert bool(f) == any(want) == all(bool(g) for g in same)
-    assert repr(f) == f"Polynomial(p=2, n={ring.n}, terms={want.count(1)})"
-
-
-class TestBitStore:
-    """At p = 2 a polynomial keeps its table as one int of bits.  Every
-    operation is checked against the byte tables: the byte ``train`` and
-    ``+`` (``_combine`` on bytes), chained byte ``_round``s for the axis
-    transforms, and for small tables the per-entry sum, the pair loop and
-    ``reference_axis_transform``."""
-
-    @pytest.mark.parametrize("n", BIT_ARITIES)
-    def test_constructors(self, n):
-        rng = random.Random(f"bit constructors {n}")
-        ring, size = PolyRing(2, n), 2 ** n
-
-        def table(entries):
-            out = bytearray(size)
-            for i, c in entries:
-                out[i] = c % 2
-            return bytes(out)
-
-        assert type(ring.zero()._stored) is int  # the word, not bytes
-        check_bit_store(ring.zero(), bytes(size))
-        for c in (0, 1, 2, -1, -3):
-            check_bit_store(ring.constant(c), table([(0, c)]))
-        for i in {0, n - 1, rng.randrange(n)}:
-            check_bit_store(ring.variable(i), table([(2 ** i, 1)]))
-        for coeff in (1, 3, -1, 2):
-            exps = [rng.randrange(2) for _ in range(n)]
-            check_bit_store(ring.monomial(exps, coeff),
-                            table([(sum(e << k for k, e in enumerate(exps)), coeff)]))
-        for row in ((), (1,), (0, 1), (1, 1), (3, -1), (-2, 5)):
-            i = rng.randrange(n)
-            check_bit_store(ring.univariate(i, row),
-                            table([(e * 2 ** i, c) for e, c in enumerate(row)]))
-        dense = random_bits(rng, size)
-        check_bit_store(ring.from_coeffs(dense), dense)
-        if n <= 12:
-            check_bit_store(ring.from_coeffs(list(dense)), dense)
-        m = rng.randint(1, n)
-        small = random_bits(rng, 2 ** m)
-        check_bit_store(ring.embed(PolyRing(2, m).from_coeffs(small)),
-                        small + bytes(size - 2 ** m))
-        for k in ({0, 1, n, rng.randint(0, n)} if n <= 12 else {0, 1, 2, n}):
-            want = table([(sum(1 << j for j in subset), 1)
-                          for subset in itertools.combinations(range(n), k)])
-            if n <= 12:
-                assert want == bytes(int(i.bit_count() == k) for i in range(size))
-            check_bit_store(ring.elementary_symmetric(k), want)
-
-    @pytest.mark.parametrize("n", BIT_ARITIES)
-    def test_add_sub_neg_scale(self, n):
-        rng = random.Random(f"bit add {n}")
-        ring = PolyRing(2, n)
-        a, b = random_bits(rng, 2 ** n), random_bits(rng, 2 ** n)
-        f, g = Polynomial(ring, a), Polynomial(ring, b)
-        check_bit_store(f + g, byte_add(a, b, 1))
-        check_bit_store(f - g, byte_add(a, b, -1))
-        check_bit_store(g - f, byte_add(b, a, -1))
-        check_bit_store(f + f, bytes(2 ** n))
-        check_bit_store(-f, byte_add(bytes(2 ** n), a, -1))
-        check_bit_store(1 - f, byte_add(b"\1" + bytes(2 ** n - 1), a, -1))
-        for c in (0, 1, 2, -1, -3):
-            check_bit_store(f.scale(c), _combine(2, (c,), (a,)))
-            check_bit_store(c * f, _combine(2, (c,), (a,)))
-        if n <= 12:
-            assert list((f + g).coeffs) == reference_combine(2, (1, 1), (a, b))
-            assert list((f - g).coeffs) == reference_combine(2, (1, -1), (a, b))
-
-    @pytest.mark.parametrize("n", BIT_ARITIES)
-    def test_train_and_tensor(self, n):
-        rng = random.Random(f"bit train {n}")
-        ring = PolyRing(2, n)
-        for _ in range(3):
-            cores = train_cores(2, n, rng)
-            check_bit_store(ring.train(cores), byte_train(n, cores))
-        rows = [rng.choice(((), (1,), (0, 1), (1, 1), (3, -2), (-1,))) for _ in range(n)]
-        check_bit_store(ring.tensor(rows), byte_train(n, [[[row]] for row in rows]))
-        if n > 1:  # state 1 is never entered: the rows out of it add nothing
-            cores = ([[[(1, 1), ()]]] + [[[(1, -1), ()], [(1,), (0, 1)]]] * (n - 2)
-                     + [[[(3, 1)], [(1,)]]])
-            check_bit_store(ring.train(cores), byte_train(n, cores))
-
-    @pytest.mark.parametrize("n", BIT_ARITIES)
-    def test_values_and_interpolate(self, n):
-        rng = random.Random(f"bit values {n}")
-        ring = PolyRing(2, n)
-        a = random_bits(rng, 2 ** n)
-        f = Polynomial(ring, a)
-        values = f.values()
-        assert type(values) is bytes and values == byte_rounds(a, n, vandermonde_rows(2))
-        interpolated = interpolate(TruthTable(2, n, a))
-        check_bit_store(interpolated, byte_rounds(a, n, delta_basis_rows(2)))
-        if n <= 10:
-            expected = list(a)
-            reference_axis_transform(expected, 2, n, vandermonde_rows(2))
-            assert list(values) == expected
-
-    @pytest.mark.parametrize("n", BIT_ARITIES)
-    def test_products_and_powers(self, n):
-        rng = random.Random(f"bit products {n}")
-        ring = PolyRing(2, n)
-        a, b = random_bits(rng, 2 ** n), random_bits(rng, 2 ** n)
-        f, g = Polynomial(ring, a), Polynomial(ring, b)
-        want = byte_rounds(byte_product(byte_rounds(a, n, vandermonde_rows(2)),
-                                        byte_rounds(b, n, vandermonde_rows(2))),
-                           n, lagrange_rows(2))
-        check_bit_store(f * g, want)
-        check_bit_store(g * f, want)
-        check_bit_store(f ** 0, b"\1" + bytes(2 ** n - 1))
-        for e in (1, 2, 5):
-            check_bit_store(f ** e, a)
-        if n <= 6:
-            sparse = ring.from_coeffs(a[:3] + bytes(2 ** n - len(a[:3])))
-            assert f * sparse == pair_loop_mul(f, sparse)
-            assert f * g == pair_loop_mul(f, g)
-
-    @pytest.mark.parametrize("n", range(1, 11))
-    def test_compose(self, n):
-        rng = random.Random(f"bit compose {n}")
-        f = PolyRing(2, n).from_coeffs(random_bits(rng, 2 ** n))
-        target = PolyRing(2, rng.randint(1, n))
-        subs = [target.from_coeffs(random_bits(rng, target.size)) for _ in range(n)]
-        index = [sum(v << i for i, v in enumerate(point))
-                 for point in zip(*(byte_rounds(s.coeffs, target.n, vandermonde_rows(2))
-                                    for s in subs))]
-        values = byte_rounds(f.coeffs, n, vandermonde_rows(2))
-        check_bit_store(f.compose(subs), byte_rounds(bytes(values[i] for i in index),
-                                                     target.n, lagrange_rows(2)))
-        if n <= 4:
-            assert f.compose(subs) == power_table_compose(f, subs)
-
-
-#: Every p = 2 verify_grid entry, then the dense-p2 benchmark cases.
-P2_CASES = list(dict.fromkeys(
-    [(name, p, n, r) for name, entry in CATALOG.items() for p, n, r in entry.verify_grid
-     if p == 2] + [case for case in DENSE_CASES if case[1] == 2]))
-
-
-class TestBitStoreOnTheCatalog:
-    @pytest.mark.parametrize("name,p,n,r", P2_CASES)
-    def test_closed_forms_match_byte_interpolation(self, name, p, n, r):
-        spec = CATALOG[name].spec_of(p, n, r)
-        f = build_formula(name, p, n, r)
-        want = byte_rounds(tabulate(spec).values, spec.arity, delta_basis_rows(2))
-        assert type(f.coeffs) is bytes and f.coeffs == want
-
-    @pytest.mark.parametrize("name,p,n,r", [case for case in P2_CASES if case[2] >= 4][::5]
-                             + [case for case in DENSE_CASES if case[1] == 2])
-    def test_mismatch_matches_byte_scan(self, name, p, n, r):
-        spec = CATALOG[name].spec_of(p, n, r)
-        coeffs = build_formula(name, p, n, r).coeffs
-        size = len(coeffs)
-        for bit in (0, size // 2 + 3, size - 1):
-            broken = bytearray(coeffs)
-            broken[bit] ^= 1
-            candidate = PolyRing(2, spec.arity).from_coeffs(broken)
-            report = verify_formula(name, p, n, r, candidate=candidate)
-            assert report["status"] == "mismatch" and not report["coefficient_match"]
-            point, expected, got = byte_scan(candidate, spec)
-            assert (report["mismatch_point"], report["expected"], report["got"]) == (
-                point, expected, got), bit
-
-    @pytest.mark.parametrize("name,p,n,r", [("max2", 2, 12, 0), ("argmax2", 2, 12, 1),
-                                            ("ismax2bit", 2, 5, 0), ("max", 3, 8, 0),
-                                            ("argmax", 3, 7, 1), ("nummax", 3, 7, 1)])
-    def test_verify_converts_no_table(self, name, p, n, r, monkeypatch):
-        """The truth table is built as words or planes, and the closed form
-        and the comparisons stay so: in a passing verify and in a mismatch
-        report, nothing is converted to or from bits but one-variable rows."""
-        ring = PolyRing(p, CATALOG[name].spec_of(p, n, r).arity)
-        broken = bytearray(build_formula(name, p, n, r).coeffs)
-        broken[ring.size // 3] = (broken[ring.size // 3] + 1) % p
-        candidate = ring.from_coeffs(broken)
-        sizes = []
-        for fn in ("_to_bits", "_from_bits"):
-            original = getattr(polyring, fn)
-
-            def recorded(*args, fn=fn, original=original):
-                sizes.append((fn, len(args[0]) if fn == "_to_bits" else args[1]))
-                return original(*args)
-
-            monkeypatch.setattr(polyring, fn, recorded)
-        assert verify_formula(name, p, n, r)["status"] == "pass"
-        report = verify_formula(name, p, n, r, candidate=candidate)
-        assert report["status"] == "mismatch" and report["points_checked"] == ring.size
-        assert [s for s in sizes if s[1] > p] == []
-
-
-# -- the p = 3 plane store against byte tables ------------------------------------------
-
-#: Every arity the p = 3 differential tests run at, up to 3^12 = 531,441 entries.
-PLANE_ARITIES = range(13)
-
-#: Arities at which the per-entry references (lists, the fiber and pair loops) run.
-SMALL_PLANES = 5
-
-
-def random_trits(rng, size):
-    """A random p = 3 table of ``bytes``."""
-    return bytes(rng.choices(range(3), k=size))
 
 
 def plane_matrices(rng):
@@ -1417,23 +1234,27 @@ def reference_trit_mask(n, i):
     return sum(1 << j for j in range(3 ** n) if point_at(3, n, j)[i] == 0)
 
 
-def check_plane_store(f, want):
-    """``f`` holds the p = 3 table ``want`` (bytes): as two disjoint planes,
-    as ``coeffs``, under ``==``, ``hash`` and ``bool``, and in ``repr``.
-    The hash is taken before ``coeffs`` is first read and compared with
-    tables built from bytes and (small ones) from lists."""
+def check_store(f, want):
+    """``f`` holds the p = 2 or p = 3 table ``want`` (bytes): as a tuple of
+    p - 1 ints with pairwise disjoint bits, as ``coeffs``, under ``==``,
+    ``hash`` and ``bool``, and in ``repr``.  The hash is taken before
+    ``coeffs`` is first read and compared with tables built from bytes and
+    (small ones) from lists."""
     ring = f.ring
+    p = ring.p
     before = hash(f)
-    ones, twos = f._stored
-    assert type(ones) is int and type(twos) is int and not ones & twos
+    stored = f._stored
+    assert type(stored) is tuple and len(stored) == p - 1  # the value planes, not bytes
+    assert all(type(plane) is int for plane in stored)
+    assert not any(x & y for x, y in itertools.combinations(stored, 2))
     assert type(f.coeffs) is bytes and f.coeffs == want
     same = [Polynomial(ring, want)]
-    if ring.size <= 3 ** 7:
+    if ring.size <= LIST_SIZE:
         same += [ring.from_coeffs(list(want)), Polynomial(ring, list(want))]
     assert all(f == g and g == f for g in same)
     assert len({before, hash(f), *map(hash, same)}) == 1
     assert bool(f) == any(want) == all(bool(g) for g in same)
-    assert repr(f) == f"Polynomial(p=3, n={ring.n}, terms={len(want) - want.count(0)})"
+    assert repr(f) == f"Polynomial(p={p}, n={ring.n}, terms={len(want) - want.count(0)})"
 
 
 class TestPlaneKernels:
@@ -1508,8 +1329,8 @@ class TestPlaneKernels:
         rng = random.Random(f"plane mismatch {n}")
         size = 3 ** n
         a = random_trits(rng, size)
-        assert polyring.first_mismatch(polyring._store(a, 3), polyring._store(a, 3)) is None
-        assert polyring.first_mismatch(a, bytes(a)) is None
+        assert polyring.first_mismatch(polyring._store(a, 3), polyring._store(a, 3), 3) is None
+        assert polyring.first_mismatch(a, bytes(a), 3) is None
         for i in sorted({0, size // 2, size - 1}):
             for shift in (1, 2):
                 broken = bytearray(a)
@@ -1519,10 +1340,11 @@ class TestPlaneKernels:
                 b = bytes(broken)
                 scan = next(k for k in range(size) if a[k] != b[k])
                 assert scan == i
-                assert polyring.first_mismatch(polyring._store(a, 3), polyring._store(b, 3)) == i
-                assert polyring.first_mismatch(a, b) == i
+                stored = polyring._store(a, 3), polyring._store(b, 3)
+                assert polyring.first_mismatch(*stored, 3) == i
+                assert polyring.first_mismatch(a, b, 3) == i
                 if n <= SMALL_PLANES:
-                    assert polyring.first_mismatch(tuple(a), tuple(b)) == i
+                    assert polyring.first_mismatch(tuple(a), tuple(b), 3) == i
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_eval(self, n):
@@ -1541,140 +1363,227 @@ class TestPlaneKernels:
                     assert f.eval(point) == reference_eval(f, point)
 
 
-class TestPlaneStore:
-    """At p = 3 a polynomial keeps its table as two ints of bits.  Every
-    operation is checked against the byte tables: the byte ``train`` and
-    ``+`` (``_combine`` on bytes), chained byte ``_round``s for the axis
-    transforms, and for small tables the pair loop."""
+class TestFirstMismatchDispatch:
+    """``first_mismatch`` reads its tables by p: a tuple of p - 1 value planes
+    at p = 2 and p = 3, packed tables otherwise.  One-entry tables (n = 0)
+    are the edge: a packed p = 3 tuple of one entry 2 is not a plane, and at
+    p = 2 a one-entry tuple is both, with one answer."""
 
-    @pytest.mark.parametrize("n", range(1, 13))
-    def test_constructors(self, n):
-        rng = random.Random(f"plane constructors {n}")
-        ring, size = PolyRing(3, n), 3 ** n
+    @pytest.mark.parametrize("p", [2, 3, 5, 131])
+    def test_one_entry_tables(self, p):
+        for x, y in itertools.product(range(p) if p < 8 else (0, 1, 130), repeat=2):
+            want = None if x == y else 0
+            a, b = (x,), (y,)
+            assert polyring.first_mismatch(_pack(a, p), _pack(b, p), p) == want, (x, y)
+            assert polyring.first_mismatch(a, b, p) == want, (x, y)
+            stored = polyring._store(a, p), polyring._store(b, p)
+            assert polyring.first_mismatch(*stored, p) == want, (x, y)
+            assert polyring._stored_entry(stored[0], p, 0) == x
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 131])
+    def test_truth_tables_at_arity_zero(self, p):
+        # The one value of an arity-0 table, stored as tabulate makes it.
+        tables = [TruthTable(p, 0, (v,)) for v in (0, 1, p - 1)]
+        for s, t in itertools.product(tables, repeat=2):
+            want = None if s.values == t.values else 0
+            assert polyring.first_mismatch(s._stored, t._stored, p) == want
+            assert polyring.first_mismatch(s.values, t.values, p) == want
+
+
+class TestStore:
+    """At p = 2 and p = 3 a polynomial keeps its table as p - 1 value planes.
+    Every operation is checked against the byte tables: the byte ``train``
+    and ``+`` (``_combine`` on bytes), chained byte ``_round``s for the axis
+    transforms, and for small tables the per-entry sum, the fiber loop, the
+    pair loop and substitution by power tables."""
+
+    @pytest.mark.parametrize("p,n", STORE_CASES)
+    def test_constructors(self, p, n):
+        rng = random.Random(f"{FIELD_NAMES[p]} constructors {n}")
+        ring, size = PolyRing(p, n), p ** n
 
         def table(entries):
             out = bytearray(size)
             for i, c in entries:
-                out[i] = c % 3
+                out[i] = c % p
             return bytes(out)
 
-        check_plane_store(ring.zero(), bytes(size))
+        check_store(ring.zero(), bytes(size))
         for c in (0, 1, 2, -1, 5, -3):
-            check_plane_store(ring.constant(c), table([(0, c)]))
+            check_store(ring.constant(c), table([(0, c)]))
         for i in {0, n - 1, rng.randrange(n)}:
-            check_plane_store(ring.variable(i), table([(3 ** i, 1)]))
-        for coeff in (1, 2, 4, -1):
-            exps = [rng.randrange(3) for _ in range(n)]
-            check_plane_store(ring.monomial(exps, coeff),
-                              table([(sum(e * 3 ** k for k, e in enumerate(exps)), coeff)]))
-        for row in ((), (1,), (0, 2), (1, 1, 1), (3, -1, 5), (-2, 0, 4)):
+            check_store(ring.variable(i), table([(p ** i, 1)]))
+        for coeff in (1, 2, 3, 4, -1):
+            exps = [rng.randrange(p) for _ in range(n)]
+            check_store(ring.monomial(exps, coeff),
+                        table([(sum(e * p ** k for k, e in enumerate(exps)), coeff)]))
+        for row in UNIVARIATE_ROWS[p]:
             i = rng.randrange(n)
-            check_plane_store(ring.univariate(i, row),
-                              table([(e * 3 ** i, c) for e, c in enumerate(row)]))
-        dense = random_trits(rng, size)
-        check_plane_store(ring.from_coeffs(dense), dense)
+            check_store(ring.univariate(i, row),
+                        table([(e * p ** i, c) for e, c in enumerate(row)]))
+        dense = RANDOM_TABLES[p](rng, size)
+        check_store(ring.from_coeffs(dense), dense)
+        if size <= LIST_SIZE:
+            check_store(ring.from_coeffs(list(dense)), dense)
         m = rng.randint(1, n)
-        small = random_trits(rng, 3 ** m)
-        check_plane_store(ring.embed(PolyRing(3, m).from_coeffs(small)),
-                          small + bytes(size - 3 ** m))
-        for k in ({0, 1, n} if n > 8 else set(range(n + 1))):
-            want = table([(sum(3 ** j for j in subset), 1)
+        small = RANDOM_TABLES[p](rng, p ** m)
+        check_store(ring.embed(PolyRing(p, m).from_coeffs(small)),
+                    small + bytes(size - p ** m))
+        for k in (range(n + 1) if n <= 8 or size <= LIST_SIZE else {0, 1, 2, n}):
+            want = table([(sum(p ** j for j in subset), 1)
                           for subset in itertools.combinations(range(n), k)])
-            check_plane_store(ring.elementary_symmetric(k), want)
+            if size <= LIST_SIZE:  # every digit 0 or 1, k of them 1
+                assert want == bytes(int(max(d) < 2 and sum(d) == k)
+                                     for d in (point_at(p, n, i) for i in range(size)))
+            check_store(ring.elementary_symmetric(k), want)
 
-    @pytest.mark.parametrize("n", range(1, 13))
-    def test_add_sub_neg_scale(self, n):
-        rng = random.Random(f"plane add {n}")
-        ring, size = PolyRing(3, n), 3 ** n
-        a, b = random_trits(rng, size), random_trits(rng, size)
+    @pytest.mark.parametrize("p,n", STORE_CASES)
+    def test_add_sub_neg_scale(self, p, n):
+        rng = random.Random(f"{FIELD_NAMES[p]} add {n}")
+        ring, size = PolyRing(p, n), p ** n
+        a, b = RANDOM_TABLES[p](rng, size), RANDOM_TABLES[p](rng, size)
         f, g = Polynomial(ring, a), Polynomial(ring, b)
-        check_plane_store(f + g, byte_add(a, b, 1, 3))
-        check_plane_store(f - g, byte_add(a, b, -1, 3))
-        check_plane_store(g - f, byte_add(b, a, -1, 3))
-        check_plane_store(f + f + f, bytes(size))
-        check_plane_store(-f, byte_add(bytes(size), a, -1, 3))
-        check_plane_store(1 - f, byte_add(b"\1" + bytes(size - 1), a, -1, 3))
+        check_store(f + g, byte_add(a, b, 1, p))
+        check_store(f - g, byte_add(a, b, -1, p))
+        check_store(g - f, byte_add(b, a, -1, p))
+        check_store(sum([f] * (p - 1), f), bytes(size))  # p copies of f
+        check_store(-f, byte_add(bytes(size), a, -1, p))
+        check_store(1 - f, byte_add(b"\1" + bytes(size - 1), a, -1, p))
         for c in (0, 1, 2, -1, 4, -3):
-            check_plane_store(f.scale(c), _combine(3, (c,), (a,)))
-            check_plane_store(c * f, _combine(3, (c,), (a,)))
-        if n <= SMALL_PLANES:
-            assert list((f + g).coeffs) == reference_combine(3, (1, 1), (a, b))
-            assert list((f - g).coeffs) == reference_combine(3, (1, -1), (a, b))
+            check_store(f.scale(c), _combine(p, (c,), (a,)))
+            check_store(c * f, _combine(p, (c,), (a,)))
+        if size <= LIST_SIZE:
+            assert list((f + g).coeffs) == reference_combine(p, (1, 1), (a, b))
+            assert list((f - g).coeffs) == reference_combine(p, (1, -1), (a, b))
 
-    @pytest.mark.parametrize("n", range(1, 13))
-    def test_train_and_tensor(self, n):
-        rng = random.Random(f"plane train {n}")
-        ring = PolyRing(3, n)
+    @pytest.mark.parametrize("p,n", STORE_CASES)
+    def test_train_and_tensor(self, p, n):
+        rng = random.Random(f"{FIELD_NAMES[p]} train {n}")
+        ring = PolyRing(p, n)
         for _ in range(3):
-            cores = train_cores(3, n, rng)
-            check_plane_store(ring.train(cores), byte_train(n, cores, 3))
-        rows = [rng.choice(((), (1,), (0, 1), (1, 1, 2), (3, -2, 4), (-1,))) for _ in range(n)]
-        check_plane_store(ring.tensor(rows), byte_train(n, [[[row]] for row in rows], 3))
+            cores = train_cores(p, n, rng)
+            check_store(ring.train(cores), byte_train(n, cores, p))
+        rows = [rng.choice(TENSOR_ROWS[p]) for _ in range(n)]
+        check_store(ring.tensor(rows), byte_train(n, [[[row]] for row in rows], p))
+        if n > 1:  # state 1 is never entered: the rows out of it add nothing
+            cores = ([[[(1, 1), ()]]] + [[[(1, -1), ()], [(1,), (0, 1)]]] * (n - 2)
+                     + [[[(3, 1)], [(1,)]]])
+            check_store(ring.train(cores), byte_train(n, cores, p))
 
-    @pytest.mark.parametrize("n", range(1, 13))
-    def test_values_and_interpolate(self, n):
-        rng = random.Random(f"plane values {n}")
-        ring = PolyRing(3, n)
-        a = random_trits(rng, 3 ** n)
+    @pytest.mark.parametrize("p,n", STORE_CASES)
+    def test_values_and_interpolate(self, p, n):
+        rng = random.Random(f"{FIELD_NAMES[p]} values {n}")
+        ring = PolyRing(p, n)
+        a = RANDOM_TABLES[p](rng, p ** n)
         f = Polynomial(ring, a)
         values = f.values()
-        assert type(values) is bytes and values == byte_rounds(a, n, vandermonde_rows(3))
-        interpolated = interpolate(TruthTable(3, n, a))
-        check_plane_store(interpolated, byte_rounds(a, n, delta_basis_rows(3)))
-        assert interpolate(TruthTable(3, n, values)) == f
+        assert type(values) is bytes and values == byte_rounds(a, n, vandermonde_rows(p))
+        interpolated = interpolate(TruthTable(p, n, a))
+        check_store(interpolated, byte_rounds(a, n, delta_basis_rows(p)))
+        assert interpolate(TruthTable(p, n, values)) == f
+        if ring.size <= LIST_SIZE:
+            expected = list(a)
+            reference_axis_transform(expected, p, n, vandermonde_rows(p))
+            assert list(values) == expected
 
-    @pytest.mark.parametrize("n", range(1, 13))
-    def test_products_and_powers(self, n):
-        rng = random.Random(f"plane products {n}")
-        ring = PolyRing(3, n)
-        a, b = random_trits(rng, 3 ** n), random_trits(rng, 3 ** n)
+    @pytest.mark.parametrize("p,n", STORE_CASES)
+    def test_products_and_powers(self, p, n):
+        rng = random.Random(f"{FIELD_NAMES[p]} products {n}")
+        ring, size = PolyRing(p, n), p ** n
+        a, b = RANDOM_TABLES[p](rng, size), RANDOM_TABLES[p](rng, size)
         f, g = Polynomial(ring, a), Polynomial(ring, b)
-        va, vb = (byte_rounds(t, n, vandermonde_rows(3)) for t in (a, b))
-        want = byte_rounds(bytes(x * y % 3 for x, y in zip(va, vb)), n, lagrange_rows(3))
-        check_plane_store(f * g, want)
-        check_plane_store(g * f, want)
-        for e in range(7):
-            check_plane_store(f ** e, byte_rounds(bytes(pow(v, e, 3) for v in va), n,
-                                                  lagrange_rows(3)))
-        if n <= 4:
-            sparse = ring.from_coeffs(a[:3] + bytes(3 ** n - len(a[:3])))
+        va, vb = (byte_rounds(t, n, vandermonde_rows(p)) for t in (a, b))
+        want = byte_rounds(byte_product(va, vb, p), n, lagrange_rows(p))
+        check_store(f * g, want)
+        check_store(g * f, want)
+        check_store(f ** 0, b"\1" + bytes(size - 1))
+        for e in range(1, 7):
+            if (e - 1) % (p - 1) == 0:  # v^e = v for every v in F_p
+                check_store(f ** e, a)
+            else:
+                check_store(f ** e, byte_rounds(bytes(pow(v, e, p) for v in va), n,
+                                                lagrange_rows(p)))
+        if size <= 81:  # n <= 6 at p = 2, n <= 4 at p = 3
+            sparse = ring.from_coeffs(a[:3] + bytes(size - len(a[:3])))
             assert f * sparse == pair_loop_mul(f, sparse)
             assert f * g == pair_loop_mul(f, g)
             assert f ** 2 == pair_loop_mul(f, f)
 
-    @pytest.mark.parametrize("n", range(1, 8))
-    def test_compose(self, n):
-        rng = random.Random(f"plane compose {n}")
-        f = PolyRing(3, n).from_coeffs(random_trits(rng, 3 ** n))
-        target = PolyRing(3, rng.randint(1, n))
-        subs = [target.from_coeffs(random_trits(rng, target.size)) for _ in range(n)]
-        index = [sum(v * 3 ** i for i, v in enumerate(point))
-                 for point in zip(*(byte_rounds(s.coeffs, target.n, vandermonde_rows(3))
+    @pytest.mark.parametrize("p,n", COMPOSE_CASES)
+    def test_compose(self, p, n):
+        rng = random.Random(f"{FIELD_NAMES[p]} compose {n}")
+        f = PolyRing(p, n).from_coeffs(RANDOM_TABLES[p](rng, p ** n))
+        target = PolyRing(p, rng.randint(1, n))
+        subs = [target.from_coeffs(RANDOM_TABLES[p](rng, target.size)) for _ in range(n)]
+        index = [sum(v * p ** i for i, v in enumerate(point))
+                 for point in zip(*(byte_rounds(s.coeffs, target.n, vandermonde_rows(p))
                                     for s in subs))]
-        values = byte_rounds(f.coeffs, n, vandermonde_rows(3))
-        check_plane_store(f.compose(subs), byte_rounds(bytes(values[i] for i in index),
-                                                       target.n, lagrange_rows(3)))
-        if n <= 3:
+        values = byte_rounds(f.coeffs, n, vandermonde_rows(p))
+        check_store(f.compose(subs), byte_rounds(bytes(values[i] for i in index),
+                                                 target.n, lagrange_rows(p)))
+        if f.ring.size <= 27:  # n <= 4 at p = 2, n <= 3 at p = 3
             assert f.compose(subs) == power_table_compose(f, subs)
 
 
-#: Every p = 3 verify_grid entry, then the dense-p3 benchmark cases.
-P3_CASES = list(dict.fromkeys(
+#: Every p = 2 and p = 3 verify_grid entry, then the dense-p2 and dense-p3
+#: benchmark cases.
+P2_CASES, P3_CASES = (list(dict.fromkeys(
     [(name, p, n, r) for name, entry in CATALOG.items() for p, n, r in entry.verify_grid
-     if p == 3] + [case for case in DENSE_CASES if case[1] == 3]))
+     if p == q] + [case for case in DENSE_CASES if case[1] == q])) for q in (2, 3))
 
 
-class TestPlaneStoreOnTheCatalog:
-    @pytest.mark.parametrize("name,p,n,r", P3_CASES)
+class TestStoreOnTheCatalog:
+    @pytest.mark.parametrize("name,p,n,r", P2_CASES + P3_CASES)
     def test_closed_forms_match_byte_interpolation(self, name, p, n, r):
         spec = CATALOG[name].spec_of(p, n, r)
         f = build_formula(name, p, n, r)
         before = hash(f)
-        want = byte_rounds(tabulate(spec).values, spec.arity, delta_basis_rows(3))
+        want = byte_rounds(tabulate(spec).values, spec.arity, delta_basis_rows(p))
         assert type(f.coeffs) is bytes and f.coeffs == want
-        g = PolyRing(3, spec.arity).from_coeffs(f.coeffs)
+        g = PolyRing(p, spec.arity).from_coeffs(f.coeffs)
         assert f == g and g == f and hash(g) == hash(f) == before
         assert g.values() == f.values() == tabulate(spec).values
+
+    @pytest.mark.parametrize("name,p,n,r", [case for case in P2_CASES if case[2] >= 4][::5]
+                             + [case for case in DENSE_CASES if case[1] == 2])
+    def test_mismatch_matches_byte_scan(self, name, p, n, r):
+        spec = CATALOG[name].spec_of(p, n, r)
+        coeffs = build_formula(name, p, n, r).coeffs
+        size = len(coeffs)
+        for bit in (0, size // 2 + 3, size - 1):
+            broken = bytearray(coeffs)
+            broken[bit] = (broken[bit] + 1) % p
+            candidate = PolyRing(p, spec.arity).from_coeffs(broken)
+            report = verify_formula(name, p, n, r, candidate=candidate)
+            assert report["status"] == "mismatch" and not report["coefficient_match"]
+            point, expected, got = byte_scan(candidate, spec)
+            assert (report["mismatch_point"], report["expected"], report["got"]) == (
+                point, expected, got), bit
+
+    @pytest.mark.parametrize("name,p,n,r", [("max2", 2, 12, 0), ("argmax2", 2, 12, 1),
+                                            ("ismax2bit", 2, 5, 0), ("max", 3, 8, 0),
+                                            ("argmax", 3, 7, 1), ("nummax", 3, 7, 1)])
+    def test_verify_converts_no_table(self, name, p, n, r, monkeypatch):
+        """The truth table is built as words or planes, and the closed form
+        and the comparisons stay so: in a passing verify and in a mismatch
+        report, nothing is converted to or from bits but one-variable rows."""
+        ring = PolyRing(p, CATALOG[name].spec_of(p, n, r).arity)
+        broken = bytearray(build_formula(name, p, n, r).coeffs)
+        broken[ring.size // 3] = (broken[ring.size // 3] + 1) % p
+        candidate = ring.from_coeffs(broken)
+        sizes = []
+        for fn in ("_to_bits", "_from_bits"):
+            original = getattr(polyring, fn)
+
+            def recorded(*args, fn=fn, original=original):
+                sizes.append((fn, len(args[0]) if fn == "_to_bits" else args[1]))
+                return original(*args)
+
+            monkeypatch.setattr(polyring, fn, recorded)
+        assert verify_formula(name, p, n, r)["status"] == "pass"
+        report = verify_formula(name, p, n, r, candidate=candidate)
+        assert report["status"] == "mismatch" and report["points_checked"] == ring.size
+        assert [s for s in sizes if s[1] > p] == []
 
 
 #: Cases at p = 2, 3 and 5, from the grid to the dense benchmark sizes.

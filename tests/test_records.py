@@ -113,6 +113,21 @@ class TestLoadersRaiseOnlyValueError:
         load_error(Circuit.from_json, text)
 
 
+#: Texts nested past the JSON parser's recursion limit: bare and inside a record.
+DEEP_TEXTS = ["[" * 200_000, '{"p": 3, "n": 2, "coeffs": ' + '{"a": ' * 200_000,
+              "[" * 100_000 + "]" * 100_000]
+
+
+class TestDeepNesting:
+    @pytest.mark.parametrize("loader", [Polynomial.from_json, TruthTable.from_json,
+                                        Circuit.from_json],
+                             ids=["polynomial", "truth_table", "circuit"])
+    @pytest.mark.parametrize("text", DEEP_TEXTS, ids=["open", "in_record", "closed"])
+    def test_loaders_refuse_as_malformed(self, loader, text):
+        with pytest.raises(ValueError, match="^malformed .* record: nesting too deep$"):
+            loader(text)
+
+
 class TestCliMapsLoadErrors:
     @settings(max_examples=80, deadline=None)
     @given(POLYNOMIAL_TEXTS)
