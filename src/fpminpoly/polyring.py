@@ -45,15 +45,20 @@ mod p, and ``_product`` the one place where two tables are multiplied entry
 by entry.  On value planes weight 0 skips a column, weight 1 keeps it and
 weight 2 (p = 3) swaps its two planes; two columns add as one xor at p = 2
 and in six bitwise operations at p = 3 (Kawahara, Aoki & Takagi, Pairing
-2008).  On bytes ``bytes.translate`` with a 256-entry table scales every
-entry by a constant (or reduces it), and columns add as little-endian big
-ints, reduced before any byte can pass 255; on tuples and lists it runs
-comprehensions.  ``_join`` lays tables side by side: each value plane by
-shift-or, bytes and tuples by concatenation.  ``+``, ``-`` and ``scale``,
-and ``PolyRing.train`` (a sum over the state paths of a small automaton of
-products of one single-variable factor per variable, contracted axis by
-axis; ``PolyRing.tensor`` is its one-state case, the outer product of the
-factors' coefficient rows) call them on the stored tables.
+2008).  On bytes it is ``_lane_sums``, which reads each column once as a
+little-endian int, one byte lane per entry, scales it by int multiplication
+while the scaled lanes fit beside a reduced one (only the largest weights
+at p >= 17 scale by a ``bytes.translate`` table first), adds the columns as
+big ints and reduces the sum with one ``bytes.translate`` before any lane
+could pass 255; ``_round`` and ``PolyRing.train``, which sum the same
+columns with many weight rows, call it once with all their rows.  On
+tuples and lists it runs comprehensions.  ``_join`` lays tables side by
+side: each value plane by shift-or, bytes and tuples by concatenation.
+``+``, ``-`` and ``scale``, and ``PolyRing.train`` (a sum over the state
+paths of a small automaton of products of one single-variable factor per
+variable, contracted axis by axis; ``PolyRing.tensor`` is its one-state
+case, the outer product of the factors' coefficient rows) call them on
+the stored tables.
 
 Axis transforms (``apply_axis_transform``, behind ``values()``,
 ``oracle.interpolate`` and the value-table operations) take one of three
@@ -63,9 +68,9 @@ step on the one plane, at p = 3 three masked shifts of the planes
 (``_bit_blocks``), one ``_combine`` per matrix row and one ``_join``.  The
 masks (``_axis_masks``, each made from the last) also give the input tables
 of ``circuit.run_all`` at p = 2 and p = 3 (``_input_values``).  For every
-other p, ``_round`` is the one slice-rotation round: ``_combine`` on bytes,
-one dot product per fiber on tuples.  ``eval`` runs one ``_combine`` per
-variable.
+other p, ``_round`` is the one slice-rotation round: one ``_lane_sums`` of
+all matrix rows on bytes, the p columns read as ints once, and one dot
+product per fiber on tuples.  ``eval`` runs one ``_combine`` per variable.
 
 A canonical polynomial is its function, so the nonlinear operations run on
 value tables: ``*`` multiplies the operands' values pointwise (``_product``),
@@ -202,10 +207,10 @@ def _combine(p: int, weights: Sequence[int], cols):
     is 2, which at p = 3 swaps them, since 2 * 1 = 2 and 2 * 2 = 1.  Only
     the add step depends on p: at p = 2 the one planes are xored; at p = 3,
     with a = (a1, a2) and b = (b1, b2), t = (a1 | b2) ^ (a2 | b1) and
-    a + b = ((a2 | b2) ^ t, (a1 | b1) ^ t).  Packed columns are scaled with
-    ``bytes.translate``, summed as little-endian ints and reduced with the
-    mod-p table before any lane can pass 255; tuple and list columns are
-    combined with comprehensions.
+    a + b = ((a2 | b2) ^ t, (a1 | b1) ^ t).  ``bytes`` columns go to
+    ``_lane_sums`` as one weight row: each is read as an int once and
+    scaled by int multiplication within the lane bound.  Tuple and list
+    columns are combined with comprehensions.
     """
     if p < 4 and type(cols[0]) is tuple:
         acc = None
@@ -233,22 +238,73 @@ def _combine(p: int, weights: Sequence[int], cols):
                 acc = ([m * c for c in col] if acc is None
                        else [a + m * c for a, c in zip(acc, col)])
         return [0] * width if acc is None else [a % p for a in acc]
-    room = 255 // (p - 1)  # reduced lanes that sum to at most 255
-    reduce = _scale_table(p, 1)
-    acc = held = 0
-    for m, col in zip(weights, cols):
-        m %= p
-        if not m:
-            continue
-        term = col if m == 1 else col.translate(_scale_table(p, m))
-        if held == room:
-            acc = int.from_bytes(acc.to_bytes(width, "little").translate(reduce), "little")
-            held = 1
-        acc += int.from_bytes(term, "little")
-        held += 1
-    if held == 1:  # a single term, already reduced
-        return term
-    return acc.to_bytes(width, "little").translate(reduce)
+    return _lane_sums(p, (weights,), cols)[0]
+
+
+def _lane_sums(p: int, rows, cols: Sequence[bytes]) -> list[bytes]:
+    """The column sum_e row[e] * cols[e] mod p as ``bytes`` for each weight
+    row, for 3 < p < 128: the one kernel that scales and sums byte columns.
+
+    The columns hold canonical residues and share one length.  Each is read
+    as a little-endian int, one byte lane per entry, once, when a row first
+    needs it, and the int is kept for later rows.  A single column is the
+    column itself or one ``bytes.translate`` of it per row.  Weights are any
+    ints, reduced here, and zero ones are skipped.  A weight m multiplies
+    its column as an int when (m + 1) * (p - 1) <= 255, so the term's
+    lanes, at most m * (p - 1), fit beside a reduced lane; else (only at
+    p >= 17) the column is scaled by ``_scale_table(p, m)`` first.  The
+    largest value a lane of the sum can hold is tracked; the sum is reduced
+    with the mod-p table before any lane could pass 255, and once at the
+    end unless it is reduced already.
+
+    Near the table cap memory counts: ints are kept only when there is a
+    later row, the last term is dropped before the sum is packed, and with
+    several rows below p = 17, where no weight is table-scaled, the kernel
+    lets go of each column's bytes once it has read them, so columns held
+    nowhere else (as in ``_round``) are freed as they are read.  ``rows`` is
+    a sequence.
+    """
+    width = len(cols[0])
+    if len(cols) == 1:
+        col = cols[0]
+        return [col if row[0] % p == 1 else col.translate(_scale_table(p, row[0] % p))
+                for row in rows]
+    direct = 255 // (p - 1) - 1  # the largest weight that multiplies directly
+    keep, ints = len(rows) > 1, [None] * len(cols)
+    release = keep and direct >= p - 1
+    if release:
+        cols = list(cols)
+    sums = []
+    for row in rows:
+        acc = top = 0  # top: the largest value a lane of acc can hold
+        for e, m in enumerate(row):
+            m %= p
+            if not m:
+                continue
+            if m <= direct:
+                term = ints[e]
+                if term is None:
+                    term = int.from_bytes(cols[e], "little")
+                    if keep:
+                        ints[e] = term
+                        if release:
+                            cols[e] = None
+                if m > 1:
+                    term *= m
+                most = m * (p - 1)
+            else:
+                term = int.from_bytes(cols[e].translate(_scale_table(p, m)), "little")
+                most = p - 1
+            if top + most > 255:
+                acc = int.from_bytes(acc.to_bytes(width, "little")
+                                     .translate(_scale_table(p, 1)), "little")
+                top = p - 1
+            acc = acc + term if top else term
+            top += most
+        term = None
+        table = acc.to_bytes(width, "little")
+        sums.append(table if top < p else table.translate(_scale_table(p, 1)))
+    return sums
 
 
 @lru_cache(maxsize=None)
@@ -304,14 +360,15 @@ def _round(data: Sequence[int], p: int, rows) -> Sequence[int]:
 
     ``rows[new][old]`` is the fiber matrix for axis 0.  The p columns
     ``data[e::p]`` (the sub-tables with x0 = e) are combined row by row and
-    concatenated: on bytes by ``_combine``, on tuples and lists as one dot
-    product of the reduced row with each fiber (the k-th entries of the
-    columns), into a list.
+    concatenated: on bytes by one ``_lane_sums`` of all rows, which reads
+    each column as an int once; on tuples and lists as one dot product
+    of the reduced row with each fiber (the k-th entries of the columns),
+    into a list.
     """
-    cols = [data[e::p] for e in range(p)]
     if isinstance(data, bytes):
-        return b"".join([_combine(p, row, cols) for row in rows])
-    fibers = list(zip(*cols))
+        # Only the kernel holds the columns, so each is freed once read.
+        return b"".join(_lane_sums(p, rows, [data[e::p] for e in range(p)]))
+    fibers = list(zip(*(data[e::p] for e in range(p))))
     out: list[int] = []
     for row in rows:
         row = [m % p for m in row]
@@ -445,7 +502,10 @@ def apply_axis_transform(table, p: int, n: int, matrix):
     Every other p runs n rounds of ``_round`` on the stored form, so a
     stored table goes in without a copy.  Each round transforms axis 0 and
     moves it to the most significant place, so after n rounds every axis
-    is transformed and the original order is back.  Cost O(n * p^(n+1)).
+    is transformed and the original order is back.  On bytes a round reads
+    each of its p columns as an int once and scales it by int
+    multiplication within the lane bound (``_lane_sums``).  Cost
+    O(n * p^(n+1)).
     """
     if p < 4:
         stored = type(table) is tuple and len(table) == p - 1
@@ -619,10 +679,12 @@ class PolyRing:
         x_0..x_{i-1} per state that some path reaches.  Per state b and
         exponent e, the table over x_0..x_i is one ``_combine`` of the
         tables of the states that step into b, weighted by the e-th
-        coefficients of their rows; ``_join`` lays the parts side by side in
-        exponent order.  At p = 2 and p = 3 the tables are value planes:
-        at p = 2 each part is an xor of the states' one planes and the two
-        parts join as lo | hi << 2^i.  No ring multiplication runs.
+        coefficients of their rows; on bytes one ``_lane_sums`` per state
+        gives every exponent's part, those tables read as ints once.
+        ``_join`` lays the parts side by side in exponent order.  At p = 2
+        and p = 3 the tables are value planes: at p = 2 each part is an xor
+        of the states' one planes and the two parts join as lo | hi << 2^i.
+        No ring multiplication runs.
         """
         p, n = self.p, self.n
         if len(cores) != n:
@@ -653,8 +715,9 @@ class PolyRing:
                 if not rows:
                     nxt.append(None)
                     continue
-                parts = [_combine(p, weights, cols)
-                         for weights in zip_longest(*rows, fillvalue=0)]
+                steps = list(zip_longest(*rows, fillvalue=0))
+                parts = (_lane_sums(p, steps, cols) if isinstance(cols[0], bytes)
+                         else [_combine(p, weights, cols) for weights in steps])
                 nxt.append(_join(parts, self.strides[i], p, p))
             tables = nxt
         return self.zero() if tables[0] is None else _polynomial(self, tables[0])

@@ -12,9 +12,11 @@ references for chained products.  Exponents and digits are decoded
 with ``oracle.point_at``, independently of the ring's digit planes.  The
 dense kernels are checked on both sides of p = 128, where tables stop being
 packed into bytes.  ``_combine``, the one place where columns are scaled,
-summed and reduced, is checked against a per-entry sum, and ``_product``,
-the entrywise product behind ``*`` and ``run_all``'s mul gates, against
-``x * y % p`` on every stored form.  At p = 2 and p = 3 polynomials
+summed and reduced, is checked against a per-entry sum (on byte lanes
+with weights on both sides of the bound past which a column is
+table-scaled, at column counts on both sides of each reduction), and
+``_product``, the entrywise product behind ``*`` and ``run_all``'s mul
+gates, against ``x * y % p`` on every stored form.  At p = 2 and p = 3 polynomials
 store their tables as p - 1 value planes, ints of p^n bits.  At p = 2 the
 axis transform, one shift-and-xor step per axis on the one plane, is
 checked against chained ``_round`` calls for every 2x2 matrix up to 2^20
@@ -310,18 +312,43 @@ def reference_combine(p, weights, cols):
             for k in range(len(cols[0]))]
 
 
+#: Moduli for ``_combine``: value planes (2, 3), byte lanes where every
+#: weight multiplies its column as an int (5 to 13), where the largest
+#: weights are table-scaled first (17) and where every weight past 1 is
+#: (127), and lists (131).
+COMBINE_PRIMES = [2, 3, 5, 7, 11, 13, 17, 127, 131]
+
+
+def direct_bound(p):
+    """The largest weight that multiplies a byte column as an int at p:
+    (m + 1) * (p - 1) <= 255."""
+    return 255 // (p - 1) - 1
+
+
+def lane_counts(p, m):
+    """Column counts on both sides of each point where a sum of columns of
+    entries p - 1, all weighted m, is reduced, for 3 < p < 128: a term fills
+    each lane to m * (p - 1), or to p - 1 when it was table-scaled, and a
+    reduced sum leaves p - 1 in each lane."""
+    most = m * (p - 1) if m <= direct_bound(p) else p - 1
+    first = 255 // most
+    second = first + (255 - (p - 1)) // most
+    return sorted({1, 2, first, first + 1, second, second + 1, 2 * second + 1})
+
+
 @st.composite
 def weighted_columns(draw):
-    """Columns of canonical residues and any-int weights, enough of them to
-    pass the number of reduced lanes a byte can hold (``room``)."""
-    p = draw(st.sampled_from([2, 3, 17, 127, 131]))
+    """Columns of canonical residues and any-int weights (negative and huge
+    ones too), enough of them to pass the number of reduced lanes a byte
+    can hold (``room``)."""
+    p = draw(st.sampled_from(COMBINE_PRIMES))
     room = 255 // (p - 1)
     width = draw(st.integers(0, 6))
     count = draw(st.integers(1, 2 * room + 2))
     cols = [draw(st.lists(st.integers(0, p - 1), min_size=width, max_size=width))
             for _ in range(count)]
     weights = draw(st.lists(st.one_of(st.integers(-3 * p, 3 * p), st.sampled_from(
-        [0, 1, p, -p, p - 1, 1 - p])), min_size=count, max_size=count))
+        [0, 1, p, -p, p - 1, 1 - p, 10 ** 30 + 1, -10 ** 30])), min_size=count, max_size=count))
     return p, weights, cols
 
 
@@ -332,21 +359,57 @@ class TestCombine:
     @example((127, [126, -1, 253], [[126, 0], [126, 1], [126, 126]]))
     @example((3, [0, 3, -6], [[1, 2], [2, 2], [0, 1]]))
     @example((17, [5], [[16, 3, 0]]))
+    @example((7, [10 ** 30], [[6, 3, 0]]))
+    @example((5, [0, 5, -10], [[4, 4], [3, 1], [2, 0]]))
+    @example((13, [12, -1, 10 ** 30 + 11, -(10 ** 30)] * 5, [[12, 0, 7]] * 20))
+    @example((17, [14, 15, -2, 16] * 9, [[16, 16, 1]] * 36))
+    @example((127, [1, 2, 128, -125] * 5, [[126, 126, 0]] * 20))
     def test_matches_per_entry_sum(self, case):
         p, weights, cols = case
         got = _combine(p, weights, [_pack(col, p) for col in cols])
         assert type(got) is packed_form(p)
         assert list(got) == reference_combine(p, weights, cols)
 
-    @pytest.mark.parametrize("p", [2, 3, 17, 127])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 127])
     def test_lane_sums_at_their_maximum(self, p):
-        """Entries and weights all p-1, on both sides of each reduction point."""
+        """Entries p - 1, at column counts on both sides of each reduction
+        point: weights p - 1 on value planes; on byte lanes 1, 2, p - 1 and
+        the weights on both sides of the table-scaled boundary (14 and 15
+        at p = 17, 1 and 2 at p = 127), alone and mixed with p - 1."""
         room = 255 // (p - 1)
-        for count in (room - 1, room, room + 1, 2 * room, 2 * room + 1):
+        if p < 4:
+            counts = (room - 1, room, room + 1, 2 * room, 2 * room + 1)
+            cases = [(p - 1, count) for count in counts]
+        else:
+            weights = {1, 2, p - 1, direct_bound(p), direct_bound(p) + 1} & set(range(1, p))
+            cases = [(m, count) for m in sorted(weights) for count in lane_counts(p, m)]
+        for m, count in cases:
             cols = [[p - 1] * 5] * count
-            weights = [p - 1] * count
-            got = _combine(p, weights, [_pack(col, p) for col in cols])
-            assert list(got) == reference_combine(p, weights, cols)
+            for weights in ([m] * count, [m, p - 1] * (count // 2) + [m] * (count % 2)):
+                got = _combine(p, weights, [_pack(col, p) for col in cols])
+                assert list(got) == reference_combine(p, weights, cols), (m, count)
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 127])
+    def test_weights_scale_by_table_only_past_the_lane_bound(self, p, monkeypatch):
+        """A weight m multiplies its byte column as an int exactly when
+        (m + 1) * (p - 1) <= 255; only larger weights (none below p = 17)
+        scale the column with a byte table, and weight 1 is the reduction."""
+        scaled = []
+        original = polyring._scale_table
+
+        def recorded(q, m):
+            scaled.append(m)
+            return original(q, m)
+
+        monkeypatch.setattr(polyring, "_scale_table", recorded)
+        col = [p - 1, 1, 0]
+        for m in range(1, p):
+            scaled.clear()
+            got = _combine(p, (m, 1), [_pack(col, p)] * 2)
+            assert list(got) == reference_combine(p, (m, 1), [col] * 2)
+            assert set(scaled) - {1} == ({m} if (m + 1) * (p - 1) > 255 else set()), m
+        assert [m for m in range(1, p) if m > direct_bound(p)] == (
+            {17: [15, 16], 127: list(range(2, 127))}.get(p, []))
 
 
 class TestProduct:
@@ -540,9 +603,12 @@ class TestSingleVariablePieces:
 
 # -- products of one factor per input ----------------------------------------------
 
-#: Rings on both sides of p = 128 and past p = 256; at p >= 128 one row is
-#: full and the rest short, which keeps the chained reference on the pair loop.
-TENSOR_RINGS = [(2, 8), (3, 5), (5, 4), (13, 3), (127, 2), (131, 2), (257, 2)]
+#: Rings on both sides of p = 128 and past p = 256, and at every p from 5 to
+#: 13, where every weight multiplies a byte column as an int; at p >= 128 one
+#: row is full and the rest short, which keeps the chained reference on the
+#: pair loop.
+TENSOR_RINGS = [(2, 8), (3, 5), (5, 4), (7, 4), (11, 3), (13, 3), (127, 2), (131, 2),
+                (257, 2)]
 
 
 def tensor_row_sets(p, n):
