@@ -626,8 +626,8 @@ def run_all(circuit: Circuit) -> Sequence[int]:
     carried through each gate at once, as a table in the stored form of a
     ``Polynomial`` (``polyring._store``): at p = 2 and p = 3 a tuple of
     p - 1 value planes, ints of p^n bits (plane v - 1 the entries equal to
-    v), ``bytes`` of p^n residues for 3 < p < 128 and a tuple (or
-    ``_combine``'s list) above.  The input wires the circuit reads come
+    v), ``bytes`` of p^n residues for 3 < p < 128 and a tuple above.
+    Every gate gives that form again.  The input wires the circuit reads come
     first (``_input_values``), and constants scale the all-ones table
     (``_ones``); const, add, sub and scale gates are one ``_combine`` each
     and mul gates one ``_product``.  Each wire is dropped right after the

@@ -75,16 +75,18 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _table_size_cap(args) -> int | None:
+def _table_size_cap(args) -> int:
     if getattr(args, "max_table_size", None) is not None:
         cap = args.max_table_size
         if cap < 0:
             raise FormulaParamError(f"--max-table-size must be nonnegative, got {cap}")
         if cap > DEFAULT_MAX_TABLE_SIZE:
-            # Stored tables take 1 byte an entry below p = 128, else an 8-byte
-            # reference to a shared int up to 256 or to a ~32-byte int above.
-            print(f"size guard raised to {cap} entries (roughly {cap / 2**20:.0f} MiB "
-                  f"per dense table when p < 128, {cap * 8 / 2**20:.0f} MiB when "
+            # Stored tables take p - 1 planes of 1 bit an entry at p = 2 and 3, 1 byte
+            # below 128, else an 8-byte reference to a shared int up to 256 or to a
+            # ~32-byte int above.
+            print(f"size guard raised to {cap} entries (roughly {cap / 2**23:.0f} MiB "
+                  f"per dense table when p = 2, {cap / 2**22:.0f} MiB when p = 3, "
+                  f"{cap / 2**20:.0f} MiB when p < 128, {cap * 8 / 2**20:.0f} MiB when "
                   f"p <= 257, {cap * 40 / 2**20:.0f} MiB above)", file=sys.stderr)
         return cap
     env = os.environ.get(ENV_MAX_TABLE_SIZE)
@@ -101,11 +103,21 @@ def _table_size_cap(args) -> int | None:
     return DEFAULT_MAX_TABLE_SIZE
 
 
-def _build_requested(args, cap: int | None) -> Polynomial:
+def _read_record(path: str, cap: int) -> str:
+    """A record file's text, refused before it is read past 65536 + 24 * cap
+    bytes: room for the largest record the cap allows, even indented."""
+    with open(path) as handle:
+        size, bound = os.fstat(handle.fileno()).st_size, 65536 + 24 * cap
+        if size > bound:
+            raise SizeGuardError(f"{path} is {size} bytes, past the bound of {bound} "
+                                 f"bytes for a table cap of {cap} entries")
+        return handle.read()
+
+
+def _build_requested(args, cap: int) -> Polynomial:
     """The polynomial a gen/eval/stats request names, closed or interpolated."""
     if getattr(args, "table", None):
-        with open(args.table) as handle:
-            table = TruthTable.from_json(handle.read())
+        table = TruthTable.from_json(_read_record(args.table, cap))
         return interpolate(table, max_table_size=cap)
     if not args.func:
         raise FormulaParamError("either --func or --table is required")
@@ -147,8 +159,8 @@ def cmd_verify(args) -> int:
         if args.file:
             if not args.func:
                 raise FormulaParamError("--file needs --func to know the reference function")
-            with open(args.file) as handle:
-                candidate = Polynomial.from_json(handle.read(), max_table_size=cap)
+            candidate = Polynomial.from_json(_read_record(args.file, cap),
+                                             max_table_size=cap)
         elif not args.func:
             raise FormulaParamError("verify needs --func, --file or --all")
         reports = [verify_formula(args.func, args.p, args.n, args.r,

@@ -15,50 +15,48 @@ canonical representative agreeing with a given function is unique, which is
 why coefficient equality of two canonical polynomials is the same thing as
 equality as functions.
 
-Every p^n table seen from outside (``coeffs``, ``values()``, truth tables,
-the result of ``circuit.run_all``) is in one packed form, picked from p
-alone by ``_pack``: for p < 128 the canonical residues are packed into
-``bytes``, one entry per byte; for p >= 128, where the sum of two reduced
-entries can pass 255, a tuple of ints.
-
-Inside, a polynomial keeps its table in a stored form (``_store``), also
-picked from p alone.  At p = 2 and p = 3 the table is bit sliced into a
-tuple of p - 1 value planes: plane v - 1 is an int of p^n bits with bit i
-set exactly where entry i equals v, so p = 2 keeps one plane and p = 3 is
-``(ones, twos)``.  ``_to_bits`` reads one plane from ``bytes`` and
-``_unstore`` decodes a stored table back to ``bytes``; ``coeffs`` is
-decoded on first use and kept.  For every other p the stored form is the
-packed form itself.  Only this module knows the layout: ``oracle`` and
-``formulas`` pass stored tables between its functions (``TruthTable``
-keeps its values in stored form, ``tabulate`` at p = 2 and p = 3 builds
-the value planes itself, and the values are decoded by ``_unstore`` only
-when read; ``Polynomial._values`` gives a polynomial's values in stored
-form, ``first_mismatch`` compares two of them and ``_stored_entry`` reads
-one entry), and ``circuit.run_all`` carries one per wire:
-``_input_values`` and ``_ones`` make its input and constant tables, its
-gates are ``_combine`` and ``_product`` calls and ``_unstore`` decodes its
-output.
+A p^n table has one form per p on each side of this module's edge.
+Outside (``coeffs``, ``values()``, truth tables, the result of
+``circuit.run_all``) it is packed (``_pack``): for p < 128 the canonical
+residues are packed into ``bytes``, one entry per byte; for p >= 128,
+where the sum of two reduced entries can pass 255, a tuple of ints.
+Inside, every table passed between this module's kernels is in the stored
+form (``_store``), and every kernel picks its branch from p alone.  At
+p = 2 and p = 3 the table is bit sliced into a tuple of p - 1 value
+planes: plane v - 1 is an int of p^n bits with bit i set exactly where
+entry i equals v, so p = 2 keeps one plane and p = 3 is ``(ones, twos)``.
+For every other p the stored form is the packed form itself.  Tables come
+in through ``_checked`` and ``_store`` (``_to_bits`` reads one plane from
+``bytes``) and go out through ``_unstore``, which decodes value planes to
+``bytes``; ``coeffs`` is decoded on first use and kept.  Only this module
+knows the layout: ``oracle`` and ``formulas`` pass stored tables between
+its functions (``TruthTable`` keeps its values in stored form,
+``tabulate`` at p = 2 and p = 3 builds the value planes itself, and the
+values are decoded by ``_unstore`` only when read; ``Polynomial._values``
+gives a polynomial's values in stored form, ``first_mismatch`` compares
+two of them and ``_stored_entry`` reads one entry), and
+``circuit.run_all`` carries one per wire: ``_input_values`` and ``_ones``
+make its input and constant tables, its gates are ``_combine`` and
+``_product`` calls and ``_unstore`` decodes its output.
 
 The dense table work runs through one seam, with the standard library only.
 ``_combine`` is the one place where columns are scaled, summed and reduced
 mod p, and ``_product`` the one place where two tables are multiplied entry
-by entry.  On value planes weight 0 skips a column, weight 1 keeps it and
-weight 2 (p = 3) swaps its two planes; two columns add as one xor at p = 2
-and in six bitwise operations at p = 3 (Kawahara, Aoki & Takagi, Pairing
-2008).  On bytes it is ``_lane_sums``, which reads each column once as a
-little-endian int, one byte lane per entry, scales it by int multiplication
-while the scaled lanes fit beside a reduced one (only the largest weights
-at p >= 17 scale by a ``bytes.translate`` table first), adds the columns as
-big ints and reduces the sum with one ``bytes.translate`` before any lane
-could pass 255; ``_round`` and ``PolyRing.train``, which sum the same
-columns with many weight rows, call it once with all their rows.  On
-tuples and lists it runs comprehensions.  ``_join`` lays tables side by
-side: each value plane by shift-or, bytes and tuples by concatenation.
-``+``, ``-`` and ``scale``, and ``PolyRing.train`` (a sum over the state
-paths of a small automaton of products of one single-variable factor per
-variable, contracted axis by axis; ``PolyRing.tensor`` is its one-state
-case, the outer product of the factors' coefficient rows) call them on
-the stored tables.
+by entry.  At p = 2 and p = 3, on value planes, weight 0 skips a column,
+weight 1 keeps it and weight 2 (p = 3) swaps its two planes; two columns
+add as one xor at p = 2 and in six bitwise operations at p = 3 (Kawahara,
+Aoki & Takagi, Pairing 2008).  For 3 < p < 128, on bytes, it is
+``_lane_sums``, which reads each column once as a little-endian int, one
+byte lane per entry, scales it by int multiplication within the lane
+bound and reduces the sum with ``bytes.translate``; ``_round`` and
+``PolyRing.train``, which sum the same columns with many weight rows,
+call it once with all their rows.  From p = 128, on tuples, it runs
+comprehensions.  ``_join`` lays tables side by side: each value plane by
+shift-or, bytes and tuples by concatenation.  ``+``, ``-`` and ``scale``,
+and ``PolyRing.train`` (a sum over the state paths of a small automaton
+of products of one single-variable factor per variable, contracted axis
+by axis; ``PolyRing.tensor`` is its one-state case, the outer product of
+the factors' coefficient rows) call them on the stored tables.
 
 Axis transforms (``apply_axis_transform``, behind ``values()``,
 ``oracle.interpolate`` and the value-table operations) take one of three
@@ -69,8 +67,9 @@ step on the one plane, at p = 3 three masked shifts of the planes
 masks (``_axis_masks``, each made from the last) also give the input tables
 of ``circuit.run_all`` at p = 2 and p = 3 (``_input_values``).  For every
 other p, ``_round`` is the one slice-rotation round: one ``_lane_sums`` of
-all matrix rows on bytes, the p columns read as ints once, and one dot
-product per fiber on tuples.  ``eval`` runs one ``_combine`` per variable.
+all matrix rows on bytes (p < 128), the p columns read as ints once, and
+one dot product per fiber on tuples.  ``eval`` runs one ``_combine`` per
+variable.
 
 A canonical polynomial is its function, so the nonlinear operations run on
 value tables: ``*`` multiplies the operands' values pointwise (``_product``),
@@ -172,8 +171,8 @@ def _store(table: Sequence[int], p: int):
 def _unstore(stored, p: int, size: int) -> Sequence[int]:
     """A stored table of ``size`` entries in packed form, inverting
     ``_store``: value planes are decoded to ``bytes``, the first as it is
-    and each later plane v - 1 added in as v times its bits, and a list
-    (``_combine``'s working form for p >= 128) is packed."""
+    and each later plane v - 1 added in as v times its bits; for every
+    other p the stored table is already packed."""
     if p < 4:
         table = _from_bits(stored[0], size)
         for v, plane in enumerate(stored[1:], 2):
@@ -181,7 +180,7 @@ def _unstore(stored, p: int, size: int) -> Sequence[int]:
                      + v * int.from_bytes(_from_bits(plane, size), "little")
                      ).to_bytes(size, "little")
         return table
-    return _pack(stored, p)
+    return stored
 
 
 def _stored_entry(stored, p: int, i: int) -> int:
@@ -198,21 +197,19 @@ def _scratch(size: int, p: int):
 
 
 def _combine(p: int, weights: Sequence[int], cols):
-    """The column sum_e weights[e] * cols[e] mod p: value planes from value
-    planes, bytes from bytes, else a list.
+    """The column sum_e weights[e] * cols[e] mod p of stored columns of one
+    length, in stored form; the branch is picked from p.
 
     Weights are any ints; they are reduced here and zero ones are skipped.
-    The columns hold canonical residues and share one length.  Value planes
-    (p = 2 and p = 3) are kept where the weight is 1 and reversed where it
-    is 2, which at p = 3 swaps them, since 2 * 1 = 2 and 2 * 2 = 1.  Only
-    the add step depends on p: at p = 2 the one planes are xored; at p = 3,
-    with a = (a1, a2) and b = (b1, b2), t = (a1 | b2) ^ (a2 | b1) and
-    a + b = ((a2 | b2) ^ t, (a1 | b1) ^ t).  ``bytes`` columns go to
-    ``_lane_sums`` as one weight row: each is read as an int once and
-    scaled by int multiplication within the lane bound.  Tuple and list
-    columns are combined with comprehensions.
+    At p = 2 and p = 3 the value planes are kept where the weight is 1 and
+    reversed where it is 2, which at p = 3 swaps them, since 2 * 1 = 2 and
+    2 * 2 = 1.  Only the add step depends on p: at p = 2 the one planes
+    are xored; at p = 3, with a = (a1, a2) and b = (b1, b2),
+    t = (a1 | b2) ^ (a2 | b1) and a + b = ((a2 | b2) ^ t, (a1 | b1) ^ t).
+    For 3 < p < 128 the ``bytes`` columns go to ``_lane_sums`` as one
+    weight row; from p = 128 tuples are combined with comprehensions.
     """
-    if p < 4 and type(cols[0]) is tuple:
+    if p < 4:
         acc = None
         for m, col in zip(weights, cols):
             m %= p
@@ -229,21 +226,21 @@ def _combine(p: int, weights: Sequence[int], cols):
                 t = (a1 | b2) ^ (a2 | b1)
                 acc = (a2 | b2) ^ t, (a1 | b1) ^ t
         return (0,) * (p - 1) if acc is None else acc
-    width = len(cols[0])
-    if not isinstance(cols[0], bytes):
-        acc = None
-        for m, col in zip(weights, cols):
-            m %= p
-            if m:
-                acc = ([m * c for c in col] if acc is None
-                       else [a + m * c for a, c in zip(acc, col)])
-        return [0] * width if acc is None else [a % p for a in acc]
-    return _lane_sums(p, (weights,), cols)[0]
+    if p < 128:
+        return _lane_sums(p, (weights,), cols)[0]
+    acc = None
+    for m, col in zip(weights, cols):
+        m %= p
+        if m:
+            acc = ([m * c for c in col] if acc is None
+                   else [a + m * c for a, c in zip(acc, col)])
+    return (0,) * len(cols[0]) if acc is None else tuple([a % p for a in acc])
 
 
 def _lane_sums(p: int, rows, cols: Sequence[bytes]) -> list[bytes]:
     """The column sum_e row[e] * cols[e] mod p as ``bytes`` for each weight
-    row, for 3 < p < 128: the one kernel that scales and sums byte columns.
+    row: the one kernel that scales and sums byte columns, exact for any
+    p < 128; the library calls it for 3 < p < 128.
 
     The columns hold canonical residues and share one length.  Each is read
     as a little-endian int, one byte lane per entry, once, when a row first
@@ -341,8 +338,8 @@ def _join(parts: list, width: int, count: int, p: int):
     """``count`` tables of ``width`` entries side by side in stored form:
     ``parts`` (at least one) in order, then zero tables.
 
-    Each value plane joins by shift-or, bytes by concatenation and lists
-    or tuples into one tuple.
+    Each value plane joins by shift-or, bytes by concatenation and tuples
+    into one tuple.
     """
     if p < 4:
         planes, shift = list(parts[0]), width
@@ -356,16 +353,17 @@ def _join(parts: list, width: int, count: int, p: int):
 
 
 def _round(data: Sequence[int], p: int, rows) -> Sequence[int]:
-    """One slice-rotation round: map axis 0 of a stored table, move it to the top.
+    """One slice-rotation round: map axis 0 of a packed table, move it to
+    the top; the result is packed too.  For p > 3 that is the stored form.
 
     ``rows[new][old]`` is the fiber matrix for axis 0.  The p columns
     ``data[e::p]`` (the sub-tables with x0 = e) are combined row by row and
-    concatenated: on bytes by one ``_lane_sums`` of all rows, which reads
-    each column as an int once; on tuples and lists as one dot product
-    of the reduced row with each fiber (the k-th entries of the columns),
-    into a list.
+    concatenated: below p = 128 by one ``_lane_sums`` of all rows on the
+    bytes, which reads each column as an int once; from p = 128 as one dot
+    product of the reduced row with each fiber (the k-th entries of the
+    columns), into a tuple.
     """
-    if isinstance(data, bytes):
+    if p < 128:
         # Only the kernel holds the columns, so each is freed once read.
         return b"".join(_lane_sums(p, rows, [data[e::p] for e in range(p)]))
     fibers = list(zip(*(data[e::p] for e in range(p))))
@@ -373,7 +371,7 @@ def _round(data: Sequence[int], p: int, rows) -> Sequence[int]:
     for row in rows:
         row = [m % p for m in row]
         out += [sum(map(mul, row, fiber)) % p for fiber in fibers]
-    return out
+    return tuple(out)
 
 
 #: Byte maps from the entries of a table to the ASCII digits of the bit
@@ -474,17 +472,9 @@ def _input_values(p: int, n: int, wanted):
 def apply_axis_transform(table, p: int, n: int, matrix):
     """A p x p matrix applied along every axis of a flat mixed-radix table.
 
-    ``table`` is a table in stored form (``_store``) or any sequence of
-    canonical residues in [0, p), and is left as it is; ``matrix[new][old]``
-    gives the linear map used on each length-p fiber, with any ints as
-    entries.  A stored table gives a stored table; any other sequence gives
-    the packed form (``_pack``: bytes for p < 128, a tuple for larger p).
-    The two differ only at p = 2 and p = 3, where the stored form is the
-    tuple of p - 1 value planes, and a sequence is stored first (``_store``)
-    and decoded last.  A sequence has p^n >= p entries, so a tuple of p - 1
-    is the stored form; only at p = 2 and n = 0 is a one-entry tuple both,
-    and it is then taken as stored (the transform of no axis is the
-    identity).
+    ``table`` is a table of p^n entries in stored form (``_store``), left
+    as it is, and so is the result; ``matrix[new][old]`` gives the linear
+    map used on each length-p fiber, with any ints as entries.
 
     At p = 2 and p = 3 the axes are walked from the top, in
     ``_axis_masks``' order; they commute.  At p = 2, axis i (stride
@@ -499,34 +489,31 @@ def apply_axis_transform(table, p: int, n: int, matrix):
     shifts the results back into place (``_join``).  Cost O(n * p^n) bit
     operations.
 
-    Every other p runs n rounds of ``_round`` on the stored form, so a
-    stored table goes in without a copy.  Each round transforms axis 0 and
-    moves it to the most significant place, so after n rounds every axis
-    is transformed and the original order is back.  On bytes a round reads
-    each of its p columns as an int once and scales it by int
-    multiplication within the lane bound (``_lane_sums``).  Cost
-    O(n * p^(n+1)).
+    Every other p runs n rounds of ``_round`` on the stored form, which
+    is the packed form there, so the table goes in without a copy.  Each
+    round transforms axis 0 and moves it to the most significant place, so
+    after n rounds every axis is transformed and the original order is
+    back.  On bytes a round reads each of its p columns as an int once and
+    scales it by int multiplication within the lane bound
+    (``_lane_sums``).  Cost O(n * p^(n+1)).
     """
     if p < 4:
-        stored = type(table) is tuple and len(table) == p - 1
-        planes = table if stored else _store(table, p)
         if p == 2:
             (a, b), (c, d) = matrix
             a, b, c, d = a % 2, b % 2, c % 2, d % 2
         for i, mask in zip(range(n - 1, -1, -1), _axis_masks(n, p)):
             s = p ** i
             if p == 2:
-                lo, hi = planes[0] & mask, (planes[0] >> s) & mask
+                lo, hi = table[0] & mask, (table[0] >> s) & mask
                 # x and y is 0 * y or 1 * y here, without copying y.
-                planes = (((a and lo) ^ (b and hi)) | (((c and lo) ^ (d and hi)) << s),)
+                table = (((a and lo) ^ (b and hi)) | (((c and lo) ^ (d and hi)) << s),)
             else:
-                cols = _bit_blocks(planes, p, s, mask)
-                planes = _join([_combine(p, row, cols) for row in matrix], s, p, p)
-        return planes if stored else _unstore(planes, p, p ** n)
-    data = _pack(table, p)
+                cols = _bit_blocks(table, p, s, mask)
+                table = _join([_combine(p, row, cols) for row in matrix], s, p, p)
+        return table
     for _axis in range(n):
-        data = _round(data, p, matrix)
-    return _pack(data, p)
+        table = _round(table, p, matrix)
+    return table
 
 
 def _load_json(text: str, record: str):
@@ -716,7 +703,7 @@ class PolyRing:
                     nxt.append(None)
                     continue
                 steps = list(zip_longest(*rows, fillvalue=0))
-                parts = (_lane_sums(p, steps, cols) if isinstance(cols[0], bytes)
+                parts = (_lane_sums(p, steps, cols) if 3 < p < 128
                          else [_combine(p, weights, cols) for weights in steps])
                 nxt.append(_join(parts, self.strides[i], p, p))
             tables = nxt
@@ -908,7 +895,7 @@ class Polynomial:
             ones, twos = self._values()
             return _from_values(self.ring, (ones | twos, 0))
         powers = [pow(v, e, p) for v in range(p)]
-        return _from_values(self.ring, [powers[v] for v in self.values()])
+        return _from_values(self.ring, _pack([powers[v] for v in self._values()], p))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -1022,12 +1009,8 @@ class Polynomial:
 
 def _polynomial(ring: PolyRing, table) -> Polynomial:
     """The polynomial of ``ring`` with a table already in stored form
-    (``_store``), unchecked: the path of every result the library builds.
-
-    A list (``_combine``'s working form for p >= 128) is packed here.
-    """
-    if type(table) is list:
-        table = tuple(table)
+    (``_store``), unchecked and unconverted: the path of every result the
+    library builds."""
     f = object.__new__(Polynomial)
     f.ring, f._stored = ring, table
     f._coeffs = None if ring.p < 4 else table
@@ -1048,18 +1031,16 @@ def _from_values(ring: PolyRing, values) -> Polynomial:
 
 
 def first_mismatch(a, b, p: int) -> int | None:
-    """Index of the first disagreement between two value tables of one
-    ring over F_p, each stored or packed, else None.
+    """Index of the first disagreement between two stored value tables of
+    one ring over F_p, else None.
 
     Two tuples of p - 1 value planes (p = 2 and p = 3) differ first at the
     lowest set bit of the or of their planes' xors, and two ``bytes``
-    tables at that of their xor as little-endian ints, divided by 8.  A
-    packed table has p^n entries, so it is taken for planes only at p = 2
-    and n = 0, where its one entry is its one plane.  Equal tables, the
-    common case, are settled by one ``==``; tuples (p >= 128) that differ
-    are scanned index by index.
+    tables (3 < p < 128) at that of their xor as little-endian ints,
+    divided by 8.  Equal tables, the common case, are settled by one
+    ``==``; tuples (p >= 128) that differ are scanned index by index.
     """
-    if p < 4 and type(a) is tuple and len(a) == p - 1:
+    if p < 4:
         diff = 0
         for x, y in zip(a, b):
             diff |= x ^ y
@@ -1068,7 +1049,7 @@ def first_mismatch(a, b, p: int) -> int | None:
         raise ValueError("cannot compare value tables of different sizes")
     if a == b:
         return None
-    if type(a) is bytes:
+    if p < 128:
         diff = int.from_bytes(a, "little") ^ int.from_bytes(b, "little")
         return ((diff & -diff).bit_length() - 1) // 8
     for i in range(len(a)):

@@ -83,11 +83,12 @@ class TestGen:
         assert run_cli(*base, "--max-table-size", str(1 << 25)) == EXIT_OK
         raised = capsys.readouterr()
         assert raised.out == plain.out
-        # 1 byte per entry below p = 128 (bytes), 8 while residues stay shared
-        # small ints, 40 beyond p = 257
-        assert raised.err == ("size guard raised to 33554432 entries (roughly 32 MiB "
-                              "per dense table when p < 128, 256 MiB when p <= 257, "
-                              "1280 MiB above)\n")
+        # p - 1 value planes of 1 bit per entry at p = 2 and p = 3, 1 byte per
+        # entry below p = 128 (bytes), 8 while residues stay shared small
+        # ints, 40 beyond p = 257
+        assert raised.err == ("size guard raised to 33554432 entries (roughly 4 MiB "
+                              "per dense table when p = 2, 8 MiB when p = 3, 32 MiB "
+                              "when p < 128, 256 MiB when p <= 257, 1280 MiB above)\n")
 
     def test_no_temp_files_left_behind(self, tmp_path):
         out = tmp_path / "poly.json"
@@ -435,6 +436,41 @@ class TestDeepNesting:
         err = capsys.readouterr().err
         assert err.startswith("fpminpoly: error: ") and err.count("\n") == 1
         assert "nesting too deep" in err
+
+
+#: Every command that reads a record file, with the flag that names it.
+FILE_READERS = [
+    ("verify", "--func", "max", "--p", "3", "--n", "2", "--file"),
+    ("gen", "--func", "max", "--p", "3", "--n", "2", "--table"),
+    ("eval", "--point", "1,2", "--table"),
+    ("stats", "--table"),
+]
+FILE_READER_IDS = ["verify_file", "gen_table", "eval_table", "stats_table"]
+
+
+class TestFileBound:
+    @pytest.mark.parametrize("argv", FILE_READERS, ids=FILE_READER_IDS)
+    def test_oversized_file_is_refused_before_it_is_read(self, argv, tmp_path, capsys):
+        # Nested past the parser's limit: read, it would be a usage error.
+        big = tmp_path / "big.json"
+        big.write_text("[" * (1 << 20))
+        assert run_cli(*argv, str(big), "--max-table-size", "16") == EXIT_SIZE_GUARD
+        err = capsys.readouterr().err
+        assert err == (f"fpminpoly: size guard: {big} is 1048576 bytes, past the bound "
+                       f"of 65920 bytes for a table cap of 16 entries\n")
+        assert run_cli(*argv, str(big)) == EXIT_USAGE
+        assert "nesting too deep" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", FILE_READERS, ids=FILE_READER_IDS)
+    def test_indented_file_at_the_cap_passes(self, argv, tmp_path):
+        path = tmp_path / "record.json"
+        if argv[0] == "verify":
+            record = build_formula("max", 3, 2).to_dict()
+        else:
+            record = json.loads(tabulate(FunctionSpec("max", 3, 2)).to_json())
+        path.write_text(json.dumps(record, indent=4))
+        assert run_cli(*argv, str(path), "--max-table-size", "9") == EXIT_OK
+        assert run_cli(*argv, str(path)) == EXIT_OK
 
 
 class TestImports:

@@ -51,8 +51,9 @@ from fpminpoly.oracle import (KINDS, FunctionSpec, TruthTable, argmax_digit_sem,
                               ismax_2bit_sem, ismax_sem, max_sem, min_sem, nummax_digit_sem,
                               point_at, tabulate)
 from fpminpoly import formulas, oracle, polyring
-from fpminpoly.polyring import (Polynomial, PolyRing, _combine, _pack, _scratch,
-                                apply_axis_transform, lagrange_rows, vandermonde_rows)
+from fpminpoly.polyring import (Polynomial, PolyRing, _combine, _lane_sums, _pack, _scratch,
+                                _store, _unstore, apply_axis_transform, lagrange_rows,
+                                vandermonde_rows)
 
 #: Largest arity per modulus that keeps p^n small enough for a quick test.
 MAX_ARITY = {2: 8, 3: 5, 5: 3, 7: 3, 11: 2, 13: 2}
@@ -75,6 +76,29 @@ def reference_axis_transform(vals, p, n, matrix):
                         acc += row[e] * fiber[e]
                     vals[off + a * stride] = acc % p
         stride = period
+
+
+def assert_stored(table, p, size):
+    """``table`` has the shape of ``_store``'s form for p and ``size``
+    entries, and is never a list: p - 1 int value planes with disjoint bits
+    below ``size`` at p = 2 and p = 3, ``bytes`` for 3 < p < 128, else a
+    tuple of ints."""
+    if p < 4:
+        assert type(table) is tuple and len(table) == p - 1, type(table)
+        assert all(type(plane) is int and 0 <= plane < 1 << size for plane in table)
+        assert not any(x & y for x, y in itertools.combinations(table, 2))
+    else:
+        assert type(table) is (bytes if p < 128 else tuple) and len(table) == size, type(table)
+        assert p < 128 or all(type(v) is int for v in table)
+
+
+def stored_transform(values, p, n, matrix):
+    """``apply_axis_transform`` of a table of residues taken to the stored
+    form (``_store``), the result checked to be in that form and decoded
+    (``_unstore``)."""
+    got = apply_axis_transform(_store(values, p), p, n, matrix)
+    assert_stored(got, p, p ** n)
+    return _unstore(got, p, p ** n)
 
 
 def reference_mul(f, g):
@@ -183,24 +207,25 @@ class TestAxisTransform:
         matrix = vandermonde_rows(p) if which == "vandermonde" else delta_basis_rows(p)
         expected = list(values)
         reference_axis_transform(expected, p, n, matrix)
-        assert list(apply_axis_transform(tuple(values), p, n, matrix)) == expected
+        assert list(stored_transform(values, p, n, matrix)) == expected
 
     @pytest.mark.parametrize("p,n", [(3, 2), (131, 1)])
     def test_returns_the_stored_form_and_leaves_the_table(self, p, n):
         vals = [(7 * i + 1) % p for i in range(p ** n)]
-        before = list(vals)
+        stored = _store(vals, p)
         expected = list(vals)
         reference_axis_transform(expected, p, n, vandermonde_rows(p))
-        got = apply_axis_transform(vals, p, n, vandermonde_rows(p))
-        assert got == (bytes(expected) if p < 128 else tuple(expected))
-        assert vals == before
+        got = apply_axis_transform(stored, p, n, vandermonde_rows(p))
+        assert_stored(got, p, p ** n)
+        assert _unstore(got, p, p ** n) == (bytes(expected) if p < 128 else tuple(expected))
+        assert stored == _store(vals, p)
 
     def test_unreduced_matrix_entries(self):
         vals = [2, 0, 1, 1, 2, 2, 0, 1, 0]
         matrix = ((4, 0, -1), (0, 0, 0), (1, 7, 3))
         expected = list(vals)
         reference_axis_transform(expected, 3, 2, matrix)
-        assert list(apply_axis_transform(vals, 3, 2, matrix)) == expected
+        assert list(stored_transform(vals, 3, 2, matrix)) == expected
 
 
 #: (p, n) on both sides of p = 128, where tables stop being packed, from
@@ -211,8 +236,9 @@ CROSSOVER_RINGS = [(2, 1), (2, 3), (2, 5), (2, 8), (2, 10), (3, 1), (3, 2), (3, 
 
 
 def packed_form(p):
-    """The working form every table mod p must take: bytes below 128, else a list."""
-    return bytes if p < 128 else list
+    """The form every table mod p takes for p > 3, stored and packed alike:
+    bytes below 128, else a tuple."""
+    return bytes if p < 128 else tuple
 
 
 def record_calls(monkeypatch, name):
@@ -255,7 +281,7 @@ class TestAxisTransformAcrossTheCrossover:
         # sweep per transform; every other p runs one ``_round`` per axis
         # on the stored form.
         rounds = record_calls(monkeypatch, "_axis_masks" if p < 4 else "_round")
-        got = apply_axis_transform(values, p, n, matrix)
+        got = stored_transform(values, p, n, matrix)
         assert list(got) == expected
         assert rounds == ([GeneratorType] if p < 4 else [packed_form(p)] * n)
 
@@ -295,14 +321,14 @@ class TestBitPlaneTransform:
 
     @pytest.mark.parametrize("matrix", BIT_MATRICES)
     def test_matches_chained_rounds(self, matrix):
-        # From a list, so that n = 0 checks that the table comes back packed.
+        # n = 0 checks that the one-entry table comes back as it went in.
         rng = random.Random(str(matrix))
         for n in range(21):
             table = rng.randbytes(2 ** n).translate(bytes([0, 1] * 128))
             expected = table
             for _axis in range(n):
                 expected = polyring._round(expected, 2, matrix)
-            got = apply_axis_transform(list(table), 2, n, matrix)
+            got = stored_transform(table, 2, n, matrix)
             assert type(got) is bytes and got == expected, n
 
 
@@ -312,10 +338,33 @@ def reference_combine(p, weights, cols):
             for k in range(len(cols[0]))]
 
 
+def byte_combine(p, weights, cols):
+    """The byte ``_combine``: ``_lane_sums`` of byte columns with one weight
+    row, exact for every p < 128, so the byte reference at p = 2 and p = 3."""
+    return _lane_sums(p, (weights,), cols)[0]
+
+
+def combine_lists(p, weights, cols):
+    """``_combine`` of columns of residues taken to the stored form, its
+    result checked to be in that form and decoded to a list.  At p = 2 and
+    p = 3 the byte reference (``byte_combine``) must agree; it alone takes
+    columns of no entries, which have no value planes."""
+    width = len(cols[0])
+    if p < 4:
+        want = list(byte_combine(p, weights, [bytes(col) for col in cols]))
+        if not width:
+            return want
+    got = _combine(p, weights, [_store(col, p) for col in cols])
+    assert_stored(got, p, width)
+    got = list(_unstore(got, p, width))
+    assert p > 3 or got == want
+    return got
+
+
 #: Moduli for ``_combine``: value planes (2, 3), byte lanes where every
 #: weight multiplies its column as an int (5 to 13), where the largest
 #: weights are table-scaled first (17) and where every weight past 1 is
-#: (127), and lists (131).
+#: (127), and tuples (131).
 COMBINE_PRIMES = [2, 3, 5, 7, 11, 13, 17, 127, 131]
 
 
@@ -366,16 +415,15 @@ class TestCombine:
     @example((127, [1, 2, 128, -125] * 5, [[126, 126, 0]] * 20))
     def test_matches_per_entry_sum(self, case):
         p, weights, cols = case
-        got = _combine(p, weights, [_pack(col, p) for col in cols])
-        assert type(got) is packed_form(p)
-        assert list(got) == reference_combine(p, weights, cols)
+        assert combine_lists(p, weights, cols) == reference_combine(p, weights, cols)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 127])
     def test_lane_sums_at_their_maximum(self, p):
         """Entries p - 1, at column counts on both sides of each reduction
-        point: weights p - 1 on value planes; on byte lanes 1, 2, p - 1 and
-        the weights on both sides of the table-scaled boundary (14 and 15
-        at p = 17, 1 and 2 at p = 127), alone and mixed with p - 1."""
+        point: weights p - 1 on value planes and on their byte reference;
+        on byte lanes 1, 2, p - 1 and the weights on both sides of the
+        table-scaled boundary (14 and 15 at p = 17, 1 and 2 at p = 127),
+        alone and mixed with p - 1."""
         room = 255 // (p - 1)
         if p < 4:
             counts = (room - 1, room, room + 1, 2 * room, 2 * room + 1)
@@ -386,8 +434,8 @@ class TestCombine:
         for m, count in cases:
             cols = [[p - 1] * 5] * count
             for weights in ([m] * count, [m, p - 1] * (count // 2) + [m] * (count % 2)):
-                got = _combine(p, weights, [_pack(col, p) for col in cols])
-                assert list(got) == reference_combine(p, weights, cols), (m, count)
+                got = combine_lists(p, weights, cols)
+                assert got == reference_combine(p, weights, cols), (m, count)
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 127])
     def test_weights_scale_by_table_only_past_the_lane_bound(self, p, monkeypatch):
@@ -1017,6 +1065,27 @@ class TestOneTableForm:
         for name, f in results.items():
             assert type(f.coeffs) is form, name
             assert len(f.coeffs) == ring.size, name
+            assert_stored(f._stored, p, ring.size)
+            assert type(f._stored) is type(_store(f.coeffs, p)), name
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 17, 127, 131, 257])
+    def test_every_kernel_result_is_stored(self, p):
+        """The kernels take and give ``_store``'s form alone: value planes
+        at p = 2 and p = 3, ``bytes`` below p = 128 and a tuple from there,
+        never a list."""
+        n = {2: 5, 3: 3, 5: 2, 17: 2}.get(p, 1)
+        size = p ** n
+        rng = random.Random(f"stored kernels {p}")
+        a, b = (_store([rng.randrange(p) for _ in range(size)], p) for _ in range(2))
+        results = [_combine(p, (2,), (a,)), _combine(p, (1,), (a,)), _combine(p, (p,), (a,)),
+                   _combine(p, (1, -1), (a, b)), _combine(p, (0, 0), (a, b)),
+                   apply_axis_transform(a, p, n, vandermonde_rows(p)),
+                   polyring._product(p, a, b), polyring._ones(p, size)]
+        for table in results:
+            assert_stored(table, p, size)
+        assert_stored(polyring._join([a, b], size, 3, p), p, 3 * size)
+        for _i, table in polyring._input_values(p, n, range(n)):
+            assert_stored(table, p, size)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 13, 17, 127, 131, 257])
     def test_value_tables_share_the_stored_form(self, p):
@@ -1236,13 +1305,14 @@ def byte_rounds(table, n, matrix):
 
 
 def byte_add(a, b, sign, p):
-    """The byte ``+``: one ``_combine`` of two byte tables."""
-    return _combine(p, (1, sign), (a, b))
+    """The byte ``+``: one ``byte_combine`` of two byte tables."""
+    return byte_combine(p, (1, sign), (a, b))
 
 
 def byte_train(n, cores, p):
-    """The byte ``train``: per state and exponent one ``_combine`` of byte
-    tables, the parts joined as ``bytes`` and padded with zero bytes."""
+    """The byte ``train``: per state one ``_lane_sums`` of byte tables with
+    a weight row per exponent, the parts joined as ``bytes`` and padded with
+    zero bytes."""
     tables = [b"\1"]
     for core in cores:
         nxt = []
@@ -1255,8 +1325,7 @@ def byte_train(n, cores, p):
             if not rows:
                 nxt.append(None)
                 continue
-            parts = [_combine(p, weights, cols)
-                     for weights in itertools.zip_longest(*rows, fillvalue=0)]
+            parts = _lane_sums(p, list(itertools.zip_longest(*rows, fillvalue=0)), cols)
             parts.append(bytes(len(cols[0]) * (p - len(parts))))
             nxt.append(b"".join(parts))
         tables = nxt
@@ -1325,7 +1394,7 @@ def check_store(f, want):
 
 class TestPlaneKernels:
     """At p = 3 the table kernels on pairs of planes against the byte path
-    (``_combine`` and ``_join`` on bytes, chained byte ``_round``s) and, for
+    (``_lane_sums`` and ``_join`` on bytes, chained byte ``_round``s) and, for
     small tables, the per-entry sum and the fiber loop."""
 
     @pytest.mark.parametrize("n", PLANE_ARITIES)
@@ -1351,7 +1420,7 @@ class TestPlaneKernels:
                             [3, -3, 6, 0, 9][:count], [2, -1, 5, 4, -4][:count]):
                 got = _combine(3, weights, [polyring._store(col, 3) for col in cols])
                 assert type(got) is tuple
-                want = _combine(3, weights, cols)
+                want = byte_combine(3, weights, cols)
                 assert polyring._unstore(got, 3, size) == want
                 if n <= SMALL_PLANES:
                     assert list(want) == reference_combine(3, weights, cols)
@@ -1381,10 +1450,7 @@ class TestPlaneKernels:
             want = byte_rounds(table, n, matrix)
             got = apply_axis_transform(stored, 3, n, matrix)
             assert type(got) is tuple and polyring._unstore(got, 3, 3 ** n) == want
-            # A sequence goes in and comes back packed.
-            assert apply_axis_transform(table, 3, n, matrix) == want
             if n <= SMALL_PLANES:
-                assert apply_axis_transform(list(table), 3, n, matrix) == want
                 expected = list(table)
                 reference_axis_transform(expected, 3, n, matrix)
                 assert list(want) == expected
@@ -1396,7 +1462,6 @@ class TestPlaneKernels:
         size = 3 ** n
         a = random_trits(rng, size)
         assert polyring.first_mismatch(polyring._store(a, 3), polyring._store(a, 3), 3) is None
-        assert polyring.first_mismatch(a, bytes(a), 3) is None
         for i in sorted({0, size // 2, size - 1}):
             for shift in (1, 2):
                 broken = bytearray(a)
@@ -1408,9 +1473,6 @@ class TestPlaneKernels:
                 assert scan == i
                 stored = polyring._store(a, 3), polyring._store(b, 3)
                 assert polyring.first_mismatch(*stored, 3) == i
-                assert polyring.first_mismatch(a, b, 3) == i
-                if n <= SMALL_PLANES:
-                    assert polyring.first_mismatch(tuple(a), tuple(b), 3) == i
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_eval(self, n):
@@ -1430,18 +1492,19 @@ class TestPlaneKernels:
 
 
 class TestFirstMismatchDispatch:
-    """``first_mismatch`` reads its tables by p: a tuple of p - 1 value planes
-    at p = 2 and p = 3, packed tables otherwise.  One-entry tables (n = 0)
-    are the edge: a packed p = 3 tuple of one entry 2 is not a plane, and at
-    p = 2 a one-entry tuple is both, with one answer."""
+    """``first_mismatch`` reads two stored tables by p: a tuple of p - 1
+    value planes at p = 2 and p = 3, ``bytes`` below p = 128 and a tuple
+    from there, where the stored form is the packed one.  One-entry tables
+    (n = 0) are the edge."""
 
     @pytest.mark.parametrize("p", [2, 3, 5, 131])
     def test_one_entry_tables(self, p):
         for x, y in itertools.product(range(p) if p < 8 else (0, 1, 130), repeat=2):
             want = None if x == y else 0
             a, b = (x,), (y,)
-            assert polyring.first_mismatch(_pack(a, p), _pack(b, p), p) == want, (x, y)
-            assert polyring.first_mismatch(a, b, p) == want, (x, y)
+            if p > 3:
+                assert polyring.first_mismatch(_pack(a, p), _pack(b, p), p) == want, (x, y)
+                assert polyring.first_mismatch(a, b, p) == want, (x, y)
             stored = polyring._store(a, p), polyring._store(b, p)
             assert polyring.first_mismatch(*stored, p) == want, (x, y)
             assert polyring._stored_entry(stored[0], p, 0) == x
@@ -1453,13 +1516,14 @@ class TestFirstMismatchDispatch:
         for s, t in itertools.product(tables, repeat=2):
             want = None if s.values == t.values else 0
             assert polyring.first_mismatch(s._stored, t._stored, p) == want
-            assert polyring.first_mismatch(s.values, t.values, p) == want
+            if p > 3:
+                assert polyring.first_mismatch(s.values, t.values, p) == want
 
 
 class TestStore:
     """At p = 2 and p = 3 a polynomial keeps its table as p - 1 value planes.
     Every operation is checked against the byte tables: the byte ``train``
-    and ``+`` (``_combine`` on bytes), chained byte ``_round``s for the axis
+    and ``+`` (``_lane_sums`` on bytes), chained byte ``_round``s for the axis
     transforms, and for small tables the per-entry sum, the fiber loop, the
     pair loop and substitution by power tables."""
 
@@ -1516,8 +1580,8 @@ class TestStore:
         check_store(-f, byte_add(bytes(size), a, -1, p))
         check_store(1 - f, byte_add(b"\1" + bytes(size - 1), a, -1, p))
         for c in (0, 1, 2, -1, 4, -3):
-            check_store(f.scale(c), _combine(p, (c,), (a,)))
-            check_store(c * f, _combine(p, (c,), (a,)))
+            check_store(f.scale(c), byte_combine(p, (c,), (a,)))
+            check_store(c * f, byte_combine(p, (c,), (a,)))
         if size <= LIST_SIZE:
             assert list((f + g).coeffs) == reference_combine(p, (1, 1), (a, b))
             assert list((f - g).coeffs) == reference_combine(p, (1, -1), (a, b))

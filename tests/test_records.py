@@ -1,10 +1,12 @@
 """Random records at the JSON boundary: loaders raise ValueError and nothing else.
 
 ``Polynomial.from_json``, ``TruthTable.from_json`` and ``Circuit.from_json``
-read files a user hands over.  Whatever such a file holds, a loader either
-returns an object or raises ``ValueError`` with a message; the CLI then
-turns that error into exit 2 (exit 3 for the size guard, a ``ValueError``
-too) and prints the message, never a traceback.
+read files a user hands over.  Whatever such a file holds (wrong types,
+bools, floats, NaN and Infinity, nested lists, huge ints, missing and
+extra keys), a loader either returns an object or raises ``ValueError``
+with a message; ``verify --file`` and the ``--table`` of ``gen`` and
+``eval`` then turn that error into exit 2 (exit 3 for the size guard, a
+``ValueError`` too) and print the message on one line, never a traceback.
 """
 
 import contextlib
@@ -19,8 +21,11 @@ from fpminpoly.circuit import Circuit
 from fpminpoly.oracle import TruthTable
 from fpminpoly.polyring import Polynomial, SizeGuardError
 
-SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 40), st.integers(),
-                    st.floats(allow_nan=False), st.text(max_size=3))
+#: Huge ints, past any modulus, arity or entry a record can hold.
+HUGE = st.sampled_from([2**64, 10**30 + 1, -(2**100), 3**200])
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 40), st.integers(), HUGE,
+                    st.floats(), st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+                    st.text(max_size=3))
 JSON = st.recursive(SCALARS, lambda kids: st.one_of(
     st.lists(kids, max_size=4), st.dictionaries(st.text(max_size=3), kids, max_size=3)),
     max_leaves=12)
@@ -88,11 +93,14 @@ def run_cli(argv, path, text):
 
 
 def assert_cli_reports(argv, path, text, exc):
+    """The CLI exits 3 for a size guard and 2 for any other load error, with
+    one ``fpminpoly:`` line on stderr."""
     code, err = run_cli(argv, path, text)
     if isinstance(exc, SizeGuardError):
         assert code == cli.EXIT_SIZE_GUARD and err.startswith("fpminpoly: size guard: ")
     else:
         assert code == cli.EXIT_USAGE and err.startswith("fpminpoly: error: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err and len(err.strip()) > len("fpminpoly: error:")
 
 
@@ -136,6 +144,13 @@ class TestCliMapsLoadErrors:
         if exc is not None:
             assert_cli_reports(["verify", "--func", "max", "--p", "3", "--n", "2",
                                 "--file", "FILE"], record_file, text, exc)
+
+    @settings(max_examples=80, deadline=None)
+    @given(TABLE_TEXTS)
+    def test_gen_table(self, record_file, text):
+        exc = load_error(TruthTable.from_json, text)
+        if exc is not None:
+            assert_cli_reports(["gen", "--table", "FILE"], record_file, text, exc)
 
     @settings(max_examples=80, deadline=None)
     @given(TABLE_TEXTS)
