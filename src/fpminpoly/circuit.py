@@ -173,7 +173,7 @@ class Circuit:
                 if g.keys() != keys:
                     raise ValueError(f"gate {idx}: {op} takes the keys "
                                      f"{', '.join(sorted(keys))}, got "
-                                     f"{', '.join(sorted(map(str, g)))}")
+                                     f"{', '.join(sorted(map(repr, g)))}")
                 if op == "input":
                     gates.append(("input", g["index"]))
                 elif op == "const":

@@ -109,7 +109,7 @@ def _read_record(path: str, cap: int) -> str:
     with open(path) as handle:
         size, bound = os.fstat(handle.fileno()).st_size, 65536 + 24 * cap
         if size > bound:
-            raise SizeGuardError(f"{path} is {size} bytes, past the bound of {bound} "
+            raise SizeGuardError(f"{path!r} is {size} bytes, past the bound of {bound} "
                                  f"bytes for a table cap of {cap} entries")
         return handle.read()
 
@@ -166,7 +166,7 @@ def cmd_verify(args) -> int:
         reports = [verify_formula(args.func, args.p, args.n, args.r,
                                   max_table_size=cap, candidate=candidate)]
 
-    ok = all(rep["status"] == "pass" for rep in reports)
+    failed = sum(rep["status"] != "pass" for rep in reports)
     if args.format == "json":
         _emit(args, _dump_json(reports if len(reports) > 1 else reports[0]))
     else:
@@ -185,7 +185,11 @@ def cmd_verify(args) -> int:
                              f" (coefficients {'ok' if rep['coefficient_match'] else 'differ'})"
                              + detail)
         _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK if ok else EXIT_MISMATCH
+    if failed:
+        print(f"fpminpoly: mismatch: {failed} of {len(reports)} checks failed",
+              file=sys.stderr)
+        return EXIT_MISMATCH
+    return EXIT_OK
 
 
 def cmd_eval(args) -> int:

@@ -24,23 +24,31 @@ is one ``PolyRing.tensor`` of such rows; ``max`` sums its B_t as one
 ``PolyRing.train`` of those rows: rank 2 for the first input at the
 maximum, rank p^r + 1 for counting the inputs at it, read through Lucas's
 theorem.  The two-input forms are one train on two axes with one state per
-split point.  Only ``max5`` and ``argmax3n3``, each printed for one small
-ring as a product, still multiply in their ring.  Nothing is hand-expanded:
-even forms printed as long monomial lists are reproduced by machine from
-their factored shape.
+split point.  Nothing is hand-expanded: even forms printed as long monomial
+lists are reproduced by machine from their factored shape.
+
+The catalog constructors use only these operations of the ring they are
+given: ``p``, ``n``, ``field``, ``zero``, ``one``, ``constant``,
+``variable``, ``univariate``, ``tensor``, ``train``,
+``elementary_symmetric``, ``+``, ``-`` and ``scale``, plus ``*`` and ``**``
+in ``max5`` and ``argmax3n3`` alone, each printed for one small ring as a
+product.  They make no other ring: the rows they pass are tuples of ints,
+computed (``_piece_rows``, ``_factorial_rows``) or written out, as (1, 1)
+for 1 + x.  Any ring with these operations can run the same constructors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb
+from operator import add
 from typing import Callable, Sequence
 
 from .oracle import FunctionSpec, interpolate, point_at, tabulate
 from .polyring import (DEFAULT_MAX_TABLE_SIZE, Polynomial, PolyRing,
-                       RingMismatchError, _stored_entry, _transformed, bounded_power,
-                       first_mismatch, lagrange_rows)
+                       RingMismatchError, _stored_entry, _train, _transformed,
+                       bounded_power, first_mismatch, lagrange_rows)
 
 
 class FormulaParamError(ValueError):
@@ -57,6 +65,21 @@ def _require_ring(ring: PolyRing, form: str, *, p: int | None = None,
         if paired:
             need.append("an even n")
         raise FormulaParamError(f"{form} needs a ring with {' and '.join(need)}, got {ring}")
+
+
+def _place_value(ring: PolyRing, r: int, largest: int) -> int | None:
+    """p^r, the place value of digit r, once r is checked nonnegative; None
+    when it passes ``largest``, the largest index or count the digit is
+    read from, so that digit r of every one of them is zero."""
+    if r < 0:
+        raise FormulaParamError("digit index must be nonnegative")
+    return bounded_power(ring.p, r, largest)
+
+
+def _zero_prefix(ring: PolyRing, m: int) -> Polynomial:
+    """The indicator over F_2 that x_0, ..., x_{m-1} are all 0: the prefix
+    product (1 + x_0) ... (1 + x_{m-1}), one ``tensor``."""
+    return ring.tensor([(1, 1)] * m + [(1,)] * (ring.n - m))
 
 
 # -- univariate building blocks ----------------------------------------------
@@ -92,29 +115,6 @@ def _piece_rows(p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, .
     for row in deltas:
         lows.append(tuple((a + b) % p for a, b in zip(lows[-1], row)))
     return deltas, tuple(lows)
-
-
-def _train(ring: PolyRing, cores: list, end: int) -> Polynomial:
-    """``ring.train`` of one square core per variable, started in state 0 and
-    ended in state ``end``: the first core keeps only the rows out of state
-    0 and the last only the rows into ``end``."""
-    cores = list(cores)
-    cores[0] = cores[0][:1]
-    cores[-1] = [[steps[end]] for steps in cores[-1]]
-    return ring.train(cores)
-
-
-def _row(p: int, factor: Callable[[Polynomial], Polynomial]) -> tuple[int, ...]:
-    """The coefficient row of factor(x), built in the one-variable ring."""
-    return tuple(factor(PolyRing(p, 1, max_table_size=None).variable(0)).coeffs)
-
-
-@lru_cache(maxsize=None)
-def _f3_rows() -> tuple[tuple[int, ...], ...]:
-    """Rows over F_3 of (1 + x)^2, 1 - x^2, x - x^2 and x^2, the indicators
-    of x < 2, x = 0, x = 2 and x != 0: the factors of the F_3 forms."""
-    return tuple(_row(3, factor) for factor in (lambda x: (1 + x) ** 2, lambda x: 1 - x**2,
-                                                 lambda x: x - x**2, lambda x: x**2))
 
 
 @lru_cache(maxsize=None)
@@ -154,13 +154,13 @@ def max_general(ring: PolyRing) -> Polynomial:
 def max_p2(ring: PolyRing) -> Polynomial:
     """max over F_2: the product of (1 + x_i) minus 1 (an OR gate)."""
     _require_ring(ring, "max_p2", p=2)
-    return ring.tensor([_row(2, lambda x: 1 + x)] * ring.n) - 1
+    return _zero_prefix(ring, ring.n) - 1
 
 
 def min_p2(ring: PolyRing) -> Polynomial:
     """min over F_2: the product of all inputs (an AND gate)."""
     _require_ring(ring, "min_p2", p=2)
-    return ring.tensor([_row(2, lambda x: x)] * ring.n)
+    return ring.tensor([(0, 1)] * ring.n)  # the row of x
 
 
 def max_p3(ring: PolyRing) -> Polynomial:
@@ -171,7 +171,7 @@ def max_p3(ring: PolyRing) -> Polynomial:
     prod (1+x_i), so with 1/2 = 2 this is the two tensors
     2 * prod (1+x_i)^2 + 2 * prod (1-x_i^2) - 1."""
     _require_ring(ring, "max_p3", p=3)
-    below2, zero, _, _ = _f3_rows()
+    below2, zero = (1, 2, 1), (1, 0, 2)  # (1 + x)^2 and 1 - x^2: x < 2 and x = 0
     return (ring.tensor([below2] * ring.n) + ring.tensor([zero] * ring.n)).scale(2) - 1
 
 
@@ -181,7 +181,7 @@ def min_p3(ring: PolyRing) -> Polynomial:
     The alternating sum is prod (1-x_i) and e_n is prod x_i, so this is
     the two tensors prod (x_i - x_i^2) + prod x_i^2."""
     _require_ring(ring, "min_p3", p=3)
-    _, _, two, nonzero = _f3_rows()
+    two, nonzero = (0, 1, 2), (0, 0, 1)  # x - x^2 and x^2: x = 2 and x != 0
     return ring.tensor([two] * ring.n) + ring.tensor([nonzero] * ring.n)
 
 
@@ -217,18 +217,16 @@ def argmax_digit_general(ring: PolyRing, r: int) -> Polynomial:
     stays by L_t, steps to state 1 at x_i by digit_r(i) * delta_t, and state
     1 stays by L_{t+1}.
     """
-    if r < 0:
-        raise FormulaParamError("digit index must be nonnegative")
-    n, p = ring.n, ring.p
-    if bounded_power(p, r, n - 1) is None:  # p^r > n - 1: digit r of every index is zero
+    if _place_value(ring, r, ring.n - 1) is None:
         return ring.zero()
-    digits = [ring.field.digit(i, r) for i in range(n)]
-    deltas, lows = _piece_rows(p)
-    acc = ring.zero()
-    for t in range(p):
-        cores = [[[lows[t], [d * c for c in deltas[t]]], [(), lows[t + 1]]] for d in digits]
-        acc = acc + _train(ring, cores, 1)
-    return acc
+    digits = [ring.field.digit(i, r) for i in range(ring.n)]
+    deltas, lows = _piece_rows(ring.p)
+
+    def level(t):
+        return _train(ring, [[[lows[t], [d * c for c in deltas[t]]], [(), lows[t + 1]]]
+                             for d in digits], 1)
+
+    return reduce(add, map(level, range(ring.p)))
 
 
 def argmax_p2(ring: PolyRing, r: int) -> Polynomial:
@@ -241,19 +239,12 @@ def argmax_p2(ring: PolyRing, r: int) -> Polynomial:
     positions are just 1.  Duplicate full-length terms cancel mod 2.
     """
     _require_ring(ring, "argmax_p2", p=2)
-    if r < 0:
-        raise FormulaParamError("digit index must be nonnegative")
     n = ring.n
-    block = bounded_power(2, r, n - 1)
-    if block is None:  # 2^r >= n: digit r of every index is zero
+    block = _place_value(ring, r, n - 1)
+    if block is None:
         return ring.zero()
     k = -(-n // (2 * block)) - 1  # pad to length (2k+2)*2^r
-    plus = _row(2, lambda x: 1 + x)
-    acc = ring.zero()
-    for i in range(1, 2 * k + 3):
-        m = min(i * block, n)
-        acc = acc + ring.tensor([plus] * m + [(1,)] * (n - m))
-    return acc
+    return reduce(add, (_zero_prefix(ring, min(i * block, n)) for i in range(1, 2 * k + 3)))
 
 
 def argmax_p2_selector(ring: PolyRing, r: int) -> Polynomial:
@@ -270,9 +261,7 @@ def argmax_p2_selector(ring: PolyRing, r: int) -> Polynomial:
     n = ring.n - 1  # the index of the last input
     if n < 1:
         raise FormulaParamError("selector form needs at least inputs x_0, x_1")
-    if r < 0:
-        raise FormulaParamError("digit index must be nonnegative")
-    block = bounded_power(2, r, n)
+    block = _place_value(ring, r, n)
     if block is None:
         return ring.zero()
     period = 2 * block
@@ -286,11 +275,7 @@ def argmax_p2_selector(ring: PolyRing, r: int) -> Polynomial:
         members.add(period * k - 1)
         k += 1
     members.add(min(n, period * ((n - block) // period + 1) - 1))
-    plus = _row(2, lambda x: 1 + x)
-    acc = ring.zero()
-    for i in sorted(members):
-        acc = acc + ring.tensor([plus] * (i + 1) + [(1,)] * (n - i))
-    return acc
+    return reduce(add, (_zero_prefix(ring, i + 1) for i in sorted(members)))
 
 
 def argmax_p3_n3(ring: PolyRing) -> Polynomial:
@@ -312,11 +297,9 @@ def argmax_block_recurrence(ring: PolyRing, r: int) -> Polynomial:
     The block and head rings are no larger than ``ring``, which already
     passed the size cap, so they are made uncapped.
     """
-    if r < 0:
-        raise FormulaParamError("digit index must be nonnegative")
     n = ring.n
-    width = bounded_power(ring.p, r, n - 1)
-    if width is None:  # p^r >= n: digit r of every index is zero
+    width = _place_value(ring, r, n - 1)
+    if width is None:
         return ring.zero()
     nblocks = -(-n // width)
     block_maxima = []
@@ -432,13 +415,11 @@ def ismax_general(ring: PolyRing) -> Polynomial:
     constant 1, and the t = 0 term subtracts nothing.
     """
     deltas, lows = _piece_rows(ring.p)
-    m = ring.n - 1
-    acc = ring.zero()
-    for t in range(ring.p):
-        acc = acc + ring.tensor([deltas[t]] + [lows[t + 1]] * m)
-        if t:
-            acc = acc - ring.tensor([deltas[t]] + [lows[t]] * m)
-    return acc
+
+    def level(t, s):  # delta_t(y) * B_s
+        return ring.tensor([deltas[t]] + [lows[s]] * (ring.n - 1))
+
+    return reduce(add, (level(t, t + 1) - level(t, t) for t in range(1, ring.p)), level(0, 1))
 
 
 def nummax_digit_general(ring: PolyRing, r: int) -> Polynomial:
@@ -452,25 +433,23 @@ def nummax_digit_general(ring: PolyRing, r: int) -> Polynomial:
     the inputs so far equal to t, each input steps j -> j by L_{t+1} or
     j -> j + 1 by delta_t, and the paths end at p^r.
     """
-    if r < 0:
-        raise FormulaParamError("digit index must be nonnegative")
-    n, p = ring.n, ring.p
-    k = bounded_power(p, r, n)
-    if k is None:  # p^r > n: digit r of every count is zero
+    k = _place_value(ring, r, ring.n)
+    if k is None:
         return ring.zero()
-    deltas, lows = _piece_rows(p)
-    acc = ring.zero()
-    for t in range(p):
+    deltas, lows = _piece_rows(ring.p)
+
+    def level(t):
         core = [[lows[t + 1] if b == j else deltas[t] if b == j + 1 else ()
                  for b in range(k + 1)] for j in range(k + 1)]
-        acc = acc + _train(ring, [core] * n, k)
-    return acc
+        return _train(ring, [core] * ring.n, k)
+
+    return reduce(add, map(level, range(ring.p)))
 
 
 def ismax_p2(ring: PolyRing) -> Polynomial:
     """ismax over F_2, y first: y + (1 + x_0)...(1 + x_{n-1})."""
     _require_ring(ring, "ismax_p2", p=2)
-    return ring.variable(0) + ring.tensor([(1,)] + [_row(2, lambda x: 1 + x)] * (ring.n - 1))
+    return ring.variable(0) + ring.tensor([(1,)] + [(1, 1)] * (ring.n - 1))  # 1 + x_i
 
 
 def ismax_p3(ring: PolyRing) -> Polynomial:
@@ -479,7 +458,7 @@ def ismax_p3(ring: PolyRing) -> Polynomial:
     written as (y - y^2) + y * prod (1+x_i)^2 + (1 + y) * prod (1-x_i^2)."""
     _require_ring(ring, "ismax_p3", p=3)
     m = ring.n - 1
-    below2, zero, _, _ = _f3_rows()
+    below2, zero = (1, 2, 1), (1, 0, 2)  # (1 + x)^2 and 1 - x^2: x < 2 and x = 0
     return (ring.univariate(0, (0, 1, -1))
             + ring.tensor([(0, 1)] + [below2] * m)
             + ring.tensor([(1, 1)] + [zero] * m))
@@ -492,16 +471,12 @@ def nummax_p2(ring: PolyRing, r: int) -> Polynomial:
     all-zero case is patched by digit_r(n) times the all-zero indicator.
     """
     _require_ring(ring, "nummax_p2", p=2)
-    if r < 0:
-        raise FormulaParamError("digit index must be nonnegative")
-    n = ring.n
-    idx = bounded_power(2, r, n)
-    if idx is None:  # 2^r > n: digit r of every count is zero
+    idx = _place_value(ring, r, ring.n)
+    if idx is None:
         return ring.zero()
     acc = ring.elementary_symmetric(idx)
-    nd = ring.field.digit(n, r)
-    if nd:
-        acc = acc + ring.tensor([_row(2, lambda x: 1 - x)] * n).scale(nd)
+    if ring.field.digit(ring.n, r):
+        acc = acc + _zero_prefix(ring, ring.n)
     return acc
 
 

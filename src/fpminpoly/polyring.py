@@ -56,7 +56,8 @@ shift-or, bytes and tuples by concatenation.  ``+``, ``-`` and ``scale``,
 and ``PolyRing.train`` (a sum over the state paths of a small automaton
 of products of one single-variable factor per variable, contracted axis
 by axis; ``PolyRing.tensor`` is its one-state case, the outer product of
-the factors' coefficient rows) call them on the stored tables.
+the factors' coefficient rows, and ``PolyRing.elementary_symmetric`` its
+counting case) call them on the stored tables.
 
 Axis transforms (``apply_axis_transform``, behind ``values()``,
 ``oracle.interpolate`` and the value-table operations) take one of three
@@ -539,6 +540,16 @@ def bounded_power(p: int, n: int, bound: int) -> int | None:
     return size if size <= bound else None
 
 
+def _train(ring: PolyRing, cores: list, end: int) -> Polynomial:
+    """``ring.train`` of one square core per variable, started in state 0 and
+    ended in state ``end``: the first core keeps only the rows out of state
+    0 and the last only the rows into ``end``."""
+    cores = list(cores)
+    cores[0] = cores[0][:1]
+    cores[-1] = [[steps[end]] for steps in cores[-1]]
+    return ring.train(cores)
+
+
 class PolyRing:
     """The ring F_p[x0, ..., x_{n-1}] / (x_i^p - x_i) for a fixed (p, n)."""
 
@@ -595,22 +606,21 @@ class PolyRing:
 
     def _sparse(self, entries: Iterable[tuple[int, int]]) -> "Polynomial":
         """The polynomial with coefficient c mod p at index i for each
-        (i, c) in ``entries`` (distinct indices) and 0 elsewhere.
+        (i, c) in ``entries`` and 0 elsewhere: the few terms, at most p at
+        distinct indices, of a constant, a variable, a monomial or a
+        univariate row.
 
-        At p = 2 and p = 3 each nonzero entry c sets bit i of value plane
-        c - 1: a little-endian byte buffer per plane, as long as the highest
-        such index needs (one byte for a constant), read as ints at the
-        end.  Otherwise the entries are set in a
-        ``_scratch`` table.
+        At p = 2 and p = 3 each nonzero term sets bit i of value plane
+        c - 1; otherwise the terms are set in a ``_scratch`` table.
         """
         p = self.p
         if p < 4:
-            entries = [(i, c % p) for i, c in entries if c % p]
-            width = max((i for i, _ in entries), default=0) // 8 + 1
-            planes = [bytearray(width) for _ in range(p - 1)]
+            planes = [0] * (p - 1)
             for i, c in entries:
-                planes[c - 1][i >> 3] |= 1 << (i & 7)
-            return _polynomial(self, tuple(int.from_bytes(plane, "little") for plane in planes))
+                c %= p
+                if c:
+                    planes[c - 1] |= 1 << i
+            return _polynomial(self, tuple(planes))
         table = _scratch(self.size, p)
         for i, c in entries:
             table[i] = c % p
@@ -710,13 +720,15 @@ class PolyRing:
         return self.zero() if tables[0] is None else _polynomial(self, tables[0])
 
     def elementary_symmetric(self, i: int) -> "Polynomial":
-        """e_i: the sum of all i-fold products of distinct variables; e_0 = 1."""
+        """e_i, the sum of all i-fold products of distinct variables (e_0 = 1),
+        as the counting train of rank i + 1: state j counts the variables
+        picked so far, each variable keeps it by 1 or steps it to j + 1 by
+        x, and the paths end at i."""
         if not 0 <= i <= self.n:
             raise ValueError(f"elementary symmetric index {i} out of range [0, {self.n}]")
-        from itertools import combinations
-
-        return self._sparse((sum(self.strides[j] for j in subset), 1)
-                            for subset in combinations(range(self.n), i))
+        core = [[(1,) if b == j else (0, 1) if b == j + 1 else () for b in range(i + 1)]
+                for j in range(i + 1)]
+        return _train(self, [core] * self.n, i)
 
     def from_coeffs(self, coeffs: Iterable[int]) -> "Polynomial":
         """``Polynomial(self, coeffs)``: checked construction from a full table."""

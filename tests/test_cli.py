@@ -1,15 +1,20 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fpminpoly
 from fpminpoly import circuit, cli
 from fpminpoly.circuit import STRATEGIES, eliminate_common_subexpressions, lower
-from fpminpoly.cli import (EXIT_MISMATCH, EXIT_OK, EXIT_SIZE_GUARD, EXIT_USAGE,
-                           main)
+from fpminpoly.cli import (ENV_MAX_TABLE_SIZE, EXIT_MISMATCH, EXIT_OK, EXIT_SIZE_GUARD,
+                           EXIT_USAGE, main)
 from fpminpoly.formulas import CATALOG, build_formula
 from fpminpoly.oracle import FunctionSpec, tabulate
 from fpminpoly.polyring import Polynomial
@@ -137,8 +142,9 @@ class TestVerify:
         code = run_cli("verify", "--func", "argmax0", "--p", "3", "--n", "2",
                        "--file", str(bad), "--format", "human")
         assert code == EXIT_MISMATCH
-        out = capsys.readouterr().out
-        assert "MISMATCH" in out and "first mismatch at" in out
+        captured = capsys.readouterr()
+        assert "MISMATCH" in captured.out and "first mismatch at" in captured.out
+        assert captured.err == "fpminpoly: mismatch: 1 of 1 checks failed\n"
         code = run_cli("verify", "--func", "argmax0", "--p", "3", "--n", "2",
                        "--file", str(bad), "--format", "json")
         assert code == EXIT_MISMATCH
@@ -456,10 +462,20 @@ class TestFileBound:
         big.write_text("[" * (1 << 20))
         assert run_cli(*argv, str(big), "--max-table-size", "16") == EXIT_SIZE_GUARD
         err = capsys.readouterr().err
-        assert err == (f"fpminpoly: size guard: {big} is 1048576 bytes, past the bound "
-                       f"of 65920 bytes for a table cap of 16 entries\n")
+        assert err == (f"fpminpoly: size guard: {str(big)!r} is 1048576 bytes, past the "
+                       f"bound of 65920 bytes for a table cap of 16 entries\n")
         assert run_cli(*argv, str(big)) == EXIT_USAGE
         assert "nesting too deep" in capsys.readouterr().err
+
+    def test_path_is_quoted_on_one_line(self, tmp_path, capsys):
+        path = tmp_path / "a\nb.json"
+        path.write_text(" " * 70_000)
+        assert run_cli("verify", "--func", "max", "--p", "3", "--n", "2",
+                       "--max-table-size", "1", "--file", str(path)) == EXIT_SIZE_GUARD
+        err = capsys.readouterr().err
+        assert err == (f"fpminpoly: size guard: {str(path)!r} is 70000 bytes, past the "
+                       f"bound of 65560 bytes for a table cap of 1 entries\n")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", FILE_READERS, ids=FILE_READER_IDS)
     def test_indented_file_at_the_cap_passes(self, argv, tmp_path):
@@ -471,6 +487,125 @@ class TestFileBound:
         path.write_text(json.dumps(record, indent=4))
         assert run_cli(*argv, str(path), "--max-table-size", "9") == EXIT_OK
         assert run_cli(*argv, str(path)) == EXIT_OK
+
+
+#: Each subcommand of the CLI's own parser with its flags but ``--help``.
+SUBCOMMANDS = {name: [action for action in sub._actions
+                      if action.option_strings and action.dest != "help"]
+               for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction)
+               for name, sub in action.choices.items()}
+#: Requests to start from: every verify_grid entry, and half the time the
+#: request the record files of ``argv_files`` are written for.
+BASES = [("max", 3, 2, 0)] * 152 + [(name, p, n, r) for name, entry in CATALOG.items()
+                                    for p, n, r in entry.verify_grid]
+JUNK = st.one_of(st.sampled_from(["", "x", "1.5", "0x10", "3,", ",", "a\nb", "-", "--", "\0"]),
+                 st.text(max_size=4))
+#: Ints out of every flag's range (moduli, counts, digits, points), and
+#: for the table cap, whose values must stay small, only negative ones.
+OUT_OF_RANGE = st.sampled_from(["-1", "-5", "0", "1", "4", "9", "65521", "65537",
+                                str(10**30), str(-10**30)])
+NEGATIVE = st.sampled_from(["-1", "-5", str(-10**30)])
+SMALL_CAP = st.one_of(st.just("4096"), st.integers(0, 4096).map(str))
+ENV_VALUES = st.one_of(st.none(), st.just(""), SMALL_CAP, st.just(" 12 "),
+                       st.sampled_from(["lots", "-5", "1e3", " ", "4k", "0x10", "\n"]))
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """Paths for the file flags, valid and not: the readers' and --out's.
+    The records are written for p = 3, n = 2; ``other`` is not max."""
+    tmp = tmp_path_factory.mktemp("argv")
+    paths = {"poly": build_formula("max", 3, 2).to_json(),
+             "other": build_formula("min3", 3, 2).to_json(),
+             "table": tabulate(FunctionSpec("max", 3, 2)).to_json(), "junk": "not json"}
+    for name, text in paths.items():
+        (tmp / f"{name}.json").write_text(text)
+    (tmp / "out").mkdir()
+    missing, junk = str(tmp / "missing.json"), str(tmp / "junk.json")
+    return {"file": [str(tmp / "other.json"), str(tmp / "poly.json"), junk, missing,
+                     str(tmp), ""],
+            "table": [str(tmp / "table.json"), str(tmp / "poly.json"), junk, missing,
+                      str(tmp), ""],
+            "out": [str(tmp / "out" / "result.txt"), str(tmp), str(tmp / "nope" / "x"), ""]}
+
+
+@st.composite
+def argv_and_env(draw, files):
+    """A subcommand, mostly a well-formed request from ``BASES``, often a
+    record file for it, then some of the subcommand's own flags, each with a
+    valid, junk or out-of-range value, sometimes ``--help``; and a
+    ``FPMINPOLY_MAX_TABLE_SIZE`` string.  When neither the flag nor the
+    variable sets the cap, a small cap is added, so no table passes 4096
+    entries."""
+    valid = {"func": st.sampled_from(sorted(CATALOG)),
+             "p": st.sampled_from(["2", "3", "5", "7", "131"]),
+             "n": st.sampled_from(["1", "2", "3", "4", "6"]),
+             "r": st.sampled_from(["0", "1", "2"]),
+             "form": st.sampled_from(["closed", "interpolated"]),
+             "strategy": st.sampled_from(STRATEGIES),
+             "format": st.sampled_from(["json", "human"]),
+             "point": st.lists(st.integers(0, 4), min_size=1, max_size=5).map(
+                 lambda v: ",".join(map(str, v))),
+             "max_table_size": SMALL_CAP,
+             **{dest: st.sampled_from(paths) for dest, paths in files.items()}}
+    command = draw(st.sampled_from([None, *SUBCOMMANDS]))
+    if command is None:
+        return [], draw(ENV_VALUES)
+    argv = [command]
+    if command != "list" and draw(st.sampled_from([True] * 4 + [False])):
+        name, p, n, r = draw(st.sampled_from(BASES))
+        argv += ["--func", name, "--p", str(p), "--n", str(n), "--r", str(r)]
+        if command == "eval":
+            arity = CATALOG[name].spec_of(p, n, r).arity
+            argv += ["--point", ",".join(draw(st.sampled_from(["0", "1"])) * arity)]
+    readers = [a for a in SUBCOMMANDS[command] if a.dest in ("file", "table")]
+    if readers and draw(st.sampled_from([False, False, True])):
+        argv += [readers[0].option_strings[0], draw(valid[readers[0].dest])]
+    for action in draw(st.lists(st.sampled_from(SUBCOMMANDS[command]), max_size=4)):
+        argv.append(draw(st.sampled_from(action.option_strings)))
+        if action.nargs == 0:
+            continue
+        kind = draw(st.sampled_from(["valid"] * 4 + ["junk", "bad"]))
+        if kind == "valid" or action.dest == "out":  # a junk --out would write here
+            argv.append(draw(valid[action.dest]))
+        else:
+            bad = NEGATIVE if action.dest == "max_table_size" else OUT_OF_RANGE
+            argv.append(draw(JUNK if kind == "junk" else bad))
+    if draw(st.sampled_from([False] * 19 + [True])):
+        argv.append("--help")
+    env = draw(ENV_VALUES)
+    if command != "list" and "--max-table-size" not in argv and not env:
+        argv += ["--max-table-size", draw(SMALL_CAP)]
+    return argv, env
+
+
+class TestArgvBoundary:
+    """Whatever argv and ``FPMINPOLY_MAX_TABLE_SIZE`` hold, the CLI exits 0,
+    2, 3 or 4 (argparse's own ``SystemExit(2)`` included), prints no
+    traceback, and a failing run ends its stderr with an ``fpminpoly`` line
+    (argparse's usage line comes before its error line)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_exit_codes_and_messages(self, argv_files, data):
+        argv, env = data.draw(argv_and_env(argv_files))
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            os.environ.pop(ENV_MAX_TABLE_SIZE, None)
+            if env is not None:
+                os.environ[ENV_MAX_TABLE_SIZE] = env
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        err = err.getvalue()
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_SIZE_GUARD, EXIT_MISMATCH), (argv, env, err)
+        assert "Traceback" not in err, (argv, env, err)
+        if code:
+            assert err.endswith("\n"), (argv, env, err)
+            assert err[:-1].split("\n")[-1].startswith("fpminpoly"), (argv, env, err)
 
 
 class TestImports:

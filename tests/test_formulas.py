@@ -813,3 +813,48 @@ class TestCatalog:
                 given = verify_formula(name, p, n, r,
                                        candidate=build_formula(name, p, n, r))
                 assert given == report, (name, p, n, r)
+
+
+#: The catalog entries printed as products: the only builds that multiply.
+PRODUCT_FORMS = {"max5", "argmax3n3"}
+
+
+class TestRingProtocol:
+    """Every catalog constructor builds in the ring it is given: it makes no
+    second ``PolyRing``, and only the forms printed as products multiply two
+    polynomials or raise one to a power.  The row caches of ``formulas`` are
+    cleared before each build, so rows built on first use are seen too."""
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_builds_in_the_given_ring_only(self, name, monkeypatch):
+        made, products = [], []
+        init, mul, power = PolyRing.__init__, Polynomial.__mul__, Polynomial.__pow__
+
+        def recording_init(ring, *args, **kwargs):
+            made.append(args)
+            init(ring, *args, **kwargs)
+
+        def recording_mul(f, other):
+            if isinstance(other, Polynomial):
+                products.append("*")
+            return mul(f, other)
+
+        def recording_pow(f, e):
+            products.append("**")
+            return power(f, e)
+
+        monkeypatch.setattr(PolyRing, "__init__", recording_init)
+        monkeypatch.setattr(Polynomial, "__mul__", recording_mul)
+        monkeypatch.setattr(Polynomial, "__pow__", recording_pow)
+        entry = CATALOG[name]
+        for p, n, r in entry.verify_grid:
+            ring = PolyRing(p, entry.spec_of(p, n, r).arity)
+            for value in vars(formulas).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+            made.clear()
+            products.clear()
+            f = entry.build(ring, r)
+            assert f.ring is ring, (name, p, n, r)
+            assert not made, (name, p, n, r, made)
+            assert bool(products) == (name in PRODUCT_FORMS), (name, p, n, r, products)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -285,6 +286,24 @@ class TestElementarySymmetric:
     def test_e0_is_one(self):
         ring = PolyRing(3, 2)
         assert ring.elementary_symmetric(0) == ring.one()
+
+    @pytest.mark.parametrize("p,n", [(p, n) for p in (2, 3, 5) for n in (1, 2, 3, 4)]
+                             + [(131, 1), (131, 2)])
+    def test_matches_the_sum_over_subsets(self, p, n):
+        # Every i from e_0 to e_n, against the sum over the i-subsets S of
+        # prod_{j in S} x_j: as coefficients, and as values at every point.
+        ring = PolyRing(p, n)
+        points = [point_at(p, n, k) for k in range(ring.size)]
+        for i in range(n + 1):
+            subsets = list(itertools.combinations(range(n), i))
+            coeffs = [0] * ring.size
+            for subset in subsets:
+                coeffs[sum(p ** j for j in subset)] = 1
+            values = [sum(prod(x[j] for j in subset) for subset in subsets) % p
+                      for x in points]
+            e = ring.elementary_symmetric(i)
+            assert e == ring.from_coeffs(coeffs), (p, n, i)
+            assert list(e.values()) == values, (p, n, i)
 
     def test_out_of_range_rejected(self):
         ring = PolyRing(3, 2)

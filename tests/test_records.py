@@ -159,3 +159,12 @@ class TestCliMapsLoadErrors:
         if exc is not None:
             assert_cli_reports(["eval", "--table", "FILE", "--point", "0"],
                                record_file, text, exc)
+
+
+class TestOneLineMessages:
+    def test_gate_keys_are_quoted(self):
+        # A key holding a newline is quoted, so the refusal stays on one line.
+        text = '{"p":3,"inputs":1,"gates":[{"op":"input","index":0,"a\\nb":1}],"output":0}'
+        message = str(load_error(Circuit.from_json, text))
+        assert "\n" not in message
+        assert message.endswith("got 'a\\nb', 'index', 'op'")
