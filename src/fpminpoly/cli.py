@@ -337,7 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extras = parser.parse_known_args(argv)
+    if extras:  # quoted, so that a newline in one stays on the error line
+        parser.error(f"unrecognized arguments: {' '.join(map(repr, extras))}")
     try:
         return args.handler(args)
     except SizeGuardError as exc:

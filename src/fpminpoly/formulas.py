@@ -16,9 +16,10 @@ table-size cap; the forms written for one p or one arity refuse any other
 ring with :class:`FormulaParamError`.
 
 The forms for any p share their building blocks: the coefficient rows of
-the delta, lowpass and factorial pieces.  A product of one factor per
-input, such as the all-below products B_t = prod_i L_t(x_i) of ``ismax``,
-is one ``PolyRing.tensor`` of such rows; ``max`` sums its B_t as one
+the indicators delta_t (x = t) and L_t (x < t) and of the factorials.  A
+product of one factor per input, such as the all-below products
+B_t = prod_i L_t(x_i) of ``ismax``, is one ``PolyRing.tensor`` of such
+rows; ``max`` sums its B_t as one
 ``PolyRing.train`` with one state per threshold t.  The ``argmax`` and
 ``nummax`` digits are left-to-right counting automata, so each level is one
 ``PolyRing.train`` of those rows: rank 2 for the first input at the
@@ -32,9 +33,10 @@ given: ``p``, ``n``, ``field``, ``zero``, ``one``, ``constant``,
 ``variable``, ``univariate``, ``tensor``, ``train``,
 ``elementary_symmetric``, ``+``, ``-`` and ``scale``, plus ``*`` and ``**``
 in ``max5`` and ``argmax3n3`` alone, each printed for one small ring as a
-product.  They make no other ring: the rows they pass are tuples of ints,
-computed (``_piece_rows``, ``_factorial_rows``) or written out, as (1, 1)
-for 1 + x.  Any ring with these operations can run the same constructors.
+product.  Nothing in this module makes a ring but ``build_formula``: the
+rows the constructors pass are tuples of ints, computed (``_piece_rows``,
+``_factorial_rows``) or written out, as (1, 1) for 1 + x.  Any ring with
+these operations can run the same constructors.
 """
 
 from __future__ import annotations
@@ -46,9 +48,9 @@ from operator import add
 from typing import Callable, Sequence
 
 from .oracle import FunctionSpec, interpolate, point_at, tabulate
-from .polyring import (DEFAULT_MAX_TABLE_SIZE, Polynomial, PolyRing,
-                       RingMismatchError, _stored_entry, _train, _transformed,
-                       bounded_power, first_mismatch, lagrange_rows)
+from .polyring import (DEFAULT_MAX_TABLE_SIZE, Polynomial, PolyRing, _stored_entry,
+                       _train, _transformed, bounded_power, first_mismatch,
+                       lagrange_rows)
 
 
 class FormulaParamError(ValueError):
@@ -82,33 +84,17 @@ def _zero_prefix(ring: PolyRing, m: int) -> Polynomial:
     return ring.tensor([(1, 1)] * m + [(1,)] * (ring.n - m))
 
 
-# -- univariate building blocks ----------------------------------------------
-
-def delta(p: int, t: int) -> Polynomial:
-    """Indicator of x = t as the univariate 1 - (x - t)^(p-1)."""
-    ring = PolyRing(p, 1, max_table_size=None)
-    ring.field.check(t)
-    return ring.univariate(0, _piece_rows(p)[0][t])
-
-
-def lowpass(p: int, t: int) -> Polynomial:
-    """Indicator of x < t (integer ordering); t may run from 0 to p.
-
-    The empty sum gives the zero polynomial for t = 0, and t = p yields the
-    constant 1 since every residue is below p.
-    """
-    if not 0 <= t <= p:
-        raise ValueError(f"lowpass threshold must lie in [0, {p}], got {t}")
-    return PolyRing(p, 1, max_table_size=None).univariate(0, _piece_rows(p)[1][t])
-
+# -- coefficient rows ----------------------------------------------------------
 
 @lru_cache(maxsize=None)
 def _piece_rows(p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """Coefficient rows of delta(p, t) for t < p and lowpass(p, t) for t <= p.
+    """Coefficient rows of the indicators delta_t of x = t, for t < p, and
+    L_t of x < t, for t <= p (L_0 = 0 and L_p = 1).
 
-    The delta rows are the columns of ``lagrange_rows``.  The lowpass rows
-    are the running sums of the delta rows mod p: L_t is the sum of delta_k
-    for k < t.  O(p^2) entries, with no polynomial arithmetic.
+    The delta rows, of 1 - (x - t)^(p-1), are the columns of
+    ``lagrange_rows``.  The L rows are the running sums of the delta rows
+    mod p: L_t is the sum of delta_k for k < t.  O(p^2) entries, with no
+    polynomial arithmetic.
     """
     deltas = tuple(zip(*lagrange_rows(p)))
     lows = [(0,) * p]
@@ -285,55 +271,6 @@ def argmax_p3_n3(ring: PolyRing) -> Polynomial:
     inner = (x0 * x1**2 * x2 + x1**2 * x2**2 + x1**2 * x2 + 2 * x1 * x2**2
              + x0 * x1 + 2 * x0 * x2 + 2 * x1**2 + x1 * x2 + x2**2)
     return (2 * inner) * (x0 + 1)
-
-
-def argmax_block_recurrence(ring: PolyRing, r: int) -> Polynomial:
-    """Digit r of argmax as digit 0 of the argmax over blockwise maxima.
-
-    Inputs are split into blocks of size p^r (the tail block may be
-    shorter, which is the same as zero-padding: appended zeros never become
-    the unique maximum and never precede an existing one).  Digit r of the
-    least maximizing index is digit 0 of the least maximizing block.
-    The block and head rings are no larger than ``ring``, which already
-    passed the size cap, so they are made uncapped.
-    """
-    n = ring.n
-    width = _place_value(ring, r, n - 1)
-    if width is None:
-        return ring.zero()
-    nblocks = -(-n // width)
-    block_maxima = []
-    for b in range(nblocks):
-        lo = b * width
-        hi = min(lo + width, n)
-        if hi - lo == 1:
-            block_maxima.append(ring.variable(lo))
-        else:
-            block_max = max_general(PolyRing(ring.field, hi - lo, max_table_size=None))
-            block_maxima.append(
-                block_max.compose([ring.variable(j) for j in range(lo, hi)]))
-    head = argmax_digit_general(PolyRing(ring.field, nblocks, max_table_size=None), 0)
-    return head.compose(block_maxima)
-
-
-def argmax_extend_recursive(ring: PolyRing, r: int, prefix_poly: Polynomial) -> Polynomial:
-    """Extend digit r of argmax from the first ring.n - 1 inputs to all of
-    ``ring``'s inputs.
-
-    With A the indicator that the new last input x_n strictly beats the
-    running maximum, the digit becomes prefix * (1 - A) + digit_r(n) * A.
-    """
-    p, n = ring.p, ring.n - 1
-    if prefix_poly.ring.p != p or prefix_poly.ring.n != n:
-        raise RingMismatchError(
-            f"prefix polynomial must live in PolyRing(p={p}, n={n}), "
-            f"got {prefix_poly.ring}")
-    # n >= 1 here, so the two-variable ring is no larger than ``ring``
-    argmax0_2var = argmax0_n2(PolyRing(ring.field, 2, max_table_size=None))
-    max_prefix = max_general(prefix_poly.ring)
-    beats = argmax0_2var.compose([ring.embed(max_prefix), ring.variable(n)])
-    new_digit = ring.field.digit(n, r)
-    return ring.embed(prefix_poly) * (1 - beats) + beats.scale(new_digit)
 
 
 # -- two-input forms for any p ---------------------------------------------------

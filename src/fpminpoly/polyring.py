@@ -555,10 +555,10 @@ class PolyRing:
 
     __slots__ = ("field", "p", "n", "size", "strides", "_planes")
 
-    def __init__(self, p: int | PrimeField, n: int,
+    def __init__(self, p: int, n: int,
                  max_table_size: int | None = DEFAULT_MAX_TABLE_SIZE):
-        self.field = p if isinstance(p, PrimeField) else PrimeField(p)
-        self.p = self.field.p
+        self.field = PrimeField(p)
+        self.p = p
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ValueError(f"variable count must be a positive int, got {n!r}")
         if max_table_size is None:
@@ -733,22 +733,6 @@ class PolyRing:
     def from_coeffs(self, coeffs: Iterable[int]) -> "Polynomial":
         """``Polynomial(self, coeffs)``: checked construction from a full table."""
         return Polynomial(self, coeffs)
-
-    def embed(self, f: "Polynomial") -> "Polynomial":
-        """Reinterpret a polynomial on fewer variables inside this ring.
-
-        With x0 least significant, indices below p^(f.n) keep their meaning,
-        so the table is copied into the low slice unchanged (at p = 2 and
-        p = 3 the value planes are the same ints).
-        """
-        if f.ring.p != self.p:
-            raise RingMismatchError(
-                f"cannot embed a mod-{f.ring.p} polynomial into a mod-{self.p} ring")
-        if f.ring.n > self.n:
-            raise RingMismatchError(
-                f"cannot embed {f.ring.n} variables into a ring with {self.n}")
-        width = f.ring.size
-        return _polynomial(self, _join([f._stored], width, self.size // width, self.p))
 
 
 class Polynomial:

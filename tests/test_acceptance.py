@@ -15,9 +15,8 @@ import pytest
 from fpminpoly.circuit import (STRATEGIES, cost, eliminate_common_subexpressions,
                                lower, run, run_all)
 from fpminpoly.cli import EXIT_MISMATCH, EXIT_OK, main as cli_main
-from fpminpoly.formulas import (argmax0_n2, argmax_block_recurrence,
-                                argmax_digit_general, argmax_extend_recursive,
-                                argmax_p2, argmax_p2_selector, argmax_p3_n3,
+from fpminpoly.formulas import (argmax0_n2, argmax_digit_general, argmax_p2,
+                                argmax_p2_selector, argmax_p3_n3,
                                 carry, involution_conjugate, ismax_2bit_p2,
                                 ismax_general, ismax_p2, ismax_p3, max_general,
                                 max_n2, max_p2, max_p3, max_p5_n2, max_p5_n3,
@@ -163,29 +162,26 @@ def test_criterion_2_cross_identities():
         if involution_conjugate(max_p3(PolyRing(3, n))) != min_p3(PolyRing(3, n)):
             failures.append(f"p3 duality n={n}")
 
+    # Extending argmax by one input: with A the indicator that the new last
+    # input beats the maximum of the others, digit r of the least maximizing
+    # index is prefix * (1 - A) + digit_r(n) * A.
     checks = 0
-    for n in range(1, 7):
-        for r in range(3):
-            direct = tabulate(FunctionSpec("argmax_digit", 2, n, r)).values
-            if argmax_block_recurrence(PolyRing(2, n), r).values() != direct:
-                failures.append(f"block recurrence p=2 n={n} r={r}")
-            checks += 1
-    for r in range(3):
-        current = PolyRing(2, 1).zero()
-        for n in range(1, 7):
-            direct = tabulate(FunctionSpec("argmax_digit", 2, n, r)).values
-            if current.values() != direct:
-                failures.append(f"extension recurrence p=2 n={n} r={r}")
-            if n < 6:
-                current = argmax_extend_recursive(PolyRing(2, n + 1), r, current)
-            checks += 1
-    if argmax_block_recurrence(PolyRing(3, 3), 0) != argmax_p3_n3(PolyRing(3, 3)):
-        failures.append("block recurrence p=3 n=3")
-    if (argmax_extend_recursive(PolyRing(3, 3), 0, argmax0_n2(PolyRing(3, 2)))
-            != argmax_p3_n3(PolyRing(3, 3))):
-        failures.append("extension recurrence p=3 n=3")
+    for p, n_max in ((2, 6), (3, 3)):
+        for n in range(1, n_max):
+            big = PolyRing(p, n + 1)
+            first = [big.variable(i) for i in range(n)]
+            beats = argmax0_n2(PolyRing(p, 2)).compose(
+                [max_general(PolyRing(p, n)).compose(first), big.variable(n)])
+            for r in range(3):
+                prefix = argmax_digit_general(PolyRing(p, n), r).compose(first)
+                extended = prefix * (1 - beats) + beats.scale(big.field.digit(n, r))
+                if extended != argmax_digit_general(big, r):
+                    failures.append(f"argmax extension p={p} n={n} r={r}")
+                checks += 1
+    if argmax_digit_general(PolyRing(3, 3), 0) != argmax_p3_n3(PolyRing(3, 3)):
+        failures.append("argmax p=3 n=3 compact form")
 
-    _report(2, not failures, f"cross identities incl. {checks} recurrence checks")
+    _report(2, not failures, f"cross identities incl. {checks} argmax extension checks")
     assert not failures, failures
 
 

@@ -389,12 +389,13 @@ class TestList:
 
 
 @pytest.mark.parametrize("argv,refused", [
-    (("verify", "--func", "max", "--p", "3", "--n", "2", "--form", "human"), "--form human"),
-    (("gen", "--fun", "max", "--p", "3", "--n", "2"), "--fun max"),
-    (("stats", "--func", "max", "--p", "3", "--n", "2", "--for", "human"), "--for human"),
-    (("eval", "--func", "max", "--p", "3", "--n", "2", "--point", "1,2", "--circ"), "--circ"),
-    (("list", "--form", "json"), "--form json"),
-    (("--he", "list"), "--he"),
+    (("verify", "--func", "max", "--p", "3", "--n", "2", "--form", "human"),
+     "'--form' 'human'"),
+    (("gen", "--fun", "max", "--p", "3", "--n", "2"), "'--fun' 'max'"),
+    (("stats", "--func", "max", "--p", "3", "--n", "2", "--for", "human"), "'--for' 'human'"),
+    (("eval", "--func", "max", "--p", "3", "--n", "2", "--point", "1,2", "--circ"), "'--circ'"),
+    (("list", "--form", "json"), "'--form' 'json'"),
+    (("--he", "list"), "'--he'"),
 ])
 def test_abbreviated_flags_are_refused(argv, refused, capsys):
     # --form must not be read as --format, --fun as --func, nor --he as --help
@@ -506,6 +507,8 @@ JUNK = st.one_of(st.sampled_from(["", "x", "1.5", "0x10", "3,", ",", "a\nb", "-"
 OUT_OF_RANGE = st.sampled_from(["-1", "-5", "0", "1", "4", "9", "65521", "65537",
                                 str(10**30), str(-10**30)])
 NEGATIVE = st.sampled_from(["-1", "-5", str(-10**30)])
+#: Arguments no parser takes, some holding a newline.
+STRAYS = st.sampled_from(["stray", "1", "a\nb", "\n", "-\n", "x\ny\n"])
 SMALL_CAP = st.one_of(st.just("4096"), st.integers(0, 4096).map(str))
 ENV_VALUES = st.one_of(st.none(), st.just(""), SMALL_CAP, st.just(" 12 "),
                        st.sampled_from(["lots", "-5", "1e3", " ", "4k", "0x10", "\n"]))
@@ -534,7 +537,8 @@ def argv_files(tmp_path_factory):
 def argv_and_env(draw, files):
     """A subcommand, mostly a well-formed request from ``BASES``, often a
     record file for it, then some of the subcommand's own flags, each with a
-    valid, junk or out-of-range value, sometimes ``--help``; and a
+    valid, junk or out-of-range value, sometimes stray arguments (alone when
+    there is no subcommand), sometimes ``--help``; and a
     ``FPMINPOLY_MAX_TABLE_SIZE`` string.  When neither the flag nor the
     variable sets the cap, a small cap is added, so no table passes 4096
     entries."""
@@ -551,7 +555,7 @@ def argv_and_env(draw, files):
              **{dest: st.sampled_from(paths) for dest, paths in files.items()}}
     command = draw(st.sampled_from([None, *SUBCOMMANDS]))
     if command is None:
-        return [], draw(ENV_VALUES)
+        return draw(st.lists(STRAYS, max_size=1)), draw(ENV_VALUES)
     argv = [command]
     if command != "list" and draw(st.sampled_from([True] * 4 + [False])):
         name, p, n, r = draw(st.sampled_from(BASES))
@@ -572,6 +576,8 @@ def argv_and_env(draw, files):
         else:
             bad = NEGATIVE if action.dest == "max_table_size" else OUT_OF_RANGE
             argv.append(draw(JUNK if kind == "junk" else bad))
+    if draw(st.sampled_from([False] * 4 + [True])):
+        argv += draw(st.lists(STRAYS, min_size=1, max_size=2))
     if draw(st.sampled_from([False] * 19 + [True])):
         argv.append("--help")
     env = draw(ENV_VALUES)

@@ -1,5 +1,8 @@
+import inspect
 import itertools
+import operator
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -7,18 +10,16 @@ import pytest
 from fpminpoly import formulas
 from fpminpoly.ff import PrimeField, is_prime
 from fpminpoly.formulas import (CATALOG, FormulaParamError, argmax0_n2,
-                                argmax_block_recurrence, argmax_digit_general,
-                                argmax_extend_recursive, argmax_p2,
+                                argmax_digit_general, argmax_p2,
                                 argmax_p2_selector, argmax_p3_n3, build_formula,
-                                carry, delta, involution_conjugate, ismax_2bit_p2,
-                                ismax_general, ismax_p2, ismax_p3, lowpass,
-                                max_general, max_n2, max_p2, max_p3, max_p5_n2,
-                                max_p5_n3, min_p2, min_p3, nummax_digit_general,
-                                nummax_p2, resolve_params, verify_formula)
-from fpminpoly.oracle import (FunctionSpec, TruthTable, carry_sem, delta_basis_rows,
-                              interpolate, point_at, tabulate)
-from fpminpoly.polyring import (Polynomial, PolyRing, RingMismatchError, SizeGuardError,
-                                bounded_power)
+                                carry, involution_conjugate, ismax_2bit_p2,
+                                ismax_general, ismax_p2, ismax_p3, max_general,
+                                max_n2, max_p2, max_p3, max_p5_n2, max_p5_n3,
+                                min_p2, min_p3, nummax_digit_general, nummax_p2,
+                                resolve_params, verify_formula)
+from fpminpoly.oracle import (FunctionSpec, carry_sem, delta_basis_rows, interpolate,
+                              point_at, tabulate)
+from fpminpoly.polyring import Polynomial, PolyRing, SizeGuardError, bounded_power
 
 
 def reference(kind, p, n, r=0):
@@ -62,7 +63,7 @@ def nummax_digit_dp(ring, r):
     The form the trains of ``nummax_digit_general`` replaced, kept as their
     reference: sum_t e_{p^r}(delta_t(x)) * prod_i L_{t+1}(x_i), with
     e_0..e_{p^r} from the recurrence e_j += delta_t(x_m) * e_{j-1} over
-    full-table pieces, then the lowpass factors multiplied in one at a time.
+    full-table pieces, then the L_{t+1} factors multiplied in one at a time.
     """
     n, p = ring.n, ring.p
     k = bounded_power(p, r, n)
@@ -185,45 +186,11 @@ def ismax_2bit_products(ring):
     return y1 * y0 + y1 * both + (y1 + y0) * high + (y1 + 1) * all_zero
 
 
-class TestDeltaLowpass:
-    def test_delta_p2_is_one_plus_x(self):
-        ring = PolyRing(2, 1)
-        assert delta(2, 0) == 1 + ring.variable(0)
-
-    def test_delta_values(self):
-        d = delta(5, 3)
-        assert d.eval((3,)) == 1
-        assert d.eval((4,)) == 0
-
-    def test_delta_is_interpolated_indicator(self):
-        for t in range(7):
-            table = TruthTable(7, 1, tuple(1 if a == t else 0 for a in range(7)))
-            assert delta(7, t) == interpolate(table)
-
-    def test_lowpass_boundaries(self):
-        assert lowpass(3, 0) == PolyRing(3, 1).zero()
-        assert lowpass(3, 3) == PolyRing(3, 1).one()
-
-    def test_lowpass_values(self):
-        L2 = lowpass(3, 2)
-        assert L2.eval((1,)) == 1
-        assert L2.eval((2,)) == 0
-
-    def test_lowpass_is_interpolated_indicator(self):
-        for t in range(6):
-            table = TruthTable(5, 1, tuple(1 if a < t else 0 for a in range(5)))
-            assert lowpass(5, t) == interpolate(table)
-
-    def test_lowpass_threshold_range(self):
-        with pytest.raises(ValueError):
-            lowpass(3, 4)
-
-
 @pytest.mark.parametrize("p", [p for p in range(2, 60) if is_prime(p)] + [257])
 def test_piece_rows_match_the_oracle_delta_basis(p, monkeypatch):
     """The delta rows are the columns of the oracle's interpolation basis, a
-    separate convolution, and the lowpass rows their running sums; neither
-    the rows nor ``delta`` and ``lowpass`` multiply polynomials."""
+    separate convolution, and the L rows their running sums, from L_0 = 0 to
+    L_p = 1; building the rows multiplies no polynomials."""
 
     def refuse(*args):
         raise AssertionError("a ring product built a piece row")
@@ -239,8 +206,7 @@ def test_piece_rows_match_the_oracle_delta_basis(p, monkeypatch):
     for t in range(p):
         running = tuple((a + b) % p for a, b in zip(running, columns[t]))
         assert lows[t + 1] == running
-        assert tuple(delta(p, t).coeffs) == columns[t]
-        assert tuple(lowpass(p, t + 1).coeffs) == running
+    assert lows[p] == (1,) + (0,) * (p - 1)
 
 
 class TestMaxFamily:
@@ -371,81 +337,6 @@ class TestArgmaxFamily:
             assert f.eval(point) == min(ties) % 3
 
 
-class TestArgmaxRecurrences:
-    def test_block_recurrence_p2_r1_n4(self):
-        f = argmax_block_recurrence(PolyRing(2, 4), 1)
-        table = tabulate(FunctionSpec("argmax_digit", 2, 4, 1))
-        assert f.values() == table.values
-        assert f == argmax_p2(PolyRing(2, 4), 1)  # canonical, so also coefficient-equal
-
-    def test_block_recurrence_r0_degenerates_to_direct(self):
-        assert (argmax_block_recurrence(PolyRing(3, 3), 0)
-                == argmax_digit_general(PolyRing(3, 3), 0))
-
-    def test_block_recurrence_padding_invariance(self):
-        # appending a zero input never changes the least maximizing index
-        for n in range(1, 5):
-            small = tabulate(FunctionSpec("argmax_digit", 2, n, 0))
-            if n > 1:
-                big = argmax_block_recurrence(PolyRing(2, n), 0)
-                assert big.values() == small.values
-            for point_idx in range(2**n):
-                point = point_at(2, n, point_idx)
-                padded = point + (0,)
-                small_spec = FunctionSpec("argmax_digit", 2, n, 0)
-                big_spec = FunctionSpec("argmax_digit", 2, n + 1, 0)
-                assert small_spec.evaluate(point) == big_spec.evaluate(padded)
-
-    def test_block_recurrence_grid_p2(self):
-        for n in range(1, 7):
-            for r in range(3):
-                f = argmax_block_recurrence(PolyRing(2, n), r)
-                table = tabulate(FunctionSpec("argmax_digit", 2, n, r))
-                assert f.values() == table.values, (n, r)
-
-    def test_extension_chain_p2(self):
-        for r in (0, 1):
-            current = PolyRing(2, 1).zero()
-            for n in range(1, 7):
-                table = tabulate(FunctionSpec("argmax_digit", 2, n, r))
-                assert current.values() == table.values, (r, n)
-                if n < 6:
-                    current = argmax_extend_recursive(PolyRing(2, n + 1), r, current)
-
-    def test_extension_reproduces_compact_p3_form(self):
-        # two inputs -> three inputs; the canonical reduction of the
-        # recurrence is exactly the compact three-input polynomial
-        extended = argmax_extend_recursive(PolyRing(3, 3), 0, argmax0_n2(PolyRing(3, 2)))
-        assert extended == argmax_p3_n3(PolyRing(3, 3))
-
-    def test_extension_when_new_index_digit_is_zero(self):
-        # extending 3 -> 4 inputs at r=0: digit_0(3) = 0, so the new input
-        # only ever zeroes the result (when it strictly wins); elsewhere the
-        # prefix function must survive unchanged
-        extended = argmax_extend_recursive(PolyRing(3, 4), 0, argmax_p3_n3(PolyRing(3, 3)))
-        spec = FunctionSpec("argmax_digit", 3, 4, 0)
-        prefix_spec = FunctionSpec("argmax_digit", 3, 3, 0)
-        for point in itertools.product(range(3), repeat=4):
-            value = extended.eval(point)
-            assert value == spec.evaluate(point)
-            if max(point[:3]) >= point[3]:
-                assert value == prefix_spec.evaluate(point[:3])
-            else:
-                assert value == 0
-
-    def test_extension_with_zero_digit_prefix(self):
-        # at r=1 the two-input prefix polynomial is identically zero, and
-        # digit_1(2) = 0, so the extension stays the zero function
-        prefix = argmax_digit_general(PolyRing(3, 2), 1)
-        assert prefix == PolyRing(3, 2).zero()
-        extended = argmax_extend_recursive(PolyRing(3, 3), 1, prefix)
-        assert extended == PolyRing(3, 3).zero()
-
-    def test_extension_validates_rings(self):
-        with pytest.raises(RingMismatchError):
-            argmax_extend_recursive(PolyRing(3, 3), 0, PolyRing(3, 3).zero())
-
-
 class TestTwoInputForms:
     def test_carry_matches_integer_addition(self):
         for p in (2, 3, 5, 7, 11):
@@ -567,7 +458,6 @@ class TestIsmaxNummax:
                            (nummax_digit_general, PolyRing(3, 3)),
                            (nummax_p2, PolyRing(2, 4)), (argmax_p2, PolyRing(2, 4)),
                            (argmax_p2_selector, PolyRing(2, 4)),
-                           (argmax_block_recurrence, PolyRing(3, 4)),
                            (argmax_digit_general, PolyRing(3, 3))):
             assert form(ring, 10**18) == ring.zero(), form.__name__
 
@@ -694,16 +584,16 @@ class TestDualityAndMinimality:
         # must equal the direct form (the unreduced composition would not).
         for p in (3, 5):
             big = PolyRing(p, 3)
-            composed = max_n2(PolyRing(p, 2)).compose([big.embed(max_general(PolyRing(p, 2))),
-                                          big.variable(2)])
+            low = max_general(PolyRing(p, 2)).compose([big.variable(0), big.variable(1)])
+            composed = max_n2(PolyRing(p, 2)).compose([low, big.variable(2)])
             assert composed == max_general(PolyRing(p, 3))
             table = tabulate(FunctionSpec("max", p, 3))
             assert composed.values() == table.values
 
     def test_two_input_max_composes_associatively_p2(self):
         big = PolyRing(2, 3)
-        composed = max_p2(PolyRing(2, 2)).compose([big.embed(max_p2(PolyRing(2, 2))),
-                                                   big.variable(2)])
+        low = max_p2(PolyRing(2, 2)).compose([big.variable(0), big.variable(1)])
+        composed = max_p2(PolyRing(2, 2)).compose([low, big.variable(2)])
         assert composed == max_p2(PolyRing(2, 3))
 
     def test_argmax_constructors_break_ties_to_least_index(self):
@@ -858,3 +748,167 @@ class TestRingProtocol:
             assert f.ring is ring, (name, p, n, r)
             assert not made, (name, p, n, r, made)
             assert bool(products) == (name in PRODUCT_FORMS), (name, p, n, r, products)
+
+
+#: What a ring must have to run the constructors, as the ``formulas``
+#: docstring lists it: attributes, constructors, and the element operations,
+#: the products only in ``PRODUCT_FORMS``.
+RING_ATTRIBUTES = ("p", "n", "field")
+RING_CONSTRUCTORS = ("zero", "one", "constant", "variable", "univariate", "tensor", "train",
+                     "elementary_symmetric")
+ELEMENT_OPERATIONS = ("+", "-", "scale")
+PRODUCTS = ("*", "**")
+
+
+class RecordingRing:
+    """A ring with the listed operations and no others.  Each constructor
+    builds in the wrapped ``PolyRing`` and returns an ``Element`` of this
+    ring, a ``ProductElement`` when ``products`` allows ``*`` and ``**``.
+    ``_calls`` records every operation, by its name in the list."""
+
+    __slots__ = (*RING_ATTRIBUTES, "_ring", "_element", "_calls")
+
+    def __init__(self, ring, products):
+        self.p, self.n, self.field, self._ring = ring.p, ring.n, ring.field, ring
+        self._element = ProductElement if products else Element
+        self._calls = []
+
+    def _wrap(self, name, f):
+        self._calls.append(name)
+        return self._element(self, f)
+
+
+def _recorded(name):
+    def construct(ring, *args):
+        return ring._wrap(name, getattr(ring._ring, name)(*args))
+    return construct
+
+
+for _name in RING_CONSTRUCTORS:
+    setattr(RecordingRing, _name, _recorded(_name))
+
+
+class Element:
+    """An element of a ``RecordingRing``: ``+``, ``-`` and ``scale`` with ints
+    and elements of the same ring, nothing else.  ``_value`` is the wrapped
+    ``Polynomial``."""
+
+    __slots__ = ("_ring", "_value")
+
+    def __init__(self, ring, value):
+        self._ring, self._value = ring, value
+
+    def _apply(self, name, op, *operands):
+        values = []
+        for x in operands:
+            if isinstance(x, Element):
+                assert x._ring is self._ring, "operands of two rings"
+                x = x._value
+            values.append(x)
+        return self._ring._wrap(name, op(*values))
+
+    def __add__(self, other):
+        return self._apply("+", operator.add, self, other)
+
+    def __radd__(self, other):
+        return self._apply("+", operator.add, other, self)
+
+    def __sub__(self, other):
+        return self._apply("-", operator.sub, self, other)
+
+    def __rsub__(self, other):
+        return self._apply("-", operator.sub, other, self)
+
+    def scale(self, c):
+        return self._apply("scale", Polynomial.scale, self, c)
+
+    def __bool__(self):
+        raise TypeError("truth value of a ring element")
+
+    def __eq__(self, other):
+        raise TypeError("comparison of ring elements")
+
+    __hash__ = None
+
+
+class ProductElement(Element):
+    """An ``Element`` that also has ``*`` and ``**``."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        return self._apply("*", operator.mul, self, other)
+
+    def __rmul__(self, other):
+        return self._apply("*", operator.mul, other, self)
+
+    def __pow__(self, e):
+        return self._apply("**", operator.pow, self, e)
+
+
+#: Every public constructor of ``formulas``, with the one small ring (p, n)
+#: it runs on in ``TestRecordingRing`` and its digit index, if it takes one.
+CONSTRUCTOR_RINGS = {
+    "max_general": (3, 3), "max_p2": (2, 4), "min_p2": (2, 4), "max_p3": (3, 3),
+    "min_p3": (3, 3), "max_p5_n2": (5, 2), "max_p5_n3": (5, 3),
+    "argmax_digit_general": (3, 4, 1), "argmax_p2": (2, 5, 1), "argmax_p2_selector": (2, 5, 1),
+    "argmax_p3_n3": (3, 3), "carry": (5, 2), "argmax0_n2": (5, 2), "max_n2": (5, 2),
+    "ismax_general": (3, 3), "nummax_digit_general": (3, 4, 1), "ismax_p2": (2, 4),
+    "ismax_p3": (3, 3), "nummax_p2": (2, 5, 1), "ismax_2bit_p2": (2, 6),
+}
+
+#: The constructors printed as products.
+PRODUCT_CONSTRUCTORS = {"max_p5_n2", "max_p5_n3", "argmax_p3_n3"}
+
+
+class TestRecordingRing:
+    """The constructors run on a ring that has only the operations the
+    ``formulas`` docstring lists, build the polynomials they build in a
+    ``PolyRing``, and return an element of the ring they were given."""
+
+    def check_build(self, build, ring, products, *r):
+        recording = RecordingRing(ring, products)
+        f = build(recording, *r)
+        assert type(f) is recording._element and f._ring is recording
+        assert f._value == build(ring, *r)
+        assert bool(set(PRODUCTS) & set(recording._calls)) == products, recording._calls
+
+    def test_the_ring_has_the_docstring_list(self):
+        listed = formulas.__doc__.split("given:")[1].split("in ``max5``")[0]
+        assert re.findall(r"``([^`]+)``", listed) == [
+            *RING_ATTRIBUTES, *RING_CONSTRUCTORS, *ELEMENT_OPERATIONS, *PRODUCTS]
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_catalog_builds(self, name):
+        entry = CATALOG[name]
+        for p, n, r in entry.verify_grid:
+            ring = PolyRing(p, entry.spec_of(p, n, r).arity)
+            self.check_build(entry.build, ring, name in PRODUCT_FORMS, r)
+
+    def test_every_public_constructor_is_run(self):
+        public = {name for name, value in vars(formulas).items()
+                  if inspect.isfunction(value) and value.__module__ == formulas.__name__
+                  and not name.startswith("_")
+                  and next(iter(inspect.signature(value).parameters)) == "ring"}
+        assert public == set(CONSTRUCTOR_RINGS)
+
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTOR_RINGS))
+    def test_public_constructor(self, name):
+        p, n, *r = CONSTRUCTOR_RINGS[name]
+        self.check_build(getattr(formulas, name), PolyRing(p, n),
+                         name in PRODUCT_CONSTRUCTORS, *r)
+
+    def test_other_operations_raise(self):
+        ring = PolyRing(3, 2)
+        plain, products = RecordingRing(ring, False), RecordingRing(ring, True)
+        x, y = plain.variable(0), products.variable(0)
+        for attempt in (lambda: plain.monomial((1, 1)), lambda: plain.from_coeffs([0] * 9),
+                        lambda: plain.size, lambda: plain.strides, lambda: x.ring,
+                        lambda: x.coeffs, lambda: x.values(), lambda: x.compose([x, x]),
+                        lambda: -x, lambda: x * x, lambda: 2 * x, lambda: x ** 2,
+                        lambda: bool(x), lambda: x == x, lambda: x + y, lambda: y - x,
+                        lambda: x + 0.5):
+            with pytest.raises((AttributeError, TypeError, AssertionError)):
+                attempt()
+        assert (2 * y ** 2 * y - 1)._value == 2 * ring.variable(0) ** 3 - 1
+        assert (1 - x + x.scale(2))._value == 1 + ring.variable(0)

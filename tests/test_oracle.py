@@ -63,6 +63,15 @@ class TestSemantics:
         assert argmax_digit_sem(xs, 1, 2) == 1
         assert argmax_digit_sem(xs, 2, 2) == 0
 
+    def test_argmax_padding_invariance(self):
+        # appending a zero input never changes the least maximizing index
+        for n in range(1, 5):
+            small_spec = FunctionSpec("argmax_digit", 2, n, 0)
+            big_spec = FunctionSpec("argmax_digit", 2, n + 1, 0)
+            for point_idx in range(2**n):
+                point = point_at(2, n, point_idx)
+                assert small_spec.evaluate(point) == big_spec.evaluate(point + (0,))
+
     def test_argmin_is_involuted_argmax(self):
         F = PrimeField(3)
         for xs in itertools.product(range(3), repeat=4):

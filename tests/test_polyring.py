@@ -5,6 +5,7 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fpminpoly.ff import PrimeField
 from fpminpoly.oracle import point_at
 from fpminpoly.polyring import (Polynomial, PolyRing, RingMismatchError,
                                 SizeGuardError, bounded_power, format_terms)
@@ -98,6 +99,11 @@ class TestConstructors:
     def test_ring_needs_positive_arity(self):
         with pytest.raises(ValueError):
             PolyRing(3, 0)
+
+    @pytest.mark.parametrize("p", [PrimeField(3), 3.0, True])
+    def test_ring_modulus_is_an_int(self, p):
+        with pytest.raises(TypeError, match="modulus must be an int"):
+            PolyRing(p, 2)
 
 
 class TestAddSubScale:
@@ -252,6 +258,15 @@ class TestCompose:
             a = point_at(3, 2, i)
             assert composed.eval(a) == f.eval(tuple(s.eval(a) for s in subs))
 
+    @pytest.mark.parametrize("p,n,m", [(2, 10, 4), (3, 6, 3), (5, 4, 2), (131, 2, 1)])
+    def test_first_variables_keep_the_table_in_the_low_slice(self, p, n, m):
+        # x_i -> x_i for i < m reads f in a ring of more variables: indices
+        # below p^m keep their meaning, so the table is f's padded with zeros.
+        small, ring = PolyRing(p, m), PolyRing(p, n)
+        f = random_poly(small, random.Random(f"{p}/{n}/{m}"))
+        g = f.compose([ring.variable(i) for i in range(m)])
+        assert list(g.coeffs) == list(f.coeffs) + [0] * (ring.size - small.size)
+
     def test_compose_ring_checks(self):
         f = PolyRing(3, 2).one()
         with pytest.raises(ValueError):
@@ -375,21 +390,7 @@ class TestSerialization:
         assert format_terms(ring.zero()) == "0"
 
 
-class TestEmbedAndHelpers:
-    def test_embed_preserves_function(self):
-        small = PolyRing(3, 2)
-        big = PolyRing(3, 3)
-        f = small.variable(0) + 2 * small.variable(1)
-        g = big.embed(f)
-        for point in itertools.product(range(3), repeat=3):
-            assert g.eval(point) == f.eval(point[:2])
-
-    def test_embed_rejects_mismatch(self):
-        with pytest.raises(RingMismatchError):
-            PolyRing(3, 2).embed(PolyRing(5, 2).one())
-        with pytest.raises(RingMismatchError):
-            PolyRing(3, 2).embed(PolyRing(3, 3).one())
-
+class TestHelpers:
     def test_univariate_and_monomial(self):
         ring = PolyRing(5, 2)
         f = ring.univariate(1, [1, 0, 3])
