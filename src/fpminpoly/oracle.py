@@ -7,12 +7,10 @@ definition in its plainest form, one input list at a time: the reference.
 ``FunctionSpec.fold`` states each kind once more as a left-to-right fold
 over x0, x1, ... (a running maximum, a best value with its first index),
 and that fold is the one path by which values are computed: ``evaluate``
-runs it over one point, ``tabulate`` over the full truth table, stepping
-once per distinct state and axis instead of once per point.  At p = 2 and
-p = 3 ``tabulate`` keeps, per live state, one int whose bits mark the points
-in that state, and the last axis ORs these into one int per nonzero value:
-the value planes of the ring's stored form, built with no ring operation
-and no table of bytes.
+runs it over one point, ``tabulate`` over the full truth table, as one
+layered automaton (``_automaton``, the function's ordered decision diagram)
+that steps once per distinct state and axis instead of once per point, its
+last-axis values checked row by row at every p, with no ring operation.
 ``interpolate`` turns any truth table into the unique canonical polynomial
 agreeing with it everywhere.
 
@@ -32,7 +30,7 @@ from typing import Callable, Hashable, Sequence
 
 from .ff import PrimeField
 from .polyring import (DEFAULT_MAX_TABLE_SIZE, Polynomial, PolyRing, SizeGuardError,
-                       _checked, _load_json, _polynomial, _store, _unstore,
+                       _checked, _load_json, _pack, _polynomial, _store, _unstore,
                        apply_axis_transform, bounded_power)
 
 #: Function kinds understood by tabulate() and the CLI.
@@ -140,7 +138,7 @@ class TruthTable:
     and p = 3 the tuple of p - 1 value planes; otherwise ``values``
     itself), which ``interpolate`` and ``verify_formula`` read.  A table
     given its values stores them once, with ``polyring._store``; ``tabulate``
-    at p = 2 and p = 3 makes the stored form itself (``_from_stored``), and
+    makes the stored form itself from checked rows (``_from_stored``), and
     ``values`` is then decoded on first use and kept, as ``coeffs`` is.
 
     Immutable, and equal, hashed and printed as the dataclass of ``p``,
@@ -324,65 +322,67 @@ def _ismax_2bit_step(s, k, x):
 
 def tabulate(spec: FunctionSpec,
              max_table_size: int | None = DEFAULT_MAX_TABLE_SIZE) -> TruthTable:
-    """The fold of ``spec`` run over every input point, one axis at a time.
+    """The fold of ``spec`` run over every input point: ``_automaton``'s
+    levels read one axis at a time, x0 least significant.
 
-    Per axis, ``step`` runs once per (distinct state, x), so ``argmax`` at
-    p = 2, n = 16 meets at most 2 * 16 states, never 65,536 points, and the
-    last axis maps states straight to values through ``finish``.  At p = 2
-    and p = 3 the table is built in its stored form (``_fold_planes``); for
-    larger p as a table of state ids (``_grow``) that starts as the one
-    start state and grows p-fold per axis, x0 least significant, with the
-    new states interned.
+    At p = 2 and p = 3 each state keeps one int whose bit j marks point j
+    (of the axes so far) as ending in it: per x a next state ORs the ints
+    of the states stepping into it, and its p parts are laid side by side,
+    x = 0 lowest.  The last level's ints, one per value, are the value
+    planes of the stored form.  For larger p the table is one of state ids
+    (``_grow``), the one start state grown p-fold per level into values.
     """
     p, arity = spec.p, spec.arity
     if max_table_size is not None and bounded_power(p, arity, max_table_size) is None:
         raise SizeGuardError(
             f"truth table size p^arity = {p}^{arity} exceeds the cap of "
             f"{max_table_size} entries")
-    start, step, finish = spec.fold()
-    last = arity - 1
     if p < 4:
-        return TruthTable._from_stored(p, arity, _fold_planes(p, last, start, step, finish))
-    states, table = [start], b"\0"
+        bits, block = [1], 1
+        for rows, width in _automaton(spec):
+            parts = []
+            for row in rows:
+                part = [0] * width
+                for b, t in zip(bits, row):
+                    part[t] = part[t] | b if part[t] else b  # 0 | b would copy b
+                parts.append(part)
+            bits = parts.pop()
+            for part in reversed(parts):
+                bits = [high << block | low for high, low in zip(bits, part)]
+            block *= p
+        return TruthTable._from_stored(p, arity, tuple(bits[1:]))
+    table = b"\0"
+    for rows, width in _automaton(spec):
+        table = _grow(table, rows, width)
+    return TruthTable._from_stored(p, arity, _pack(table, p))
+
+
+def _automaton(spec: FunctionSpec):
+    """The fold of ``spec`` as a layered automaton: one ``(rows, width)``
+    per axis k, yielded as it is built.
+
+    ``rows[x][s]`` is the id of ``step(s, k, x)`` among the ``width``
+    states after axis k, in order of first appearance, ``step`` running
+    once per (distinct state, x); state 0 before axis 0 is ``start``.  On
+    the last axis the ids are the values ``finish(step(s, k, x))``, so the
+    width is p: each value row is checked as ``_checked`` checks a table,
+    and built when it is read, so one is alive at a time.
+    """
+    p, last = spec.p, spec.arity - 1
+    start, step, finish = spec.fold()
+    states = [start]
     for axis in range(last):
         interned = {}
         rows = [[interned.setdefault(step(s, axis, x), len(interned)) for s in states]
                 for x in range(p)]
         states = list(interned)
-        table = _grow(table, rows, len(states))
-    table = _grow(table, ([finish(step(s, last, x)) for s in states] for x in range(p)), p)
-    return TruthTable(p, arity, table)
+        yield rows, len(states)
 
-
-def _fold_planes(p: int, last: int, start, step, finish):
-    """The fold over axes 0 to ``last`` at p = 2 or p = 3, in stored form.
-
-    Each live state keeps one int, its indicator: bit j is set when point j
-    (of the axes so far) ends in that state.  Axis k, of width w = p^k,
-    moves the bits of state s at x to ``step(s, k, x)``, shifted by x * w.
-    The last axis ORs them into the plane of their value instead, checked as
-    ``_checked`` checks a table, so its states' indicators are never made.
-    """
-    live = {start: 1}
-    for axis in range(last):
-        width, grown = p ** axis, {}
-        for x in range(p):
-            shift = x * width
-            for s, bits in live.items():
-                t = step(s, axis, x)
-                old = grown.get(t)
-                grown[t] = bits << shift if old is None else old | bits << shift
-        live = grown
-    width, planes = p ** last, [0] * (p - 1)
-    for x in range(p):
-        shift = x * width
-        for s, bits in live.items():
-            v = finish(step(s, last, x))
-            if not (type(v) is int and 0 <= v < p):
-                PrimeField(p).check(v)
-            if v:
-                planes[v - 1] |= bits << shift
-    return tuple(planes)
+    def values(x):
+        row = [finish(step(s, last, x)) for s in states]
+        _checked(row, p)
+        return row
+    yield map(values, range(p)), p
 
 
 def _grow(table, rows, bound: int):

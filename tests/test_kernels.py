@@ -1183,19 +1183,12 @@ class TestTabulate:
             assert table._stored == polyring._store(expected, spec.p), spec
             assert tuple(spec.evaluate(point) for point in points) == expected, spec
 
-    def test_tuple_id_table_ends_as_bytes(self, monkeypatch):
+    def test_tuple_id_table_ends_as_bytes(self):
         # ismax at p = 17, n = 3 passes 256 fold states; its values fit a byte.
         spec = FunctionSpec("ismax", 17, 3)
-        given = []
-        original = oracle.TruthTable
-
-        def recorded(p, arity, values):
-            given.append(type(values))
-            return original(p, arity, values)
-
-        monkeypatch.setattr(oracle, "TruthTable", recorded)
+        assert max(width for _, width in oracle._automaton(spec)) > 256
         table = tabulate(spec)
-        assert given == [bytes]
+        assert type(table._stored) is bytes
         points = (point_at(17, 4, i) for i in range(17 ** 4))
         assert table.values == bytes(reference_evaluate(spec, point) for point in points)
 
@@ -1235,7 +1228,15 @@ class TestTabulate:
         (3, 1.0, "field element must be an int, got 1.0"),
         (3, -1, "field element -1 out of range [0, 3)"),
         (2, 2, "field element 2 out of range [0, 2)"),
-        (2, True, "field element must be an int, got True")])
+        (2, True, "field element must be an int, got True"),
+        (5, 5, "field element 5 out of range [0, 5)"),
+        (5, True, "field element must be an int, got True"),
+        (5, 1.0, "field element must be an int, got 1.0"),
+        (5, -1, "field element -1 out of range [0, 5)"),
+        (131, 131, "field element 131 out of range [0, 131)"),
+        (131, True, "field element must be an int, got True"),
+        (131, 1.0, "field element must be an int, got 1.0"),
+        (131, -1, "field element -1 out of range [0, 131)")])
     def test_noncanonical_finish_is_refused(self, p, bad, message, monkeypatch):
         fold = FunctionSpec.fold
 

@@ -14,7 +14,8 @@ from fpminpoly.oracle import (FunctionSpec, TruthTable, argmax_digit_sem,
                               argmax_sem, argmin_sem, carry_sem, interpolate,
                               ismax_2bit_sem, ismax_sem, max_sem, min_sem,
                               nummax_count, nummax_digit_sem, point_at, tabulate)
-from fpminpoly.polyring import PolyRing, SizeGuardError
+from fpminpoly.formulas import CATALOG
+from fpminpoly.polyring import PolyRing, SizeGuardError, lagrange_rows
 
 
 def naive_interpolate(table):
@@ -249,13 +250,14 @@ class TestTabulate:
 
 
 class TestLazyTruthTable:
-    """At p = 2 and p = 3 ``tabulate`` makes the stored form and ``values``
-    is decoded from it on first use: nothing visible may differ from a
-    table given its values."""
+    """At every p ``tabulate`` makes the stored form and ``values`` is
+    decoded from it on first use: nothing visible may differ from a table
+    given its values."""
 
     SPECS = [FunctionSpec("max", 2, 5), FunctionSpec("argmax_digit", 3, 4, 1),
              FunctionSpec("ismax", 3, 2), FunctionSpec("ismax_2bit", 2, 2),
-             FunctionSpec("carry", 3, 2), FunctionSpec("max", 5, 3)]
+             FunctionSpec("carry", 3, 2), FunctionSpec("max", 5, 3),
+             FunctionSpec("argmax_digit", 131, 2, 1)]
 
     @pytest.mark.parametrize("spec", SPECS, ids=repr)
     def test_tabulated_table_is_the_table_of_its_values(self, spec):
@@ -281,8 +283,8 @@ class TestLazyTruthTable:
         assert t != TruthTable(2, 1, (0, 1)) and t != TruthTable(3, 2, [0] * 9)
         assert t != (2, 2, t.values) and t != object()
 
-    @pytest.mark.parametrize("p", [2, 3])
-    def test_values_are_decoded_once_and_kept(self, p, monkeypatch):
+    @pytest.mark.parametrize("p, n", [(2, 6), (3, 6), (5, 6), (131, 2)])
+    def test_values_are_decoded_once_and_kept(self, p, n, monkeypatch):
         calls = []
         original = oracle._unstore
 
@@ -291,13 +293,13 @@ class TestLazyTruthTable:
             return original(*args)
 
         monkeypatch.setattr(oracle, "_unstore", recorded)
-        t = tabulate(FunctionSpec("argmax_digit", p, 6, 1))
-        assert t == tabulate(FunctionSpec("argmax_digit", p, 6, 1)) and calls == []
+        t = tabulate(FunctionSpec("argmax_digit", p, n, 1))
+        assert t == tabulate(FunctionSpec("argmax_digit", p, n, 1)) and calls == []
         first = t.values
-        assert t.values is first and calls == [(p, p ** 6)]
+        assert t.values is first and calls == [(p, p ** n)]
         hash(t), repr(t), t.to_json()
-        assert calls == [(p, p ** 6)]
-        assert TruthTable(p, 6, first).values is not None and calls == [(p, p ** 6)]
+        assert calls == [(p, p ** n)]
+        assert TruthTable(p, n, first).values is not None and calls == [(p, p ** n)]
 
     def test_table_is_immutable(self):
         t = tabulate(FunctionSpec("max", 2, 3))
@@ -313,6 +315,87 @@ class TestLazyTruthTable:
         t = tabulate(spec)
         for other in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
             assert other == t and hash(other) == hash(t) and other.values == t.values
+
+
+def automaton_train(spec, change=None):
+    """``PolyRing.train`` of the coefficient cores read off
+    ``oracle._automaton(spec)``.
+
+    Core k takes state a to state b by the sum of the delta rows (the
+    columns of ``lagrange_rows(p)``) of the x with ``rows[x][a] == b``, or
+    by no step; the last core takes state a to the one end state by
+    sum_x value * delta_x.  ``change = (a, x, v)`` sets the value of state
+    a at x on the last axis to v first.
+    """
+    p = spec.p
+    deltas = list(zip(*lagrange_rows(p)))
+    *levels, (value_rows, _) = oracle._automaton(spec)
+    cores = []
+    for rows, width in levels:
+        core = [[()] * width for _ in rows[0]]
+        for delta, row in zip(deltas, rows):
+            for a, b in enumerate(row):
+                core[a][b] = tuple((u + v) % p for u, v in zip(core[a][b] or (0,) * p, delta))
+        cores.append(core)
+    value_rows = [list(row) for row in value_rows]
+    if change is not None:
+        a, x, v = change
+        value_rows[x][a] = v
+    cores.append([[tuple(sum(row[a] * delta[e] for row, delta in zip(value_rows, deltas)) % p
+                         for e in range(p))] for a in range(len(value_rows[0]))])
+    return PolyRing(p, spec.arity).train(cores)
+
+
+class TestAutomaton:
+    """The automaton is also the oracle as a tensor train: its cores,
+    contracted, give the interpolated truth table.  ``tabulate`` and
+    ``interpolate`` stay the arbiter; this reading is checked here only."""
+
+    GRID = [entry.spec_of(p, n, r)
+            for entry in CATALOG.values() for p, n, r in entry.verify_grid]
+
+    def test_train_of_the_cores_is_the_interpolated_table(self):
+        for spec in self.GRID:
+            assert automaton_train(spec) == interpolate(tabulate(spec)), spec
+
+    @pytest.mark.parametrize("spec", [FunctionSpec("argmax_digit", 3, 12, 1),
+                                      FunctionSpec("nummax_digit", 2, 20, 2),
+                                      FunctionSpec("max", 5, 8), FunctionSpec("ismax", 17, 3)],
+                             ids=repr)
+    def test_train_of_the_cores_is_the_interpolated_table_at_size(self, spec):
+        assert automaton_train(spec) == interpolate(tabulate(spec))
+
+    @pytest.mark.parametrize("spec", [FunctionSpec("argmax_digit", 3, 5, 1),
+                                      FunctionSpec("max", 2, 4), FunctionSpec("carry", 5, 2),
+                                      FunctionSpec("ismax", 17, 1)], ids=repr)
+    def test_one_changed_value_changes_the_train(self, spec):
+        oracle_poly = interpolate(tabulate(spec))
+        *_, (value_rows, _) = oracle._automaton(spec)
+        for x, row in enumerate(value_rows):
+            for a, v in enumerate(row):
+                changed = automaton_train(spec, (a, x, (v + 1) % spec.p))
+                assert changed != oracle_poly, (a, x)
+
+    def test_levels_step_each_reached_state(self):
+        # rows[x][s] ids a state of the next level, one id per distinct
+        # state, and every id is reached.
+        spec = FunctionSpec("nummax_digit", 3, 5, 1)
+        start, step, finish = spec.fold()
+        states = [start]
+        *levels, (value_rows, bound) = oracle._automaton(spec)
+        for k, (rows, width) in enumerate(levels):
+            assert len(rows) == spec.p and all(len(row) == len(states) for row in rows)
+            assert {b for row in rows for b in row} == set(range(width))
+            nxt = [None] * width
+            for x, row in enumerate(rows):
+                for s, b in zip(states, row):
+                    assert nxt[b] in (None, step(s, k, x))
+                    nxt[b] = step(s, k, x)
+            assert len(set(nxt)) == width
+            states = nxt
+        assert bound == spec.p
+        assert [list(row) for row in value_rows] == [
+            [finish(step(s, spec.arity - 1, x)) for s in states] for x in range(spec.p)]
 
 
 class TestInterpolate:
