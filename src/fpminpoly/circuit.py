@@ -18,9 +18,9 @@ where a, b are indices of earlier gates.
 ``lower`` builds the unshared circuit of a strategy and
 ``eliminate_common_subexpressions`` shares its identical gates.  ``stats``
 takes neither path: ``_lower_shared`` runs the same strategy code on a
-builder that hash-conses each gate under CSE's key as it is emitted, so it
-builds only the shared circuit, and it counts the unshared circuit's mul,
-add and scale gates as they are emitted instead of building them.
+builder that hash-conses each gate under CSE's key as it is emitted, in one
+loop per product or sum of wires, and counts the unshared circuit's mul, add
+and scale gates instead of building them.
 
 ``run_all`` carries all p^n points through each gate at once, each wire a
 table in ``polyring``'s stored form (``polyring._store``): p - 1 value
@@ -392,12 +392,14 @@ class _SharingBuilder(CircuitBuilder):
     are; CSE replays gates through ``_share`` alone), so a lowering run on
     this builder gives, gate for gate, the CSE'd circuit of the same
     lowering run on ``CircuitBuilder``.  ``counts`` tallies every mul, add,
-    sub and scale emission, shared or not: these are the compound gates of
-    that unshared circuit, all of them live (only folded leaf consts die).
-    ``power`` and the nested Horner slices (``_lower_block``) are memoised
-    with the counts their first call emitted, so a repeat costs one lookup
-    and still counts in full.  Memory stays O(shared gates) plus one key
-    per distinct slice.
+    sub and scale emission, shared or not: the unshared circuit's compound
+    gates, all live (only folded leaf consts die).  ``product`` and ``sum``
+    of wires count theirs at once, then look each pair up under CSE's key
+    in one loop, in ``CircuitBuilder``'s order; with a constant operand
+    they run ``CircuitBuilder``'s, where the folding lives.  ``power`` and
+    the nested Horner slices (``_lower_block``) are memoised with the counts
+    their first call emitted, so a repeat costs one lookup and still counts
+    in full.  Memory stays O(shared gates) plus one key per distinct slice.
     """
 
     def __init__(self, p: int, n_inputs: int):
@@ -441,6 +443,42 @@ class _SharingBuilder(CircuitBuilder):
                 counts[op] += emitted
         return hit[0]
 
+    def product(self, refs: Sequence[int]) -> int:
+        const_of = self._const_of
+        if not refs or any(const_of[ref] is not None for ref in refs):
+            return CircuitBuilder.product(self, refs)
+        self.counts["mul"] += len(refs) - 1
+        table, gates, layer = self._refs, self._gates, refs
+        while len(layer) > 1:
+            nxt, pairs = [], iter(layer)
+            for a, b in zip(pairs, pairs):
+                gate = ("mul", a, b) if a <= b else ("mul", b, a)
+                ref = table.get(gate)
+                if ref is None:
+                    ref = table[gate] = len(gates)
+                    gates.append(gate)
+                    const_of.append(None)
+                nxt.append(ref)
+            if len(layer) % 2:
+                nxt.append(layer[-1])
+            layer = nxt
+        return layer[0]
+
+    def sum(self, refs: Sequence[int]) -> int:
+        const_of = self._const_of
+        if not refs or any(const_of[ref] is not None for ref in refs):
+            return CircuitBuilder.sum(self, refs)
+        self.counts["add"] += len(refs) - 1
+        table, gates, acc = self._refs, self._gates, refs[0]
+        for ref in refs[1:]:
+            gate = ("add", acc, ref) if acc <= ref else ("add", ref, acc)
+            acc = table.get(gate)
+            if acc is None:
+                acc = table[gate] = len(gates)
+                gates.append(gate)
+                const_of.append(None)
+        return acc
+
     def power(self, ref: int, k: int) -> int:
         if k == 1:
             return ref
@@ -478,8 +516,9 @@ def _lower_by_variable(b: CircuitBuilder, p: int, coeffs: Sequence[int], nvars: 
 def _naive_monomial(b: CircuitBuilder, f: Polynomial) -> int:
     """One scaled product of powers per nonzero term, summed."""
     terms = []
-    for exps, c in f.support():
-        factors = [b.power(b.input(i), e) for i, e in enumerate(exps) if e]
+    for exps, c in f._terms():
+        factors = [b.input(i) if e == 1 else b.power(b.input(i), e)
+                   for i, e in enumerate(exps) if e]
         if factors:
             terms.append(b.scale(c, b.product(factors)))
         else:

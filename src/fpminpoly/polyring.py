@@ -88,7 +88,7 @@ from functools import lru_cache
 from itertools import chain, compress, zip_longest
 import json
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .ff import PrimeField
 
@@ -207,10 +207,18 @@ def _combine(p: int, weights: Sequence[int], cols):
     2 * 2 = 1.  Only the add step depends on p: at p = 2 the one planes
     are xored; at p = 3, with a = (a1, a2) and b = (b1, b2),
     t = (a1 | b2) ^ (a2 | b1) and a + b = ((a2 | b2) ^ t, (a1 | b1) ^ t).
+    Two columns weighted 1 and nonzero (a circuit's add and sub gates) take
+    that add step at once, without the weight loop.
     For 3 < p < 128 the ``bytes`` columns go to ``_lane_sums`` as one
     weight row; from p = 128 tuples are combined with comprehensions.
     """
     if p < 4:
+        if len(cols) == 2 and weights[0] % p == 1 and weights[1] % p:
+            if p == 2:
+                return (cols[0][0] ^ cols[1][0],)
+            (a1, a2), (b1, b2) = cols[0], (cols[1] if weights[1] % 3 == 1 else cols[1][::-1])
+            t = (a1 | b2) ^ (a2 | b1)
+            return (a2 | b2) ^ t, (a1 | b1) ^ t
         acc = None
         for m, col in zip(weights, cols):
             m %= p
@@ -518,12 +526,14 @@ def apply_axis_transform(table, p: int, n: int, matrix):
 
 
 def _load_json(text: str, record: str):
-    """``json.loads`` of a record, refusing input nested past the parser's
-    recursion limit as a ``ValueError`` like any other malformed record."""
+    """``json.loads`` of a record, refusing text that is not JSON or nests past
+    the parser's recursion limit as a ``ValueError``, like any malformed record."""
     try:
         return json.loads(text)
     except RecursionError:
         raise ValueError(f"malformed {record} record: nesting too deep") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed {record} record: {exc}") from None
 
 
 def bounded_power(p: int, n: int, bound: int) -> int | None:
@@ -813,14 +823,15 @@ class Polynomial:
         return any(self._stored)
 
     def support(self) -> list[tuple[tuple[int, ...], int]]:
-        """Nonzero terms as (exponent vector, coefficient), index-ordered.
+        """Nonzero terms as (exponent vector, coefficient), index-ordered."""
+        return list(self._terms())
 
-        Each digit plane is filtered down to the nonzero entries, so only
-        those get an exponent tuple.
-        """
+    def _terms(self) -> Iterator[tuple[tuple[int, ...], int]]:
+        """``support()`` one term at a time, held nowhere: each digit plane
+        is filtered down to the nonzero entries, which alone get exponents."""
         coeffs = self.coeffs
         exps = zip(*(compress(plane, coeffs) for plane in self.ring.digit_planes()))
-        return list(zip(exps, filter(None, coeffs)))
+        return zip(exps, filter(None, coeffs))
 
     # -- ring operations ----------------------------------------------------
 

@@ -14,7 +14,9 @@ indices and the output are ints (checked just before each range test), and
 the same as from the old validator itself where that rule does not apply;
 the shared lowering behind ``stats`` must give, gate for gate, the CSE'd
 plain lowering, and ``stats``' rows must equal the cost reports of the
-plain and the CSE'd circuits; every lowered circuit must agree with
+plain and the CSE'd circuits; random builder calls on the sharing builder
+must give the CSE'd circuit of the same calls on the plain builder, and
+count its compound gates; every lowered circuit must agree with
 ``Polynomial.eval`` and ``values()``;
 and ``run_all`` must return the list loop's values, in the packed form
 (``polyring._pack``), on random circuits, the catalog grids at every
@@ -23,12 +25,15 @@ i of the point index, as ``point_at`` decodes it: at p = 2 up to 2^17
 points, and at p = 3, 5, 13, 17, 131, 257 and 263.
 """
 
-from hypothesis import given, settings, strategies as st
+from collections import Counter
+
+from hypothesis import example, given, settings, strategies as st
 import pytest
 
 from fpminpoly import circuit as circuit_module
 from fpminpoly.circuit import (STRATEGIES, Circuit, CircuitBuilder, CostReport, _lower_shared,
-                               cost, eliminate_common_subexpressions, lower, run, run_all)
+                               _SharingBuilder, cost, eliminate_common_subexpressions, lower,
+                               run, run_all)
 from fpminpoly.cli import _stats_rows
 from fpminpoly.ff import PrimeField
 from fpminpoly.formulas import CATALOG, build_formula
@@ -379,6 +384,60 @@ class TestSharedLoweringAgainstCSE:
         # Too large to lower unshared; the memoised slices build it directly.
         shared, _counts = _lower_shared(build_formula("max", 3, 15), "nested_horner")
         assert len(shared.gates) == 247
+
+
+@st.composite
+def builder_calls(draw):
+    """A modulus, an arity and a sequence of builder calls.  Powers, products
+    and sums name earlier results by position (mod their count), so products
+    repeat refs and mix constants in, and sums hold constants."""
+    p = draw(st.sampled_from(sorted(MAX_ARITY)))
+    n = draw(st.integers(1, 3))
+    position = st.integers(0, 10 ** 6)
+    calls = draw(st.lists(st.one_of(
+        st.tuples(st.just("input"), st.integers(0, n - 1)),
+        st.tuples(st.just("const"), st.integers(0, p - 1)),
+        st.tuples(st.just("power"), position, st.integers(1, 9)),
+        st.tuples(st.sampled_from(["product", "sum"]), st.lists(position, max_size=7))),
+        max_size=25))
+    return p, n, calls
+
+
+def replay(b, calls):
+    """The result of each call of ``calls`` on builder ``b``, after input 0."""
+    results = [b.input(0)]
+    for op, *args in calls:
+        if op == "input" or op == "const":
+            results.append(getattr(b, op)(args[0]))
+        elif op == "power":
+            results.append(b.power(results[args[0] % len(results)], args[1]))
+        else:
+            results.append(getattr(b, op)([results[j % len(results)] for j in args[0]]))
+    return results
+
+
+class TestSharingBuilderAgainstCSE:
+    @settings(max_examples=200, deadline=None)
+    @given(builder_calls())
+    # Fused product and sum: no constant operand, repeated refs, a shared pair.
+    @example((3, 2, [("input", 1), ("power", 0, 2), ("product", [0, 1, 0, 2, 1]),
+                     ("product", [1, 0]), ("sum", [3, 4, 3, 0])]))
+    # The constant fallback: constant product and sum operands, all-constant
+    # and empty ones.
+    @example((3, 2, [("const", 2), ("product", [0, 1, 0]), ("sum", [0, 1, 2]),
+                     ("product", [1, 1]), ("sum", []), ("product", [])]))
+    def test_fused_product_and_sum(self, case):
+        """The same calls on ``_SharingBuilder`` give, gate for gate and ref
+        for ref, the CSE'd circuit of a plain builder, and count that
+        builder's compound gates."""
+        p, n, calls = case
+        shared, plain = _SharingBuilder(p, n), CircuitBuilder(p, n)
+        outs, plain_outs = replay(shared, calls), replay(plain, calls)
+        tallies = Counter(gate[0] for gate in plain._gates)
+        assert shared.counts == {op: tallies[op] for op in ("mul", "add", "sub", "scale")}
+        for out, plain_out in zip(outs, plain_outs):
+            cse = eliminate_common_subexpressions(Circuit(p, n, plain._gates, plain_out))
+            assert (cse.gates, cse.output) == (tuple(shared._gates), out)
 
 
 #: Field values for the malformed gate lists: mostly small ints, some out of

@@ -417,6 +417,16 @@ class TestCombine:
         p, weights, cols = case
         assert combine_lists(p, weights, cols) == reference_combine(p, weights, cols)
 
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("weights", [(1, 1), (1, -1), (-1, 1), (2, 2), (1, 0)])
+    def test_two_columns_on_value_planes(self, p, weights):
+        """The add and sub gates' weights, which take the one-step add, and
+        their neighbours, which take the weight loop, on every pair of
+        residues."""
+        pairs = [(a, b) for a in range(p) for b in range(p)]
+        cols = [[a for a, _ in pairs], [b for _, b in pairs]]
+        assert combine_lists(p, weights, cols) == reference_combine(p, weights, cols)
+
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 127])
     def test_lane_sums_at_their_maximum(self, p):
         """Entries p - 1, at column counts on both sides of each reduction

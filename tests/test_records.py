@@ -136,6 +136,31 @@ class TestDeepNesting:
             loader(text)
 
 
+#: Records cut off mid-text, one per loader, each valid JSON when whole.
+TRUNCATED = {"polynomial": (Polynomial.from_json, '{"p": 3, "n": 1, "coeffs": [0, 1'),
+             "truth table": (TruthTable.from_json, '{"p": 3, "arity": 1,\n'),
+             "circuit": (Circuit.from_json, '{"p": 2, "inputs": 1, "gates": [{"op"')}
+
+
+class TestSyntaxErrors:
+    @pytest.mark.parametrize("record", TRUNCATED)
+    def test_loaders_refuse_as_malformed(self, record):
+        loader, text = TRUNCATED[record]
+        with pytest.raises(ValueError, match=f"^malformed {record} record: Expecting .*"
+                                             r"line \d+ column \d+ \(char \d+\)$"):
+            loader(text)
+
+    @pytest.mark.parametrize("argv, record", [
+        (["verify", "--func", "max", "--p", "3", "--n", "1", "--file", "FILE"], "polynomial"),
+        (["gen", "--table", "FILE"], "truth table"),
+        (["eval", "--table", "FILE", "--point", "0"], "truth table")],
+        ids=["verify_file", "gen_table", "eval_table"])
+    def test_cli_names_the_record(self, record_file, argv, record):
+        code, err = run_cli(argv, record_file, TRUNCATED[record][1])
+        assert code == cli.EXIT_USAGE and err.count("\n") == 1
+        assert err.startswith(f"fpminpoly: error: malformed {record} record: Expecting ")
+
+
 class TestCliMapsLoadErrors:
     @settings(max_examples=80, deadline=None)
     @given(POLYNOMIAL_TEXTS)
