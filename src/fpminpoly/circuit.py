@@ -19,8 +19,10 @@ where a, b are indices of earlier gates.
 ``eliminate_common_subexpressions`` shares its identical gates.  ``stats``
 takes neither path: ``_lower_shared`` runs the same strategy code on a
 builder that hash-conses each gate under CSE's key as it is emitted, in one
-loop per product or sum of wires, and counts the unshared circuit's mul, add
-and scale gates instead of building them.
+loop per product of wires and one loop step per naive term, and counts the
+unshared circuit's mul, add and scale gates instead of building them.  The
+naive strategy adds each term to the running sum as it is made, so
+``run_all`` holds a term's wire only until its add.
 
 ``run_all`` carries all p^n points through each gate at once, each wire a
 table in ``polyring``'s stored form (``polyring._store``): p - 1 value
@@ -35,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 import json
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .ff import PrimeField
 from .polyring import (DEFAULT_MAX_TABLE_SIZE, Polynomial, SizeGuardError, _combine,
@@ -344,6 +346,18 @@ class CircuitBuilder:
         """``_lower_by_variable`` of one slice; ``_SharingBuilder`` memoises it."""
         return _lower_by_variable(self, p, block, nvars)
 
+    def _monomial_sum(self, terms: Iterable[tuple[tuple[int, ...], int]]) -> int:
+        """The sum of c * prod_i x_i^e_i over the ``(exps, c)`` of ``terms``,
+        each term added to it as it is made (the adds of ``sum`` of all the
+        terms, so ``run_all`` drops a term's wire at its add)."""
+        acc = None
+        for exps, c in terms:
+            factors = [self.input(i) if e == 1 else self.power(self.input(i), e)
+                       for i, e in enumerate(exps) if e]
+            term = self.scale(c, self.product(factors)) if factors else self.const(c)
+            acc = term if acc is None else self.add(acc, term)
+        return self.const(0) if acc is None else acc
+
     def finish(self, output: int) -> Circuit:
         """Drop gates unreachable from the output and renumber in order.
 
@@ -393,13 +407,15 @@ class _SharingBuilder(CircuitBuilder):
     this builder gives, gate for gate, the CSE'd circuit of the same
     lowering run on ``CircuitBuilder``.  ``counts`` tallies every mul, add,
     sub and scale emission, shared or not: the unshared circuit's compound
-    gates, all live (only folded leaf consts die).  ``product`` and ``sum``
-    of wires count theirs at once, then look each pair up under CSE's key
-    in one loop, in ``CircuitBuilder``'s order; with a constant operand
-    they run ``CircuitBuilder``'s, where the folding lives.  ``power`` and
-    the nested Horner slices (``_lower_block``) are memoised with the counts
-    their first call emitted, so a repeat costs one lookup and still counts
-    in full.  Memory stays O(shared gates) plus one key per distinct slice.
+    gates, all live (only folded leaf consts die).  ``product`` of wires
+    counts its muls at once, then looks each pair up under CSE's key in one
+    loop, in ``CircuitBuilder``'s order; with a constant operand it runs
+    ``CircuitBuilder``'s, where the folding lives.  ``_monomial_sum`` makes
+    and adds a naive term in one loop step, with each x_i^e built once.
+    ``power`` and the nested Horner slices (``_lower_block``) are memoised
+    with the counts their first call emitted, so a repeat costs one lookup
+    and still counts in full.  Memory stays O(shared gates) plus one key
+    per distinct slice.
     """
 
     def __init__(self, p: int, n_inputs: int):
@@ -408,6 +424,7 @@ class _SharingBuilder(CircuitBuilder):
         self._refs: dict[tuple, int] = {}
         self._powers: dict[tuple, tuple] = {}
         self._blocks: dict[tuple, tuple] = {}
+        self._xpowers: dict[tuple, tuple] = {}  # (i, e) -> x_i^e's wire, muls
 
     def _emit(self, gate: tuple, const_value: int | None = None) -> int:
         op = gate[0]
@@ -444,11 +461,14 @@ class _SharingBuilder(CircuitBuilder):
         return hit[0]
 
     def product(self, refs: Sequence[int]) -> int:
-        const_of = self._const_of
-        if not refs or any(const_of[ref] is not None for ref in refs):
+        if not refs or any(self._const_of[ref] is not None for ref in refs):
             return CircuitBuilder.product(self, refs)
+        return self._wire_product(refs)
+
+    def _wire_product(self, refs: Sequence[int]) -> int:
+        """``product`` of one or more wires none of which is a constant."""
         self.counts["mul"] += len(refs) - 1
-        table, gates, layer = self._refs, self._gates, refs
+        table, gates, const_of, layer = self._refs, self._gates, self._const_of, refs
         while len(layer) > 1:
             nxt, pairs = [], iter(layer)
             for a, b in zip(pairs, pairs):
@@ -464,20 +484,47 @@ class _SharingBuilder(CircuitBuilder):
             layer = nxt
         return layer[0]
 
-    def sum(self, refs: Sequence[int]) -> int:
-        const_of = self._const_of
-        if not refs or any(const_of[ref] is not None for ref in refs):
-            return CircuitBuilder.sum(self, refs)
-        self.counts["add"] += len(refs) - 1
-        table, gates, acc = self._refs, self._gates, refs[0]
-        for ref in refs[1:]:
-            gate = ("add", acc, ref) if acc <= ref else ("add", ref, acc)
-            acc = table.get(gate)
-            if acc is None:
-                acc = table[gate] = len(gates)
-                gates.append(gate)
-                const_of.append(None)
-        return acc
+    def _monomial_sum(self, terms: Iterable[tuple[tuple[int, ...], int]]) -> int:
+        """``CircuitBuilder._monomial_sum`` of nonzero terms, one loop step
+        each: x_i^e from ``_xpowers`` (filled by ``input`` and ``power`` at
+        first use), the factors, never constants, to ``_wire_product``, and a
+        scale and an add that cannot fold, one ``_refs`` lookup each."""
+        counts, table, gates, const_of = self.counts, self._refs, self._gates, self._const_of
+        xpowers, acc, muls = self._xpowers, None, 0
+        for exps, c in terms:
+            factors = []
+            for i, e in enumerate(exps):
+                if e:
+                    hit = xpowers.get((i, e))
+                    if hit is None:
+                        before = counts["mul"]
+                        ref = self.input(i) if e == 1 else self.power(self.input(i), e)
+                        hit = xpowers[i, e] = (ref, counts["mul"] - before)
+                    else:
+                        muls += hit[1]
+                    factors.append(hit[0])
+            if not factors:
+                term = self.const(c)
+                acc = term if acc is None else self.add(acc, term)
+                continue
+            term = self._wire_product(factors)
+            if c != 1:
+                counts["scale"] += 1
+                gate = ("scale", c, term)
+                term = table.setdefault(gate, len(gates))
+                if term == len(gates):
+                    gates.append(gate)
+                    const_of.append(None)
+            if acc is not None:
+                counts["add"] += 1
+                gate = ("add", acc, term) if acc <= term else ("add", term, acc)
+                term = table.setdefault(gate, len(gates))
+                if term == len(gates):
+                    gates.append(gate)
+                    const_of.append(None)
+            acc = term
+        counts["mul"] += muls
+        return self.const(0) if acc is None else acc
 
     def power(self, ref: int, k: int) -> int:
         if k == 1:
@@ -514,16 +561,8 @@ def _lower_by_variable(b: CircuitBuilder, p: int, coeffs: Sequence[int], nvars: 
 
 
 def _naive_monomial(b: CircuitBuilder, f: Polynomial) -> int:
-    """One scaled product of powers per nonzero term, summed."""
-    terms = []
-    for exps, c in f._terms():
-        factors = [b.input(i) if e == 1 else b.power(b.input(i), e)
-                   for i, e in enumerate(exps) if e]
-        if factors:
-            terms.append(b.scale(c, b.product(factors)))
-        else:
-            terms.append(b.const(c))
-    return b.sum(terms)
+    """One scaled product of powers per nonzero term, each added as it is made."""
+    return b._monomial_sum(f._terms())
 
 
 def _nested_horner(b: CircuitBuilder, f: Polynomial) -> int:
@@ -544,8 +583,9 @@ def _lowering(strategy: str):
 def lower(f: Polynomial, strategy: str = "nested_horner") -> Circuit:
     """Lower a canonical polynomial to a circuit computing it everywhere.
 
-    ``naive_monomial`` scales and sums one product subcircuit per nonzero
-    term; ``nested_horner`` factors variable by variable, combining each
+    ``naive_monomial`` scales one product subcircuit per nonzero term and
+    adds it to the running sum as it is made, so a term's wire dies at its
+    add; ``nested_horner`` factors variable by variable, combining each
     variable's canonical powers once per slice.  No algebraic rewriting
     happens here: factored shapes must be reflected in the polynomial's
     construction, not recovered by the lowerer.

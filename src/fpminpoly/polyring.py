@@ -980,7 +980,7 @@ class Polynomial:
                      for plane in self.ring.digit_planes())
 
     def total_degree(self) -> int:
-        return max((sum(exps) for exps, _ in self.support()), default=0)
+        return max((sum(exps) for exps, _ in self._terms()), default=0)
 
     def is_minimal_form(self) -> bool:
         """True iff every per-variable degree is at most p-1."""

@@ -22,10 +22,13 @@ and ``run_all`` must return the list loop's values, in the packed form
 (``polyring._pack``), on random circuits, the catalog grids at every
 modulus and the benchmark's circuit cases.  Each input wire must be digit
 i of the point index, as ``point_at`` decodes it: at p = 2 up to 2^17
-points, and at p = 3, 5, 13, 17, 131, 257 and 263.
+points, and at p = 3, 5, 13, 17, 131, 257 and 263.  On the benchmark's
+cases with at least 400 terms, ``run_all`` must hold fewer than half as many
+wires at once as a naive circuit has terms.
 """
 
 from collections import Counter
+from itertools import accumulate
 
 from hypothesis import example, given, settings, strategies as st
 import pytest
@@ -179,14 +182,14 @@ def reference_lower(f, strategy):
     ring = f.ring
     b = ReferenceBuilder(ring.p, ring.n)
     if strategy == "naive_monomial":
-        terms = []
+        # Each term is added to the running sum as it is made.
+        out = None
         for exps, c in f.support():
             factors = [b.power(b.input(i), e) for i, e in enumerate(exps) if e]
-            if factors:
-                terms.append(b.scale(c, b.product(factors)))
-            else:
-                terms.append(b.const(c))
-        out = b.sum(terms)
+            term = b.scale(c, b.product(factors)) if factors else b.const(c)
+            out = term if out is None else b.add(out, term)
+        if out is None:
+            out = b.const(0)
     else:
         out = circuit_module._lower_by_variable(b, ring.p, f.coeffs, ring.n)
     return b.finish(out)
@@ -419,17 +422,20 @@ def replay(b, calls):
 class TestSharingBuilderAgainstCSE:
     @settings(max_examples=200, deadline=None)
     @given(builder_calls())
-    # Fused product and sum: no constant operand, repeated refs, a shared pair.
+    # The fused product and the inherited sum: no constant operand, repeated
+    # refs, a shared pair.
     @example((3, 2, [("input", 1), ("power", 0, 2), ("product", [0, 1, 0, 2, 1]),
                      ("product", [1, 0]), ("sum", [3, 4, 3, 0])]))
-    # The constant fallback: constant product and sum operands, all-constant
-    # and empty ones.
+    # The product's constant fallback: constant product and sum operands,
+    # all-constant and empty ones.
     @example((3, 2, [("const", 2), ("product", [0, 1, 0]), ("sum", [0, 1, 2]),
                      ("product", [1, 1]), ("sum", []), ("product", [])]))
     def test_fused_product_and_sum(self, case):
         """The same calls on ``_SharingBuilder`` give, gate for gate and ref
         for ref, the CSE'd circuit of a plain builder, and count that
-        builder's compound gates."""
+        builder's compound gates: ``product`` through the fused pairing, or
+        with a constant operand through ``CircuitBuilder``'s, and ``sum``
+        through ``CircuitBuilder``'s chain of ``add`` calls."""
         p, n, calls = case
         shared, plain = _SharingBuilder(p, n), CircuitBuilder(p, n)
         outs, plain_outs = replay(shared, calls), replay(plain, calls)
@@ -588,6 +594,18 @@ INPUT_WIRE_RINGS = ([(2, n) for n in range(1, 18)] + [(3, n) for n in range(1, 1
 GRID_MODULI = sorted({p for entry in CATALOG.values() for p, _, _ in entry.verify_grid})
 
 
+def peak_live_wires(circ):
+    """The most wires ``run_all`` holds at once: each input wire from the
+    start and every other wire from its gate, up to the last gate that reads
+    it (``_last_uses``)."""
+    last = circuit_module._last_uses(circ)
+    change = [0] * (len(circ.gates) + 2)
+    for idx, gate in enumerate(circ.gates):
+        change[0 if gate[0] == "input" else idx] += 1
+        change[last[idx] + 1] -= 1
+    return max(accumulate(change))
+
+
 class TestRunAllAgainstReference:
     @pytest.mark.parametrize("modulus", GRID_MODULI)
     def test_catalog_grids(self, modulus):
@@ -609,6 +627,19 @@ class TestRunAllAgainstReference:
             expected = (reference_run_all(circ) if len(circ.gates) * len(values) <= 1 << 22
                         else values)
             assert run_all(circ) == expected == values
+
+    def test_naive_terms_die_at_their_adds(self):
+        # Each term is added to the running sum as it is made; a sum of all
+        # the terms at the end would hold every term's wire at once.
+        large = []
+        for case in CIRCUIT_CASES:
+            f = build_formula(*case)
+            terms = len(f.support())
+            if terms >= 400:
+                large.append(case)
+                for circ in (lower(f, "naive_monomial"), _lower_shared(f, "naive_monomial")[0]):
+                    assert peak_live_wires(circ) < terms / 2, (case, len(circ.gates))
+        assert large
 
     @pytest.mark.parametrize("circ", EDGE_CIRCUITS)
     def test_edge_circuits(self, circ):
