@@ -19,10 +19,10 @@ where a, b are indices of earlier gates.
 ``eliminate_common_subexpressions`` shares its identical gates.  ``stats``
 takes neither path: ``_lower_shared`` runs the same strategy code on a
 builder that hash-conses each gate under CSE's key as it is emitted, in one
-loop per product of wires and one loop step per naive term, and counts the
-unshared circuit's mul, add and scale gates instead of building them.  The
-naive strategy adds each term to the running sum as it is made, so
-``run_all`` holds a term's wire only until its add.
+loop step per naive term, and counts the unshared circuit's mul, add and
+scale gates instead of building them.  The naive strategy adds each term to
+the running sum as it is made, so ``run_all`` holds a term's wire only
+until its add.
 
 ``run_all`` carries all p^n points through each gate at once, each wire a
 table in ``polyring``'s stored form (``polyring._store``): p - 1 value
@@ -407,15 +407,15 @@ class _SharingBuilder(CircuitBuilder):
     this builder gives, gate for gate, the CSE'd circuit of the same
     lowering run on ``CircuitBuilder``.  ``counts`` tallies every mul, add,
     sub and scale emission, shared or not: the unshared circuit's compound
-    gates, all live (only folded leaf consts die).  ``product`` of wires
-    counts its muls at once, then looks each pair up under CSE's key in one
-    loop, in ``CircuitBuilder``'s order; with a constant operand it runs
-    ``CircuitBuilder``'s, where the folding lives.  ``_monomial_sum`` makes
-    and adds a naive term in one loop step, with each x_i^e built once.
-    ``power`` and the nested Horner slices (``_lower_block``) are memoised
-    with the counts their first call emitted, so a repeat costs one lookup
-    and still counts in full.  Memory stays O(shared gates) plus one key
-    per distinct slice.
+    gates, all live (only folded leaf consts die).  ``_monomial_sum`` makes
+    and adds a naive term in one loop step: ``_wire_product`` counts the
+    muls of its factors at once and looks each pair up under CSE's key in
+    ``CircuitBuilder.product``'s order, and its scale and add go straight
+    to ``_share``.  ``power`` and the nested Horner slices (``_lower_block``)
+    are memoised with the counts their first call emitted, so a repeat costs
+    one lookup and still counts in full; a naive term reads its x_i^e from
+    ``power``'s memo.  Memory stays O(shared gates) plus one key per
+    distinct slice.
     """
 
     def __init__(self, p: int, n_inputs: int):
@@ -424,7 +424,6 @@ class _SharingBuilder(CircuitBuilder):
         self._refs: dict[tuple, int] = {}
         self._powers: dict[tuple, tuple] = {}
         self._blocks: dict[tuple, tuple] = {}
-        self._xpowers: dict[tuple, tuple] = {}  # (i, e) -> x_i^e's wire, muls
 
     def _emit(self, gate: tuple, const_value: int | None = None) -> int:
         op = gate[0]
@@ -460,11 +459,6 @@ class _SharingBuilder(CircuitBuilder):
                 counts[op] += emitted
         return hit[0]
 
-    def product(self, refs: Sequence[int]) -> int:
-        if not refs or any(self._const_of[ref] is not None for ref in refs):
-            return CircuitBuilder.product(self, refs)
-        return self._wire_product(refs)
-
     def _wire_product(self, refs: Sequence[int]) -> int:
         """``product`` of one or more wires none of which is a constant."""
         self.counts["mul"] += len(refs) - 1
@@ -486,43 +480,39 @@ class _SharingBuilder(CircuitBuilder):
 
     def _monomial_sum(self, terms: Iterable[tuple[tuple[int, ...], int]]) -> int:
         """``CircuitBuilder._monomial_sum`` of nonzero terms, one loop step
-        each: x_i^e from ``_xpowers`` (filled by ``input`` and ``power`` at
-        first use), the factors, never constants, to ``_wire_product``, and a
-        scale and an add that cannot fold, one ``_refs`` lookup each."""
-        counts, table, gates, const_of = self.counts, self._refs, self._gates, self._const_of
-        xpowers, acc, muls = self._xpowers, None, 0
+        each: x_i^e read from ``power``'s memo (built there at first use), the
+        factors, never constants, to ``_wire_product``, and a scale and an
+        add of two wires, neither of which can fold, straight to ``_share``;
+        an add with a constant takes ``add``, which may fold it."""
+        counts, share, acc, muls = self.counts, self._share, None, 0
+        inputs, powers, const_of = self._input_cache, self._powers, self._const_of
         for exps, c in terms:
             factors = []
             for i, e in enumerate(exps):
                 if e:
-                    hit = xpowers.get((i, e))
-                    if hit is None:
-                        before = counts["mul"]
-                        ref = self.input(i) if e == 1 else self.power(self.input(i), e)
-                        hit = xpowers[i, e] = (ref, counts["mul"] - before)
-                    else:
-                        muls += hit[1]
-                    factors.append(hit[0])
+                    x = inputs.get(i)
+                    if x is None:
+                        x = self.input(i)
+                    if e > 1:
+                        hit = powers.get((x, e))
+                        if hit is None:
+                            x = self.power(x, e)
+                        else:  # an input's power counts muls alone
+                            x, ((_, k),) = hit
+                            muls += k
+                    factors.append(x)
             if not factors:
                 term = self.const(c)
-                acc = term if acc is None else self.add(acc, term)
-                continue
-            term = self._wire_product(factors)
-            if c != 1:
-                counts["scale"] += 1
-                gate = ("scale", c, term)
-                term = table.setdefault(gate, len(gates))
-                if term == len(gates):
-                    gates.append(gate)
-                    const_of.append(None)
-            if acc is not None:
-                counts["add"] += 1
-                gate = ("add", acc, term) if acc <= term else ("add", term, acc)
-                term = table.setdefault(gate, len(gates))
-                if term == len(gates):
-                    gates.append(gate)
-                    const_of.append(None)
-            acc = term
+            else:
+                term = self._wire_product(factors)
+                if c != 1:
+                    counts["scale"] += 1
+                    term = share(("scale", c, term))
+                if acc is not None and const_of[acc] is None:
+                    counts["add"] += 1
+                    acc = share(("add", acc, term))
+                    continue
+            acc = term if acc is None else self.add(acc, term)
         counts["mul"] += muls
         return self.const(0) if acc is None else acc
 

@@ -393,15 +393,19 @@ class TestSharedLoweringAgainstCSE:
 def builder_calls(draw):
     """A modulus, an arity and a sequence of builder calls.  Powers, products
     and sums name earlier results by position (mod their count), so products
-    repeat refs and mix constants in, and sums hold constants."""
+    repeat refs and mix constants in, and sums hold constants.  A monomial
+    sum takes ``(exps, c)`` terms with nonzero coefficients, as the naive
+    lowering passes them, and may repeat a term or reuse an earlier power."""
     p = draw(st.sampled_from(sorted(MAX_ARITY)))
     n = draw(st.integers(1, 3))
     position = st.integers(0, 10 ** 6)
+    term = st.tuples(st.tuples(*[st.integers(0, p - 1)] * n), st.integers(1, p - 1))
     calls = draw(st.lists(st.one_of(
         st.tuples(st.just("input"), st.integers(0, n - 1)),
         st.tuples(st.just("const"), st.integers(0, p - 1)),
         st.tuples(st.just("power"), position, st.integers(1, 9)),
-        st.tuples(st.sampled_from(["product", "sum"]), st.lists(position, max_size=7))),
+        st.tuples(st.sampled_from(["product", "sum"]), st.lists(position, max_size=7)),
+        st.tuples(st.just("_monomial_sum"), st.lists(term, max_size=6))),
         max_size=25))
     return p, n, calls
 
@@ -414,6 +418,8 @@ def replay(b, calls):
             results.append(getattr(b, op)(args[0]))
         elif op == "power":
             results.append(b.power(results[args[0] % len(results)], args[1]))
+        elif op == "_monomial_sum":
+            results.append(b._monomial_sum(args[0]))
         else:
             results.append(getattr(b, op)([results[j % len(results)] for j in args[0]]))
     return results
@@ -422,20 +428,26 @@ def replay(b, calls):
 class TestSharingBuilderAgainstCSE:
     @settings(max_examples=200, deadline=None)
     @given(builder_calls())
-    # The fused product and the inherited sum: no constant operand, repeated
-    # refs, a shared pair.
+    # Products and sums with no constant operand, repeated refs, a shared pair.
     @example((3, 2, [("input", 1), ("power", 0, 2), ("product", [0, 1, 0, 2, 1]),
                      ("product", [1, 0]), ("sum", [3, 4, 3, 0])]))
-    # The product's constant fallback: constant product and sum operands,
-    # all-constant and empty ones.
+    # Constant product and sum operands, all-constant and empty ones.
     @example((3, 2, [("const", 2), ("product", [0, 1, 0]), ("sum", [0, 1, 2]),
                      ("product", [1, 1]), ("sum", []), ("product", [])]))
-    def test_fused_product_and_sum(self, case):
+    # Monomial sums: a constant term first, a power built by an earlier
+    # ``power`` call and one built inside, a repeated term, a unit and a
+    # non-unit coefficient, and an empty sum.
+    @example((3, 2, [("power", 0, 2), ("_monomial_sum", [((0, 0), 2), ((2, 1), 1),
+                                                          ((1, 2), 2), ((2, 1), 1)]),
+                     ("_monomial_sum", [((0, 2), 1), ((2, 2), 2)]), ("_monomial_sum", [])]))
+    # Repeated constant terms that cancel, so the next term's add folds.
+    @example((2, 3, [("_monomial_sum", [((0, 0, 0), 1), ((0, 0, 0), 1), ((0, 0, 1), 1)])]))
+    def test_builder_calls(self, case):
         """The same calls on ``_SharingBuilder`` give, gate for gate and ref
         for ref, the CSE'd circuit of a plain builder, and count that
-        builder's compound gates: ``product`` through the fused pairing, or
-        with a constant operand through ``CircuitBuilder``'s, and ``sum``
-        through ``CircuitBuilder``'s chain of ``add`` calls."""
+        builder's compound gates: ``product``, ``sum`` and ``power`` through
+        ``CircuitBuilder``'s, ``power`` memoised, and ``_monomial_sum``
+        through the one-step override that reads ``power``'s memo."""
         p, n, calls = case
         shared, plain = _SharingBuilder(p, n), CircuitBuilder(p, n)
         outs, plain_outs = replay(shared, calls), replay(plain, calls)
